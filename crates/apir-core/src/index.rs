@@ -9,6 +9,7 @@
 //! same order (Figure 5).
 
 use crate::MAX_DEPTH;
+use apir_util::{Json, Snap};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -97,6 +98,26 @@ impl IndexTuple {
     /// Returns the raw (padded) component array.
     pub fn as_array(&self) -> [u64; MAX_DEPTH] {
         self.comps
+    }
+}
+
+/// A snapshot keeps only the significant components. The derived
+/// equality compares depth as well, and [`IndexTuple::new`] sets the
+/// depth from the component count, which round-trips because unused
+/// components are always zero.
+impl Snap for IndexTuple {
+    fn save(&self) -> Json {
+        self.comps[..self.depth as usize].save()
+    }
+
+    fn load(&mut self, j: &Json) -> Result<(), String> {
+        let mut comps: Vec<u64> = Vec::new();
+        comps.load(j)?;
+        if comps.len() > MAX_DEPTH {
+            return Err(format!("index depth {} exceeds {MAX_DEPTH}", comps.len()));
+        }
+        *self = IndexTuple::new(&comps);
+        Ok(())
     }
 }
 

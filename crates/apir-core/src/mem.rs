@@ -12,6 +12,8 @@
 //! by machine address.
 
 use crate::spec::RegionId;
+use apir_util::snap::{self, Snap};
+use apir_util::Json;
 use std::fmt;
 
 /// Uniform read/write access to region memory.
@@ -50,6 +52,22 @@ pub trait MemAccess {
 pub struct MemImage {
     regions: Vec<Vec<u64>>,
     names: Vec<String>,
+}
+
+/// A snapshot holds every region's words. The region layout comes from
+/// the program input, so a load must match it exactly.
+impl Snap for MemImage {
+    fn save(&self) -> Json {
+        Json::Arr(self.regions.iter().map(|r| r[..].save()).collect())
+    }
+
+    fn load(&mut self, j: &Json) -> Result<(), String> {
+        let a = snap::items_n(j, self.regions.len())?;
+        for (i, r) in self.regions.iter_mut().enumerate() {
+            snap::load_at(&mut r[..], a, i)?;
+        }
+        Ok(())
+    }
 }
 
 impl MemImage {

@@ -9,16 +9,17 @@ use crate::index::IndexTuple;
 use crate::mem::MemAccess;
 use crate::op::{AluOp, BodyOp, StoreKind, ValRef};
 use crate::rule::RuleDecl;
+use apir_util::{Json, Snap};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of a memory region.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
 pub struct RegionId(pub usize);
 
 /// Identifier of a task set.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
 pub struct TaskSetId(pub usize);
 
 /// Identifier of a rule declaration.
@@ -26,8 +27,25 @@ pub struct TaskSetId(pub usize);
 pub struct RuleId(pub usize);
 
 /// Identifier of an event label.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
 pub struct LabelId(pub usize);
+
+/// Ids snapshot as their number; range checks need the spec, so the
+/// fabric makes them.
+macro_rules! snap_id {
+    ($($t:ident),*) => {$(
+        impl Snap for $t {
+            fn save(&self) -> Json {
+                self.0.save()
+            }
+
+            fn load(&mut self, j: &Json) -> Result<(), String> {
+                self.0.load(j)
+            }
+        }
+    )*};
+}
+snap_id!(RegionId, TaskSetId, LabelId);
 
 /// Identifier of an extern IP core.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]

@@ -23,15 +23,14 @@ use apir_core::spec::{ExternIn, Spec, TaskSetId};
 use apir_core::{IndexTuple, ProgramInput, MAX_FIELDS};
 use apir_sim::delay::OutOfOrderStation;
 use apir_sim::fifo::Fifo;
-use apir_sim::metrics::{
-    CounterId, GaugeId, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot,
-    HISTOGRAM_BUCKETS,
-};
+use apir_sim::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSnapshot};
 use apir_sim::seconds_from_cycles;
 use apir_sim::stats::{Activity, ActivityTracker, StallCause, UtilizationSummary};
-use apir_sim::timeline::{Timeline, TimelineRecorder, TimelineSample, TimelineWindow};
-use apir_sim::trace::{CompId, EventTrace, TraceRecord};
+use apir_sim::timeline::{Timeline, TimelineRecorder, TimelineSample};
+use apir_sim::trace::{CompId, EventTrace};
 use apir_util::json::Json;
+use apir_util::snap::{self, Snap};
+use apir_util::snap_fields;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
@@ -291,6 +290,8 @@ struct TickSnap {
     faults: FaultStats,
 }
 
+/// A stage snapshots its station, cursor and activity; the op and its
+/// port are structure.
 struct Stage {
     op: BodyOp,
     /// Response-routing port for Load/Store/Extern/Rendezvous stages.
@@ -309,17 +310,105 @@ struct Stage {
     /// exact.
     last_stall_cause: StallCause,
 }
+snap_fields!(Stage {
+    station => "st",
+    expand_pos => "ep",
+    tracker => "tk",
+    last_activity => "la",
+    last_stall_cause => "lsc",
+    op: skip,
+    port: skip,
+    comp: skip,
+} check Self::fits);
+
+impl Stage {
+    /// Exactly the stages with a response port own a station.
+    fn fits(&self) -> Result<(), String> {
+        if self.station.is_some() != self.port.is_some() {
+            return Err(".st: station presence disagrees with the stage op".into());
+        }
+        Ok(())
+    }
+}
 
 struct Pipeline {
     set: TaskSetId,
-    latches: Vec<Option<Ctx>>,
-    stages: Vec<Stage>,
+    latches: Box<[Option<Ctx>]>,
+    stages: Box<[Stage]>,
     /// Extern unit attached to this pipeline (if the body calls externs).
     extern_unit: Option<ExternUnit>,
     /// Trace component of this pipeline (meaningful only when tracing).
     comp: CompId,
 }
+snap_fields!(Pipeline {
+    latches => "latches",
+    stages => "stages",
+    extern_unit => "ext",
+    set: skip,
+    comp: skip,
+} check Self::fits);
 
+impl Pipeline {
+    /// A loaded snapshot must hold contexts as wide as the body, and an
+    /// extern unit exactly when the body calls an extern, whose requests
+    /// name this pipeline's extern stages.
+    fn fits(&self) -> Result<(), String> {
+        let n = self.stages.len();
+        let wrong = |c: &Ctx| c.vals.len() != n;
+        if let Some(i) = self
+            .latches
+            .iter()
+            .position(|c| c.as_ref().is_some_and(wrong))
+        {
+            return Err(format!(".latches[{i}].v: the body has {n} ops"));
+        }
+        for (si, st) in self.stages.iter().enumerate() {
+            let mut parked = st.station.iter().flat_map(OutOfOrderStation::iter_all);
+            if let Some(k) = parked.position(wrong) {
+                return Err(format!(".stages[{si}].st[{k}][1].v: the body has {n} ops"));
+            }
+        }
+        // `(port, extern id)` of each extern stage.
+        let calls: Vec<(u32, usize)> = self
+            .stages
+            .iter()
+            .filter_map(|st| match st.op {
+                BodyOp::Extern { ext, .. } => Some((st.port?, ext.0)),
+                _ => None,
+            })
+            .collect();
+        let Some(u) = &self.extern_unit else {
+            return match calls.is_empty() {
+                true => Ok(()),
+                false => Err(".ext: missing, but the body calls an extern".into()),
+            };
+        };
+        if calls.is_empty() {
+            return Err(".ext: present, but the body calls no extern".into());
+        }
+        let ext_of = |port: u32| calls.iter().find(|c| c.0 == port).map(|c| c.1);
+        for (i, r) in u.queue.iter().enumerate() {
+            let err = match ext_of(r.port) {
+                None => format!(".p: port {} calls no extern", r.port),
+                Some(e) if e != r.ext => format!(".e: port {} calls extern {e}", r.port),
+                _ if usize::from(r.nargs) > MAX_FIELDS => {
+                    format!(".n: {} arguments, at most {MAX_FIELDS}", r.nargs)
+                }
+                _ => continue,
+            };
+            let slot = snapshot::fifo_slot(&u.queue, i);
+            return Err(snap::nest(format_args!(".ext.q.{slot}"), err));
+        }
+        match &u.busy {
+            Some(job) if ext_of(job.port).is_none() => {
+                Err(format!(".ext.busy.p: port {} calls no extern", job.port))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+#[derive(Default)]
 struct ExternJob {
     tag: u64,
     port: u32,
@@ -327,7 +416,15 @@ struct ExternJob {
     bytes_left: u64,
     compute_left: u64,
 }
+snap_fields!(ExternJob {
+    tag => "t",
+    port => "p",
+    result => "r",
+    bytes_left => "b",
+    compute_left => "c",
+});
 
+#[derive(Default)]
 struct ExternReq {
     tag: u64,
     port: u32,
@@ -336,23 +433,88 @@ struct ExternReq {
     nargs: u8,
     index: IndexTuple,
 }
+snap_fields!(ExternReq {
+    tag => "t",
+    port => "p",
+    ext => "e",
+    args => "a",
+    nargs => "n",
+    index => "i",
+});
 
 struct ExternUnit {
     queue: Fifo<ExternReq>,
     busy: Option<ExternJob>,
     calls: u64,
 }
+snap_fields!(ExternUnit { queue => "q", busy => "busy", calls => "calls" });
+
+impl Default for ExternUnit {
+    fn default() -> Self {
+        ExternUnit {
+            queue: Fifo::new(4),
+            busy: None,
+            calls: 0,
+        }
+    }
+}
+
+/// Scalar run state: sequence and tag cursors, the progress watchdog,
+/// and event totals.
+#[derive(Default)]
+struct Core {
+    next_seq: u64,
+    next_tag: u64,
+    last_progress: u64,
+    /// An escalation already ran for the current no-progress window;
+    /// the next expiry is a real deadlock.
+    escalated: bool,
+    /// Watchdog escalations performed (forced `otherwise` + flush).
+    wd_escalations: u64,
+    /// Reservation-station entries flushed by watchdog escalation.
+    wd_flushes: u64,
+    squashes: u64,
+    requeues: u64,
+    bounces: u64,
+    /// Tasks retired per task set.
+    retired: Box<[u64]>,
+}
+snap_fields!(Core {
+    next_seq => "next_seq",
+    next_tag => "next_tag",
+    last_progress => "last_progress",
+    escalated => "escalated",
+    wd_escalations => "wd_escalations",
+    wd_flushes => "wd_flushes",
+    squashes => "squashes",
+    requeues => "requeues",
+    bounces => "bounces",
+    retired => "retired",
+});
+
+/// Rollback-and-replay progress.
+#[derive(Default)]
+struct Rollback {
+    /// Rollbacks performed so far (≤ `max_rollbacks`); also the re-salt
+    /// epoch of the link RNG stream after the most recent rollback.
+    done: u64,
+    /// Total cycles re-executed across all rollbacks.
+    replayed: u64,
+    /// `(fail_cycle, resume_cycle)` per rollback, in order.
+    events: Vec<(u64, u64)>,
+}
+snap_fields!(Rollback { done => "done", replayed => "replayed", events => "events" });
 
 /// The accelerator instance.
 pub struct Fabric {
     spec: Spec,
     cfg: FabricConfig,
     mem: MemorySubsystem,
-    queues: Vec<TaskQueue>,
-    engines: Vec<RuleEngine>,
-    pipelines: Vec<Pipeline>,
+    queues: Box<[TaskQueue]>,
+    engines: Box<[RuleEngine]>,
+    pipelines: Box<[Pipeline]>,
     /// Per-port response queues `(tag, word)`.
-    resp: Vec<VecDeque<(u64, u64)>>,
+    resp: Box<[VecDeque<(u64, u64)>]>,
     bus_staged: Vec<EventMsg>,
     bus_current: Vec<EventMsg>,
     /// Live tasks: queued or in flight, keyed by `(index, seq)`.
@@ -363,22 +525,9 @@ pub struct Fabric {
     pending_tasks: VecDeque<(TaskSetId, IndexTuple, [u64; MAX_FIELDS])>,
     /// Events from extern cores awaiting bus slots.
     pending_events: VecDeque<EventMsg>,
-    next_seq: u64,
-    next_tag: u64,
     cycle: u64,
-    last_progress: u64,
-    retired: Vec<u64>,
-    squashes: u64,
-    requeues: u64,
-    bounces: u64,
+    core: Core,
     retire_log: Vec<(u64, usize)>,
-    /// Watchdog escalations performed (forced `otherwise` + flush).
-    wd_escalations: u64,
-    /// Reservation-station entries flushed by watchdog escalation.
-    wd_flushes: u64,
-    /// An escalation already ran for the current no-progress window;
-    /// the next expiry is a real deadlock.
-    escalated: bool,
     /// Tokens drained from fault-masked queue banks awaiting respill
     /// onto the surviving banks (they stay in `live` throughout).
     fault_respill: VecDeque<(usize, TaskToken)>,
@@ -390,13 +539,7 @@ pub struct Fabric {
     ckpt: Option<Json>,
     /// Cycle at which `ckpt` was taken.
     ckpt_cycle: u64,
-    /// Rollbacks performed so far (≤ `max_rollbacks`); also the re-salt
-    /// epoch of the link RNG stream after the most recent rollback.
-    rollbacks_done: u64,
-    /// Total cycles re-executed across all rollbacks.
-    rollback_replayed: u64,
-    /// `(fail_cycle, resume_cycle)` per rollback, in order.
-    rollback_events: Vec<(u64, u64)>,
+    rollback: Rollback,
     /// `fault.rollback.*` metric handles, when recovery is armed.
     mids_rollback: Option<RollbackIds>,
     metrics: MetricsRegistry,
@@ -428,7 +571,7 @@ impl Fabric {
         // panic before the gate reports the real diagnostics.
         let banks = cfg.queue_banks.max(1);
         let capacity = cfg.queue_capacity.max(banks);
-        let queues: Vec<TaskQueue> = spec
+        let queues: Box<[TaskQueue]> = spec
             .task_sets()
             .iter()
             .map(|t| {
@@ -443,7 +586,7 @@ impl Fabric {
                 q
             })
             .collect();
-        let engines: Vec<RuleEngine> = spec
+        let engines: Box<[RuleEngine]> = spec
             .rules()
             .iter()
             .map(|r| RuleEngine::new(r.clone(), cfg.rule_lanes))
@@ -455,7 +598,8 @@ impl Fabric {
             replayed: metrics.counter("fault.rollback.replayed_cycles"),
             last_cycle: metrics.counter("fault.rollback.last_cycle"),
         });
-        let mut trace = (cfg.trace_capacity > 0).then(|| EventTrace::new(cfg.trace_capacity));
+        let mut trace = (cfg.trace_capacity > 0)
+            .then(|| EventTrace::new(cfg.trace_capacity, &snapshot::EVENT_NAMES));
         let mut intern = |name: &str| {
             trace.as_mut().map_or(CompId(0), |t| t.comp(name))
         };
@@ -514,13 +658,9 @@ impl Fabric {
                 resp_count = next_port as usize;
                 pipelines.push(Pipeline {
                     set: TaskSetId(tsi),
-                    latches: vec![None; ts.body.len()],
-                    stages,
-                    extern_unit: has_extern.then(|| ExternUnit {
-                        queue: Fifo::new(4),
-                        busy: None,
-                        calls: 0,
-                    }),
+                    latches: vec![None; ts.body.len()].into(),
+                    stages: stages.into(),
+                    extern_unit: has_extern.then(ExternUnit::default),
                     comp: intern(&pipe_name),
                 });
             }
@@ -550,38 +690,30 @@ impl Fabric {
         let timeline = (cfg.timeline_window > 0)
             .then(|| TimelineRecorder::new(cfg.timeline_window, cfg.timeline_capacity));
         Fabric {
-            retired: vec![0; spec.task_sets().len()],
             spec: spec.clone(),
             cfg,
             mem,
             queues,
             engines,
-            pipelines,
-            resp: vec![VecDeque::new(); resp_count],
+            pipelines: pipelines.into(),
+            resp: vec![VecDeque::new(); resp_count].into(),
             bus_staged: Vec::new(),
             bus_current: Vec::new(),
             live: BTreeSet::new(),
             seed_backlog,
             pending_tasks: VecDeque::new(),
             pending_events: VecDeque::new(),
-            next_seq: 0,
-            next_tag: 0,
             cycle: 0,
-            last_progress: 0,
-            squashes: 0,
-            requeues: 0,
-            bounces: 0,
+            core: Core {
+                retired: vec![0; spec.task_sets().len()].into(),
+                ..Core::default()
+            },
             retire_log: Vec::new(),
-            wd_escalations: 0,
-            wd_flushes: 0,
-            escalated: false,
             fault_respill: VecDeque::new(),
             lint_errors,
             ckpt: None,
             ckpt_cycle: 0,
-            rollbacks_done: 0,
-            rollback_replayed: 0,
-            rollback_events: Vec::new(),
+            rollback: Rollback::default(),
             mids_rollback,
             metrics,
             mids,
@@ -676,7 +808,7 @@ impl Fabric {
                 // re-run the window under a re-salted link RNG stream
                 // instead of aborting, while the budget lasts.
                 if self.cfg.max_rollbacks > 0
-                    && self.rollbacks_done < u64::from(self.cfg.max_rollbacks)
+                    && self.rollback.done < u64::from(self.cfg.max_rollbacks)
                     && self.ckpt.is_some()
                 {
                     self.rollback_and_replay();
@@ -713,8 +845,8 @@ impl Fabric {
                     report: Box::new(self.into_report()),
                 });
             }
-            if self.cycle - self.last_progress > self.cfg.deadlock_cycles {
-                if !self.escalated {
+            if self.cycle - self.core.last_progress > self.cfg.deadlock_cycles {
+                if !self.core.escalated {
                     // The paper's liveness lever, pulled early: force the
                     // minimum waiting task's `otherwise` and flush the
                     // rendezvous stations before declaring defeat.
@@ -767,22 +899,24 @@ impl Fabric {
     /// the rewind rather than being restored from it.
     fn rollback_and_replay(&mut self) {
         let fail_cycle = self.cycle;
-        let epoch = self.rollbacks_done + 1;
-        let events = std::mem::take(&mut self.rollback_events);
-        let replayed = self.rollback_replayed;
-        let doc = self.ckpt.clone().expect("rollback requires a checkpoint");
-        self.restore_values(&doc)
+        let epoch = self.rollback.done + 1;
+        let events = std::mem::take(&mut self.rollback.events);
+        let replayed = self.rollback.replayed;
+        let doc = self.ckpt.take().expect("rollback requires a checkpoint");
+        self.load(&doc)
             .expect("in-memory checkpoint restores against its own fabric");
-        self.rollbacks_done = epoch;
-        self.rollback_replayed = replayed + (fail_cycle - self.cycle);
-        self.rollback_events = events;
-        self.rollback_events.push((fail_cycle, self.cycle));
+        self.ckpt = Some(doc);
+        self.rollback.done = epoch;
+        self.rollback.replayed = replayed + (fail_cycle - self.cycle);
+        self.rollback.events = events;
+        self.rollback.events.push((fail_cycle, self.cycle));
         if let Some(plan) = self.mem.faults_mut() {
             plan.resalt_link(epoch);
         }
         if let Some(ids) = &self.mids_rollback {
             self.metrics.set_counter(ids.count, epoch);
-            self.metrics.set_counter(ids.replayed, self.rollback_replayed);
+            self.metrics
+                .set_counter(ids.replayed, self.rollback.replayed);
             self.metrics.set_counter(ids.last_cycle, fail_cycle);
         }
         if let Some(tr) = self.trace.as_mut() {
@@ -798,7 +932,7 @@ impl Fabric {
     /// the watchdog so the recovered work gets a full window to drain.
     fn escalate_watchdog(&mut self) {
         let now = self.cycle;
-        self.wd_escalations += 1;
+        self.core.wd_escalations += 1;
         let mut out = Vec::new();
         if let Some(key) = self.live.iter().next().copied() {
             for e in &mut self.engines {
@@ -818,8 +952,8 @@ impl Fabric {
                 let station = stage.station.as_mut().expect("rendezvous has station");
                 while let Some(tag) = station.timeout_one(now + 1) {
                     self.engines[rule.0].cancel(tag);
-                    self.bounces += 1;
-                    self.wd_flushes += 1;
+                    self.core.bounces += 1;
+                    self.core.wd_flushes += 1;
                 }
             }
         }
@@ -829,8 +963,8 @@ impl Fabric {
         if let Some(tr) = self.trace.as_mut() {
             tr.record(now, self.tr_fault, "wd_escalate", 1);
         }
-        self.escalated = true;
-        self.last_progress = self.cycle;
+        self.core.escalated = true;
+        self.core.last_progress = self.cycle;
     }
 
     /// Assembles the campaign totals: the memory subsystem owns the
@@ -838,8 +972,8 @@ impl Fabric {
     /// escalation works with faults off too).
     fn fault_totals(&self) -> FaultStats {
         let mut s = self.mem.fault_stats();
-        s.watchdog_escalations = self.wd_escalations;
-        s.watchdog_flushed = self.wd_flushes;
+        s.watchdog_escalations = self.core.wd_escalations;
+        s.watchdog_flushed = self.core.wd_flushes;
         s
     }
 
@@ -914,9 +1048,9 @@ impl Fabric {
         self.mids.faults.publish(&faults, &mut self.metrics);
         FabricReport {
             rollbacks: (self.cfg.max_rollbacks > 0).then(|| RollbackSummary {
-                count: self.rollbacks_done,
-                replayed_cycles: self.rollback_replayed,
-                events: self.rollback_events.clone(),
+                count: self.rollback.done,
+                replayed_cycles: self.rollback.replayed,
+                events: self.rollback.events.clone(),
             }),
             faults,
             metrics: self.metrics.snapshot(),
@@ -925,10 +1059,10 @@ impl Fabric {
             timeline: self.timeline.take().map(TimelineRecorder::finish),
             cycles: self.cycle,
             seconds: seconds_from_cycles(self.cfg.clock_mhz, self.cycle),
-            retired: self.retired,
-            squashes: self.squashes,
-            requeues: self.requeues,
-            bounces: self.bounces,
+            retired: self.core.retired.into_vec(),
+            squashes: self.core.squashes,
+            requeues: self.core.requeues,
+            bounces: self.core.bounces,
             mem: self.mem.stats(),
             rules: self.engines.iter().map(|e| e.stats()).collect(),
             utilization: util.pipeline_utilization(),
@@ -1001,8 +1135,8 @@ impl Fabric {
             if !self.queues[ts.0].can_push() {
                 break;
             }
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.core.next_seq;
+            self.core.next_seq += 1;
             let token = self.queues[ts.0]
                 .push_child(IndexTuple::ROOT, seq, fields)
                 .expect("checked can_push");
@@ -1016,8 +1150,8 @@ impl Fabric {
             if !self.queues[ts.0].can_push() {
                 break;
             }
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.core.next_seq;
+            self.core.next_seq += 1;
             let token = self.queues[ts.0]
                 .push_child(parent, seq, fields)
                 .expect("checked can_push");
@@ -1061,10 +1195,10 @@ impl Fabric {
         for pi in 0..self.pipelines.len() {
             let before = snap.as_ref().map(|_| {
                 (
-                    self.retired.iter().sum::<u64>(),
-                    self.squashes,
-                    self.requeues,
-                    self.bounces,
+                    self.core.retired.iter().sum::<u64>(),
+                    self.core.squashes,
+                    self.core.requeues,
+                    self.core.bounces,
                 )
             });
             let p = &mut self.pipelines[pi];
@@ -1080,12 +1214,12 @@ impl Fabric {
                 &mut self.bus_staged,
                 self.cfg.event_bus_width,
                 &mut self.live,
-                &mut self.next_seq,
-                &mut self.next_tag,
-                &mut self.retired,
-                &mut self.squashes,
-                &mut self.requeues,
-                &mut self.bounces,
+                &mut self.core.next_seq,
+                &mut self.core.next_tag,
+                &mut self.core.retired,
+                &mut self.core.squashes,
+                &mut self.core.requeues,
+                &mut self.core.bounces,
                 self.cfg.record_retirements.then_some(&mut self.retire_log),
                 self.trace.as_mut(),
             );
@@ -1095,10 +1229,10 @@ impl Fabric {
                 let comp = self.pipelines[pi].comp;
                 let tr = self.trace.as_mut().expect("snap implies trace");
                 for (ev, d) in [
-                    ("retire", self.retired.iter().sum::<u64>() - r0),
-                    ("squash", self.squashes - s0),
-                    ("requeue", self.requeues - q0),
-                    ("bounce", self.bounces - b0),
+                    ("retire", self.core.retired.iter().sum::<u64>() - r0),
+                    ("squash", self.core.squashes - s0),
+                    ("requeue", self.core.requeues - q0),
+                    ("bounce", self.core.bounces - b0),
                 ] {
                     if d > 0 {
                         tr.record(now, comp, ev, d);
@@ -1137,9 +1271,9 @@ impl Fabric {
         }
 
         if progress {
-            self.last_progress = self.cycle;
+            self.core.last_progress = self.cycle;
             // A fresh no-progress window earns a fresh escalation.
-            self.escalated = false;
+            self.core.escalated = false;
         }
         moved || progress
     }
@@ -1156,7 +1290,7 @@ impl Fabric {
                 s.idle += st.tracker.idle;
             }
         }
-        s.retired = self.retired.iter().sum();
+        s.retired = self.core.retired.iter().sum();
         let mem = self.mem.stats();
         s.hits = mem.hits;
         s.misses = mem.misses;
@@ -1180,14 +1314,15 @@ impl Fabric {
         let now = self.cycle;
         // The watchdog fires on the first cycle where
         // `cycle - last_progress > deadlock_cycles`.
-        let mut wake = self.last_progress + self.cfg.deadlock_cycles + 1;
+        let deadline = self.core.last_progress + self.cfg.deadlock_cycles + 1;
+        let mut wake = deadline;
         let mut consider = |c: u64| {
             let c = c.max(now + 1);
             if c < wake {
                 wake = c;
             }
         };
-        if let Some(c) = self.mem.next_wake(now) {
+        if let Some(c) = self.mem.next_wake(now, deadline) {
             consider(c);
         }
         let fw = self.cfg.faults.fault_window;
@@ -1397,12 +1532,12 @@ impl Fabric {
     fn publish_cycle(&mut self) {
         let m = &mut self.metrics;
         m.set_counter(self.mids.cycles, self.cycle);
-        for (id, &r) in self.mids.retired.iter().zip(self.retired.iter()) {
+        for (id, &r) in self.mids.retired.iter().zip(self.core.retired.iter()) {
             m.set_counter(*id, r);
         }
-        m.set_counter(self.mids.squashes, self.squashes);
-        m.set_counter(self.mids.requeues, self.requeues);
-        m.set_counter(self.mids.bounces, self.bounces);
+        m.set_counter(self.mids.squashes, self.core.squashes);
+        m.set_counter(self.mids.requeues, self.core.requeues);
+        m.set_counter(self.mids.bounces, self.core.bounces);
         let externs: u64 = self
             .pipelines
             .iter()
@@ -2069,117 +2204,54 @@ fn tick_pipeline(
     (progress, active || progress)
 }
 
+snap_fields!(Fabric {
+    cycle => "cycle",
+    core => "core",
+    rollback => "rollback",
+    live => "live",
+    seed_backlog => "seed_backlog",
+    pending_tasks => "pending_tasks",
+    pending_events => "pending_events",
+    bus_staged => "bus_staged",
+    bus_current => "bus_current",
+    fault_respill => "fault_respill",
+    resp => "resp",
+    retire_log => "retire_log",
+    queues => "queues",
+    engines => "engines",
+    mem => "mem",
+    pipelines => "pipelines",
+    metrics => "metrics",
+    trace => "trace",
+    timeline => "timeline",
+    tl_prev => "tl_prev",
+    spec: skip,
+    cfg: skip,
+    lint_errors: skip,
+    ckpt: skip,
+    ckpt_cycle: skip,
+    mids_rollback: skip,
+    mids: skip,
+    tr_host: skip,
+    tr_mem: skip,
+    tr_fault: skip,
+    tr_queues: skip,
+    tr_rules: skip,
+} check Self::fits);
+
 impl Fabric {
     /// Serializes the complete mutable state of this fabric as an
-    /// `apir.fabric.snapshot.v1` document. Everything derivable from the
-    /// `(spec, input, config)` triple is structural and omitted; see
-    /// [`crate::snapshot`] for the contract.
+    /// `apir.fabric.snapshot.v1` document: the schema tag followed by
+    /// [`Snap::save`]. Everything derivable from the `(spec, input,
+    /// config)` triple is structural and omitted; see [`crate::snapshot`]
+    /// for the contract.
     pub fn snapshot(&self) -> Json {
-        Json::obj([
-            ("schema", Json::str(SNAPSHOT_SCHEMA)),
-            ("cycle", Json::U64(self.cycle)),
-            (
-                "core",
-                Json::obj([
-                    ("next_seq", Json::U64(self.next_seq)),
-                    ("next_tag", Json::U64(self.next_tag)),
-                    ("last_progress", Json::U64(self.last_progress)),
-                    ("escalated", Json::Bool(self.escalated)),
-                    ("wd_escalations", Json::U64(self.wd_escalations)),
-                    ("wd_flushes", Json::U64(self.wd_flushes)),
-                    ("squashes", Json::U64(self.squashes)),
-                    ("requeues", Json::U64(self.requeues)),
-                    ("bounces", Json::U64(self.bounces)),
-                    (
-                        "retired",
-                        Json::arr(self.retired.iter().map(|&r| Json::U64(r))),
-                    ),
-                ]),
-            ),
-            (
-                "rollback",
-                Json::obj([
-                    ("done", Json::U64(self.rollbacks_done)),
-                    ("replayed", Json::U64(self.rollback_replayed)),
-                    (
-                        "events",
-                        Json::arr(
-                            self.rollback_events.iter().map(|&(f, r)| pair_json(f, r)),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "live",
-                Json::arr(self.live.iter().map(|(i, s)| {
-                    Json::arr([snapshot::index_json(i), Json::U64(*s)])
-                })),
-            ),
-            (
-                "seed_backlog",
-                Json::arr(self.seed_backlog.iter().map(|(ts, f)| {
-                    Json::arr([Json::U64(ts.0 as u64), snapshot::fields_json(f)])
-                })),
-            ),
-            (
-                "pending_tasks",
-                Json::arr(self.pending_tasks.iter().map(|(ts, idx, f)| {
-                    Json::arr([
-                        Json::U64(ts.0 as u64),
-                        snapshot::index_json(idx),
-                        snapshot::fields_json(f),
-                    ])
-                })),
-            ),
-            (
-                "pending_events",
-                Json::arr(self.pending_events.iter().map(snapshot::event_json)),
-            ),
-            (
-                "bus_staged",
-                Json::arr(self.bus_staged.iter().map(snapshot::event_json)),
-            ),
-            (
-                "bus_current",
-                Json::arr(self.bus_current.iter().map(snapshot::event_json)),
-            ),
-            (
-                "fault_respill",
-                Json::arr(self.fault_respill.iter().map(|(qi, t)| {
-                    Json::arr([Json::U64(*qi as u64), snapshot::token_json(t)])
-                })),
-            ),
-            (
-                "resp",
-                Json::arr(self.resp.iter().map(|q| {
-                    Json::arr(q.iter().map(|&(t, w)| pair_json(t, w)))
-                })),
-            ),
-            (
-                "retire_log",
-                Json::arr(self.retire_log.iter().map(|&(c, s)| pair_json(c, s as u64))),
-            ),
-            (
-                "queues",
-                Json::arr(self.queues.iter().map(TaskQueue::snapshot_json)),
-            ),
-            (
-                "engines",
-                Json::arr(self.engines.iter().map(RuleEngine::snapshot_json)),
-            ),
-            ("mem", self.mem.snapshot_json()),
-            (
-                "pipelines",
-                Json::arr(self.pipelines.iter().map(pipeline_json)),
-            ),
-            ("metrics", metrics_json(&self.metrics.snapshot())),
-            ("trace", self.trace.as_ref().map_or(Json::Null, trace_json)),
-            (
-                "timeline",
-                self.timeline.as_ref().map_or(Json::Null, timeline_json),
-            ),
-            ("tl_prev", sample_json(&self.tl_prev)),
-        ])
+        let Json::Obj(members) = self.save() else {
+            unreachable!("a struct saves as an object")
+        };
+        let mut doc = vec![("schema".to_string(), Json::str(SNAPSHOT_SCHEMA))];
+        doc.extend(members);
+        Json::Obj(doc)
     }
 
     /// Rebuilds a fabric from the `(spec, input, cfg)` triple the
@@ -2202,715 +2274,75 @@ impl Fabric {
         cfg: FabricConfig,
         doc: &Json,
     ) -> Result<Fabric, String> {
+        match doc.get("schema") {
+            Some(Json::Str(s)) if s == SNAPSHOT_SCHEMA => {}
+            other => {
+                return Err(format!(
+                    "snapshot: `schema` is {}, expected `{SNAPSHOT_SCHEMA}`",
+                    other.map_or("missing".to_string(), Json::render)
+                ))
+            }
+        }
         let mut f = Fabric::new(spec, input, cfg);
-        f.restore_values(doc)?;
+        f.load(doc).map_err(|e| snap::describe(&e))?;
         Ok(f)
     }
 
-    /// Overwrites every mutable value from a snapshot document, leaving
-    /// structure (and rollback checkpoint meta) untouched.
-    fn restore_values(&mut self, doc: &Json) -> Result<(), String> {
-        let schema = snapshot::str_field(doc, "schema")?;
-        if schema != SNAPSHOT_SCHEMA {
-            return Err(format!(
-                "snapshot: schema `{schema}`, expected `{SNAPSHOT_SCHEMA}`"
-            ));
+    /// Checks a loaded snapshot against the structure: optional parts
+    /// present exactly when the config arms them, and every task set,
+    /// queue and response port it names in range.
+    fn fits(&self) -> Result<(), String> {
+        if self.trace.is_some() != (self.cfg.trace_capacity > 0) {
+            return Err(".trace: presence disagrees with config trace_capacity".into());
         }
-        self.cycle = snapshot::u64_field(doc, "cycle")?;
-
-        let core = snapshot::field(doc, "core")?;
-        self.next_seq = snapshot::u64_field(core, "next_seq")?;
-        self.next_tag = snapshot::u64_field(core, "next_tag")?;
-        self.last_progress = snapshot::u64_field(core, "last_progress")?;
-        self.escalated = snapshot::bool_field(core, "escalated")?;
-        self.wd_escalations = snapshot::u64_field(core, "wd_escalations")?;
-        self.wd_flushes = snapshot::u64_field(core, "wd_flushes")?;
-        self.squashes = snapshot::u64_field(core, "squashes")?;
-        self.requeues = snapshot::u64_field(core, "requeues")?;
-        self.bounces = snapshot::u64_field(core, "bounces")?;
-        let retired = snapshot::u64_vec(snapshot::field(core, "retired")?, "retired")?;
-        if retired.len() != self.retired.len() {
-            return Err(format!(
-                "snapshot: {} retired counters, fabric has {} task sets",
-                retired.len(),
-                self.retired.len()
-            ));
+        if self.timeline.is_some() != (self.cfg.timeline_window > 0) {
+            return Err(".timeline: presence disagrees with config timeline_window".into());
         }
-        self.retired = retired;
-
-        let rb = snapshot::field(doc, "rollback")?;
-        self.rollbacks_done = snapshot::u64_field(rb, "done")?;
-        self.rollback_replayed = snapshot::u64_field(rb, "replayed")?;
-        self.rollback_events = snapshot::arr_field(rb, "events")?
-            .iter()
-            .map(|e| pair_from(e, "rollback event"))
-            .collect::<Result<_, _>>()?;
-
-        self.live.clear();
-        for e in snapshot::arr_field(doc, "live")? {
-            let parts = snapshot::need_arr(e, "live entry")?;
-            let [idx, seq] = parts else {
-                return Err("snapshot: malformed live entry".into());
-            };
-            self.live.insert((
-                snapshot::index_from(idx)?,
-                snapshot::need_u64(seq, "live seq")?,
-            ));
+        let (sets, queues) = (self.spec.task_sets().len(), self.queues.len());
+        in_range(
+            "seed_backlog",
+            self.seed_backlog.iter().map(|e| e.0 .0),
+            sets,
+            "task set",
+        )?;
+        in_range(
+            "pending_tasks",
+            self.pending_tasks.iter().map(|e| e.0 .0),
+            sets,
+            "task set",
+        )?;
+        in_range(
+            "fault_respill",
+            self.fault_respill.iter().map(|e| e.0),
+            queues,
+            "queue",
+        )?;
+        let ports = self.resp.len();
+        self.mem
+            .check_loaded(ports, self.cfg.faults.is_enabled())
+            .map_err(|e| snap::nest(".mem", e))?;
+        for (i, e) in self.engines.iter().enumerate() {
+            e.check_ports(ports)
+                .map_err(|e| snap::nest(format_args!(".engines[{i}]"), e))?;
         }
-
-        self.seed_backlog = snapshot::arr_field(doc, "seed_backlog")?
-            .iter()
-            .map(|e| {
-                let parts = snapshot::need_arr(e, "seed entry")?;
-                let [ts, fields] = parts else {
-                    return Err("snapshot: malformed seed entry".into());
-                };
-                Ok((
-                    self.task_set_from(ts)?,
-                    snapshot::fields_from(fields)?,
-                ))
-            })
-            .collect::<Result<_, String>>()?;
-
-        self.pending_tasks = snapshot::arr_field(doc, "pending_tasks")?
-            .iter()
-            .map(|e| {
-                let parts = snapshot::need_arr(e, "pending task")?;
-                let [ts, idx, fields] = parts else {
-                    return Err("snapshot: malformed pending task".into());
-                };
-                Ok((
-                    self.task_set_from(ts)?,
-                    snapshot::index_from(idx)?,
-                    snapshot::fields_from(fields)?,
-                ))
-            })
-            .collect::<Result<_, String>>()?;
-
-        self.pending_events = snapshot::arr_field(doc, "pending_events")?
-            .iter()
-            .map(snapshot::event_from)
-            .collect::<Result<_, _>>()?;
-        self.bus_staged = snapshot::arr_field(doc, "bus_staged")?
-            .iter()
-            .map(snapshot::event_from)
-            .collect::<Result<_, _>>()?;
-        self.bus_current = snapshot::arr_field(doc, "bus_current")?
-            .iter()
-            .map(snapshot::event_from)
-            .collect::<Result<_, _>>()?;
-
-        self.fault_respill = snapshot::arr_field(doc, "fault_respill")?
-            .iter()
-            .map(|e| {
-                let parts = snapshot::need_arr(e, "respill entry")?;
-                let [qi, token] = parts else {
-                    return Err("snapshot: malformed respill entry".into());
-                };
-                let qi = snapshot::need_u64(qi, "respill queue")? as usize;
-                if qi >= self.queues.len() {
-                    return Err(format!("snapshot: respill queue {qi} out of range"));
-                }
-                Ok((qi, snapshot::token_from(token)?))
-            })
-            .collect::<Result<_, String>>()?;
-
-        let resp = snapshot::arr_field(doc, "resp")?;
-        if resp.len() != self.resp.len() {
-            return Err(format!(
-                "snapshot: {} response ports, fabric has {}",
-                resp.len(),
-                self.resp.len()
-            ));
-        }
-        for (port, rj) in self.resp.iter_mut().zip(resp.iter()) {
-            *port = snapshot::need_arr(rj, "resp port")?
-                .iter()
-                .map(|e| pair_from(e, "response"))
-                .collect::<Result<_, _>>()?;
-        }
-
-        self.retire_log = snapshot::arr_field(doc, "retire_log")?
-            .iter()
-            .map(|e| pair_from(e, "retirement").map(|(c, s)| (c, s as usize)))
-            .collect::<Result<_, _>>()?;
-
-        let queues = snapshot::arr_field(doc, "queues")?;
-        if queues.len() != self.queues.len() {
-            return Err(format!(
-                "snapshot: {} queues, fabric has {}",
-                queues.len(),
-                self.queues.len()
-            ));
-        }
-        for (q, qj) in self.queues.iter_mut().zip(queues.iter()) {
-            q.restore_json(qj)?;
-        }
-
-        let engines = snapshot::arr_field(doc, "engines")?;
-        if engines.len() != self.engines.len() {
-            return Err(format!(
-                "snapshot: {} rule engines, fabric has {}",
-                engines.len(),
-                self.engines.len()
-            ));
-        }
-        for (e, ej) in self.engines.iter_mut().zip(engines.iter()) {
-            e.restore_json(ej)?;
-        }
-
-        self.mem.restore_json(snapshot::field(doc, "mem")?)?;
-
-        let pipelines = snapshot::arr_field(doc, "pipelines")?;
-        if pipelines.len() != self.pipelines.len() {
-            return Err(format!(
-                "snapshot: {} pipelines, fabric has {}",
-                pipelines.len(),
-                self.pipelines.len()
-            ));
-        }
-        for (p, pj) in self.pipelines.iter_mut().zip(pipelines.iter()) {
-            restore_pipeline(p, pj)?;
-        }
-
-        let entries = metrics_entries_from(snapshot::field(doc, "metrics")?)?;
-        self.metrics
-            .restore_values(&MetricsSnapshot::from_entries(entries))?;
-
-        match (&self.trace, snapshot::field(doc, "trace")?) {
-            (None, Json::Null) => {}
-            (Some(tr), tj @ Json::Obj(_)) => {
-                self.trace = Some(trace_from(tj, tr.capacity())?);
-            }
-            _ => {
-                return Err(
-                    "snapshot: trace presence disagrees with config trace_capacity".into(),
-                )
-            }
-        }
-
-        match (&self.timeline, snapshot::field(doc, "timeline")?) {
-            (None, Json::Null) => {}
-            (Some(tl), tj @ Json::Obj(_)) => {
-                let (capacity, ..) = tl.state();
-                self.timeline = Some(timeline_from(tj, tl.window(), capacity)?);
-            }
-            _ => {
-                return Err(
-                    "snapshot: timeline presence disagrees with config timeline_window".into(),
-                )
-            }
-        }
-
-        self.tl_prev = sample_from(snapshot::field(doc, "tl_prev")?, "tl_prev")?;
         Ok(())
     }
+}
 
-    /// Decodes and range-checks a task-set id.
-    fn task_set_from(&self, j: &Json) -> Result<TaskSetId, String> {
-        let ts = snapshot::need_u64(j, "task set")? as usize;
-        if ts >= self.spec.task_sets().len() {
-            return Err(format!("snapshot: task set {ts} out of range"));
-        }
-        Ok(TaskSetId(ts))
+/// Checks that every id in `ids`, the first member of each entry of
+/// snapshot member `key`, is below `len`.
+fn in_range(
+    key: &str,
+    mut ids: impl Iterator<Item = usize>,
+    len: usize,
+    what: &str,
+) -> Result<(), String> {
+    match ids.position(|id| id >= len) {
+        Some(i) => Err(format!(
+            ".{key}[{i}][0]: {what} out of range ({len} of them)"
+        )),
+        None => Ok(()),
     }
-}
-
-/// Encodes a `(u64, u64)` pair as a two-element array.
-fn pair_json(a: u64, b: u64) -> Json {
-    Json::arr([Json::U64(a), Json::U64(b)])
-}
-
-/// Decodes a `(u64, u64)` pair.
-fn pair_from(j: &Json, what: &str) -> Result<(u64, u64), String> {
-    let v = snapshot::u64_vec(j, what)?;
-    match v.as_slice() {
-        [a, b] => Ok((*a, *b)),
-        _ => Err(format!("snapshot: `{what}` is not a pair")),
-    }
-}
-
-/// Encodes a timeline sample as its seven counters, in field order.
-fn sample_json(s: &TimelineSample) -> Json {
-    Json::arr(
-        [s.busy, s.stall, s.idle, s.retired, s.hits, s.misses, s.qpi_bytes]
-            .into_iter()
-            .map(Json::U64),
-    )
-}
-
-/// Decodes a timeline sample.
-fn sample_from(j: &Json, what: &str) -> Result<TimelineSample, String> {
-    let v = snapshot::u64_vec(j, what)?;
-    let [busy, stall, idle, retired, hits, misses, qpi_bytes] = v.as_slice() else {
-        return Err(format!("snapshot: `{what}` is not a 7-field sample"));
-    };
-    Ok(TimelineSample {
-        busy: *busy,
-        stall: *stall,
-        idle: *idle,
-        retired: *retired,
-        hits: *hits,
-        misses: *misses,
-        qpi_bytes: *qpi_bytes,
-    })
-}
-
-/// Encodes an activity tracker as `[busy, stall, idle, stall_by...]`.
-fn tracker_json(t: &ActivityTracker) -> Json {
-    Json::arr(
-        [t.busy, t.stall, t.idle]
-            .into_iter()
-            .chain(t.stall_by.iter().copied())
-            .map(Json::U64),
-    )
-}
-
-/// Decodes an activity tracker.
-fn tracker_from(j: &Json) -> Result<ActivityTracker, String> {
-    let v = snapshot::u64_vec(j, "tracker")?;
-    if v.len() != 3 + StallCause::COUNT {
-        return Err(format!(
-            "snapshot: tracker has {} counters, expected {}",
-            v.len(),
-            3 + StallCause::COUNT
-        ));
-    }
-    let mut stall_by = [0u64; StallCause::COUNT];
-    stall_by.copy_from_slice(&v[3..]);
-    Ok(ActivityTracker {
-        busy: v[0],
-        stall: v[1],
-        idle: v[2],
-        stall_by,
-    })
-}
-
-/// Stable wire code of an activity state.
-fn activity_code(a: Activity) -> u64 {
-    match a {
-        Activity::Busy => 0,
-        Activity::Stall => 1,
-        Activity::Idle => 2,
-    }
-}
-
-/// Decodes an activity state.
-fn activity_from(c: u64) -> Result<Activity, String> {
-    match c {
-        0 => Ok(Activity::Busy),
-        1 => Ok(Activity::Stall),
-        2 => Ok(Activity::Idle),
-        _ => Err(format!("snapshot: bad activity code {c}")),
-    }
-}
-
-/// Decodes a stall cause by its declaration-order discriminant.
-fn stall_cause_from(c: u64) -> Result<StallCause, String> {
-    StallCause::ALL
-        .get(c as usize)
-        .copied()
-        .ok_or_else(|| format!("snapshot: bad stall cause code {c}"))
-}
-
-/// Encodes a reservation station's entries in slot order (slot order is
-/// behavioral: `take_ready` prefers the oldest ready slot).
-fn station_json(st: &OutOfOrderStation<Ctx>) -> Json {
-    Json::arr(st.iter_entries().map(|(tag, ctx, ready, word, born)| {
-        Json::arr([
-            Json::U64(tag),
-            snapshot::ctx_json(ctx),
-            Json::Bool(ready),
-            Json::U64(word),
-            Json::U64(born),
-        ])
-    }))
-}
-
-/// Decodes a reservation station; `body_len` is the SSA width of the
-/// parked contexts.
-fn station_from(
-    j: &Json,
-    cap: usize,
-    body_len: usize,
-) -> Result<OutOfOrderStation<Ctx>, String> {
-    let mut entries = Vec::new();
-    for e in snapshot::need_arr(j, "station")? {
-        let parts = snapshot::need_arr(e, "station entry")?;
-        let [tag, ctx, ready, word, born] = parts else {
-            return Err("snapshot: malformed station entry".into());
-        };
-        entries.push((
-            snapshot::need_u64(tag, "station tag")?,
-            snapshot::ctx_from(ctx, body_len)?,
-            ready
-                .as_bool()
-                .ok_or("snapshot: station ready flag is not a bool")?,
-            snapshot::need_u64(word, "station word")?,
-            snapshot::need_u64(born, "station born")?,
-        ));
-    }
-    if entries.len() > cap {
-        return Err(format!(
-            "snapshot: {} station entries exceed window {cap}",
-            entries.len()
-        ));
-    }
-    Ok(OutOfOrderStation::from_parts(cap, entries))
-}
-
-/// Encodes one pipeline's latches, stage state, and extern unit.
-fn pipeline_json(p: &Pipeline) -> Json {
-    Json::obj([
-        (
-            "latches",
-            Json::arr(p.latches.iter().map(|l| {
-                l.as_ref().map_or(Json::Null, snapshot::ctx_json)
-            })),
-        ),
-        (
-            "stages",
-            Json::arr(p.stages.iter().map(|st| {
-                Json::obj([
-                    ("st", st.station.as_ref().map_or(Json::Null, station_json)),
-                    ("ep", st.expand_pos.map_or(Json::Null, Json::U64)),
-                    ("tk", tracker_json(&st.tracker)),
-                    (
-                        "la",
-                        st.last_activity
-                            .map_or(Json::Null, |a| Json::U64(activity_code(a))),
-                    ),
-                    ("lsc", Json::U64(st.last_stall_cause as u64)),
-                ])
-            })),
-        ),
-        (
-            "ext",
-            p.extern_unit.as_ref().map_or(Json::Null, extern_unit_json),
-        ),
-    ])
-}
-
-/// Restores one pipeline from its snapshot member.
-fn restore_pipeline(p: &mut Pipeline, pj: &Json) -> Result<(), String> {
-    let body_len = p.stages.len();
-    let latches = snapshot::arr_field(pj, "latches")?;
-    if latches.len() != body_len {
-        return Err(format!(
-            "snapshot: {} latches, pipeline has {body_len} stages",
-            latches.len()
-        ));
-    }
-    for (slot, lj) in p.latches.iter_mut().zip(latches.iter()) {
-        *slot = match lj {
-            Json::Null => None,
-            _ => Some(snapshot::ctx_from(lj, body_len)?),
-        };
-    }
-    let stages = snapshot::arr_field(pj, "stages")?;
-    if stages.len() != body_len {
-        return Err(format!(
-            "snapshot: {} stage records, pipeline has {body_len}",
-            stages.len()
-        ));
-    }
-    for (st, sj) in p.stages.iter_mut().zip(stages.iter()) {
-        let station_j = snapshot::field(sj, "st")?;
-        match (&mut st.station, station_j) {
-            (None, Json::Null) => {}
-            (Some(station), Json::Arr(_)) => {
-                *station = station_from(station_j, station.capacity(), body_len)?;
-            }
-            _ => return Err("snapshot: station presence disagrees with stage op".into()),
-        }
-        st.expand_pos = match snapshot::field(sj, "ep")? {
-            Json::Null => None,
-            v => Some(snapshot::need_u64(v, "expand_pos")?),
-        };
-        st.tracker = tracker_from(snapshot::field(sj, "tk")?)?;
-        st.last_activity = match snapshot::field(sj, "la")? {
-            Json::Null => None,
-            v => Some(activity_from(snapshot::need_u64(v, "last_activity")?)?),
-        };
-        st.last_stall_cause =
-            stall_cause_from(snapshot::u64_field(sj, "lsc")?)?;
-    }
-    let ext_j = snapshot::field(pj, "ext")?;
-    match (&mut p.extern_unit, ext_j) {
-        (None, Json::Null) => Ok(()),
-        (Some(u), Json::Obj(_)) => restore_extern_unit(u, ext_j),
-        _ => Err("snapshot: extern unit presence disagrees with spec".into()),
-    }
-}
-
-/// Encodes an extern-core request.
-fn extern_req_json(r: &ExternReq) -> Json {
-    Json::obj([
-        ("t", Json::U64(r.tag)),
-        ("p", Json::U64(r.port as u64)),
-        ("e", Json::U64(r.ext as u64)),
-        ("a", snapshot::fields_json(&r.args)),
-        ("n", Json::U64(r.nargs as u64)),
-        ("i", snapshot::index_json(&r.index)),
-    ])
-}
-
-/// Decodes an extern-core request.
-fn extern_req_from(j: &Json) -> Result<ExternReq, String> {
-    Ok(ExternReq {
-        tag: snapshot::u64_field(j, "t")?,
-        port: snapshot::u64_field(j, "p")? as u32,
-        ext: snapshot::usize_field(j, "e")?,
-        args: snapshot::fields_from(snapshot::field(j, "a")?)?,
-        nargs: snapshot::u64_field(j, "n")? as u8,
-        index: snapshot::index_from(snapshot::field(j, "i")?)?,
-    })
-}
-
-/// Encodes an extern unit (request FIFO, in-flight job, call count).
-fn extern_unit_json(u: &ExternUnit) -> Json {
-    Json::obj([
-        (
-            "q",
-            Json::obj([
-                ("v", Json::arr(u.queue.iter().map(extern_req_json))),
-                ("s", Json::arr(u.queue.iter_staged().map(extern_req_json))),
-            ]),
-        ),
-        (
-            "busy",
-            u.busy.as_ref().map_or(Json::Null, |j| {
-                Json::obj([
-                    ("t", Json::U64(j.tag)),
-                    ("p", Json::U64(j.port as u64)),
-                    ("r", Json::U64(j.result)),
-                    ("b", Json::U64(j.bytes_left)),
-                    ("c", Json::U64(j.compute_left)),
-                ])
-            }),
-        ),
-        ("calls", Json::U64(u.calls)),
-    ])
-}
-
-/// Restores an extern unit from its snapshot member.
-fn restore_extern_unit(u: &mut ExternUnit, j: &Json) -> Result<(), String> {
-    let qj = snapshot::field(j, "q")?;
-    let visible: Vec<ExternReq> = snapshot::arr_field(qj, "v")?
-        .iter()
-        .map(extern_req_from)
-        .collect::<Result<_, _>>()?;
-    let staged: Vec<ExternReq> = snapshot::arr_field(qj, "s")?
-        .iter()
-        .map(extern_req_from)
-        .collect::<Result<_, _>>()?;
-    let cap = u.queue.capacity();
-    if visible.len() + staged.len() > cap {
-        return Err(format!(
-            "snapshot: extern queue holds {} entries, capacity {cap}",
-            visible.len() + staged.len()
-        ));
-    }
-    u.queue = Fifo::from_parts(cap, visible, staged);
-    u.busy = match snapshot::field(j, "busy")? {
-        Json::Null => None,
-        bj => Some(ExternJob {
-            tag: snapshot::u64_field(bj, "t")?,
-            port: snapshot::u64_field(bj, "p")? as u32,
-            result: snapshot::u64_field(bj, "r")?,
-            bytes_left: snapshot::u64_field(bj, "b")?,
-            compute_left: snapshot::u64_field(bj, "c")?,
-        }),
-    };
-    u.calls = snapshot::u64_field(j, "calls")?;
-    Ok(())
-}
-
-/// Encodes the metrics registry. Counters are `[key, 0, value]`, gauges
-/// `[key, 1, bits]` (raw IEEE-754 — see [`crate::snapshot`]), histograms
-/// `[key, 2, buckets, count, sum, max, saturated]` with trailing zero
-/// buckets trimmed.
-fn metrics_json(snap: &MetricsSnapshot) -> Json {
-    Json::arr(snap.entries().iter().map(|(key, val)| match val {
-        MetricValue::Counter(v) => {
-            Json::arr([Json::str(key.as_str()), Json::U64(0), Json::U64(*v)])
-        }
-        MetricValue::Gauge(g) => Json::arr([
-            Json::str(key.as_str()),
-            Json::U64(1),
-            snapshot::f64_bits_json(*g),
-        ]),
-        MetricValue::Histogram(h) => {
-            let mut buckets = h.raw_buckets().to_vec();
-            while buckets.last() == Some(&0) {
-                buckets.pop();
-            }
-            Json::arr([
-                Json::str(key.as_str()),
-                Json::U64(2),
-                Json::arr(buckets.into_iter().map(Json::U64)),
-                Json::U64(h.count()),
-                Json::U64(h.sum()),
-                Json::U64(h.max()),
-                Json::Bool(h.saturated()),
-            ])
-        }
-    }))
-}
-
-/// Decodes the metrics member back into snapshot entries.
-fn metrics_entries_from(j: &Json) -> Result<Vec<(String, MetricValue)>, String> {
-    let mut entries = Vec::new();
-    for e in snapshot::need_arr(j, "metrics")? {
-        let parts = snapshot::need_arr(e, "metric entry")?;
-        if parts.len() < 3 {
-            return Err("snapshot: malformed metric entry".into());
-        }
-        let key = parts[0]
-            .as_str()
-            .ok_or("snapshot: metric key is not a string")?;
-        let value = match snapshot::need_u64(&parts[1], "metric kind")? {
-            0 => MetricValue::Counter(snapshot::need_u64(&parts[2], key)?),
-            1 => MetricValue::Gauge(snapshot::f64_from_bits(&parts[2], key)?),
-            2 => {
-                let [_, _, buckets, count, sum, max, saturated] = parts else {
-                    return Err(format!("snapshot: malformed histogram `{key}`"));
-                };
-                let buckets = snapshot::u64_vec(buckets, key)?;
-                if buckets.len() > HISTOGRAM_BUCKETS {
-                    return Err(format!("snapshot: histogram `{key}` has too many buckets"));
-                }
-                MetricValue::Histogram(Histogram::from_parts(
-                    buckets,
-                    snapshot::need_u64(count, key)?,
-                    snapshot::need_u64(sum, key)?,
-                    snapshot::need_u64(max, key)?,
-                    saturated
-                        .as_bool()
-                        .ok_or("snapshot: histogram saturated flag is not a bool")?,
-                ))
-            }
-            k => return Err(format!("snapshot: bad metric kind {k}")),
-        };
-        entries.push((key.to_string(), value));
-    }
-    Ok(entries)
-}
-
-/// Encodes the event trace: interned component table, retained records
-/// (each `[cycle, comp, event, value]`), and the conservation counters.
-fn trace_json(tr: &EventTrace) -> Json {
-    Json::obj([
-        (
-            "components",
-            Json::arr(tr.components().iter().map(|c| Json::str(c.as_str()))),
-        ),
-        (
-            "records",
-            Json::arr(tr.records().map(|r| {
-                Json::arr([
-                    Json::U64(r.cycle),
-                    Json::U64(r.comp.0 as u64),
-                    Json::str(r.event),
-                    Json::U64(r.value),
-                ])
-            })),
-        ),
-        ("dropped", Json::U64(tr.dropped())),
-        ("emitted", Json::U64(tr.emitted())),
-    ])
-}
-
-/// Decodes the event trace, resolving record labels against the static
-/// event table.
-fn trace_from(j: &Json, cap: usize) -> Result<EventTrace, String> {
-    let components: Vec<String> = snapshot::arr_field(j, "components")?
-        .iter()
-        .map(|c| {
-            c.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "snapshot: trace component is not a string".to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    let mut records = Vec::new();
-    for r in snapshot::arr_field(j, "records")? {
-        let parts = snapshot::need_arr(r, "trace record")?;
-        let [cycle, comp, event, value] = parts else {
-            return Err("snapshot: malformed trace record".into());
-        };
-        let comp = snapshot::need_u64(comp, "trace comp")? as usize;
-        if comp >= components.len() {
-            return Err(format!("snapshot: trace comp {comp} out of range"));
-        }
-        records.push(TraceRecord {
-            cycle: snapshot::need_u64(cycle, "trace cycle")?,
-            comp: CompId(comp as u32),
-            event: snapshot::intern_event(
-                event
-                    .as_str()
-                    .ok_or("snapshot: trace event is not a string")?,
-            )?,
-            value: snapshot::need_u64(value, "trace value")?,
-        });
-    }
-    let dropped = snapshot::u64_field(j, "dropped")?;
-    let emitted = snapshot::u64_field(j, "emitted")?;
-    if records.len() > cap || emitted != records.len() as u64 + dropped {
-        return Err("snapshot: trace conservation invariant violated".into());
-    }
-    Ok(EventTrace::from_parts(cap, components, records, dropped, emitted))
-}
-
-/// Encodes the timeline recorder: the open window plus the closed ring.
-fn timeline_json(tl: &TimelineRecorder) -> Json {
-    let (_capacity, cur, cur_len, cur_start, dropped) = tl.state();
-    Json::obj([
-        ("cur", sample_json(&cur)),
-        ("cur_len", Json::U64(cur_len)),
-        ("cur_start", Json::U64(cur_start)),
-        ("dropped", Json::U64(dropped)),
-        (
-            "ring",
-            Json::arr(tl.ring().map(|w| {
-                Json::arr([
-                    Json::U64(w.start),
-                    Json::U64(w.cycles),
-                    sample_json(&w.sample),
-                ])
-            })),
-        ),
-    ])
-}
-
-/// Decodes the timeline recorder against the structural window/capacity.
-fn timeline_from(j: &Json, window: u64, capacity: usize) -> Result<TimelineRecorder, String> {
-    let mut ring = Vec::new();
-    for w in snapshot::arr_field(j, "ring")? {
-        let parts = snapshot::need_arr(w, "timeline window")?;
-        let [start, cycles, sample] = parts else {
-            return Err("snapshot: malformed timeline window".into());
-        };
-        ring.push(TimelineWindow {
-            start: snapshot::need_u64(start, "window start")?,
-            cycles: snapshot::need_u64(cycles, "window cycles")?,
-            sample: sample_from(sample, "window sample")?,
-        });
-    }
-    if ring.len() > capacity {
-        return Err(format!(
-            "snapshot: timeline ring holds {} windows, capacity {capacity}",
-            ring.len()
-        ));
-    }
-    Ok(TimelineRecorder::from_parts(
-        window,
-        capacity,
-        sample_from(snapshot::field(j, "cur")?, "timeline cur")?,
-        snapshot::u64_field(j, "cur_len")?,
-        snapshot::u64_field(j, "cur_start")?,
-        ring,
-        snapshot::u64_field(j, "dropped")?,
-    ))
 }
 
 /// Moves a context to the next latch, or retires it at the pipeline tail.

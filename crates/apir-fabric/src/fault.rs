@@ -36,6 +36,7 @@
 
 use apir_sim::metrics::{CounterId, MetricsRegistry};
 use apir_util::rng::SmallRng;
+use apir_util::snap_fields;
 
 /// Per-site fault rates and recovery windows. Carried on
 /// [`FabricConfig`](crate::FabricConfig); the default injects nothing.
@@ -168,21 +169,48 @@ pub struct FaultStats {
     /// Reservation-station entries flushed by watchdog escalation.
     pub watchdog_flushed: u64,
 }
+snap_fields!(FaultStats [
+    soft_injected,
+    soft_corrected,
+    soft_refetched,
+    link_dropped,
+    link_late,
+    link_retried,
+    link_escalated,
+    lanes_masked,
+    lanes_drained,
+    banks_masked,
+    banks_drained,
+    watchdog_escalations,
+    watchdog_flushed,
+]);
 
-/// The seeded, per-site deterministic fault source threaded through the
-/// fabric. One PRNG stream per site keeps the sites independent: a fill
+/// One PRNG stream per fault site keeps the sites independent: a fill
 /// draw never shifts the lane-fault sequence and vice versa.
-#[derive(Clone, Debug)]
-pub struct FaultPlan {
-    cfg: FaultConfig,
+#[derive(Clone, Debug, Default)]
+struct Streams {
     fill: SmallRng,
     link: SmallRng,
     lane: SmallRng,
     bank: SmallRng,
+}
+snap_fields!(Streams [fill, link, lane, bank]);
+
+/// The seeded, per-site deterministic fault source threaded through the
+/// fabric. A snapshot carries the stream positions and the totals; the
+/// config is structure.
+///
+/// The default plan has the default config, which injects nothing; it
+/// only exists for a snapshot load to fill, which then rejects it.
+#[derive(Clone, Debug, Default)]
+pub struct FaultPlan {
+    cfg: FaultConfig,
+    rng: Streams,
     /// Injection/recovery totals (the memory subsystem and the fabric
     /// both account into this).
     pub stats: FaultStats,
 }
+snap_fields!(FaultPlan { rng => "rng", stats => "stats", cfg: skip } check Self::armed);
 
 impl FaultPlan {
     /// Builds the plan; returns `None` when the config injects nothing,
@@ -191,10 +219,12 @@ impl FaultPlan {
         cfg.is_enabled().then(|| FaultPlan {
             cfg: cfg.clone(),
             // Distinct odd salts per site; SplitMix64 seeding decorrelates.
-            fill: SmallRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15),
-            link: SmallRng::seed_from_u64(cfg.seed ^ 0xbf58_476d_1ce4_e5b9),
-            lane: SmallRng::seed_from_u64(cfg.seed ^ 0x94d0_49bb_1331_11eb),
-            bank: SmallRng::seed_from_u64(cfg.seed ^ 0x2545_f491_4f6c_dd1d),
+            rng: Streams {
+                fill: SmallRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15),
+                link: SmallRng::seed_from_u64(cfg.seed ^ 0xbf58_476d_1ce4_e5b9),
+                lane: SmallRng::seed_from_u64(cfg.seed ^ 0x94d0_49bb_1331_11eb),
+                bank: SmallRng::seed_from_u64(cfg.seed ^ 0x2545_f491_4f6c_dd1d),
+            },
             stats: FaultStats::default(),
         })
     }
@@ -208,11 +238,11 @@ impl FaultPlan {
     /// line-sized burst chunk). Counts the injection; the caller counts
     /// the recovery it actually performs.
     pub fn draw_fill(&mut self) -> Option<SoftError> {
-        if self.cfg.soft_error_rate <= 0.0 || !self.fill.gen_bool(self.cfg.soft_error_rate) {
+        if self.cfg.soft_error_rate <= 0.0 || !self.rng.fill.gen_bool(self.cfg.soft_error_rate) {
             return None;
         }
         self.stats.soft_injected += 1;
-        Some(if self.fill.gen_bool(self.cfg.multi_bit_fraction) {
+        Some(if self.rng.fill.gen_bool(self.cfg.multi_bit_fraction) {
             SoftError::MultiBit
         } else {
             SoftError::SingleBit
@@ -221,10 +251,10 @@ impl FaultPlan {
 
     /// Draws the link outcome for one QPI transfer.
     pub fn draw_link(&mut self) -> Option<LinkFault> {
-        if self.cfg.drop_rate > 0.0 && self.link.gen_bool(self.cfg.drop_rate) {
+        if self.cfg.drop_rate > 0.0 && self.rng.link.gen_bool(self.cfg.drop_rate) {
             return Some(LinkFault::Dropped);
         }
-        if self.cfg.late_rate > 0.0 && self.link.gen_bool(self.cfg.late_rate) {
+        if self.cfg.late_rate > 0.0 && self.rng.link.gen_bool(self.cfg.late_rate) {
             return Some(LinkFault::Late(self.cfg.late_cycles));
         }
         None
@@ -233,15 +263,15 @@ impl FaultPlan {
     /// One lane-fault trial (call once per rule engine per fault
     /// window). Returns a lane pick value on a hit.
     pub fn draw_lane_fault(&mut self) -> Option<u64> {
-        (self.cfg.lane_fault_rate > 0.0 && self.lane.gen_bool(self.cfg.lane_fault_rate))
-            .then(|| self.lane.next_u64())
+        (self.cfg.lane_fault_rate > 0.0 && self.rng.lane.gen_bool(self.cfg.lane_fault_rate))
+            .then(|| self.rng.lane.next_u64())
     }
 
     /// One bank-fault trial (call once per task queue per fault window).
     /// Returns a bank pick value on a hit.
     pub fn draw_bank_fault(&mut self) -> Option<u64> {
-        (self.cfg.bank_fault_rate > 0.0 && self.bank.gen_bool(self.cfg.bank_fault_rate))
-            .then(|| self.bank.next_u64())
+        (self.cfg.bank_fault_rate > 0.0 && self.rng.bank.gen_bool(self.cfg.bank_fault_rate))
+            .then(|| self.rng.bank.next_u64())
     }
 
     /// Deterministic exponential backoff: when a transfer on retry `k`
@@ -250,25 +280,14 @@ impl FaultPlan {
         self.cfg.retry_timeout.saturating_mul(1u64 << retries.min(16))
     }
 
-    /// Checkpoint state of the four per-site RNG streams, in declaration
-    /// order (`fill`, `link`, `lane`, `bank`).
-    pub fn rng_states(&self) -> [[u64; 4]; 4] {
-        [
-            self.fill.state(),
-            self.link.state(),
-            self.lane.state(),
-            self.bank.state(),
-        ]
-    }
-
-    /// Restores the four RNG streams captured by
-    /// [`FaultPlan::rng_states`] (the caller restores `stats` directly —
-    /// it is a public field).
-    pub fn restore_rng_states(&mut self, s: [[u64; 4]; 4]) {
-        self.fill = SmallRng::from_state(s[0]);
-        self.link = SmallRng::from_state(s[1]);
-        self.lane = SmallRng::from_state(s[2]);
-        self.bank = SmallRng::from_state(s[3]);
+    /// A plan only exists when its config injects faults, so a loaded
+    /// one must belong to such a config.
+    fn armed(&self) -> Result<(), String> {
+        if self.cfg.is_enabled() {
+            Ok(())
+        } else {
+            Err("present, but this configuration injects no faults".into())
+        }
     }
 
     /// Re-salts the link stream for rollback epoch `epoch` (1-based).
@@ -277,7 +296,7 @@ impl FaultPlan {
     /// would be doomed to fail identically. The new stream is a pure
     /// function of `(seed, epoch)`, so recovery stays deterministic.
     pub fn resalt_link(&mut self, epoch: u64) {
-        self.link = SmallRng::seed_from_u64(
+        self.rng.link = SmallRng::seed_from_u64(
             self.cfg.seed ^ 0xbf58_476d_1ce4_e5b9 ^ epoch.wrapping_mul(0xa076_1d64_78bd_642f),
         );
     }

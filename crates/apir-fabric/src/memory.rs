@@ -19,9 +19,8 @@
 //! double-applying a store.
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats, LinkFault, SoftError};
-use crate::snapshot;
+use crate::snapshot::fifo_slot;
 use crate::types::{MemReq, WriteKind};
-use apir_util::json::Json;
 use apir_sim::bandwidth::BandwidthMeter;
 use apir_sim::delay::DelayLine;
 use apir_sim::fifo::Fifo;
@@ -29,6 +28,8 @@ use apir_sim::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use apir_sim::stats::StallCause;
 use apir_sim::{cycles_from_ns, Cycle};
 use apir_core::{MemAccess, MemImage};
+use apir_util::snap;
+use apir_util::snap_fields;
 use std::collections::VecDeque;
 
 /// Memory subsystem parameters (defaults: the HARP platform).
@@ -81,6 +82,7 @@ pub struct MemStats {
     /// Bytes moved over the link.
     pub qpi_bytes: u64,
 }
+snap_fields!(MemStats [reads, writes, hits, misses, qpi_bytes]);
 
 /// Handles for the memory subsystem's stable metric keys (`mem.*`).
 #[derive(Clone, Copy, Debug)]
@@ -116,15 +118,16 @@ impl MemMetrics {
 }
 
 struct TagArray {
-    tags: Vec<u64>, // tag + 1, 0 = invalid
+    tags: Box<[u64]>, // tag + 1, 0 = invalid
     num_lines: usize,
 }
+snap_fields!(TagArray(tags, num_lines: skip));
 
 impl TagArray {
     fn new(cache_bytes: usize, line_bytes: usize) -> Self {
         let num_lines = (cache_bytes / line_bytes).max(1);
         TagArray {
-            tags: vec![0; num_lines],
+            tags: vec![0; num_lines].into(),
             num_lines,
         }
     }
@@ -158,7 +161,7 @@ impl TagArray {
 }
 
 /// A miss-path transfer with its fault-recovery bookkeeping.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct MissEntry {
     req: MemReq,
     /// Link-drop retries spent so far.
@@ -169,10 +172,11 @@ struct MissEntry {
     /// invalidated; revalidate the tag when it completes.
     refetch: bool,
 }
+snap_fields!(MissEntry { req => "q", retries => "r", born => "b", refetch => "f" });
 
 /// A transfer that exhausted its retry budget; surfaced by the fabric as
 /// [`FabricError::LinkFailed`](crate::FabricError).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct LinkFailure {
     /// Cycle the final drop was observed.
     pub cycle: Cycle,
@@ -183,6 +187,7 @@ pub struct LinkFailure {
     /// Retries spent before escalating.
     pub retries: u32,
 }
+snap_fields!(LinkFailure { cycle => "c", port => "p", tag => "t", retries => "r" });
 
 /// The memory subsystem component.
 pub struct MemorySubsystem {
@@ -213,6 +218,25 @@ pub struct MemorySubsystem {
     /// Flat word-address base of each region (fixed at load time).
     bases: Vec<u64>,
 }
+// In-flight pipes keep absolute ready cycles, and the meter's credit is
+// saved bit-exactly; `check_loaded` validates the requests.
+snap_fields!(MemorySubsystem {
+    image => "image",
+    tags => "tags",
+    requests => "requests",
+    hit_pipe => "hit_pipe",
+    miss_pipe => "miss_pipe",
+    write_pipe => "write_pipe",
+    miss_wait => "miss_wait",
+    lost => "lost",
+    link_failed => "link_failed",
+    faults => "faults",
+    qpi => "qpi",
+    stats => "stats",
+    cfg: skip,
+    miss_latency: skip,
+    bases: skip,
+});
 
 impl MemorySubsystem {
     /// Builds the subsystem around an initial memory image.
@@ -561,8 +585,10 @@ impl MemorySubsystem {
     ///
     /// May undershoot (waking early only costs a dense cycle); it never
     /// overshoots, so the dense loop and the event wheel admit and
-    /// complete every transfer on identical cycles.
-    pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
+    /// complete every transfer on identical cycles. The caller wakes by
+    /// `deadline` anyway, so the bandwidth replay stops there: a later
+    /// answer could not lower the wake.
+    pub fn next_wake(&self, now: Cycle, deadline: Cycle) -> Option<Cycle> {
         let mut wake: Option<Cycle> = None;
         let mut consider = |c: Cycle| match wake {
             Some(w) if w <= c => {}
@@ -592,7 +618,7 @@ impl MemorySubsystem {
                 } else {
                     self.cfg.line_bytes as u64
                 };
-                if let Some(k) = self.qpi.cycles_until(bytes) {
+                if let Some(k) = self.qpi.cycles_until(bytes, deadline.saturating_sub(now)) {
                     consider(now + k.max(1));
                 }
             }
@@ -660,306 +686,62 @@ impl MemorySubsystem {
         self.miss_latency
     }
 
-    /// Serializes the subsystem's mutable state for a fabric snapshot:
-    /// the full memory image, the cache tag array, every in-flight
-    /// transfer (request FIFO, latency pipes with absolute ready cycles,
-    /// admission queue, backoff list), the link-failure latch, the fault
-    /// RNG stream positions, the bandwidth meter, and the stats totals.
-    pub(crate) fn snapshot_json(&self) -> Json {
-        let miss_json = |e: &MissEntry| {
-            Json::obj([
-                ("q", snapshot::memreq_json(&e.req)),
-                ("r", Json::U64(e.retries as u64)),
-                ("b", Json::U64(e.born)),
-                ("f", Json::Bool(e.refetch)),
-            ])
-        };
-        let req_pipe = |p: &DelayLine<MemReq>| {
-            Json::arr(
-                p.iter_entries()
-                    .map(|(c, r)| Json::arr([Json::U64(c), snapshot::memreq_json(r)])),
-            )
-        };
-        let regions = Json::arr((0..self.image.region_count()).map(|ri| {
-            Json::arr(
-                self.image
-                    .region(apir_core::RegionId(ri))
-                    .iter()
-                    .map(|&w| Json::U64(w)),
-            )
-        }));
-        let faults = match &self.faults {
-            None => Json::Null,
-            Some(plan) => {
-                let s = plan.stats;
-                Json::obj([
-                    (
-                        "rng",
-                        Json::arr(
-                            plan.rng_states()
-                                .iter()
-                                .map(|st| Json::arr(st.iter().map(|&w| Json::U64(w)))),
-                        ),
-                    ),
-                    (
-                        "stats",
-                        Json::arr(
-                            [
-                                s.soft_injected,
-                                s.soft_corrected,
-                                s.soft_refetched,
-                                s.link_dropped,
-                                s.link_late,
-                                s.link_retried,
-                                s.link_escalated,
-                                s.lanes_masked,
-                                s.lanes_drained,
-                                s.banks_masked,
-                                s.banks_drained,
-                                s.watchdog_escalations,
-                                s.watchdog_flushed,
-                            ]
-                            .map(Json::U64),
-                        ),
-                    ),
-                ])
+    /// Checks a loaded snapshot against the rest of the fabric: the
+    /// fault plan is present exactly when the config arms one, and every
+    /// request in flight addresses a word of the image and answers on one
+    /// of the fabric's `ports`.
+    pub(crate) fn check_loaded(&self, ports: usize, faults_armed: bool) -> Result<(), String> {
+        if self.faults.is_some() != faults_armed {
+            return Err(".faults: presence disagrees with the fault config".into());
+        }
+        for (i, r) in self.requests.iter().enumerate() {
+            self.request_fits(r, ports).map_err(|e| {
+                let slot = fifo_slot(&self.requests, i);
+                snap::nest(format_args!(".requests.{slot}"), e)
+            })?;
+        }
+        for (name, pipe) in [
+            ("hit_pipe", &self.hit_pipe),
+            ("write_pipe", &self.write_pipe),
+        ] {
+            for (i, r) in pipe.iter().enumerate() {
+                self.request_fits(r, ports)
+                    .map_err(|e| snap::nest(format_args!(".{name}[{i}][1]"), e))?;
             }
-        };
-        let (credit_bits, consumed_total, qpi_cycles) = self.qpi.state();
-        Json::obj([
-            ("image", regions),
-            (
-                "tags",
-                Json::arr(self.tags.tags.iter().map(|&t| Json::U64(t))),
-            ),
-            (
-                "requests",
-                Json::obj([
-                    (
-                        "v",
-                        Json::arr(self.requests.iter().map(snapshot::memreq_json)),
-                    ),
-                    (
-                        "s",
-                        Json::arr(self.requests.iter_staged().map(snapshot::memreq_json)),
-                    ),
-                ]),
-            ),
-            ("hit_pipe", req_pipe(&self.hit_pipe)),
-            (
-                "miss_pipe",
-                Json::arr(
-                    self.miss_pipe
-                        .iter_entries()
-                        .map(|(c, e)| Json::arr([Json::U64(c), miss_json(e)])),
-                ),
-            ),
-            ("write_pipe", req_pipe(&self.write_pipe)),
-            ("miss_wait", Json::arr(self.miss_wait.iter().map(miss_json))),
-            (
-                "lost",
-                Json::arr(
-                    self.lost
-                        .iter()
-                        .map(|(at, e)| Json::arr([Json::U64(*at), miss_json(e)])),
-                ),
-            ),
-            (
-                "link_failed",
-                self.link_failed.map_or(Json::Null, |lf| {
-                    Json::obj([
-                        ("c", Json::U64(lf.cycle)),
-                        ("p", Json::U64(lf.port as u64)),
-                        ("t", Json::U64(lf.tag)),
-                        ("r", Json::U64(lf.retries as u64)),
-                    ])
-                }),
-            ),
-            ("faults", faults),
-            (
-                "qpi",
-                Json::arr([
-                    Json::U64(credit_bits),
-                    Json::U64(consumed_total),
-                    Json::U64(qpi_cycles),
-                ]),
-            ),
-            (
-                "stats",
-                Json::arr(
-                    [
-                        self.stats.reads,
-                        self.stats.writes,
-                        self.stats.hits,
-                        self.stats.misses,
-                        self.stats.qpi_bytes,
-                    ]
-                    .map(Json::U64),
-                ),
-            ),
-        ])
+        }
+        for (i, m) in self.miss_pipe.iter().enumerate() {
+            self.request_fits(&m.req, ports)
+                .map_err(|e| snap::nest(format_args!(".miss_pipe[{i}][1].q"), e))?;
+        }
+        for (i, m) in self.miss_wait.iter().enumerate() {
+            self.request_fits(&m.req, ports)
+                .map_err(|e| snap::nest(format_args!(".miss_wait[{i}].q"), e))?;
+        }
+        for (i, (_, m)) in self.lost.iter().enumerate() {
+            self.request_fits(&m.req, ports)
+                .map_err(|e| snap::nest(format_args!(".lost[{i}][1].q"), e))?;
+        }
+        Ok(())
     }
 
-    /// Restores state captured by [`MemorySubsystem::snapshot_json`] into
-    /// a structurally identical subsystem (same config, same image
-    /// layout).
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let miss_from = |e: &Json| -> Result<MissEntry, String> {
-            Ok(MissEntry {
-                req: snapshot::memreq_from(snapshot::field(e, "q")?)?,
-                retries: snapshot::u64_field(e, "r")? as u32,
-                born: snapshot::u64_field(e, "b")?,
-                refetch: snapshot::bool_field(e, "f")?,
-            })
-        };
-        let regions = snapshot::arr_field(j, "image")?;
-        if regions.len() != self.image.region_count() {
+    fn request_fits(&self, r: &MemReq, ports: usize) -> Result<(), String> {
+        let regions = self.image.region_count();
+        if r.region.0 >= regions {
             return Err(format!(
-                "snapshot: image has {} regions, input builds {}",
-                regions.len(),
-                self.image.region_count()
+                ".r: region {} out of range ({regions} regions)",
+                r.region.0
             ));
         }
-        for (ri, rj) in regions.iter().enumerate() {
-            let words = snapshot::u64_vec(rj, "image region")?;
-            let dst = self.image.region_mut(apir_core::RegionId(ri));
-            if words.len() != dst.len() {
-                return Err(format!(
-                    "snapshot: region {ri} has {} words, input has {}",
-                    words.len(),
-                    dst.len()
-                ));
-            }
-            dst.copy_from_slice(&words);
+        let words = self.image.region(r.region).len();
+        if r.offset >= words as u64 {
+            return Err(format!(
+                ".o: offset {} is past the {words} words of region {}",
+                r.offset, r.region.0
+            ));
         }
-        let tags = snapshot::u64_vec(snapshot::field(j, "tags")?, "tags")?;
-        if tags.len() != self.tags.tags.len() {
-            return Err("snapshot: tag array size mismatch".into());
+        if r.port as usize >= ports {
+            return Err(format!(".p: port {} out of range ({ports} ports)", r.port));
         }
-        self.tags.tags = tags;
-        let reqs = snapshot::field(j, "requests")?;
-        let decode_reqs = |key: &str| -> Result<Vec<MemReq>, String> {
-            snapshot::arr_field(reqs, key)?
-                .iter()
-                .map(snapshot::memreq_from)
-                .collect()
-        };
-        self.requests = Fifo::from_parts(
-            self.requests.capacity(),
-            decode_reqs("v")?,
-            decode_reqs("s")?,
-        );
-        let decode_req_pipe = |key: &str| -> Result<Vec<(Cycle, MemReq)>, String> {
-            snapshot::arr_field(j, key)?
-                .iter()
-                .map(|p| {
-                    let pair = snapshot::need_arr(p, key)?;
-                    let [c, r] = pair else {
-                        return Err(format!("snapshot: malformed `{key}` entry"));
-                    };
-                    Ok((snapshot::need_u64(c, key)?, snapshot::memreq_from(r)?))
-                })
-                .collect()
-        };
-        self.hit_pipe = DelayLine::from_parts(self.hit_pipe.latency(), decode_req_pipe("hit_pipe")?);
-        self.write_pipe =
-            DelayLine::from_parts(self.write_pipe.latency(), decode_req_pipe("write_pipe")?);
-        let miss_entries: Vec<(Cycle, MissEntry)> = snapshot::arr_field(j, "miss_pipe")?
-            .iter()
-            .map(|p| {
-                let pair = snapshot::need_arr(p, "miss_pipe")?;
-                let [c, e] = pair else {
-                    return Err("snapshot: malformed `miss_pipe` entry".to_string());
-                };
-                Ok((snapshot::need_u64(c, "miss_pipe")?, miss_from(e)?))
-            })
-            .collect::<Result<_, String>>()?;
-        self.miss_pipe = DelayLine::from_parts(self.miss_pipe.latency(), miss_entries);
-        self.miss_wait = snapshot::arr_field(j, "miss_wait")?
-            .iter()
-            .map(miss_from)
-            .collect::<Result<_, String>>()?;
-        self.lost = snapshot::arr_field(j, "lost")?
-            .iter()
-            .map(|p| {
-                let pair = snapshot::need_arr(p, "lost")?;
-                let [at, e] = pair else {
-                    return Err("snapshot: malformed `lost` entry".to_string());
-                };
-                Ok((snapshot::need_u64(at, "lost")?, miss_from(e)?))
-            })
-            .collect::<Result<_, String>>()?;
-        let lf = snapshot::field(j, "link_failed")?;
-        self.link_failed = match lf {
-            Json::Null => None,
-            _ => Some(LinkFailure {
-                cycle: snapshot::u64_field(lf, "c")?,
-                port: snapshot::u64_field(lf, "p")? as u32,
-                tag: snapshot::u64_field(lf, "t")?,
-                retries: snapshot::u64_field(lf, "r")? as u32,
-            }),
-        };
-        let fj = snapshot::field(j, "faults")?;
-        match (&mut self.faults, fj) {
-            (None, Json::Null) => {}
-            (Some(plan), Json::Obj(_)) => {
-                let rng = snapshot::arr_field(fj, "rng")?;
-                if rng.len() != 4 {
-                    return Err("snapshot: fault plan needs 4 RNG streams".into());
-                }
-                let mut states = [[0u64; 4]; 4];
-                for (dst, sj) in states.iter_mut().zip(rng) {
-                    let words = snapshot::u64_vec(sj, "rng state")?;
-                    if words.len() != 4 {
-                        return Err("snapshot: RNG state needs 4 words".into());
-                    }
-                    dst.copy_from_slice(&words);
-                }
-                plan.restore_rng_states(states);
-                let stats = snapshot::u64_vec(snapshot::field(fj, "stats")?, "fault stats")?;
-                let [si, sc, sr, ld, ll, lr, le, lm, lx, bm, bx, we, wf] = stats.as_slice()
-                else {
-                    return Err("snapshot: fault stats arity mismatch".into());
-                };
-                plan.stats = FaultStats {
-                    soft_injected: *si,
-                    soft_corrected: *sc,
-                    soft_refetched: *sr,
-                    link_dropped: *ld,
-                    link_late: *ll,
-                    link_retried: *lr,
-                    link_escalated: *le,
-                    lanes_masked: *lm,
-                    lanes_drained: *lx,
-                    banks_masked: *bm,
-                    banks_drained: *bx,
-                    watchdog_escalations: *we,
-                    watchdog_flushed: *wf,
-                };
-            }
-            _ => {
-                return Err(
-                    "snapshot: fault plan presence disagrees with the config".into(),
-                );
-            }
-        }
-        let qpi = snapshot::u64_vec(snapshot::field(j, "qpi")?, "qpi")?;
-        let [credit_bits, consumed_total, qpi_cycles] = qpi.as_slice() else {
-            return Err("snapshot: qpi state arity mismatch".into());
-        };
-        self.qpi
-            .restore_state(*credit_bits, *consumed_total, *qpi_cycles);
-        let stats = snapshot::u64_vec(snapshot::field(j, "stats")?, "mem stats")?;
-        let [reads, writes, hits, misses, qpi_bytes] = stats.as_slice() else {
-            return Err("snapshot: mem stats arity mismatch".into());
-        };
-        self.stats = MemStats {
-            reads: *reads,
-            writes: *writes,
-            hits: *hits,
-            misses: *misses,
-            qpi_bytes: *qpi_bytes,
-        };
         Ok(())
     }
 }

@@ -7,14 +7,13 @@
 //! pushed." We model the allocator as rotating-priority selection over
 //! banks (what a wavefront allocator converges to under uniform load).
 
-use crate::snapshot;
 use crate::types::TaskToken;
 use apir_core::spec::TaskSetKind;
 use apir_core::IndexTuple;
 use apir_sim::fifo::Fifo;
-use apir_util::json::Json;
 use apir_sim::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use apir_sim::stats::StallCause;
+use apir_util::snap_fields;
 
 /// Handles for one task queue's stable metric keys
 /// (`queue.<task_set>.*`).
@@ -55,7 +54,7 @@ impl QueueMetrics {
 pub struct TaskQueue {
     kind: TaskSetKind,
     level: usize,
-    banks: Vec<Fifo<TaskToken>>,
+    banks: Box<[Fifo<TaskToken>]>,
     counter: u64,
     push_rr: usize,
     pop_rr: usize,
@@ -71,8 +70,22 @@ pub struct TaskQueue {
     per_bank: usize,
     /// Banks masked out by injected hard faults; the allocator and the
     /// pop rotation skip them.
-    masked: Vec<bool>,
+    masked: Box<[bool]>,
 }
+snap_fields!(TaskQueue {
+    banks => "banks",
+    counter => "counter",
+    push_rr => "push_rr",
+    pop_rr => "pop_rr",
+    pushed_total => "pushed_total",
+    peak => "peak",
+    capacity => "capacity",
+    masked => "masked",
+    kind: skip,
+    level: skip,
+    reserve: skip,
+    per_bank: skip,
+} check Self::consistent);
 
 impl TaskQueue {
     /// Creates a queue with `banks` banks sharing `capacity` entries.
@@ -96,7 +109,7 @@ impl TaskQueue {
             reserve: 0,
             capacity: per * banks,
             per_bank: per,
-            masked: vec![false; banks],
+            masked: vec![false; banks].into(),
         }
     }
 
@@ -294,70 +307,22 @@ impl TaskQueue {
         }
     }
 
-    /// Serializes the queue's mutable state (bank contents, allocator
-    /// rotation, counters, mask, degraded capacity) for a fabric
-    /// snapshot. Structure (kind, level, bank count, per-bank size,
-    /// reserve) is rebuilt from config on restore.
-    pub(crate) fn snapshot_json(&self) -> Json {
-        Json::obj([
-            (
-                "banks",
-                Json::arr(self.banks.iter().map(|b| {
-                    Json::obj([
-                        ("v", Json::arr(b.iter().map(snapshot::token_json))),
-                        ("s", Json::arr(b.iter_staged().map(snapshot::token_json))),
-                    ])
-                })),
-            ),
-            ("counter", Json::U64(self.counter)),
-            ("push_rr", Json::U64(self.push_rr as u64)),
-            ("pop_rr", Json::U64(self.pop_rr as u64)),
-            ("pushed_total", Json::U64(self.pushed_total)),
-            ("peak", Json::U64(self.peak as u64)),
-            ("capacity", Json::U64(self.capacity as u64)),
-            (
-                "masked",
-                Json::arr(self.masked.iter().map(|&m| Json::Bool(m))),
-            ),
-        ])
-    }
-
-    /// Restores state captured by [`TaskQueue::snapshot_json`] into a
-    /// structurally identical queue.
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let banks = snapshot::arr_field(j, "banks")?;
-        if banks.len() != self.banks.len() {
+    /// A loaded snapshot must keep the rotations in range and the
+    /// capacity equal to what the surviving banks hold.
+    fn consistent(&self) -> Result<(), String> {
+        let n = self.banks.len();
+        for (key, rr) in [("push_rr", self.push_rr), ("pop_rr", self.pop_rr)] {
+            if rr >= n {
+                return Err(format!(".{key}: bank {rr} out of range ({n} banks)"));
+            }
+        }
+        let live = self.per_bank * self.live_banks();
+        if self.capacity != live {
             return Err(format!(
-                "snapshot: queue has {} banks, config builds {}",
-                banks.len(),
-                self.banks.len()
+                ".capacity: {} differs from the {live} slots of the unmasked banks",
+                self.capacity
             ));
         }
-        for (bank, bj) in self.banks.iter_mut().zip(banks) {
-            let decode = |key: &str| -> Result<Vec<TaskToken>, String> {
-                snapshot::arr_field(bj, key)?
-                    .iter()
-                    .map(snapshot::token_from)
-                    .collect()
-            };
-            let visible = decode("v")?;
-            let staged = decode("s")?;
-            if visible.len() + staged.len() > bank.capacity() {
-                return Err("snapshot: queue bank over capacity".into());
-            }
-            *bank = Fifo::from_parts(bank.capacity(), visible, staged);
-        }
-        self.counter = snapshot::u64_field(j, "counter")?;
-        self.push_rr = snapshot::usize_field(j, "push_rr")? % self.banks.len();
-        self.pop_rr = snapshot::usize_field(j, "pop_rr")? % self.banks.len();
-        self.pushed_total = snapshot::u64_field(j, "pushed_total")?;
-        self.peak = snapshot::usize_field(j, "peak")?;
-        self.capacity = snapshot::usize_field(j, "capacity")?;
-        let masked = snapshot::bool_vec(snapshot::field(j, "masked")?, "masked")?;
-        if masked.len() != self.masked.len() {
-            return Err("snapshot: queue mask length mismatch".into());
-        }
-        self.masked = masked;
         Ok(())
     }
 }

@@ -9,16 +9,15 @@
 //! the value and steers the task token. The minimum live task is broadcast
 //! every cycle to trigger `otherwise` clauses (liveness).
 
+use crate::types::EventMsg;
 use apir_core::expr::EvalCtx;
 use apir_core::rule::{EcaClause, EventPat, RuleAction, RuleDecl, RuleMode};
+use apir_core::{IndexTuple, MAX_FIELDS};
 use apir_sim::metrics::{CounterId, GaugeId, MetricsRegistry};
 use apir_sim::stats::StallCause;
+use apir_util::snap_fields;
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use apir_core::{IndexTuple, MAX_FIELDS};
-use apir_util::json::Json;
-use crate::snapshot;
-use crate::types::EventMsg;
-use std::collections::HashMap;
 
 /// Result of requesting a lane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,6 +58,7 @@ pub struct RuleEngineStats {
     /// Peak simultaneously occupied lanes.
     pub peak_lanes: u64,
 }
+snap_fields!(RuleEngineStats [allocs, alloc_stalls, clause_fires, otherwise_fires, evictions, peak_lanes]);
 
 /// Handles for one rule engine's stable metric keys (`rule.<name>.*`).
 #[derive(Clone, Copy, Debug)]
@@ -99,7 +99,7 @@ impl RuleMetrics {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Lane {
     parent_index: IndexTuple,
     parent_seq: u64,
@@ -112,6 +112,15 @@ struct Lane {
     /// Set once the parent reached the rendezvous: the response port.
     claimed_port: Option<u32>,
 }
+snap_fields!(Lane {
+    parent_index => "pi",
+    parent_seq => "ps",
+    params => "pm",
+    tag => "t",
+    verdict => "v",
+    countdown => "cd",
+    claimed_port => "cp",
+});
 
 /// A rule engine serving one [`RuleDecl`].
 #[derive(Clone, Debug)]
@@ -120,17 +129,26 @@ pub struct RuleEngine {
     /// Clauses shared cheaply with the per-cycle evaluation loop (the
     /// borrow checker otherwise forces a deep clone per event).
     clauses: Arc<Vec<EcaClause>>,
-    lanes: Vec<Option<Lane>>,
+    lanes: Box<[Option<Lane>]>,
     /// Return buffer: values from lanes released before their parent
     /// claimed them.
-    returns: HashMap<u64, bool>,
+    returns: BTreeMap<u64, bool>,
     /// Returns produced by evictions during `alloc` (drained by `tick`).
     evicted_returns: Vec<(u32, u64, u64)>,
     /// Lanes masked out by injected hard faults; the allocator never
     /// grants them (they are always empty once drained).
-    masked: Vec<bool>,
+    masked: Box<[bool]>,
     stats: RuleEngineStats,
 }
+snap_fields!(RuleEngine {
+    lanes => "lanes",
+    returns => "returns",
+    evicted_returns => "evicted_returns",
+    masked => "masked",
+    stats => "stats",
+    decl: skip,
+    clauses: skip,
+});
 
 impl RuleEngine {
     /// Creates an engine with `lanes` lanes.
@@ -138,10 +156,10 @@ impl RuleEngine {
         RuleEngine {
             clauses: Arc::new(decl.clauses.clone()),
             decl,
-            lanes: vec![None; lanes.max(1)],
-            returns: HashMap::new(),
+            lanes: vec![None; lanes.max(1)].into(),
+            returns: BTreeMap::new(),
             evicted_returns: Vec::new(),
-            masked: vec![false; lanes.max(1)],
+            masked: vec![false; lanes.max(1)].into(),
             stats: RuleEngineStats::default(),
         }
     }
@@ -476,141 +494,25 @@ impl RuleEngine {
         }
     }
 
-    /// Serializes the engine's mutable state (lane occupants, return
-    /// buffer, pending evicted returns, fault mask, stats) for a fabric
-    /// snapshot. The decl and clause list are structural. The return
-    /// buffer — a `HashMap` — is serialized key-sorted so the document
-    /// is byte-deterministic regardless of hash order.
-    pub(crate) fn snapshot_json(&self) -> Json {
-        let lane_json = |l: &Option<Lane>| match l {
-            None => Json::Null,
-            Some(l) => Json::obj([
-                ("pi", snapshot::index_json(&l.parent_index)),
-                ("ps", Json::U64(l.parent_seq)),
-                ("pm", snapshot::fields_json(&l.params)),
-                ("t", Json::U64(l.tag)),
-                ("v", Json::Bool(l.verdict)),
-                ("cd", l.countdown.map_or(Json::Null, Json::U64)),
-                (
-                    "cp",
-                    l.claimed_port.map_or(Json::Null, |p| Json::U64(p as u64)),
-                ),
-            ]),
-        };
-        let mut returns: Vec<(u64, bool)> =
-            self.returns.iter().map(|(&t, &v)| (t, v)).collect();
-        returns.sort_unstable_by_key(|&(t, _)| t);
-        Json::obj([
-            ("lanes", Json::arr(self.lanes.iter().map(lane_json))),
-            (
-                "returns",
-                Json::arr(
-                    returns
-                        .iter()
-                        .map(|&(t, v)| Json::arr([Json::U64(t), Json::Bool(v)])),
-                ),
-            ),
-            (
-                "evicted_returns",
-                Json::arr(self.evicted_returns.iter().map(|&(p, t, w)| {
-                    Json::arr([Json::U64(p as u64), Json::U64(t), Json::U64(w)])
-                })),
-            ),
-            (
-                "masked",
-                Json::arr(self.masked.iter().map(|&m| Json::Bool(m))),
-            ),
-            (
-                "stats",
-                Json::arr(
-                    [
-                        self.stats.allocs,
-                        self.stats.alloc_stalls,
-                        self.stats.clause_fires,
-                        self.stats.otherwise_fires,
-                        self.stats.evictions,
-                        self.stats.peak_lanes,
-                    ]
-                    .map(Json::U64),
-                ),
-            ),
-        ])
-    }
-
-    /// Restores state captured by [`RuleEngine::snapshot_json`] into a
-    /// structurally identical engine.
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let lanes = snapshot::arr_field(j, "lanes")?;
-        if lanes.len() != self.lanes.len() {
-            return Err(format!(
-                "snapshot: rule engine has {} lanes, config builds {}",
-                lanes.len(),
-                self.lanes.len()
-            ));
-        }
-        for (slot, lj) in self.lanes.iter_mut().zip(lanes) {
-            *slot = match lj {
-                Json::Null => None,
-                _ => {
-                    let cd = snapshot::field(lj, "cd")?;
-                    let cp = snapshot::field(lj, "cp")?;
-                    Some(Lane {
-                        parent_index: snapshot::index_from(snapshot::field(lj, "pi")?)?,
-                        parent_seq: snapshot::u64_field(lj, "ps")?,
-                        params: snapshot::fields_from(snapshot::field(lj, "pm")?)?,
-                        tag: snapshot::u64_field(lj, "t")?,
-                        verdict: snapshot::bool_field(lj, "v")?,
-                        countdown: match cd {
-                            Json::Null => None,
-                            _ => Some(snapshot::need_u64(cd, "lane.cd")?),
-                        },
-                        claimed_port: match cp {
-                            Json::Null => None,
-                            _ => Some(snapshot::need_u64(cp, "lane.cp")? as u32),
-                        },
-                    })
+    /// Every response port a lane or a deferred return names must exist:
+    /// the fabric routes them by index.
+    pub(crate) fn check_ports(&self, ports: usize) -> Result<(), String> {
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(p) = lane.as_ref().and_then(|l| l.claimed_port) {
+                if p as usize >= ports {
+                    return Err(format!(
+                        ".lanes[{i}].cp: port {p} out of range ({ports} ports)"
+                    ));
                 }
-            };
+            }
         }
-        self.returns.clear();
-        for r in snapshot::arr_field(j, "returns")? {
-            let pair = snapshot::need_arr(r, "returns")?;
-            let [t, v] = pair else {
-                return Err("snapshot: malformed return buffer entry".into());
-            };
-            self.returns.insert(
-                snapshot::need_u64(t, "returns.tag")?,
-                v.as_bool()
-                    .ok_or_else(|| "snapshot: return value is not a bool".to_string())?,
-            );
+        for (i, &(p, _, _)) in self.evicted_returns.iter().enumerate() {
+            if p as usize >= ports {
+                return Err(format!(
+                    ".evicted_returns[{i}][0]: port {p} out of range ({ports} ports)"
+                ));
+            }
         }
-        self.evicted_returns.clear();
-        for r in snapshot::arr_field(j, "evicted_returns")? {
-            let triple = snapshot::u64_vec(r, "evicted_returns")?;
-            let [p, t, w] = triple.as_slice() else {
-                return Err("snapshot: malformed evicted return".into());
-            };
-            self.evicted_returns.push((*p as u32, *t, *w));
-        }
-        let masked = snapshot::bool_vec(snapshot::field(j, "masked")?, "masked")?;
-        if masked.len() != self.masked.len() {
-            return Err("snapshot: rule mask length mismatch".into());
-        }
-        self.masked = masked;
-        let stats = snapshot::u64_vec(snapshot::field(j, "stats")?, "stats")?;
-        let [allocs, alloc_stalls, clause_fires, otherwise_fires, evictions, peak_lanes] =
-            stats.as_slice()
-        else {
-            return Err("snapshot: rule stats arity mismatch".into());
-        };
-        self.stats = RuleEngineStats {
-            allocs: *allocs,
-            alloc_stalls: *alloc_stalls,
-            clause_fires: *clause_fires,
-            otherwise_fires: *otherwise_fires,
-            evictions: *evictions,
-            peak_lanes: *peak_lanes,
-        };
         Ok(())
     }
 }

@@ -1,11 +1,13 @@
 //! Shared token and message types of the fabric.
 
 use apir_core::{IndexTuple, MAX_FIELDS};
+use apir_util::snap::{self, Snap};
+use apir_util::{snap_fields, Json};
 
 /// A task token as it sits in a task queue: well-order index, unique
 /// sequence number (FIFO tie-break among for-all siblings), and data
 /// fields.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct TaskToken {
     /// Well-order index.
     pub index: IndexTuple,
@@ -14,10 +16,11 @@ pub struct TaskToken {
     /// Data fields (fixed width).
     pub fields: [u64; MAX_FIELDS],
 }
+snap_fields!(TaskToken { index => "i", seq => "s", fields => "f" });
 
 /// A task context flowing through a pipeline: the token plus the SSA
 /// values computed so far (the pipeline registers carrying live values).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Ctx {
     /// Well-order index.
     pub index: IndexTuple,
@@ -25,9 +28,11 @@ pub struct Ctx {
     pub seq: u64,
     /// Data fields.
     pub fields: [u64; MAX_FIELDS],
-    /// One slot per body op.
-    pub vals: Box<[u64]>,
+    /// One slot per body op. The body width is the pipeline's structure,
+    /// so the pipeline checks a loaded context against it.
+    pub vals: Vec<u64>,
 }
+snap_fields!(Ctx { index => "i", seq => "s", fields => "f", vals => "v" });
 
 impl Ctx {
     /// Builds a fresh context for a popped token.
@@ -36,7 +41,7 @@ impl Ctx {
             index: t.index,
             seq: t.seq,
             fields: t.fields,
-            vals: vec![0u64; body_len].into_boxed_slice(),
+            vals: vec![0u64; body_len],
         }
     }
 }
@@ -55,7 +60,7 @@ pub enum WriteKind {
 }
 
 /// A memory request from a pipeline port.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MemReq {
     /// Response routing: which station the answer goes to.
     pub port: u32,
@@ -69,8 +74,63 @@ pub struct MemReq {
     pub write: Option<(WriteKind, u64)>,
 }
 
+/// A request snapshots as `{p, t, r, o, w}`. The write member `w` is
+/// `null` for a read, `[code, value]` for a write with codes 0=Plain,
+/// 1=Min, 2=Add, and `[3, value, expected]` for a CAS. Region, offset and
+/// port are checked against the fabric by the memory subsystem.
+impl Snap for MemReq {
+    fn save(&self) -> Json {
+        let MemReq {
+            port,
+            tag,
+            region,
+            offset,
+            write,
+        } = self;
+        let w = match *write {
+            None => Json::Null,
+            Some((WriteKind::Plain, v)) => [0, v].save(),
+            Some((WriteKind::Min, v)) => [1, v].save(),
+            Some((WriteKind::Add, v)) => [2, v].save(),
+            Some((WriteKind::Cas(expected), v)) => [3, v, expected].save(),
+        };
+        Json::obj([
+            ("p", port.save()),
+            ("t", tag.save()),
+            ("r", region.save()),
+            ("o", offset.save()),
+            ("w", w),
+        ])
+    }
+
+    fn load(&mut self, j: &Json) -> Result<(), String> {
+        let MemReq {
+            port,
+            tag,
+            region,
+            offset,
+            write,
+        } = self;
+        snap::load_key(port, j, "p")?;
+        snap::load_key(tag, j, "t")?;
+        snap::load_key(region, j, "r")?;
+        snap::load_key(offset, j, "o")?;
+        let mut w: Option<Vec<u64>> = None;
+        snap::load_key(&mut w, j, "w")?;
+        *write = match w.as_deref() {
+            None => None,
+            Some(&[0, v]) => Some((WriteKind::Plain, v)),
+            Some(&[1, v]) => Some((WriteKind::Min, v)),
+            Some(&[2, v]) => Some((WriteKind::Add, v)),
+            Some(&[3, v, expected]) => Some((WriteKind::Cas(expected), v)),
+            Some(other) => return Err(format!(".w: {other:?} is not a write")),
+        };
+        Ok(())
+    }
+}
+
 /// A broadcast event on the event bus.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EventMsg {
     /// Label the event was emitted under.
     pub label: apir_core::spec::LabelId,
@@ -80,6 +140,45 @@ pub struct EventMsg {
     pub len: u8,
     /// Index of the emitting task.
     pub index: IndexTuple,
+}
+
+/// An event snapshots only its `len` valid payload words.
+impl Snap for EventMsg {
+    fn save(&self) -> Json {
+        let EventMsg {
+            label,
+            payload,
+            len,
+            index,
+        } = self;
+        Json::obj([
+            ("l", label.save()),
+            ("n", len.save()),
+            ("p", payload[..usize::from(*len)].save()),
+            ("i", index.save()),
+        ])
+    }
+
+    fn load(&mut self, j: &Json) -> Result<(), String> {
+        let EventMsg {
+            label,
+            payload,
+            len,
+            index,
+        } = self;
+        snap::load_key(label, j, "l")?;
+        snap::load_key(len, j, "n")?;
+        let mut words: Vec<u64> = Vec::new();
+        snap::load_key(&mut words, j, "p")?;
+        if words.len() != usize::from(*len) || words.len() > MAX_FIELDS {
+            return Err(format!(
+                ".p: {} words, but `n` is {len} (at most {MAX_FIELDS})",
+                words.len()
+            ));
+        }
+        *payload = to_fields(&words);
+        snap::load_key(index, j, "i")
+    }
 }
 
 impl EventMsg {

@@ -6,6 +6,8 @@
 //! enough credit is available. Figure 10's bandwidth sweep multiplies the
 //! refill rate.
 
+use apir_util::snap_fields;
+
 /// A byte-credit bandwidth meter.
 ///
 /// # Example
@@ -27,6 +29,9 @@ pub struct BandwidthMeter {
     consumed_total: u64,
     cycles: u64,
 }
+// The credit is saved as raw `f64` bits, so a restore cannot perturb a
+// single bandwidth decision.
+snap_fields!(BandwidthMeter [credit, consumed_total, cycles, bytes_per_cycle: skip, burst_cap: skip]);
 
 impl BandwidthMeter {
     /// Creates a meter refilling `bytes_per_cycle` with a default burst
@@ -90,28 +95,30 @@ impl BandwidthMeter {
     /// How many further ticks until `bytes` of credit are available, by
     /// exact replay of the accrual sequence. `Some(0)` means
     /// [`BandwidthMeter::try_consume`] would already succeed; `None`
-    /// means the credit saturates below `bytes` (the transfer can never
-    /// start on refills alone). Never underestimates readiness, so an
-    /// event-wheel wake at `now + k` lands exactly when the dense loop
-    /// would first admit the transfer.
-    pub fn cycles_until(&self, bytes: u64) -> Option<u64> {
+    /// means the credit is not there within `horizon` ticks, either
+    /// because it saturates below `bytes` (the transfer can never start
+    /// on refills alone) or because the link is that slow. The replay
+    /// stops at the horizon, so its cost never exceeds the caller's
+    /// wake window however slow the link. Never underestimates
+    /// readiness, so an event-wheel wake at `now + k` lands exactly when
+    /// the dense loop would first admit the transfer.
+    pub fn cycles_until(&self, bytes: u64, horizon: u64) -> Option<u64> {
         let need = bytes as f64;
         if self.credit >= need {
             return Some(0);
         }
         let mut credit = self.credit;
-        let mut k = 0u64;
-        loop {
+        for k in 1..=horizon {
             let next = (credit + self.bytes_per_cycle).min(self.burst_cap);
             if next == credit {
                 return None;
             }
             credit = next;
-            k += 1;
             if credit >= need {
                 return Some(k);
             }
         }
+        None
     }
 
     /// Attempts to consume `bytes` of credit.
@@ -128,22 +135,6 @@ impl BandwidthMeter {
     /// Total bytes transferred so far.
     pub fn consumed_total(&self) -> u64 {
         self.consumed_total
-    }
-
-    /// Checkpoint state: `(credit_bits, consumed_total, cycles)`. The
-    /// credit is exposed as raw `f64` bits so a JSON round trip cannot
-    /// perturb a single bandwidth decision on restore.
-    pub fn state(&self) -> (u64, u64, u64) {
-        (self.credit.to_bits(), self.consumed_total, self.cycles)
-    }
-
-    /// Restores state captured by [`BandwidthMeter::state`]. The rate and
-    /// burst cap are structural (rebuilt from configuration), so only the
-    /// mutable fields are overwritten.
-    pub fn restore_state(&mut self, credit_bits: u64, consumed_total: u64, cycles: u64) {
-        self.credit = f64::from_bits(credit_bits);
-        self.consumed_total = consumed_total;
-        self.cycles = cycles;
     }
 
     /// Achieved bandwidth utilization in `[0, 1]` (bytes moved over bytes
@@ -220,7 +211,11 @@ mod tests {
         let mut m = BandwidthMeter::from_gbps(1.0, 300).with_min_burst(64);
         m.tick();
         assert!(!m.try_consume(64));
-        let k = m.cycles_until(64).expect("64 fits under the burst cap");
+        let k = m
+            .cycles_until(64, u64::MAX)
+            .expect("64 fits under the burst cap");
+        assert_eq!(m.cycles_until(64, k), Some(k));
+        assert_eq!(m.cycles_until(64, k - 1), None, "beyond the horizon");
         assert!(k > 0);
         let mut probe = m.clone();
         for i in 0..k {
@@ -231,9 +226,22 @@ mod tests {
         // Already-available credit reports zero.
         let mut full = BandwidthMeter::new(10.0);
         full.tick();
-        assert_eq!(full.cycles_until(5), Some(0));
+        assert_eq!(full.cycles_until(5, 0), Some(0));
         // Saturating below the request reports None.
-        assert_eq!(full.cycles_until(1_000_000), None);
+        assert_eq!(full.cycles_until(1_000_000, u64::MAX), None);
+    }
+
+    #[test]
+    fn cycles_until_stops_at_the_horizon_on_a_crawling_link() {
+        // 1e-9 GB/s needs about 1.3e10 replayed cycles for one line; the
+        // horizon bounds the replay instead.
+        let m = BandwidthMeter::from_gbps(1e-9, 200).with_min_burst(128);
+        let start = std::time::Instant::now();
+        assert_eq!(m.cycles_until(64, 1_000_000), None);
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        let mut probe = m.clone();
+        probe.tick();
+        assert!(!probe.try_consume(64));
     }
 
     #[test]

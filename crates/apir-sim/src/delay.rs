@@ -1,6 +1,7 @@
 //! Latency modeling: in-order delay lines and out-of-order stations.
 
 use crate::Cycle;
+use apir_util::snap_fields;
 use std::collections::VecDeque;
 
 /// A fixed-latency, in-order pipe: an element pushed at cycle *t* becomes
@@ -19,8 +20,11 @@ use std::collections::VecDeque;
 #[derive(Clone, Debug)]
 pub struct DelayLine<T> {
     latency: Cycle,
+    /// `(ready cycle, element)`, sorted by ready cycle. A snapshot keeps
+    /// the absolute ready cycles, so a restore never re-derives them.
     q: VecDeque<(Cycle, T)>,
 }
+snap_fields!(DelayLine<T>(q, latency: skip) check Self::in_ready_order);
 
 impl<T> DelayLine<T> {
     /// Creates a delay line with the given latency in cycles.
@@ -29,11 +33,6 @@ impl<T> DelayLine<T> {
             latency,
             q: VecDeque::new(),
         }
-    }
-
-    /// The configured latency.
-    pub fn latency(&self) -> Cycle {
-        self.latency
     }
 
     /// Inserts an element at cycle `now`.
@@ -78,24 +77,22 @@ impl<T> DelayLine<T> {
         self.q.is_empty()
     }
 
-    /// Iterates over `(ready_cycle, element)` pairs in queue order —
-    /// checkpointing reads the absolute ready times so a restore does
-    /// not re-derive them from a shifted `now`.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (Cycle, &T)> {
-        self.q.iter().map(|(r, v)| (*r, v))
+    /// Iterates over the elements in flight, in ready order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.q.iter().map(|(_, v)| v)
     }
 
-    /// Rebuilds a delay line from checkpointed `(ready_cycle, element)`
-    /// pairs. The pairs must already be sorted by ready time (they are,
-    /// when they came from [`DelayLine::iter_entries`]).
-    pub fn from_parts(latency: Cycle, entries: impl IntoIterator<Item = (Cycle, T)>) -> Self {
-        let mut d = DelayLine::new(latency);
-        d.q.extend(entries);
-        debug_assert!(
-            d.q.iter().zip(d.q.iter().skip(1)).all(|(a, b)| a.0 <= b.0),
-            "restored delay line out of ready order"
-        );
-        d
+    /// [`DelayLine::pop_ready`] only looks at the front, so a loaded
+    /// snapshot must keep the entries sorted by ready cycle.
+    fn in_ready_order(&self) -> Result<(), String> {
+        match (1..self.q.len()).find(|&i| self.q[i - 1].0 > self.q[i].0) {
+            Some(i) => Err(format!(
+                "[{i}]: ready cycle {} is earlier than the {} before it",
+                self.q[i].0,
+                self.q[i - 1].0
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -107,12 +104,18 @@ impl<T> DelayLine<T> {
 /// rendezvous points ("out-of-order operations incur resource overheads on
 /// FPGAs since they require large matching logics"), which is why its
 /// `capacity` is small and everything else stays in-order.
-#[derive(Clone, Debug)]
+///
+/// The default station has no slots; it only exists for a snapshot load
+/// to fill, which then fails unless the document's station is empty.
+#[derive(Clone, Debug, Default)]
 pub struct OutOfOrderStation<T> {
     cap: usize,
-    // (tag, payload, ready, completion word, insertion cycle)
+    /// `(tag, payload, ready, completion word, insertion cycle)` in slot
+    /// order, which matters: [`OutOfOrderStation::take_ready`] removes
+    /// the oldest ready slot.
     entries: Vec<(u64, T, bool, u64, Cycle)>,
 }
+snap_fields!(OutOfOrderStation<T>(entries, cap: skip) check Self::fits);
 
 impl<T> OutOfOrderStation<T> {
     /// Creates a station with `cap` slots.
@@ -141,11 +144,6 @@ impl<T> OutOfOrderStation<T> {
     /// Is there a free slot?
     pub fn can_insert(&self) -> bool {
         self.entries.len() < self.cap
-    }
-
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Inserts an entry waiting on `tag`.
@@ -226,28 +224,16 @@ impl<T> OutOfOrderStation<T> {
         self.entries.iter().map(|e| &e.1)
     }
 
-    /// Iterates over the full entry state in slot order:
-    /// `(tag, payload, ready, completion word, insertion cycle)`.
-    pub fn iter_entries(&self) -> impl Iterator<Item = (u64, &T, bool, u64, Cycle)> {
-        self.entries
-            .iter()
-            .map(|(tag, p, ready, word, born)| (*tag, p, *ready, *word, *born))
-    }
-
-    /// Rebuilds a station from checkpointed entries (slot order matters:
-    /// [`OutOfOrderStation::take_ready`] removes the oldest ready slot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero or the entries exceed it.
-    pub fn from_parts(
-        cap: usize,
-        entries: impl IntoIterator<Item = (u64, T, bool, u64, Cycle)>,
-    ) -> Self {
-        let mut s = OutOfOrderStation::new(cap);
-        s.entries.extend(entries);
-        assert!(s.entries.len() <= cap, "restored station exceeds capacity");
-        s
+    /// A loaded snapshot must fit the slots the receiver was built with.
+    fn fits(&self) -> Result<(), String> {
+        if self.entries.len() > self.cap {
+            return Err(format!(
+                "holds {} entries, capacity {}",
+                self.entries.len(),
+                self.cap
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -7,6 +7,7 @@
 //! component calls at the end of every cycle. Determinism therefore does
 //! not depend on the order components are ticked within a cycle.
 
+use apir_util::snap_fields;
 use std::collections::VecDeque;
 
 /// A bounded FIFO with next-cycle-visible pushes.
@@ -27,6 +28,7 @@ pub struct Fifo<T> {
     q: VecDeque<T>,
     staged: VecDeque<T>,
 }
+snap_fields!(Fifo<T> { q => "v", staged => "s", cap: skip } check Self::fits);
 
 impl<T> Fifo<T> {
     /// Creates a FIFO holding at most `cap` elements (visible + staged).
@@ -66,11 +68,6 @@ impl<T> Fifo<T> {
     /// Free slots remaining this cycle.
     pub fn free(&self) -> usize {
         self.cap - self.len()
-    }
-
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Stages a push; returns `false` (dropping nothing) when full.
@@ -118,33 +115,23 @@ impl<T> Fifo<T> {
         out
     }
 
-    /// Iterates over visible elements, oldest first.
+    /// Iterates over every element, oldest first: the visible ones,
+    /// then those staged this cycle.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.q.iter()
+        self.q.iter().chain(&self.staged)
     }
 
-    /// Iterates over staged (pushed-this-cycle, not yet visible)
-    /// elements, oldest first — checkpointing needs both halves.
-    pub fn iter_staged(&self) -> impl Iterator<Item = &T> {
-        self.staged.iter()
-    }
-
-    /// Rebuilds a FIFO from checkpointed state: capacity, visible
-    /// elements, and staged elements (both oldest first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero or the elements exceed it.
-    pub fn from_parts(
-        cap: usize,
-        visible: impl IntoIterator<Item = T>,
-        staged: impl IntoIterator<Item = T>,
-    ) -> Self {
-        let mut f = Fifo::new(cap);
-        f.q.extend(visible);
-        f.staged.extend(staged);
-        assert!(f.len() <= cap, "restored fifo exceeds capacity");
-        f
+    /// A loaded snapshot must fit the capacity the receiver was built
+    /// with.
+    fn fits(&self) -> Result<(), String> {
+        if self.len() > self.cap {
+            return Err(format!(
+                "holds {} elements, capacity {}",
+                self.len(),
+                self.cap
+            ));
+        }
+        Ok(())
     }
 }
 

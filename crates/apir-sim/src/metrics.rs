@@ -11,6 +11,8 @@
 //! lookup. Snapshots iterate keys in sorted order, which makes every
 //! rendering of the same run byte-identical.
 
+use apir_util::snap::{self, Snap};
+use apir_util::Json;
 use std::collections::BTreeMap;
 
 /// Handle to a registered counter (monotone `u64`).
@@ -126,31 +128,6 @@ impl Histogram {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Raw bucket counts, indexed by bucket number (checkpointing).
-    pub fn raw_buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Rebuilds a histogram from checkpointed state. `buckets` is indexed
-    /// by bucket number and padded with zeros to
-    /// [`HISTOGRAM_BUCKETS`] entries if short.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` has more than [`HISTOGRAM_BUCKETS`] entries.
-    pub fn from_parts(buckets: Vec<u64>, count: u64, sum: u64, max: u64, saturated: bool) -> Self {
-        assert!(buckets.len() <= HISTOGRAM_BUCKETS, "too many buckets");
-        let mut b = buckets;
-        b.resize(HISTOGRAM_BUCKETS, 0);
-        Histogram {
-            buckets: b,
-            count,
-            sum,
-            max,
-            saturated,
         }
     }
 
@@ -295,34 +272,6 @@ impl MetricsRegistry {
         self.metrics.is_empty()
     }
 
-    /// Overwrites every metric's *value* from a snapshot, leaving the
-    /// registered structure (keys, types, handle numbering) untouched.
-    /// The snapshot must cover exactly the registered keys with matching
-    /// types; restore rebuilds structure by re-running registration, so
-    /// any divergence is a config/schema mismatch, reported as `Err`.
-    pub fn restore_values(&mut self, snap: &MetricsSnapshot) -> Result<(), String> {
-        if snap.entries().len() != self.metrics.len() {
-            return Err(format!(
-                "metric count mismatch: snapshot has {}, registry has {}",
-                snap.entries().len(),
-                self.metrics.len()
-            ));
-        }
-        for (key, value) in snap.entries() {
-            let &i = self
-                .index
-                .get(key)
-                .ok_or_else(|| format!("metric `{key}` not registered"))?;
-            match (&mut self.metrics[i], value) {
-                (Metric::Counter(v), MetricValue::Counter(s)) => *v = *s,
-                (Metric::Gauge(v), MetricValue::Gauge(s)) => *v = *s,
-                (Metric::Histogram(h), MetricValue::Histogram(s)) => *h = s.clone(),
-                _ => return Err(format!("metric `{key}` type mismatch")),
-            }
-        }
-        Ok(())
-    }
-
     /// Immutable snapshot, keys in sorted (byte) order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -342,6 +291,88 @@ impl MetricsRegistry {
     }
 }
 
+/// The registry snapshots as one entry per metric, in key order: a
+/// counter is `[key, 0, value]`, a gauge `[key, 1, bits]` and a histogram
+/// `[key, 2, buckets, count, sum, max, saturated]` with trailing empty
+/// buckets trimmed. Keys and kinds are structure, rebuilt by
+/// registration, so a load must list exactly the registered metrics.
+impl Snap for MetricsRegistry {
+    fn save(&self) -> Json {
+        let entry = |key: &String, m: &Metric| {
+            let mut e = vec![Json::str(key.as_str())];
+            match m {
+                Metric::Counter(v) => e.extend([Json::U64(0), v.save()]),
+                Metric::Gauge(g) => e.extend([Json::U64(1), g.save()]),
+                Metric::Histogram(h) => {
+                    let used = h.buckets.iter().rposition(|&n| n > 0).map_or(0, |k| k + 1);
+                    e.extend([
+                        Json::U64(2),
+                        h.buckets[..used].save(),
+                        h.count.save(),
+                        h.sum.save(),
+                        h.max.save(),
+                        h.saturated.save(),
+                    ]);
+                }
+            }
+            Json::Arr(e)
+        };
+        Json::Arr(
+            self.index
+                .iter()
+                .map(|(k, &i)| entry(k, &self.metrics[i]))
+                .collect(),
+        )
+    }
+
+    fn load(&mut self, j: &Json) -> Result<(), String> {
+        let a = snap::items_n(j, self.metrics.len())?;
+        for (n, ((key, &i), e)) in self.index.iter().zip(a).enumerate() {
+            load_metric(&mut self.metrics[i], key, e)
+                .map_err(|e| snap::nest(format_args!("[{n}]"), e))?;
+        }
+        Ok(())
+    }
+}
+
+/// Loads one registry entry into the metric registered under `key`.
+fn load_metric(m: &mut Metric, key: &str, e: &Json) -> Result<(), String> {
+    let (code, arity) = match m {
+        Metric::Counter(_) => (0, 3),
+        Metric::Gauge(_) => (1, 3),
+        Metric::Histogram(_) => (2, 7),
+    };
+    let p = snap::items(e)?;
+    if p.first().and_then(Json::as_str) != Some(key) {
+        return Err(format!("expected metric `{key}` here"));
+    }
+    if p.len() != arity || p[1].as_u64() != Some(code) {
+        return Err(format!(
+            "`{key}` must be [key, {code}, ...] with {arity} elements"
+        ));
+    }
+    match m {
+        Metric::Counter(v) => snap::load_at(v, p, 2),
+        Metric::Gauge(g) => snap::load_at(g, p, 2),
+        Metric::Histogram(h) => {
+            let mut buckets: Vec<u64> = Vec::new();
+            snap::load_at(&mut buckets, p, 2)?;
+            if buckets.len() > HISTOGRAM_BUCKETS {
+                return Err(format!(
+                    "[2]: {} buckets, at most {HISTOGRAM_BUCKETS}",
+                    buckets.len()
+                ));
+            }
+            buckets.resize(HISTOGRAM_BUCKETS, 0);
+            h.buckets = buckets;
+            snap::load_at(&mut h.count, p, 3)?;
+            snap::load_at(&mut h.sum, p, 4)?;
+            snap::load_at(&mut h.max, p, 5)?;
+            snap::load_at(&mut h.saturated, p, 6)
+        }
+    }
+}
+
 /// A point-in-time copy of every metric, sorted by key.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -349,14 +380,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Builds a snapshot from `(key, value)` entries (checkpoint
-    /// restore). Entries are sorted by key, as [`MetricsRegistry::snapshot`]
-    /// would produce them.
-    pub fn from_entries(mut entries: Vec<(String, MetricValue)>) -> Self {
-        entries.sort_by(|(a, _), (b, _)| a.cmp(b));
-        MetricsSnapshot { entries }
-    }
-
     /// All `(key, value)` entries, sorted by key.
     pub fn entries(&self) -> &[(String, MetricValue)] {
         &self.entries

@@ -14,14 +14,17 @@
 //! not just that it did. The invariant `sum(stall_by) == stall` holds
 //! by construction: every stall-recording path names a cause.
 
+use apir_util::{Json, Snap};
+
 /// Per-cycle state of one component.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Activity {
     /// Performed useful work this cycle.
     Busy,
     /// Had work but could not proceed (downstream full, waiting memory...).
     Stall,
     /// Had no work.
+    #[default]
     Idle,
 }
 
@@ -88,6 +91,29 @@ impl StallCause {
     }
 }
 
+/// Both enums snapshot as their declaration-order code.
+macro_rules! snap_code {
+    ($t:ty, $all:expr) => {
+        impl Snap for $t {
+            fn save(&self) -> Json {
+                Json::U64(*self as u64)
+            }
+
+            fn load(&mut self, j: &Json) -> Result<(), String> {
+                let mut code = 0usize;
+                code.load(j)?;
+                let all = $all;
+                *self = *all
+                    .get(code)
+                    .ok_or_else(|| format!("code {code} is not one of the {} states", all.len()))?;
+                Ok(())
+            }
+        }
+    };
+}
+snap_code!(Activity, [Activity::Busy, Activity::Stall, Activity::Idle]);
+snap_code!(StallCause, StallCause::ALL);
+
 /// Accumulated activity of one component.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ActivityTracker {
@@ -100,6 +126,40 @@ pub struct ActivityTracker {
     /// Stalled cycles attributed per [`StallCause`], indexed by the
     /// cause's declaration order. `sum(stall_by) == stall` always.
     pub stall_by: [u64; StallCause::COUNT],
+}
+
+/// A tracker snapshots as one flat array, `[busy, stall, idle,
+/// stall_by...]`.
+impl Snap for ActivityTracker {
+    fn save(&self) -> Json {
+        let Self {
+            busy,
+            stall,
+            idle,
+            stall_by,
+        } = self;
+        Json::Arr(
+            [busy, stall, idle]
+                .into_iter()
+                .chain(stall_by)
+                .map(Snap::save)
+                .collect(),
+        )
+    }
+
+    fn load(&mut self, j: &Json) -> Result<(), String> {
+        let mut v = [0u64; 3 + StallCause::COUNT];
+        v.load(j)?;
+        let Self {
+            busy,
+            stall,
+            idle,
+            stall_by,
+        } = self;
+        (*busy, *stall, *idle) = (v[0], v[1], v[2]);
+        stall_by.copy_from_slice(&v[3..]);
+        Ok(())
+    }
 }
 
 impl ActivityTracker {

@@ -13,6 +13,7 @@
 //! `Histogram::observe_n`. Dense and wheel schedules therefore produce
 //! byte-identical timelines.
 
+use apir_util::snap_fields;
 use std::collections::VecDeque;
 
 /// Metric deltas accumulated over one or more cycles. Each field is a
@@ -34,6 +35,7 @@ pub struct TimelineSample {
     /// Bytes transferred over the memory link.
     pub qpi_bytes: u64,
 }
+snap_fields!(TimelineSample [busy, stall, idle, retired, hits, misses, qpi_bytes]);
 
 impl TimelineSample {
     /// Adds `other` scaled by `n` (field-wise `self += other * n`).
@@ -74,6 +76,7 @@ pub struct TimelineWindow {
     /// Deltas accumulated over the covered cycles.
     pub sample: TimelineSample,
 }
+snap_fields!(TimelineWindow [start, cycles, sample]);
 
 /// The finished timeline attached to a report.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -88,7 +91,10 @@ pub struct Timeline {
 
 /// Accumulates per-cycle deltas into windows of `window` cycles, keeping
 /// the newest `capacity` windows.
-#[derive(Clone, Debug)]
+///
+/// The default recorder has a zero window; it only exists for a snapshot
+/// load to fill, which always rejects it.
+#[derive(Clone, Debug, Default)]
 pub struct TimelineRecorder {
     window: u64,
     capacity: usize,
@@ -98,6 +104,15 @@ pub struct TimelineRecorder {
     ring: VecDeque<TimelineWindow>,
     dropped: u64,
 }
+snap_fields!(TimelineRecorder {
+    cur => "cur",
+    cur_len => "cur_len",
+    cur_start => "cur_start",
+    dropped => "dropped",
+    ring => "ring",
+    window: skip,
+    capacity: skip,
+} check Self::fits);
 
 impl TimelineRecorder {
     /// Creates a recorder with `window` cycles per window (must be > 0)
@@ -115,49 +130,23 @@ impl TimelineRecorder {
         }
     }
 
-    /// Configured cycles per window.
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// Checkpoint state:
-    /// `(capacity, cur, cur_len, cur_start, dropped)` plus the retained
-    /// ring via [`TimelineRecorder::ring`].
-    pub fn state(&self) -> (usize, TimelineSample, u64, u64, u64) {
-        (self.capacity, self.cur, self.cur_len, self.cur_start, self.dropped)
-    }
-
-    /// Retained (already closed) windows, oldest first.
-    pub fn ring(&self) -> impl Iterator<Item = &TimelineWindow> {
-        self.ring.iter()
-    }
-
-    /// Rebuilds a recorder from checkpointed state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero or the ring exceeds `capacity`.
-    pub fn from_parts(
-        window: u64,
-        capacity: usize,
-        cur: TimelineSample,
-        cur_len: u64,
-        cur_start: u64,
-        ring: Vec<TimelineWindow>,
-        dropped: u64,
-    ) -> Self {
-        assert!(window > 0, "timeline window must be positive");
-        let capacity = capacity.max(1);
-        assert!(ring.len() <= capacity, "restored timeline ring exceeds capacity");
-        Self {
-            window,
-            capacity,
-            cur,
-            cur_len,
-            cur_start,
-            ring: ring.into(),
-            dropped,
+    /// A loaded snapshot must fit the ring, and its open window must
+    /// still be open: a full one would have been closed already.
+    fn fits(&self) -> Result<(), String> {
+        if self.ring.len() > self.capacity {
+            return Err(format!(
+                ".ring: {} windows, capacity {}",
+                self.ring.len(),
+                self.capacity
+            ));
         }
+        if self.cur_len >= self.window {
+            return Err(format!(
+                ".cur_len: {} cycles fill the {}-cycle window",
+                self.cur_len, self.window
+            ));
+        }
+        Ok(())
     }
 
     /// Folds one cycle's deltas.

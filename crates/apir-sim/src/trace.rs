@@ -13,6 +13,8 @@
 //! Renderers live in `apir-trace`: a text summary and Chrome-trace JSON
 //! (`chrome://tracing` / <https://ui.perfetto.dev>).
 
+use apir_util::snap::{self, Snap};
+use apir_util::Json;
 use std::collections::VecDeque;
 
 /// Interned component handle within one [`EventTrace`].
@@ -34,24 +36,32 @@ pub struct TraceRecord {
 }
 
 /// The bounded trace buffer.
-#[derive(Clone, Debug)]
+///
+/// The default trace has capacity 0 and no event labels; it only exists
+/// for a snapshot load to fill, which fails on any record.
+#[derive(Clone, Debug, Default)]
 pub struct EventTrace {
     cap: usize,
     buf: VecDeque<TraceRecord>,
     dropped: u64,
     emitted: u64,
     components: Vec<String>,
+    /// Every label the recording sites use: a snapshot load resolves the
+    /// saved labels against it.
+    events: &'static [&'static str],
 }
 
 impl EventTrace {
-    /// Creates a trace holding at most `cap` records (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
+    /// Creates a trace holding at most `cap` records (`cap` ≥ 1), whose
+    /// records carry labels from `events`.
+    pub fn new(cap: usize, events: &'static [&'static str]) -> Self {
         EventTrace {
             cap: cap.max(1),
             buf: VecDeque::new(),
             dropped: 0,
             emitted: 0,
             components: Vec::new(),
+            events,
         }
     }
 
@@ -122,36 +132,98 @@ impl EventTrace {
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.buf.iter()
     }
+}
 
-    /// Rebuilds a trace from checkpointed state. The caller resolves
-    /// each record's `&'static str` event label (they are interned in a
-    /// static table at the recording sites).
-    ///
-    /// # Panics
-    ///
-    /// Panics if more records are supplied than the capacity retains, or
-    /// if the conservation invariant `emitted == len + dropped` breaks.
-    pub fn from_parts(
-        cap: usize,
-        components: Vec<String>,
-        records: Vec<TraceRecord>,
-        dropped: u64,
-        emitted: u64,
-    ) -> Self {
-        let cap = cap.max(1);
-        assert!(records.len() <= cap, "restored trace exceeds capacity");
-        assert_eq!(
-            emitted,
-            records.len() as u64 + dropped,
-            "trace conservation invariant violated on restore"
-        );
-        EventTrace {
-            cap,
-            buf: records.into(),
+/// A trace snapshots its component table, the retained records as
+/// `[cycle, comp, event, value]`, and the conservation counters. The
+/// components are interned when the fabric is built, so a load must find
+/// the receiver's table unchanged.
+impl Snap for EventTrace {
+    fn save(&self) -> Json {
+        let Self {
+            cap: _,
+            buf,
             dropped,
             emitted,
             components,
+            events: _,
+        } = self;
+        let record = |r: &TraceRecord| {
+            Json::Arr(vec![
+                r.cycle.save(),
+                r.comp.0.save(),
+                Json::str(r.event),
+                r.value.save(),
+            ])
+        };
+        Json::obj([
+            (
+                "components",
+                Json::arr(components.iter().map(|c| Json::str(c.as_str()))),
+            ),
+            ("records", Json::arr(buf.iter().map(record))),
+            ("dropped", dropped.save()),
+            ("emitted", emitted.save()),
+        ])
+    }
+
+    fn load(&mut self, j: &Json) -> Result<(), String> {
+        let Self {
+            cap,
+            buf,
+            dropped,
+            emitted,
+            components,
+            events,
+        } = self;
+        let names = snap::items(snap::member(j, "components")?)
+            .map_err(|e| snap::nest(".components", e))?;
+        if !names
+            .iter()
+            .map(Json::as_str)
+            .eq(components.iter().map(|c| Some(c.as_str())))
+        {
+            return Err(".components: differ from the components this fabric interns".into());
         }
+        let record = |r: &Json| -> Result<TraceRecord, String> {
+            let p = snap::items_n(r, 4)?;
+            let mut rec = TraceRecord {
+                cycle: 0,
+                comp: CompId(0),
+                event: "",
+                value: 0,
+            };
+            snap::load_at(&mut rec.cycle, p, 0)?;
+            snap::load_at(&mut rec.comp.0, p, 1)?;
+            if rec.comp.0 as usize >= components.len() {
+                return Err(format!("[1]: component {} out of range", rec.comp.0));
+            }
+            rec.event = p[2]
+                .as_str()
+                .and_then(|e| events.iter().copied().find(|&k| k == e))
+                .ok_or_else(|| format!("[2]: unknown event {}", p[2].render()))?;
+            snap::load_at(&mut rec.value, p, 3)?;
+            Ok(rec)
+        };
+        let records =
+            snap::items(snap::member(j, "records")?).map_err(|e| snap::nest(".records", e))?;
+        *buf = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| record(r).map_err(|e| snap::nest(format_args!(".records[{i}]"), e)))
+            .collect::<Result<_, _>>()?;
+        snap::load_key(dropped, j, "dropped")?;
+        snap::load_key(emitted, j, "emitted")?;
+        if buf.len() > *cap || *emitted != buf.len() as u64 + *dropped {
+            return Err(format!(
+                ".records: {} records with {} dropped of {} emitted, capacity {}",
+                buf.len(),
+                dropped,
+                emitted,
+                cap
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -161,7 +233,7 @@ mod tests {
 
     #[test]
     fn interning_is_stable() {
-        let mut t = EventTrace::new(8);
+        let mut t = EventTrace::new(8, &[]);
         let a = t.comp("mem");
         let b = t.comp("queue:frontier");
         assert_eq!(t.comp("mem"), a);
@@ -172,7 +244,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut t = EventTrace::new(3);
+        let mut t = EventTrace::new(3, &["e"]);
         let c = t.comp("x");
         for cycle in 1..=5u64 {
             t.record(cycle, c, "e", 1);
@@ -185,7 +257,7 @@ mod tests {
 
     #[test]
     fn capacity_floor_is_one() {
-        let mut t = EventTrace::new(0);
+        let mut t = EventTrace::new(0, &["e"]);
         assert_eq!(t.capacity(), 1);
         let c = t.comp("x");
         t.record(1, c, "e", 1);

@@ -74,7 +74,6 @@ commands:
       --json    write the full report as JSON to PATH
   campaign <PLAN.json> [--threads N] [--inflight N] [--out PATH]
                        [--json PATH] [--resume PARTIAL.jsonl]
-  campaign --stdin [--threads N] [--inflight N]
       Expand a campaign plan (apir.campaign.plan.v1: apps x seeds x
       config variants, chaos and retries per variant) and run every
       cell on a work-stealing fleet. Records stream as JSON Lines in
@@ -90,9 +89,6 @@ commands:
                   records are re-emitted verbatim (a torn final line is
                   discarded), only missing cells run, and the output is
                   byte-identical to an uninterrupted run
-      --stdin     server mode: accept one plan JSON per input line,
-                  stream records to stdout and summaries to stderr;
-                  a malformed plan is diagnosed, not fatal
       exit 0: all cells ok   exit 1: cell failures   exit 2: bad plan
   diff <A.json> <B.json> [--machine] [--tolerance-wall]
       Compare two JSON documents of the same schema key by key
@@ -489,7 +485,6 @@ fn cmd_validate_analysis(args: Vec<String>) {
 fn cmd_campaign(args: Vec<String>) {
     let mut args = args.into_iter();
     let mut plan_path: Option<String> = None;
-    let mut stdin_mode = false;
     let mut threads: usize = 1;
     let mut inflight: usize = apir_campaign::DEFAULT_INFLIGHT;
     let mut out_path: Option<String> = None;
@@ -497,7 +492,6 @@ fn cmd_campaign(args: Vec<String>) {
     let mut resume_path: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--stdin" => stdin_mode = true,
             "--resume" => resume_path = Some(next_value(&mut args, "--resume")),
             "--threads" => {
                 let v = next_value(&mut args, "--threads");
@@ -526,15 +520,8 @@ fn cmd_campaign(args: Vec<String>) {
             }
         }
     }
-    if stdin_mode {
-        if plan_path.is_some() || out_path.is_some() || json_path.is_some() || resume_path.is_some()
-        {
-            fail("--stdin reads plans from stdin and writes records to stdout; it takes no plan file, --out, --json, or --resume");
-        }
-        campaign_server(threads, inflight);
-    }
     let Some(path) = plan_path else {
-        fail("campaign needs a plan file (or --stdin)");
+        fail("campaign needs a plan file");
     };
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("apir-trace: reading {path}: {e}");
@@ -637,50 +624,6 @@ fn cmd_campaign(args: Vec<String>) {
         eprintln!("{}", summary.render());
     }
     std::process::exit(if summary.failed > 0 { 1 } else { 0 });
-}
-
-/// `campaign --stdin`: one plan JSON per input line; records to stdout,
-/// summaries and diagnostics to stderr. A malformed plan is reported
-/// and the server keeps accepting; the exit code remembers the worst
-/// thing that happened (2: bad plan seen, 1: cell failures, 0: clean).
-fn campaign_server(threads: usize, inflight: usize) -> ! {
-    use std::io::{BufRead, Write};
-    let mut any_bad_plan = false;
-    let mut any_failed = false;
-    for (i, line) in std::io::stdin().lock().lines().enumerate() {
-        let line = line.unwrap_or_else(|e| {
-            eprintln!("apir-trace: reading stdin: {e}");
-            std::process::exit(1);
-        });
-        if line.trim().is_empty() {
-            continue;
-        }
-        match apir_campaign::parse_plan(&line) {
-            Err(e) => {
-                eprintln!("apir-trace: stdin plan {}: {e}", i + 1);
-                any_bad_plan = true;
-            }
-            Ok(plan) => {
-                let mut out = std::io::stdout();
-                let summary = apir_campaign::run_campaign(&plan, threads, inflight, |r| {
-                    writeln!(out, "{}", r.render()).unwrap_or_else(|e| {
-                        eprintln!("apir-trace: writing records: {e}");
-                        std::process::exit(1);
-                    });
-                });
-                let _ = out.flush();
-                eprintln!("{}", summary.render());
-                any_failed |= summary.failed > 0;
-            }
-        }
-    }
-    std::process::exit(if any_bad_plan {
-        2
-    } else if any_failed {
-        1
-    } else {
-        0
-    });
 }
 
 fn cmd_diff(args: Vec<String>) {

@@ -18,7 +18,10 @@
 //!   observability layer (`FabricReport::to_json`, `BENCH_fabric.json`,
 //!   Chrome traces) in place of `serde_json`;
 //! * [`jsonl`] — a JSON Lines writer/parser for streamed record output
-//!   (the campaign engine's merged `results.jsonl`).
+//!   (the campaign engine's merged `results.jsonl`);
+//! * [`snap`] — the [`Snap`] checkpoint codec and the
+//!   [`snap_fields!`](crate::snap_fields) macro that derives it from one
+//!   field list per struct.
 //!
 //! Everything here is deterministic: the same seed always yields the same
 //! sequence on every platform, which is what makes the experiment results
@@ -29,8 +32,10 @@ pub mod json;
 pub mod jsonl;
 pub mod prop;
 pub mod rng;
+pub mod snap;
 
 pub use json::Json;
 pub use jsonl::JsonlWriter;
 pub use prop::Gen;
 pub use rng::SmallRng;
+pub use snap::Snap;

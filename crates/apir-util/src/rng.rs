@@ -15,10 +15,19 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A seeded xoshiro256** generator.
+/// A seeded xoshiro256** generator. Its snapshot is the raw state, so a
+/// loaded generator resumes the exact sequence.
 #[derive(Clone, Debug)]
 pub struct SmallRng {
     s: [u64; 4],
+}
+crate::snap_fields!(SmallRng(s));
+
+impl Default for SmallRng {
+    /// The generator seeded with 0.
+    fn default() -> Self {
+        Self::seed_from_u64(0)
+    }
 }
 
 impl SmallRng {
@@ -34,19 +43,6 @@ impl SmallRng {
                 splitmix64(&mut st),
             ],
         }
-    }
-
-    /// The raw generator state, for checkpointing. Feed the array back
-    /// through [`SmallRng::from_state`] to resume the exact sequence.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a state captured by
-    /// [`SmallRng::state`]. The restored generator produces the same
-    /// sequence the original would have from that point on.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        SmallRng { s }
     }
 
     /// Next raw 64-bit output.
@@ -159,6 +155,7 @@ impl SampleRange<f64> for core::ops::Range<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::Snap;
 
     #[test]
     fn same_seed_same_sequence() {
@@ -241,7 +238,8 @@ mod tests {
         for _ in 0..17 {
             a.next_u64();
         }
-        let mut b = SmallRng::from_state(a.state());
+        let mut b = SmallRng::default();
+        b.load(&a.save()).unwrap();
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
