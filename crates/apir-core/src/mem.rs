@@ -12,8 +12,7 @@
 //! by machine address.
 
 use crate::spec::RegionId;
-use apir_util::snap::{self, Snap};
-use apir_util::Json;
+use apir_util::snap_fields;
 use std::fmt;
 
 /// Uniform read/write access to region memory.
@@ -47,35 +46,25 @@ pub trait MemAccess {
     }
 }
 
-/// The concrete memory image: one `Vec<u64>` per region.
+/// The concrete memory image: one fixed-capacity word array per region.
+/// A snapshot holds every region's words; the layout comes from the
+/// program input, so a load must match it exactly.
 #[derive(Clone, PartialEq, Eq)]
 pub struct MemImage {
-    regions: Vec<Vec<u64>>,
+    regions: Box<[Box<[u64]>]>,
     names: Vec<String>,
 }
-
-/// A snapshot holds every region's words. The region layout comes from
-/// the program input, so a load must match it exactly.
-impl Snap for MemImage {
-    fn save(&self) -> Json {
-        Json::Arr(self.regions.iter().map(|r| r[..].save()).collect())
-    }
-
-    fn load(&mut self, j: &Json) -> Result<(), String> {
-        let a = snap::items_n(j, self.regions.len())?;
-        for (i, r) in self.regions.iter_mut().enumerate() {
-            snap::load_at(&mut r[..], a, i)?;
-        }
-        Ok(())
-    }
-}
+snap_fields!(MemImage(regions, names: skip));
 
 impl MemImage {
     /// Creates an image from region `(name, capacity)` declarations,
     /// zero-initialized.
     pub fn new(decls: &[(String, usize)]) -> Self {
         MemImage {
-            regions: decls.iter().map(|(_, cap)| vec![0u64; *cap]).collect(),
+            regions: decls
+                .iter()
+                .map(|(_, cap)| vec![0u64; *cap].into())
+                .collect(),
             names: decls.iter().map(|(n, _)| n.clone()).collect(),
         }
     }

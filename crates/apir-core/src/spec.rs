@@ -9,7 +9,7 @@ use crate::index::IndexTuple;
 use crate::mem::MemAccess;
 use crate::op::{AluOp, BodyOp, StoreKind, ValRef};
 use crate::rule::RuleDecl;
-use apir_util::{Json, Snap};
+use apir_util::snap_fields;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -30,22 +30,11 @@ pub struct RuleId(pub usize);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
 pub struct LabelId(pub usize);
 
-/// Ids snapshot as their number; range checks need the spec, so the
-/// fabric makes them.
-macro_rules! snap_id {
-    ($($t:ident),*) => {$(
-        impl Snap for $t {
-            fn save(&self) -> Json {
-                self.0.save()
-            }
-
-            fn load(&mut self, j: &Json) -> Result<(), String> {
-                self.0.load(j)
-            }
-        }
-    )*};
-}
-snap_id!(RegionId, TaskSetId, LabelId);
+// Ids snapshot as their number; range checks need the spec, so the
+// fabric makes them.
+snap_fields!(RegionId(0));
+snap_fields!(TaskSetId(0));
+snap_fields!(LabelId(0));
 
 /// Identifier of an extern IP core.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]

@@ -311,25 +311,10 @@ struct Stage {
     last_stall_cause: StallCause,
 }
 snap_fields!(Stage {
-    station => "st",
-    expand_pos => "ep",
-    tracker => "tk",
-    last_activity => "la",
+    station => "st", expand_pos => "ep", tracker => "tk", last_activity => "la",
     last_stall_cause => "lsc",
-    op: skip,
-    port: skip,
-    comp: skip,
-} check Self::fits);
-
-impl Stage {
-    /// Exactly the stages with a response port own a station.
-    fn fits(&self) -> Result<(), String> {
-        if self.station.is_some() != self.port.is_some() {
-            return Err(".st: station presence disagrees with the stage op".into());
-        }
-        Ok(())
-    }
-}
+    op: skip, port: skip, comp: skip,
+});
 
 struct Pipeline {
     set: TaskSetId,
@@ -341,31 +326,31 @@ struct Pipeline {
     comp: CompId,
 }
 snap_fields!(Pipeline {
-    latches => "latches",
-    stages => "stages",
-    extern_unit => "ext",
-    set: skip,
-    comp: skip,
+    latches, stages, extern_unit => "ext",
+    set: skip, comp: skip,
 } check Self::fits);
 
 impl Pipeline {
-    /// A loaded snapshot must hold contexts as wide as the body, and an
+    /// A loaded snapshot must keep a station exactly at the stages with
+    /// a response port, hold contexts as wide as the body, and have an
     /// extern unit exactly when the body calls an extern, whose requests
     /// name this pipeline's extern stages.
     fn fits(&self) -> Result<(), String> {
         let n = self.stages.len();
-        let wrong = |c: &Ctx| c.vals.len() != n;
-        if let Some(i) = self
-            .latches
-            .iter()
-            .position(|c| c.as_ref().is_some_and(wrong))
-        {
-            return Err(format!(".latches[{i}].v: the body has {n} ops"));
-        }
-        for (si, st) in self.stages.iter().enumerate() {
+        for (i, st) in self.stages.iter().enumerate() {
+            if st.station.is_some() != st.port.is_some() {
+                return Err(format!(
+                    ".stages[{i}].st: station presence disagrees with the op"
+                ));
+            }
             let mut parked = st.station.iter().flat_map(OutOfOrderStation::iter_all);
-            if let Some(k) = parked.position(wrong) {
-                return Err(format!(".stages[{si}].st[{k}][1].v: the body has {n} ops"));
+            if let Some(k) = parked.position(|c| c.vals.len() != n) {
+                return Err(format!(".stages[{i}].st[{k}][1].v: the body has {n} ops"));
+            }
+        }
+        for (i, c) in self.latches.iter().enumerate() {
+            if c.as_ref().is_some_and(|c| c.vals.len() != n) {
+                return Err(format!(".latches[{i}].v: the body has {n} ops"));
             }
         }
         // `(port, extern id)` of each extern stage.
@@ -377,15 +362,12 @@ impl Pipeline {
                 _ => None,
             })
             .collect();
-        let Some(u) = &self.extern_unit else {
-            return match calls.is_empty() {
-                true => Ok(()),
-                false => Err(".ext: missing, but the body calls an extern".into()),
-            };
-        };
-        if calls.is_empty() {
-            return Err(".ext: present, but the body calls no extern".into());
+        if calls.is_empty() != self.extern_unit.is_none() {
+            return Err(".ext: presence disagrees with the body's extern calls".into());
         }
+        let Some(u) = &self.extern_unit else {
+            return Ok(());
+        };
         let ext_of = |port: u32| calls.iter().find(|c| c.0 == port).map(|c| c.1);
         for (i, r) in u.queue.iter().enumerate() {
             let err = match ext_of(r.port) {
@@ -417,11 +399,7 @@ struct ExternJob {
     compute_left: u64,
 }
 snap_fields!(ExternJob {
-    tag => "t",
-    port => "p",
-    result => "r",
-    bytes_left => "b",
-    compute_left => "c",
+    tag => "t", port => "p", result => "r", bytes_left => "b", compute_left => "c",
 });
 
 #[derive(Default)]
@@ -434,12 +412,7 @@ struct ExternReq {
     index: IndexTuple,
 }
 snap_fields!(ExternReq {
-    tag => "t",
-    port => "p",
-    ext => "e",
-    args => "a",
-    nargs => "n",
-    index => "i",
+    tag => "t", port => "p", ext => "e", args => "a", nargs => "n", index => "i",
 });
 
 struct ExternUnit {
@@ -447,7 +420,7 @@ struct ExternUnit {
     busy: Option<ExternJob>,
     calls: u64,
 }
-snap_fields!(ExternUnit { queue => "q", busy => "busy", calls => "calls" });
+snap_fields!(ExternUnit { queue => "q", busy, calls });
 
 impl Default for ExternUnit {
     fn default() -> Self {
@@ -480,16 +453,16 @@ struct Core {
     retired: Box<[u64]>,
 }
 snap_fields!(Core {
-    next_seq => "next_seq",
-    next_tag => "next_tag",
-    last_progress => "last_progress",
-    escalated => "escalated",
-    wd_escalations => "wd_escalations",
-    wd_flushes => "wd_flushes",
-    squashes => "squashes",
-    requeues => "requeues",
-    bounces => "bounces",
-    retired => "retired",
+    next_seq,
+    next_tag,
+    last_progress,
+    escalated,
+    wd_escalations,
+    wd_flushes,
+    squashes,
+    requeues,
+    bounces,
+    retired,
 });
 
 /// Rollback-and-replay progress.
@@ -503,7 +476,11 @@ struct Rollback {
     /// `(fail_cycle, resume_cycle)` per rollback, in order.
     events: Vec<(u64, u64)>,
 }
-snap_fields!(Rollback { done => "done", replayed => "replayed", events => "events" });
+snap_fields!(Rollback {
+    done,
+    replayed,
+    events
+});
 
 /// The accelerator instance.
 pub struct Fabric {
@@ -2205,38 +2182,12 @@ fn tick_pipeline(
 }
 
 snap_fields!(Fabric {
-    cycle => "cycle",
-    core => "core",
-    rollback => "rollback",
-    live => "live",
-    seed_backlog => "seed_backlog",
-    pending_tasks => "pending_tasks",
-    pending_events => "pending_events",
-    bus_staged => "bus_staged",
-    bus_current => "bus_current",
-    fault_respill => "fault_respill",
-    resp => "resp",
-    retire_log => "retire_log",
-    queues => "queues",
-    engines => "engines",
-    mem => "mem",
-    pipelines => "pipelines",
-    metrics => "metrics",
-    trace => "trace",
-    timeline => "timeline",
-    tl_prev => "tl_prev",
-    spec: skip,
-    cfg: skip,
-    lint_errors: skip,
-    ckpt: skip,
-    ckpt_cycle: skip,
-    mids_rollback: skip,
-    mids: skip,
-    tr_host: skip,
-    tr_mem: skip,
-    tr_fault: skip,
-    tr_queues: skip,
-    tr_rules: skip,
+    cycle, core, rollback, live, seed_backlog, pending_tasks, pending_events,
+    bus_staged, bus_current, fault_respill, resp, retire_log, queues, engines,
+    mem, pipelines, metrics, trace, timeline, tl_prev,
+    spec: skip, cfg: skip, lint_errors: skip, ckpt: skip, ckpt_cycle: skip,
+    mids_rollback: skip, mids: skip, tr_host: skip, tr_mem: skip, tr_fault: skip,
+    tr_queues: skip, tr_rules: skip,
 } check Self::fits);
 
 impl Fabric {
@@ -2246,12 +2197,11 @@ impl Fabric {
     /// config)` triple is structural and omitted; see [`crate::snapshot`]
     /// for the contract.
     pub fn snapshot(&self) -> Json {
-        let Json::Obj(members) = self.save() else {
-            unreachable!("a struct saves as an object")
-        };
-        let mut doc = vec![("schema".to_string(), Json::str(SNAPSHOT_SCHEMA))];
-        doc.extend(members);
-        Json::Obj(doc)
+        let mut doc = self.save();
+        if let Json::Obj(members) = &mut doc {
+            members.insert(0, ("schema".into(), Json::str(SNAPSHOT_SCHEMA)));
+        }
+        doc
     }
 
     /// Rebuilds a fabric from the `(spec, input, cfg)` triple the
@@ -2274,14 +2224,8 @@ impl Fabric {
         cfg: FabricConfig,
         doc: &Json,
     ) -> Result<Fabric, String> {
-        match doc.get("schema") {
-            Some(Json::Str(s)) if s == SNAPSHOT_SCHEMA => {}
-            other => {
-                return Err(format!(
-                    "snapshot: `schema` is {}, expected `{SNAPSHOT_SCHEMA}`",
-                    other.map_or("missing".to_string(), Json::render)
-                ))
-            }
+        if doc.get("schema").and_then(Json::as_str) != Some(SNAPSHOT_SCHEMA) {
+            return Err(format!("snapshot: `schema` is not `{SNAPSHOT_SCHEMA}`"));
         }
         let mut f = Fabric::new(spec, input, cfg);
         f.load(doc).map_err(|e| snap::describe(&e))?;
@@ -2298,25 +2242,13 @@ impl Fabric {
         if self.timeline.is_some() != (self.cfg.timeline_window > 0) {
             return Err(".timeline: presence disagrees with config timeline_window".into());
         }
-        let (sets, queues) = (self.spec.task_sets().len(), self.queues.len());
-        in_range(
-            "seed_backlog",
-            self.seed_backlog.iter().map(|e| e.0 .0),
-            sets,
-            "task set",
-        )?;
-        in_range(
-            "pending_tasks",
-            self.pending_tasks.iter().map(|e| e.0 .0),
-            sets,
-            "task set",
-        )?;
-        in_range(
-            "fault_respill",
-            self.fault_respill.iter().map(|e| e.0),
-            queues,
-            "queue",
-        )?;
+        let sets = self.spec.task_sets().len();
+        let seeds = self.seed_backlog.iter().map(|e| e.0 .0);
+        in_range("seed_backlog", sets, seeds)?;
+        let spawned = self.pending_tasks.iter().map(|e| e.0 .0);
+        in_range("pending_tasks", sets, spawned)?;
+        let respilled = self.fault_respill.iter().map(|e| e.0);
+        in_range("fault_respill", self.queues.len(), respilled)?;
         let ports = self.resp.len();
         self.mem
             .check_loaded(ports, self.cfg.faults.is_enabled())
@@ -2329,18 +2261,11 @@ impl Fabric {
     }
 }
 
-/// Checks that every id in `ids`, the first member of each entry of
-/// snapshot member `key`, is below `len`.
-fn in_range(
-    key: &str,
-    mut ids: impl Iterator<Item = usize>,
-    len: usize,
-    what: &str,
-) -> Result<(), String> {
-    match ids.position(|id| id >= len) {
-        Some(i) => Err(format!(
-            ".{key}[{i}][0]: {what} out of range ({len} of them)"
-        )),
+/// Checks that the id leading each entry of snapshot member `key` is
+/// below `len`.
+fn in_range(key: &str, len: usize, ids: impl Iterator<Item = usize>) -> Result<(), String> {
+    match ids.enumerate().find(|&(_, id)| id >= len) {
+        Some((i, id)) => Err(format!(".{key}[{i}][0]: {id} is out of range (0..{len})")),
         None => Ok(()),
     }
 }

@@ -170,19 +170,9 @@ pub struct FaultStats {
     pub watchdog_flushed: u64,
 }
 snap_fields!(FaultStats [
-    soft_injected,
-    soft_corrected,
-    soft_refetched,
-    link_dropped,
-    link_late,
-    link_retried,
-    link_escalated,
-    lanes_masked,
-    lanes_drained,
-    banks_masked,
-    banks_drained,
-    watchdog_escalations,
-    watchdog_flushed,
+    soft_injected, soft_corrected, soft_refetched, link_dropped, link_late, link_retried,
+    link_escalated, lanes_masked, lanes_drained, banks_masked, banks_drained,
+    watchdog_escalations, watchdog_flushed,
 ]);
 
 /// One PRNG stream per fault site keeps the sites independent: a fill
@@ -201,7 +191,8 @@ snap_fields!(Streams [fill, link, lane, bank]);
 /// config is structure.
 ///
 /// The default plan has the default config, which injects nothing; it
-/// only exists for a snapshot load to fill, which then rejects it.
+/// only exists for a snapshot load to fill, which the memory subsystem
+/// then rejects.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     cfg: FaultConfig,
@@ -210,7 +201,11 @@ pub struct FaultPlan {
     /// both account into this).
     pub stats: FaultStats,
 }
-snap_fields!(FaultPlan { rng => "rng", stats => "stats", cfg: skip } check Self::armed);
+snap_fields!(FaultPlan {
+    rng,
+    stats,
+    cfg: skip
+});
 
 impl FaultPlan {
     /// Builds the plan; returns `None` when the config injects nothing,
@@ -278,16 +273,6 @@ impl FaultPlan {
     /// drops, it re-arms `retry_timeout << k` cycles later.
     pub fn backoff(&self, retries: u32) -> u64 {
         self.cfg.retry_timeout.saturating_mul(1u64 << retries.min(16))
-    }
-
-    /// A plan only exists when its config injects faults, so a loaded
-    /// one must belong to such a config.
-    fn armed(&self) -> Result<(), String> {
-        if self.cfg.is_enabled() {
-            Ok(())
-        } else {
-            Err("present, but this configuration injects no faults".into())
-        }
     }
 
     /// Re-salts the link stream for rollback epoch `epoch` (1-based).

@@ -221,18 +221,18 @@ pub struct MemorySubsystem {
 // In-flight pipes keep absolute ready cycles, and the meter's credit is
 // saved bit-exactly; `check_loaded` validates the requests.
 snap_fields!(MemorySubsystem {
-    image => "image",
-    tags => "tags",
-    requests => "requests",
-    hit_pipe => "hit_pipe",
-    miss_pipe => "miss_pipe",
-    write_pipe => "write_pipe",
-    miss_wait => "miss_wait",
-    lost => "lost",
-    link_failed => "link_failed",
-    faults => "faults",
-    qpi => "qpi",
-    stats => "stats",
+    image,
+    tags,
+    requests,
+    hit_pipe,
+    miss_pipe,
+    write_pipe,
+    miss_wait,
+    lost,
+    link_failed,
+    faults,
+    qpi,
+    stats,
     cfg: skip,
     miss_latency: skip,
     bases: skip,

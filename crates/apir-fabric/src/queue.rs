@@ -73,18 +73,8 @@ pub struct TaskQueue {
     masked: Box<[bool]>,
 }
 snap_fields!(TaskQueue {
-    banks => "banks",
-    counter => "counter",
-    push_rr => "push_rr",
-    pop_rr => "pop_rr",
-    pushed_total => "pushed_total",
-    peak => "peak",
-    capacity => "capacity",
-    masked => "masked",
-    kind: skip,
-    level: skip,
-    reserve: skip,
-    per_bank: skip,
+    banks, counter, push_rr, pop_rr, pushed_total, peak, capacity, masked,
+    kind: skip, level: skip, reserve: skip, per_bank: skip,
 } check Self::consistent);
 
 impl TaskQueue {

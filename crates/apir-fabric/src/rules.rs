@@ -58,7 +58,9 @@ pub struct RuleEngineStats {
     /// Peak simultaneously occupied lanes.
     pub peak_lanes: u64,
 }
-snap_fields!(RuleEngineStats [allocs, alloc_stalls, clause_fires, otherwise_fires, evictions, peak_lanes]);
+snap_fields!(RuleEngineStats [
+    allocs, alloc_stalls, clause_fires, otherwise_fires, evictions, peak_lanes,
+]);
 
 /// Handles for one rule engine's stable metric keys (`rule.<name>.*`).
 #[derive(Clone, Copy, Debug)]
@@ -113,13 +115,8 @@ struct Lane {
     claimed_port: Option<u32>,
 }
 snap_fields!(Lane {
-    parent_index => "pi",
-    parent_seq => "ps",
-    params => "pm",
-    tag => "t",
-    verdict => "v",
-    countdown => "cd",
-    claimed_port => "cp",
+    parent_index => "pi", parent_seq => "ps", params => "pm", tag => "t", verdict => "v",
+    countdown => "cd", claimed_port => "cp",
 });
 
 /// A rule engine serving one [`RuleDecl`].
@@ -141,11 +138,11 @@ pub struct RuleEngine {
     stats: RuleEngineStats,
 }
 snap_fields!(RuleEngine {
-    lanes => "lanes",
-    returns => "returns",
-    evicted_returns => "evicted_returns",
-    masked => "masked",
-    stats => "stats",
+    lanes,
+    returns,
+    evicted_returns,
+    masked,
+    stats,
     decl: skip,
     clauses: skip,
 });
@@ -497,23 +494,22 @@ impl RuleEngine {
     /// Every response port a lane or a deferred return names must exist:
     /// the fabric routes them by index.
     pub(crate) fn check_ports(&self, ports: usize) -> Result<(), String> {
+        let out_of_range = |p: u32| format!("port {p} out of range ({ports} ports)");
         for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(p) = lane.as_ref().and_then(|l| l.claimed_port) {
-                if p as usize >= ports {
-                    return Err(format!(
-                        ".lanes[{i}].cp: port {p} out of range ({ports} ports)"
-                    ));
+            match lane.as_ref().and_then(|l| l.claimed_port) {
+                Some(p) if p as usize >= ports => {
+                    return Err(format!(".lanes[{i}].cp: {}", out_of_range(p)))
                 }
+                _ => {}
             }
         }
-        for (i, &(p, _, _)) in self.evicted_returns.iter().enumerate() {
-            if p as usize >= ports {
-                return Err(format!(
-                    ".evicted_returns[{i}][0]: port {p} out of range ({ports} ports)"
-                ));
-            }
+        match self.evicted_returns.iter().position(|r| r.0 as usize >= ports) {
+            Some(i) => Err(format!(
+                ".evicted_returns[{i}][0]: {}",
+                out_of_range(self.evicted_returns[i].0)
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 

@@ -104,20 +104,13 @@ impl Snap for MemReq {
     }
 
     fn load(&mut self, j: &Json) -> Result<(), String> {
-        let MemReq {
-            port,
-            tag,
-            region,
-            offset,
-            write,
-        } = self;
-        snap::load_key(port, j, "p")?;
-        snap::load_key(tag, j, "t")?;
-        snap::load_key(region, j, "r")?;
-        snap::load_key(offset, j, "o")?;
+        snap::load_key(&mut self.port, j, "p")?;
+        snap::load_key(&mut self.tag, j, "t")?;
+        snap::load_key(&mut self.region, j, "r")?;
+        snap::load_key(&mut self.offset, j, "o")?;
         let mut w: Option<Vec<u64>> = None;
         snap::load_key(&mut w, j, "w")?;
-        *write = match w.as_deref() {
+        self.write = match w.as_deref() {
             None => None,
             Some(&[0, v]) => Some((WriteKind::Plain, v)),
             Some(&[1, v]) => Some((WriteKind::Min, v)),
@@ -160,24 +153,19 @@ impl Snap for EventMsg {
     }
 
     fn load(&mut self, j: &Json) -> Result<(), String> {
-        let EventMsg {
-            label,
-            payload,
-            len,
-            index,
-        } = self;
-        snap::load_key(label, j, "l")?;
-        snap::load_key(len, j, "n")?;
+        snap::load_key(&mut self.label, j, "l")?;
+        snap::load_key(&mut self.len, j, "n")?;
         let mut words: Vec<u64> = Vec::new();
         snap::load_key(&mut words, j, "p")?;
-        if words.len() != usize::from(*len) || words.len() > MAX_FIELDS {
+        if words.len() != usize::from(self.len) || words.len() > MAX_FIELDS {
             return Err(format!(
-                ".p: {} words, but `n` is {len} (at most {MAX_FIELDS})",
-                words.len()
+                ".p: {} words, but `n` is {} (at most {MAX_FIELDS})",
+                words.len(),
+                self.len
             ));
         }
-        *payload = to_fields(&words);
-        snap::load_key(index, j, "i")
+        self.payload = to_fields(&words);
+        snap::load_key(&mut self.index, j, "i")
     }
 }
 

@@ -343,12 +343,9 @@ fn load_metric(m: &mut Metric, key: &str, e: &Json) -> Result<(), String> {
         Metric::Histogram(_) => (2, 7),
     };
     let p = snap::items(e)?;
-    if p.first().and_then(Json::as_str) != Some(key) {
-        return Err(format!("expected metric `{key}` here"));
-    }
-    if p.len() != arity || p[1].as_u64() != Some(code) {
+    if p.len() != arity || p[0].as_str() != Some(key) || p[1].as_u64() != Some(code) {
         return Err(format!(
-            "`{key}` must be [key, {code}, ...] with {arity} elements"
+            "expected [\"{key}\", {code}, ...] with {arity} elements"
         ));
     }
     match m {

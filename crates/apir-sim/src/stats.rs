@@ -150,14 +150,8 @@ impl Snap for ActivityTracker {
     fn load(&mut self, j: &Json) -> Result<(), String> {
         let mut v = [0u64; 3 + StallCause::COUNT];
         v.load(j)?;
-        let Self {
-            busy,
-            stall,
-            idle,
-            stall_by,
-        } = self;
-        (*busy, *stall, *idle) = (v[0], v[1], v[2]);
-        stall_by.copy_from_slice(&v[3..]);
+        [self.busy, self.stall, self.idle] = [v[0], v[1], v[2]];
+        self.stall_by.copy_from_slice(&v[3..]);
         Ok(())
     }
 }

@@ -105,13 +105,8 @@ pub struct TimelineRecorder {
     dropped: u64,
 }
 snap_fields!(TimelineRecorder {
-    cur => "cur",
-    cur_len => "cur_len",
-    cur_start => "cur_start",
-    dropped => "dropped",
-    ring => "ring",
-    window: skip,
-    capacity: skip,
+    cur, cur_len, cur_start, dropped, ring,
+    window: skip, capacity: skip,
 } check Self::fits);
 
 impl TimelineRecorder {

@@ -110,11 +110,6 @@ impl EventTrace {
         self.buf.is_empty()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Records evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -140,14 +135,6 @@ impl EventTrace {
 /// the receiver's table unchanged.
 impl Snap for EventTrace {
     fn save(&self) -> Json {
-        let Self {
-            cap: _,
-            buf,
-            dropped,
-            emitted,
-            components,
-            events: _,
-        } = self;
         let record = |r: &TraceRecord| {
             Json::Arr(vec![
                 r.cycle.save(),
@@ -159,71 +146,64 @@ impl Snap for EventTrace {
         Json::obj([
             (
                 "components",
-                Json::arr(components.iter().map(|c| Json::str(c.as_str()))),
+                Json::arr(self.components.iter().map(Json::str)),
             ),
-            ("records", Json::arr(buf.iter().map(record))),
-            ("dropped", dropped.save()),
-            ("emitted", emitted.save()),
+            ("records", Json::arr(self.buf.iter().map(record))),
+            ("dropped", self.dropped.save()),
+            ("emitted", self.emitted.save()),
         ])
     }
 
     fn load(&mut self, j: &Json) -> Result<(), String> {
-        let Self {
-            cap,
-            buf,
-            dropped,
-            emitted,
-            components,
-            events,
-        } = self;
         let names = snap::items(snap::member(j, "components")?)
             .map_err(|e| snap::nest(".components", e))?;
-        if !names
-            .iter()
-            .map(Json::as_str)
-            .eq(components.iter().map(|c| Some(c.as_str())))
-        {
+        let interned = self.components.iter().map(|c| Some(c.as_str()));
+        if !names.iter().map(Json::as_str).eq(interned) {
             return Err(".components: differ from the components this fabric interns".into());
         }
-        let record = |r: &Json| -> Result<TraceRecord, String> {
-            let p = snap::items_n(r, 4)?;
-            let mut rec = TraceRecord {
-                cycle: 0,
-                comp: CompId(0),
-                event: "",
-                value: 0,
-            };
-            snap::load_at(&mut rec.cycle, p, 0)?;
-            snap::load_at(&mut rec.comp.0, p, 1)?;
-            if rec.comp.0 as usize >= components.len() {
-                return Err(format!("[1]: component {} out of range", rec.comp.0));
-            }
-            rec.event = p[2]
-                .as_str()
-                .and_then(|e| events.iter().copied().find(|&k| k == e))
-                .ok_or_else(|| format!("[2]: unknown event {}", p[2].render()))?;
-            snap::load_at(&mut rec.value, p, 3)?;
-            Ok(rec)
-        };
         let records =
             snap::items(snap::member(j, "records")?).map_err(|e| snap::nest(".records", e))?;
-        *buf = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| record(r).map_err(|e| snap::nest(format_args!(".records[{i}]"), e)))
-            .collect::<Result<_, _>>()?;
-        snap::load_key(dropped, j, "dropped")?;
-        snap::load_key(emitted, j, "emitted")?;
-        if buf.len() > *cap || *emitted != buf.len() as u64 + *dropped {
+        self.buf.clear();
+        for (i, r) in records.iter().enumerate() {
+            let rec = self.load_record(r);
+            self.buf
+                .push_back(rec.map_err(|e| snap::nest(format_args!(".records[{i}]"), e))?);
+        }
+        snap::load_key(&mut self.dropped, j, "dropped")?;
+        snap::load_key(&mut self.emitted, j, "emitted")?;
+        let kept = self.buf.len();
+        if kept > self.cap || self.emitted != kept as u64 + self.dropped {
             return Err(format!(
-                ".records: {} records with {} dropped of {} emitted, capacity {}",
-                buf.len(),
-                dropped,
-                emitted,
-                cap
+                ".records: {kept} kept and {} dropped of {} emitted, capacity {}",
+                self.dropped, self.emitted, self.cap
             ));
         }
         Ok(())
+    }
+}
+
+impl EventTrace {
+    /// Decodes one saved record against the receiver's components and
+    /// event labels.
+    fn load_record(&self, r: &Json) -> Result<TraceRecord, String> {
+        let p = snap::items_n(r, 4)?;
+        let (mut cycle, mut comp, mut value) = (0, 0u32, 0);
+        snap::load_at(&mut cycle, p, 0)?;
+        snap::load_at(&mut comp, p, 1)?;
+        if comp as usize >= self.components.len() {
+            return Err(format!("[1]: component {comp} out of range"));
+        }
+        let event = p[2]
+            .as_str()
+            .and_then(|e| self.events.iter().copied().find(|&k| k == e))
+            .ok_or_else(|| format!("[2]: unknown event {}", p[2].render()))?;
+        snap::load_at(&mut value, p, 3)?;
+        Ok(TraceRecord {
+            cycle,
+            comp: CompId(comp),
+            event,
+            value,
+        })
     }
 }
 
@@ -258,7 +238,6 @@ mod tests {
     #[test]
     fn capacity_floor_is_one() {
         let mut t = EventTrace::new(0, &["e"]);
-        assert_eq!(t.capacity(), 1);
         let c = t.comp("x");
         t.record(1, c, "e", 1);
         t.record(2, c, "e", 1);

@@ -200,58 +200,38 @@ impl<T: Snap> Snap for [T] {
     }
 }
 
-impl<T: Snap, const N: usize> Snap for [T; N] {
-    fn save(&self) -> Json {
-        self[..].save()
-    }
+/// Fixed-length owners delegate to the slice.
+macro_rules! fixed {
+    ($($t:ty => [$($g:tt)*]),*) => {$(
+        impl<$($g)*> Snap for $t {
+            fn save(&self) -> Json {
+                self[..].save()
+            }
 
-    fn load(&mut self, j: &Json) -> Result<(), String> {
-        self[..].load(j)
-    }
+            fn load(&mut self, j: &Json) -> Result<(), String> {
+                self[..].load(j)
+            }
+        }
+    )*};
 }
+fixed!([T; N] => [T: Snap, const N: usize], Box<[T]> => [T: Snap]);
 
-impl<T: Snap> Snap for Box<[T]> {
-    fn save(&self) -> Json {
-        self[..].save()
-    }
+/// Growable collections rebuild themselves from the document.
+macro_rules! growable {
+    ($($t:ident $(+ $bound:ident)?),*) => {$(
+        impl<T: Snap + Default $(+ $bound)?> Snap for $t<T> {
+            fn save(&self) -> Json {
+                Json::Arr(self.iter().map(Snap::save).collect())
+            }
 
-    fn load(&mut self, j: &Json) -> Result<(), String> {
-        self[..].load(j)
-    }
+            fn load(&mut self, j: &Json) -> Result<(), String> {
+                *self = collect(j)?;
+                Ok(())
+            }
+        }
+    )*};
 }
-
-impl<T: Snap + Default> Snap for Vec<T> {
-    fn save(&self) -> Json {
-        self[..].save()
-    }
-
-    fn load(&mut self, j: &Json) -> Result<(), String> {
-        *self = collect(j)?;
-        Ok(())
-    }
-}
-
-impl<T: Snap + Default> Snap for VecDeque<T> {
-    fn save(&self) -> Json {
-        Json::Arr(self.iter().map(Snap::save).collect())
-    }
-
-    fn load(&mut self, j: &Json) -> Result<(), String> {
-        *self = collect(j)?;
-        Ok(())
-    }
-}
-
-impl<T: Snap + Default + Ord> Snap for BTreeSet<T> {
-    fn save(&self) -> Json {
-        Json::Arr(self.iter().map(Snap::save).collect())
-    }
-
-    fn load(&mut self, j: &Json) -> Result<(), String> {
-        *self = collect(j)?;
-        Ok(())
-    }
-}
+growable!(Vec, VecDeque, BTreeSet + Ord);
 
 impl<K: Snap + Default + Ord, V: Snap + Default> Snap for BTreeMap<K, V> {
     fn save(&self) -> Json {
@@ -289,18 +269,20 @@ tuple!(5: A 0, B 1, C 2, D 3, E 4);
 
 /// Implements [`Snap`] for a struct from one list of its fields.
 ///
-/// Three encodings, chosen by the brackets:
+/// Every field must appear, either saved or marked `field: skip`; a
+/// skipped field is structure the receiver already holds. The brackets
+/// choose the encoding:
 ///
-/// * `Name { field => "key", other: skip }` — an object with one member
-///   per listed field, in list order;
-/// * `Name [a, b, other: skip]` — a positional array (stats structs);
-/// * `Name (inner, other: skip)` — exactly the encoding of `inner`.
+/// * `Name { a, b => "k", c: skip }` — an object with one member per
+///   saved field, in list order, named after the field unless `=> "key"`
+///   renames it;
+/// * `Name [a, b, c: skip]` — a positional array (stats structs);
+/// * `Name (a, c: skip)` — exactly the encoding of its one saved field
+///   (`Id(0)` for a newtype).
 ///
-/// Every field must appear, either listed or marked `skip`; a skipped
-/// field is structure the receiver already holds. A trailing
-/// `check path` names a `fn(&Self) -> Result<(), String>` that
-/// [`Snap::load`] runs after the last member, for invariants that span
-/// fields. Type parameters gain a `Snap + Default` bound.
+/// A trailing `check path` names a `fn(&Self) -> Result<(), String>`
+/// that [`Snap::load`] runs after the last field, for invariants that
+/// span fields. Type parameters gain a `Snap + Default` bound.
 ///
 /// ```
 /// use apir_util::snap::Snap;
@@ -312,16 +294,16 @@ tuple!(5: A 0, B 1, C 2, D 3, E 4);
 ///     used: u64,
 ///     peak: u64,
 /// }
-/// snap_fields!(Meter { used => "u", peak => "p", rate: skip });
+/// snap_fields!(Meter { used, peak => "p", rate: skip });
 ///
 /// let m = Meter { rate: 7, used: 3, peak: 5 };
+/// assert_eq!(m.save().render(), r#"{"used":3,"p":5}"#);
 /// let mut back = Meter { rate: 7, ..Meter::default() };
 /// back.load(&m.save()).unwrap();
 /// assert_eq!((back.used, back.peak), (3, 5));
-/// assert_eq!(m.save().render(), r#"{"u":3,"p":5}"#);
 /// ```
 ///
-/// A field that is neither listed nor skipped does not compile:
+/// A field that is neither saved nor skipped does not compile:
 ///
 /// ```compile_fail
 /// use apir_util::snap_fields;
@@ -331,102 +313,89 @@ tuple!(5: A 0, B 1, C 2, D 3, E 4);
 ///     used: u64,
 ///     peak: u64,
 /// }
-/// snap_fields!(Meter { used => "u", rate: skip });
+/// snap_fields!(Meter { used, rate: skip });
 /// ```
 #[macro_export]
 macro_rules! snap_fields {
-    (
-        $name:ident $(<$($g:ident),+>)?
-        { $($f:ident $sep:tt $val:tt),* $(,)? }
-        $(check $chk:path)?
-    ) => {
-        impl$(<$($g: $crate::snap::Snap + Default),+>)? $crate::snap::Snap for $name$(<$($g),+>)? {
+    ($name:ident $(<$($g:ident),+>)? { $($f:tt)* } $(check $chk:path)?) => {
+        $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] { $($f)* } [$($chk)?]);
+    };
+    ($name:ident $(<$($g:ident),+>)? [ $($f:tt)* ] $(check $chk:path)?) => {
+        $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] [ $($f)* ] [$($chk)?]);
+    };
+    ($name:ident $(<$($g:ident),+>)? ( $($f:tt)* ) $(check $chk:path)?) => {
+        $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] ( $($f)* ) [$($chk)?]);
+    };
+    (@impl [$ty:ty] [$($g:ident),*] $fields:tt [$($chk:path)?]) => {
+        impl<$($g: $crate::snap::Snap + Default),*> $crate::snap::Snap for $ty {
             fn save(&self) -> $crate::json::Json {
-                let Self { $($f),* } = self;
-                let mut members = Vec::new();
-                $($crate::snap_fields!(@save members $f $sep $val);)*
-                $crate::json::Json::Obj(members)
+                $crate::snap_fields!(@save self $fields)
             }
 
             fn load(&mut self, j: &$crate::json::Json) -> Result<(), String> {
-                let Self { $($f),* } = self;
-                $($crate::snap_fields!(@load j $f $sep $val);)*
+                $crate::snap_fields!(@load self j $fields);
                 $($chk(self)?;)?
                 Ok(())
             }
         }
     };
-    (
-        $name:ident $(<$($g:ident),+>)?
-        [ $($f:ident $(: $skip:ident)?),* $(,)? ]
-        $(check $chk:path)?
-    ) => {
-        impl$(<$($g: $crate::snap::Snap + Default),+>)? $crate::snap::Snap for $name$(<$($g),+>)? {
-            fn save(&self) -> $crate::json::Json {
-                let Self { $($f),* } = self;
-                let mut items = Vec::new();
-                $($crate::snap_fields!(@push items $f $($skip)?);)*
-                $crate::json::Json::Arr(items)
-            }
-
-            fn load(&mut self, j: &$crate::json::Json) -> Result<(), String> {
-                let Self { $($f),* } = self;
-                let n = 0 $(+ $crate::snap_fields!(@count $f $($skip)?))*;
-                let a = $crate::snap::items_n(j, n)?;
-                let mut i = 0;
-                $($crate::snap_fields!(@next a i $f $($skip)?);)*
-                let _ = i;
-                $($chk(self)?;)?
-                Ok(())
-            }
-        }
+    (@save $s:ident { $($f:ident $(=> $key:literal)? $(: $skip:ident)?),* $(,)? }) => {{
+        let Self { $($f),* } = $s;
+        let mut members = Vec::new();
+        $($crate::snap_fields!(@member members $f [$($key)?] [$($skip)?]);)*
+        $crate::json::Json::Obj(members)
+    }};
+    (@save $s:ident [ $($f:ident $(: $skip:ident)?),* $(,)? ]) => {{
+        let Self { $($f),* } = $s;
+        let mut items = Vec::new();
+        $($crate::snap_fields!(@item items $f [$($skip)?]);)*
+        $crate::json::Json::Arr(items)
+    }};
+    (@save $s:ident ( $inner:tt $(, $f:ident: skip)* $(,)? )) => {{
+        let Self { $inner: v, $($f: _),* } = $s;
+        $crate::snap::Snap::save(v)
+    }};
+    (@load $s:ident $j:ident { $($f:ident $(=> $key:literal)? $(: $skip:ident)?),* $(,)? }) => {
+        let Self { $($f),* } = $s;
+        $($crate::snap_fields!(@load_member $j $f [$($key)?] [$($skip)?]);)*
     };
-    (
-        $name:ident $(<$($g:ident),+>)?
-        ( $inner:ident $(, $f:ident: skip)* $(,)? )
-        $(check $chk:path)?
-    ) => {
-        impl$(<$($g: $crate::snap::Snap + Default),+>)? $crate::snap::Snap for $name$(<$($g),+>)? {
-            fn save(&self) -> $crate::json::Json {
-                let Self { $inner, $($f: _),* } = self;
-                $crate::snap::Snap::save($inner)
-            }
-
-            fn load(&mut self, j: &$crate::json::Json) -> Result<(), String> {
-                let Self { $inner, $($f: _),* } = self;
-                $crate::snap::Snap::load($inner, j)?;
-                $($chk(self)?;)?
-                Ok(())
-            }
-        }
+    (@load $s:ident $j:ident [ $($f:ident $(: $skip:ident)?),* $(,)? ]) => {
+        let Self { $($f),* } = $s;
+        let n = 0 $(+ $crate::snap_fields!(@count [$($skip)?]))*;
+        let a = $crate::snap::items_n($j, n)?;
+        let mut i = 0;
+        $($crate::snap_fields!(@load_item a i $f [$($skip)?]);)*
+        let _ = i;
     };
-    (@save $m:ident $f:ident => $key:literal) => {
+    (@load $s:ident $j:ident ( $inner:tt $(, $f:ident: skip)* $(,)? )) => {
+        let Self { $inner: v, $($f: _),* } = $s;
+        $crate::snap::Snap::load(v, $j)?;
+    };
+    (@member $m:ident $f:ident [] []) => {
+        $m.push((stringify!($f).to_string(), $crate::snap::Snap::save($f)))
+    };
+    (@member $m:ident $f:ident [$key:literal] []) => {
         $m.push(($key.to_string(), $crate::snap::Snap::save($f)))
     };
-    (@save $m:ident $f:ident : skip) => {{
-        let _ = $f;
-    }};
-    (@load $j:ident $f:ident => $key:literal) => {
+    (@load_member $j:ident $f:ident [] []) => {
+        $crate::snap::load_key($f, $j, stringify!($f))?
+    };
+    (@load_member $j:ident $f:ident [$key:literal] []) => {
         $crate::snap::load_key($f, $j, $key)?
     };
-    (@load $j:ident $f:ident : skip) => {{
-        let _ = $f;
-    }};
-    (@push $v:ident $f:ident) => {
+    (@item $v:ident $f:ident []) => {
         $v.push($crate::snap::Snap::save($f))
     };
-    (@push $v:ident $f:ident skip) => {{
-        let _ = $f;
-    }};
-    (@count $f:ident) => { 1 };
-    (@count $f:ident skip) => { 0 };
-    (@next $a:ident $i:ident $f:ident) => {{
+    (@load_item $a:ident $i:ident $f:ident []) => {{
         $crate::snap::load_at($f, $a, $i)?;
         $i += 1;
     }};
-    (@next $a:ident $i:ident $f:ident skip) => {{
-        let _ = $f;
-    }};
+    (@count []) => { 1 };
+    (@count [skip]) => { 0 };
+    (@member $m:ident $f:ident [] [skip]) => { let _ = $f; };
+    (@load_member $j:ident $f:ident [] [skip]) => { let _ = $f; };
+    (@item $v:ident $f:ident [skip]) => { let _ = $f; };
+    (@load_item $a:ident $i:ident $f:ident [skip]) => { let _ = $f; };
 }
 
 #[cfg(test)]
