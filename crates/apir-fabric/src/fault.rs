@@ -190,9 +190,8 @@ snap_fields!(Streams [fill, link, lane, bank]);
 /// fabric. A snapshot carries the stream positions and the totals; the
 /// config is structure.
 ///
-/// The default plan has the default config, which injects nothing; it
-/// only exists for a snapshot load to fill, which the memory subsystem
-/// then rejects.
+/// The default plan has the default config, which injects nothing: it is
+/// a placeholder for a snapshot load, which the memory subsystem rejects.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     cfg: FaultConfig,

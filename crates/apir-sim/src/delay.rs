@@ -105,8 +105,8 @@ impl<T> DelayLine<T> {
 /// FPGAs since they require large matching logics"), which is why its
 /// `capacity` is small and everything else stays in-order.
 ///
-/// The default station has no slots; it only exists for a snapshot load
-/// to fill, which then fails unless the document's station is empty.
+/// The default station has no slots: it is a placeholder for a snapshot
+/// load, which the owning pipeline rejects.
 #[derive(Clone, Debug, Default)]
 pub struct OutOfOrderStation<T> {
     cap: usize,

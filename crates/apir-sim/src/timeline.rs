@@ -92,8 +92,8 @@ pub struct Timeline {
 /// Accumulates per-cycle deltas into windows of `window` cycles, keeping
 /// the newest `capacity` windows.
 ///
-/// The default recorder has a zero window; it only exists for a snapshot
-/// load to fill, which always rejects it.
+/// The default recorder has a zero window: it is a placeholder for a
+/// snapshot load, which rejects it.
 #[derive(Clone, Debug, Default)]
 pub struct TimelineRecorder {
     window: u64,

@@ -37,8 +37,8 @@ pub struct TraceRecord {
 
 /// The bounded trace buffer.
 ///
-/// The default trace has capacity 0 and no event labels; it only exists
-/// for a snapshot load to fill, which fails on any record.
+/// The default trace has no capacity, components or labels: it is a
+/// placeholder for a snapshot load, which rejects it.
 #[derive(Clone, Debug, Default)]
 pub struct EventTrace {
     cap: usize,

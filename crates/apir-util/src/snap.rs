@@ -13,7 +13,8 @@
 //!
 //! * integers load through checked conversions, never truncating;
 //! * `f64` is saved as its raw IEEE-754 bits, so a round trip is exact;
-//! * `Option` saves `None` as `null`;
+//! * `Option` saves `None` as `null`, and a value loaded into `None`
+//!   starts from `T::default()`;
 //! * `Vec`, `VecDeque`, `BTreeSet` and `BTreeMap` are growable arrays (a
 //!   map is an array of `[key, value]` pairs in key order);
 //! * slices, arrays and `Box<[T]>` have a structural length and reject a

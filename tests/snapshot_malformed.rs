@@ -59,48 +59,29 @@ fn restore(i: usize, doc: &Json) -> Result<Fabric, String> {
     Fabric::restore(&app.spec, &app.input, cfg, doc)
 }
 
-/// The SPEC-BFS golden doc with `edit` applied to its `mem` member.
-fn bfs_with(edit: impl FnOnce(&mut Vec<(String, Json)>)) -> Json {
-    let Json::Obj(mut doc) = parse(GOLDEN[0].1).unwrap() else {
-        unreachable!("a snapshot is an object")
-    };
-    let (_, Json::Obj(mem)) = doc.iter_mut().find(|(k, _)| k == "mem").unwrap() else {
-        unreachable!("`mem` is an object")
-    };
-    edit(mem);
-    Json::Obj(doc)
-}
-
-fn member<'a>(obj: &'a mut [(String, Json)], key: &str) -> &'a mut Json {
-    &mut obj.iter_mut().find(|(k, _)| k == key).unwrap().1
-}
-
-/// The queued memory requests: `mem.requests.v`.
-fn requests(mem: &mut [(String, Json)]) -> &mut Vec<Json> {
-    let Json::Obj(fifo) = member(mem, "requests") else {
-        unreachable!()
-    };
-    let Json::Arr(v) = member(fifo, "v") else {
-        unreachable!()
-    };
-    v
-}
-
-/// Sets member `key` of the first queued request.
-fn first_request(key: &'static str, value: Json) -> Json {
-    bfs_with(|mem| {
-        let Json::Obj(req) = &mut requests(mem)[0] else {
-            unreachable!()
-        };
-        *member(req, key) = value;
+/// The member at a dotted `path` of object keys and array indices.
+fn at<'a>(j: &'a mut Json, path: &str) -> &'a mut Json {
+    path.split('.').fold(j, |j, seg| match j {
+        Json::Obj(m) => &mut m.iter_mut().find(|(k, _)| k == seg).expect(seg).1,
+        Json::Arr(v) => &mut v[seg.parse::<usize>().expect(seg)],
+        _ => panic!("no member `{seg}` in {path}"),
     })
 }
 
-fn rejected(doc: &Json) -> String {
-    match restore(0, doc) {
-        Ok(_) => panic!("a malformed snapshot was accepted"),
+/// Restores golden doc `i` after `edit` and returns the error it must
+/// produce.
+fn rejected(i: usize, edit: impl FnOnce(&mut Json)) -> String {
+    let mut doc = parse(GOLDEN[i].1).unwrap();
+    edit(&mut doc);
+    match restore(i, &doc) {
+        Ok(_) => panic!("a malformed {} snapshot was accepted", GOLDEN[i].0),
         Err(e) => e,
     }
+}
+
+/// Restores golden doc `i` with `value` at `path`.
+fn rejected_value(i: usize, path: &str, value: Json) -> String {
+    rejected(i, |d| *at(d, path) = value)
 }
 
 #[test]
@@ -113,66 +94,63 @@ fn the_unedited_golden_doc_restores() {
 
 #[test]
 fn an_overfull_request_fifo_is_rejected() {
-    let doc = bfs_with(|mem| {
-        let v = requests(mem);
-        let first = v[0].clone();
-        v.resize(257, first);
+    let e = rejected(0, |d| {
+        let Json::Arr(v) = at(d, "mem.requests.v") else {
+            unreachable!("a FIFO half is an array")
+        };
+        v.resize(257, v[0].clone());
     });
-    assert_eq!(
-        rejected(&doc),
-        "snapshot: `mem.requests`: holds 257 elements, capacity 256"
-    );
+    assert_eq!(e, "snapshot: `mem.requests`: holds 257 elements, capacity 256");
 }
 
 #[test]
 fn an_out_of_range_region_is_rejected() {
-    let e = rejected(&first_request("r", Json::U64(99)));
-    assert!(
-        e.starts_with("snapshot: `mem.requests.v[0].r`: region 99 out of range"),
-        "{e}"
-    );
+    let e = rejected_value(0, "mem.requests.v.0.r", Json::U64(99));
+    assert!(e.starts_with("snapshot: `mem.requests.v[0].r`: region 99 out of range"), "{e}");
 }
 
 #[test]
 fn an_out_of_range_offset_is_rejected() {
-    let e = rejected(&first_request("o", Json::U64(1_000_000_000_000)));
-    assert!(
-        e.starts_with("snapshot: `mem.requests.v[0].o`: offset 1000000000000 is past"),
-        "{e}"
-    );
+    let e = rejected_value(0, "mem.requests.v.0.o", Json::U64(1_000_000_000_000));
+    assert!(e.starts_with("snapshot: `mem.requests.v[0].o`: offset 1000000000000 is past"), "{e}");
 }
 
 #[test]
 fn an_out_of_range_port_is_rejected() {
-    let e = rejected(&first_request("p", Json::U64(999)));
-    assert!(
-        e.starts_with("snapshot: `mem.requests.v[0].p`: port 999 out of range"),
-        "{e}"
-    );
+    let e = rejected_value(0, "mem.requests.v.0.p", Json::U64(999));
+    assert!(e.starts_with("snapshot: `mem.requests.v[0].p`: port 999 out of range"), "{e}");
 }
 
 #[test]
 fn a_hit_pipe_out_of_ready_order_is_rejected() {
-    let doc = bfs_with(|mem| {
-        let req = requests(mem)[0].clone();
-        *member(mem, "hit_pipe") = Json::arr([
+    let e = rejected(0, |d| {
+        let req = at(d, "mem.requests.v.0").clone();
+        *at(d, "mem.hit_pipe") = Json::arr([
             Json::arr([Json::U64(410), req.clone()]),
             Json::arr([Json::U64(405), req]),
         ]);
     });
     assert_eq!(
-        rejected(&doc),
+        e,
         "snapshot: `mem.hit_pipe[1]`: ready cycle 405 is earlier than the 410 before it"
     );
 }
 
 #[test]
-fn a_port_that_does_not_fit_u32_is_rejected_not_truncated() {
-    let e = rejected(&first_request("p", Json::U64(1 << 32)));
-    assert_eq!(
-        e,
-        "snapshot: `mem.requests.v[0].p`: 4294967296 does not fit in u32"
-    );
+fn extern_and_rule_lane_fields_are_checked_against_the_structure() {
+    // (golden doc, member, value, start of the error).
+    let cases = [
+        (0, "mem.requests.v.0.p", Json::U64(1 << 32), "`mem.requests.v[0].p`: 4294967296 does not fit in u32"),
+        (1, "engines.0.lanes.3.cp", Json::U64(999), "`engines[0].lanes[3].cp`: port 999 out of range"),
+        (2, "pipelines.1.ext.q.v.0.e", Json::U64(1), "`pipelines[1].ext.q.v[0].e`: port 1 calls extern 0"),
+        (2, "pipelines.1.ext.q.v.0.n", Json::U64(9), "`pipelines[1].ext.q.v[0].n`: 9 arguments, at most 8"),
+        (2, "pipelines.1.ext.q.v.0.n", Json::U64(256), "`pipelines[1].ext.q.v[0].n`: 256 does not fit in u8"),
+        (2, "pipelines.0.ext.busy.p", Json::U64(999), "`pipelines[0].ext.busy.p`: port 999 calls no extern"),
+    ];
+    for (i, path, value, want) in cases {
+        let e = rejected_value(i, path, value);
+        assert!(e.starts_with(&format!("snapshot: {want}")), "{path}: {e}");
+    }
 }
 
 /// Number of nodes in `j` (itself included) that satisfy `pick`.
