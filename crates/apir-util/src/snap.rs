@@ -304,7 +304,8 @@ tuple!(5: A 0, B 1, C 2, D 3, E 4);
 /// assert_eq!((back.used, back.peak), (3, 5));
 /// ```
 ///
-/// A field that is neither saved nor skipped does not compile:
+/// A field that is neither saved nor skipped does not compile; rustc
+/// reports the macro's destructuring pattern as needing `..`:
 ///
 /// ```compile_fail
 /// use apir_util::snap_fields;
@@ -328,6 +329,9 @@ macro_rules! snap_fields {
         $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] ( $($f)* ) [$($chk)?]);
     };
     (@impl [$ty:ty] [$($g:ident),*] $fields:tt [$($chk:path)?]) => {
+        // Skipped fields interleave with saved ones, so the bodies push
+        // one saved field at a time and count them as `0 + 1 + ...`.
+        #[allow(clippy::vec_init_then_push, clippy::identity_op)]
         impl<$($g: $crate::snap::Snap + Default),*> $crate::snap::Snap for $ty {
             fn save(&self) -> $crate::json::Json {
                 $crate::snap_fields!(@save self $fields)

@@ -5,13 +5,15 @@
 //! `apir-trace snapshot` builds it (synthesized config, scaled cache,
 //! app tune) and compares the compact rendering with a document
 //! committed under `tests/golden/`. A codec change that moves a single
-//! byte fails here and names the first differing key.
+//! byte fails here and names the first differing key, as
+//! `apir-trace diff` would.
 
 use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::build_app;
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FaultConfig, RunSplit};
-use apir_util::json::{parse, Json};
+use apir::trace::{diff_docs, DiffLine};
+use apir_util::json::parse;
 
 /// One pinned pause: app, pause cycle, trace capacity, chaos seed, and
 /// timeline window (0 leaves the recorder off).
@@ -40,49 +42,22 @@ fn retake(p: &Pause) -> String {
     }
 }
 
-/// Path of the first member where `a` and `b` differ, in document
-/// order (`mem.requests.v[0].r`), or `None` when they are equal.
-fn first_diff(a: &Json, b: &Json, path: &str) -> Option<String> {
-    let here = || if path.is_empty() { "<root>".to_string() } else { path.to_string() };
-    match (a, b) {
-        (Json::Obj(x), Json::Obj(y)) => {
-            for (i, (k, v)) in x.iter().enumerate() {
-                let sub = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
-                match y.get(i) {
-                    Some((k2, v2)) if k2 == k => {
-                        if let Some(d) = first_diff(v, v2, &sub) {
-                            return Some(d);
-                        }
-                    }
-                    _ => return Some(sub),
-                }
-            }
-            (x.len() != y.len()).then(here)
-        }
-        (Json::Arr(x), Json::Arr(y)) => {
-            for (i, (v, v2)) in x.iter().zip(y).enumerate() {
-                if let Some(d) = first_diff(v, v2, &format!("{path}[{i}]")) {
-                    return Some(d);
-                }
-            }
-            (x.len() != y.len()).then(here)
-        }
-        _ => (a != b).then(here),
-    }
-}
-
 fn check(p: &Pause, golden: &str) {
     let got = retake(p);
     if got == golden {
         return;
     }
-    let key = match (parse(&got), parse(golden)) {
-        (Ok(g), Ok(w)) => first_diff(&g, &w, "").unwrap_or_else(|| "<number rendering>".into()),
-        (_, Err(e)) => format!("<golden does not parse: {e}>"),
-        (Err(e), _) => format!("<retaken doc does not parse: {e}>"),
+    let first = match (parse(golden), parse(&got)) {
+        (Ok(want), Ok(have)) => match diff_docs(&want, &have, false) {
+            Ok(lines) => lines
+                .first()
+                .map_or("member order".into(), DiffLine::render),
+            Err(e) => e,
+        },
+        (Err(e), _) | (_, Err(e)) => format!("unparsable document: {e}"),
     };
     panic!(
-        "{} at cycle {}: snapshot bytes differ from the golden doc; first differing key: {key}",
+        "{} at cycle {}: snapshot bytes differ from the golden doc; first differing key: {first}",
         p.app, p.at
     );
 }
@@ -126,14 +101,4 @@ fn coor_lu_chaos_timeline_at_20_matches_the_golden_doc() {
         timeline_window: 8,
     };
     check(&p, include_str!("golden/coor_lu_20_chaos7_timeline.json"));
-}
-
-#[test]
-fn first_diff_names_the_member() {
-    let a = parse(r#"{"mem":{"requests":{"v":[{"r":2,"o":3}]}},"x":1}"#).unwrap();
-    let b = parse(r#"{"mem":{"requests":{"v":[{"r":99,"o":3}]}},"x":1}"#).unwrap();
-    assert_eq!(first_diff(&a, &b, "").as_deref(), Some("mem.requests.v[0].r"));
-    assert_eq!(first_diff(&a, &a, ""), None);
-    let short = parse(r#"{"mem":{"requests":{"v":[]}},"x":1}"#).unwrap();
-    assert_eq!(first_diff(&a, &short, "").as_deref(), Some("mem.requests.v"));
 }

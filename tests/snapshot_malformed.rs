@@ -86,9 +86,8 @@ fn rejected_value(i: usize, path: &str, value: Json) -> String {
 
 #[test]
 fn the_unedited_golden_doc_restores() {
-    for i in 0..GOLDEN.len() {
-        let doc = parse(GOLDEN[i].1).unwrap();
-        assert!(restore(i, &doc).is_ok(), "{}", GOLDEN[i].0);
+    for (i, (name, text, ..)) in GOLDEN.iter().enumerate() {
+        assert!(restore(i, &parse(text).unwrap()).is_ok(), "{name}");
     }
 }
 
@@ -100,25 +99,37 @@ fn an_overfull_request_fifo_is_rejected() {
         };
         v.resize(257, v[0].clone());
     });
-    assert_eq!(e, "snapshot: `mem.requests`: holds 257 elements, capacity 256");
+    assert_eq!(
+        e,
+        "snapshot: `mem.requests`: holds 257 elements, capacity 256"
+    );
 }
 
 #[test]
 fn an_out_of_range_region_is_rejected() {
     let e = rejected_value(0, "mem.requests.v.0.r", Json::U64(99));
-    assert!(e.starts_with("snapshot: `mem.requests.v[0].r`: region 99 out of range"), "{e}");
+    assert!(
+        e.starts_with("snapshot: `mem.requests.v[0].r`: region 99 out of range"),
+        "{e}"
+    );
 }
 
 #[test]
 fn an_out_of_range_offset_is_rejected() {
     let e = rejected_value(0, "mem.requests.v.0.o", Json::U64(1_000_000_000_000));
-    assert!(e.starts_with("snapshot: `mem.requests.v[0].o`: offset 1000000000000 is past"), "{e}");
+    assert!(
+        e.starts_with("snapshot: `mem.requests.v[0].o`: offset 1000000000000 is past"),
+        "{e}"
+    );
 }
 
 #[test]
 fn an_out_of_range_port_is_rejected() {
     let e = rejected_value(0, "mem.requests.v.0.p", Json::U64(999));
-    assert!(e.starts_with("snapshot: `mem.requests.v[0].p`: port 999 out of range"), "{e}");
+    assert!(
+        e.starts_with("snapshot: `mem.requests.v[0].p`: port 999 out of range"),
+        "{e}"
+    );
 }
 
 #[test]
@@ -140,12 +151,42 @@ fn a_hit_pipe_out_of_ready_order_is_rejected() {
 fn extern_and_rule_lane_fields_are_checked_against_the_structure() {
     // (golden doc, member, value, start of the error).
     let cases = [
-        (0, "mem.requests.v.0.p", Json::U64(1 << 32), "`mem.requests.v[0].p`: 4294967296 does not fit in u32"),
-        (1, "engines.0.lanes.3.cp", Json::U64(999), "`engines[0].lanes[3].cp`: port 999 out of range"),
-        (2, "pipelines.1.ext.q.v.0.e", Json::U64(1), "`pipelines[1].ext.q.v[0].e`: port 1 calls extern 0"),
-        (2, "pipelines.1.ext.q.v.0.n", Json::U64(9), "`pipelines[1].ext.q.v[0].n`: 9 arguments, at most 8"),
-        (2, "pipelines.1.ext.q.v.0.n", Json::U64(256), "`pipelines[1].ext.q.v[0].n`: 256 does not fit in u8"),
-        (2, "pipelines.0.ext.busy.p", Json::U64(999), "`pipelines[0].ext.busy.p`: port 999 calls no extern"),
+        (
+            0,
+            "mem.requests.v.0.p",
+            Json::U64(1 << 32),
+            "`mem.requests.v[0].p`: 4294967296 does not fit in u32",
+        ),
+        (
+            1,
+            "engines.0.lanes.3.cp",
+            Json::U64(999),
+            "`engines[0].lanes[3].cp`: port 999 out of range",
+        ),
+        (
+            2,
+            "pipelines.1.ext.q.v.0.e",
+            Json::U64(1),
+            "`pipelines[1].ext.q.v[0].e`: port 1 calls extern 0",
+        ),
+        (
+            2,
+            "pipelines.1.ext.q.v.0.n",
+            Json::U64(9),
+            "`pipelines[1].ext.q.v[0].n`: 9 arguments, at most 8",
+        ),
+        (
+            2,
+            "pipelines.1.ext.q.v.0.n",
+            Json::U64(256),
+            "`pipelines[1].ext.q.v[0].n`: 256 does not fit in u8",
+        ),
+        (
+            2,
+            "pipelines.0.ext.busy.p",
+            Json::U64(999),
+            "`pipelines[0].ext.busy.p`: port 999 calls no extern",
+        ),
     ];
     for (i, path, value, want) in cases {
         let e = rejected_value(i, path, value);
