@@ -353,12 +353,12 @@ impl Pipeline {
                 return Err(format!(".latches[{i}].v: the body has {n} ops"));
             }
         }
-        // `(port, extern id)` of each extern stage.
-        let calls: Vec<(u32, usize)> = self
+        // `(port, extern id, argument count)` of each extern stage.
+        let calls: Vec<(u32, usize, usize)> = self
             .stages
             .iter()
-            .filter_map(|st| match st.op {
-                BodyOp::Extern { ext, .. } => Some((st.port?, ext.0)),
+            .filter_map(|st| match &st.op {
+                BodyOp::Extern { ext, args, .. } => Some((st.port?, ext.0, args.len())),
                 _ => None,
             })
             .collect();
@@ -368,13 +368,13 @@ impl Pipeline {
         let Some(u) = &self.extern_unit else {
             return Ok(());
         };
-        let ext_of = |port: u32| calls.iter().find(|c| c.0 == port).map(|c| c.1);
+        let call_at = |port: u32| calls.iter().find(|c| c.0 == port);
         for (i, r) in u.queue.iter().enumerate() {
-            let err = match ext_of(r.port) {
+            let err = match call_at(r.port) {
                 None => format!(".p: port {} calls no extern", r.port),
-                Some(e) if e != r.ext => format!(".e: port {} calls extern {e}", r.port),
-                _ if usize::from(r.nargs) > MAX_FIELDS => {
-                    format!(".n: {} arguments, at most {MAX_FIELDS}", r.nargs)
+                Some(&(_, e, _)) if e != r.ext => format!(".e: port {} calls extern {e}", r.port),
+                Some(&(_, _, n)) if n != usize::from(r.nargs) => {
+                    format!(".n: {} arguments, but port {} passes {n}", r.nargs, r.port)
                 }
                 _ => continue,
             };
@@ -382,7 +382,7 @@ impl Pipeline {
             return Err(snap::nest(format_args!(".ext.q.{slot}"), err));
         }
         match &u.busy {
-            Some(job) if ext_of(job.port).is_none() => {
+            Some(job) if call_at(job.port).is_none() => {
                 Err(format!(".ext.busy.p: port {} calls no extern", job.port))
             }
             _ => Ok(()),

@@ -172,8 +172,8 @@ fn extern_and_rule_lane_fields_are_checked_against_the_structure() {
         (
             2,
             "pipelines.1.ext.q.v.0.n",
-            Json::U64(9),
-            "`pipelines[1].ext.q.v[0].n`: 9 arguments, at most 8",
+            Json::U64(0),
+            "`pipelines[1].ext.q.v[0].n`: 0 arguments, but port 1 passes 1",
         ),
         (
             2,
