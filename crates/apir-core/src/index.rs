@@ -159,6 +159,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn snapshot_round_trip_preserves_depth() {
+        for comps in [&[][..], &[3][..], &[3, 0][..], &[1, 2, 3, 4][..]] {
+            let i = IndexTuple::new(comps);
+            let mut back = IndexTuple::ROOT;
+            back.load(&i.save()).unwrap();
+            assert_eq!(back, i, "depth must survive: {comps:?}");
+        }
+        let too_deep = Json::arr((0..=MAX_DEPTH as u64).map(Json::U64));
+        assert!(IndexTuple::default().load(&too_deep).is_err());
+    }
+
+    #[test]
     fn root_is_minimum() {
         let r = IndexTuple::ROOT;
         assert!(r <= IndexTuple::new(&[0]));

@@ -191,6 +191,46 @@ pub fn to_fields(src: &[u64]) -> [u64; MAX_FIELDS] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apir_core::spec::LabelId;
+    use apir_core::RegionId;
+
+    #[test]
+    fn every_write_kind_and_event_payload_round_trips() {
+        for write in [
+            None,
+            Some((WriteKind::Plain, 1)),
+            Some((WriteKind::Min, 17)),
+            Some((WriteKind::Add, 2)),
+            Some((WriteKind::Cas(8), 9)),
+        ] {
+            let r = MemReq {
+                port: 3,
+                tag: 77,
+                region: RegionId(1),
+                offset: 1024,
+                write,
+            };
+            let mut back = MemReq::default();
+            back.load(&r.save()).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{r:?}"));
+        }
+        let e = EventMsg {
+            label: LabelId(2),
+            payload: to_fields(&[11, 22]),
+            len: 2,
+            index: IndexTuple::new(&[4]),
+        };
+        let mut back = EventMsg::default();
+        back.load(&e.save()).unwrap();
+        assert_eq!(back.payload(), e.payload());
+        assert_eq!((back.label, back.index), (e.label, e.index));
+        let mut long = e.save();
+        let Json::Obj(m) = &mut long else {
+            unreachable!("an event saves as an object")
+        };
+        m[1].1 = Json::U64(3);
+        assert!(back.load(&long).is_err(), "`n` must match the payload");
+    }
 
     #[test]
     fn ctx_from_token() {
