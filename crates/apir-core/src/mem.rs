@@ -54,7 +54,10 @@ pub struct MemImage {
     regions: Box<[Box<[u64]>]>,
     names: Vec<String>,
 }
-snap_fields!(MemImage(regions, names: skip));
+snap_fields!(MemImage(
+    regions,
+    names: skip,
+));
 
 impl MemImage {
     /// Creates an image from region `(name, capacity)` declarations,

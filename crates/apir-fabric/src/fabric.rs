@@ -311,9 +311,14 @@ struct Stage {
     last_stall_cause: StallCause,
 }
 snap_fields!(Stage {
-    station => "st", expand_pos => "ep", tracker => "tk", last_activity => "la",
+    station => "st",
+    expand_pos => "ep",
+    tracker => "tk",
+    last_activity => "la",
     last_stall_cause => "lsc",
-    op: skip, port: skip, comp: skip,
+    op: skip,
+    port: skip,
+    comp: skip,
 });
 
 struct Pipeline {
@@ -326,8 +331,11 @@ struct Pipeline {
     comp: CompId,
 }
 snap_fields!(Pipeline {
-    latches, stages, extern_unit => "ext",
-    set: skip, comp: skip,
+    latches,
+    stages,
+    extern_unit => "ext",
+    set: skip,
+    comp: skip,
 } check Self::fits);
 
 impl Pipeline {
@@ -399,7 +407,11 @@ struct ExternJob {
     compute_left: u64,
 }
 snap_fields!(ExternJob {
-    tag => "t", port => "p", result => "r", bytes_left => "b", compute_left => "c",
+    tag => "t",
+    port => "p",
+    result => "r",
+    bytes_left => "b",
+    compute_left => "c",
 });
 
 #[derive(Default)]
@@ -412,7 +424,12 @@ struct ExternReq {
     index: IndexTuple,
 }
 snap_fields!(ExternReq {
-    tag => "t", port => "p", ext => "e", args => "a", nargs => "n", index => "i",
+    tag => "t",
+    port => "p",
+    ext => "e",
+    args => "a",
+    nargs => "n",
+    index => "i",
 });
 
 struct ExternUnit {
@@ -420,7 +437,11 @@ struct ExternUnit {
     busy: Option<ExternJob>,
     calls: u64,
 }
-snap_fields!(ExternUnit { queue => "q", busy, calls });
+snap_fields!(ExternUnit {
+    queue => "q",
+    busy,
+    calls,
+});
 
 impl Default for ExternUnit {
     fn default() -> Self {
@@ -479,7 +500,7 @@ struct Rollback {
 snap_fields!(Rollback {
     done,
     replayed,
-    events
+    events,
 });
 
 /// The accelerator instance.
@@ -2182,12 +2203,38 @@ fn tick_pipeline(
 }
 
 snap_fields!(Fabric {
-    cycle, core, rollback, live, seed_backlog, pending_tasks, pending_events,
-    bus_staged, bus_current, fault_respill, resp, retire_log, queues, engines,
-    mem, pipelines, metrics, trace, timeline, tl_prev,
-    spec: skip, cfg: skip, lint_errors: skip, ckpt: skip, ckpt_cycle: skip,
-    mids_rollback: skip, mids: skip, tr_host: skip, tr_mem: skip, tr_fault: skip,
-    tr_queues: skip, tr_rules: skip,
+    cycle,
+    core,
+    rollback,
+    live,
+    seed_backlog,
+    pending_tasks,
+    pending_events,
+    bus_staged,
+    bus_current,
+    fault_respill,
+    resp,
+    retire_log,
+    queues,
+    engines,
+    mem,
+    pipelines,
+    metrics,
+    trace,
+    timeline,
+    tl_prev,
+    spec: skip,
+    cfg: skip,
+    lint_errors: skip,
+    ckpt: skip,
+    ckpt_cycle: skip,
+    mids_rollback: skip,
+    mids: skip,
+    tr_host: skip,
+    tr_mem: skip,
+    tr_fault: skip,
+    tr_queues: skip,
+    tr_rules: skip,
 } check Self::fits);
 
 impl Fabric {

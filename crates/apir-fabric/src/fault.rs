@@ -170,9 +170,19 @@ pub struct FaultStats {
     pub watchdog_flushed: u64,
 }
 snap_fields!(FaultStats [
-    soft_injected, soft_corrected, soft_refetched, link_dropped, link_late, link_retried,
-    link_escalated, lanes_masked, lanes_drained, banks_masked, banks_drained,
-    watchdog_escalations, watchdog_flushed,
+    soft_injected,
+    soft_corrected,
+    soft_refetched,
+    link_dropped,
+    link_late,
+    link_retried,
+    link_escalated,
+    lanes_masked,
+    lanes_drained,
+    banks_masked,
+    banks_drained,
+    watchdog_escalations,
+    watchdog_flushed,
 ]);
 
 /// One PRNG stream per fault site keeps the sites independent: a fill
@@ -184,7 +194,12 @@ struct Streams {
     lane: SmallRng,
     bank: SmallRng,
 }
-snap_fields!(Streams [fill, link, lane, bank]);
+snap_fields!(Streams [
+    fill,
+    link,
+    lane,
+    bank,
+]);
 
 /// The seeded, per-site deterministic fault source threaded through the
 /// fabric. A snapshot carries the stream positions and the totals; the
@@ -203,7 +218,7 @@ pub struct FaultPlan {
 snap_fields!(FaultPlan {
     rng,
     stats,
-    cfg: skip
+    cfg: skip,
 });
 
 impl FaultPlan {

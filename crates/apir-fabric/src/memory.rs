@@ -82,7 +82,13 @@ pub struct MemStats {
     /// Bytes moved over the link.
     pub qpi_bytes: u64,
 }
-snap_fields!(MemStats [reads, writes, hits, misses, qpi_bytes]);
+snap_fields!(MemStats [
+    reads,
+    writes,
+    hits,
+    misses,
+    qpi_bytes,
+]);
 
 /// Handles for the memory subsystem's stable metric keys (`mem.*`).
 #[derive(Clone, Copy, Debug)]
@@ -121,7 +127,10 @@ struct TagArray {
     tags: Box<[u64]>, // tag + 1, 0 = invalid
     num_lines: usize,
 }
-snap_fields!(TagArray(tags, num_lines: skip));
+snap_fields!(TagArray(
+    tags,
+    num_lines: skip,
+));
 
 impl TagArray {
     fn new(cache_bytes: usize, line_bytes: usize) -> Self {
@@ -172,7 +181,12 @@ struct MissEntry {
     /// invalidated; revalidate the tag when it completes.
     refetch: bool,
 }
-snap_fields!(MissEntry { req => "q", retries => "r", born => "b", refetch => "f" });
+snap_fields!(MissEntry {
+    req => "q",
+    retries => "r",
+    born => "b",
+    refetch => "f",
+});
 
 /// A transfer that exhausted its retry budget; surfaced by the fabric as
 /// [`FabricError::LinkFailed`](crate::FabricError).
@@ -187,7 +201,12 @@ pub struct LinkFailure {
     /// Retries spent before escalating.
     pub retries: u32,
 }
-snap_fields!(LinkFailure { cycle => "c", port => "p", tag => "t", retries => "r" });
+snap_fields!(LinkFailure {
+    cycle => "c",
+    port => "p",
+    tag => "t",
+    retries => "r",
+});
 
 /// The memory subsystem component.
 pub struct MemorySubsystem {

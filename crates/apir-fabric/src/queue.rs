@@ -73,8 +73,18 @@ pub struct TaskQueue {
     masked: Box<[bool]>,
 }
 snap_fields!(TaskQueue {
-    banks, counter, push_rr, pop_rr, pushed_total, peak, capacity, masked,
-    kind: skip, level: skip, reserve: skip, per_bank: skip,
+    banks,
+    counter,
+    push_rr,
+    pop_rr,
+    pushed_total,
+    peak,
+    capacity,
+    masked,
+    kind: skip,
+    level: skip,
+    reserve: skip,
+    per_bank: skip,
 } check Self::consistent);
 
 impl TaskQueue {

@@ -59,7 +59,12 @@ pub struct RuleEngineStats {
     pub peak_lanes: u64,
 }
 snap_fields!(RuleEngineStats [
-    allocs, alloc_stalls, clause_fires, otherwise_fires, evictions, peak_lanes,
+    allocs,
+    alloc_stalls,
+    clause_fires,
+    otherwise_fires,
+    evictions,
+    peak_lanes,
 ]);
 
 /// Handles for one rule engine's stable metric keys (`rule.<name>.*`).
@@ -115,8 +120,13 @@ struct Lane {
     claimed_port: Option<u32>,
 }
 snap_fields!(Lane {
-    parent_index => "pi", parent_seq => "ps", params => "pm", tag => "t", verdict => "v",
-    countdown => "cd", claimed_port => "cp",
+    parent_index => "pi",
+    parent_seq => "ps",
+    params => "pm",
+    tag => "t",
+    verdict => "v",
+    countdown => "cd",
+    claimed_port => "cp",
 });
 
 /// A rule engine serving one [`RuleDecl`].

@@ -16,7 +16,11 @@ pub struct TaskToken {
     /// Data fields (fixed width).
     pub fields: [u64; MAX_FIELDS],
 }
-snap_fields!(TaskToken { index => "i", seq => "s", fields => "f" });
+snap_fields!(TaskToken {
+    index => "i",
+    seq => "s",
+    fields => "f",
+});
 
 /// A task context flowing through a pipeline: the token plus the SSA
 /// values computed so far (the pipeline registers carrying live values).
@@ -32,7 +36,12 @@ pub struct Ctx {
     /// so the pipeline checks a loaded context against it.
     pub vals: Vec<u64>,
 }
-snap_fields!(Ctx { index => "i", seq => "s", fields => "f", vals => "v" });
+snap_fields!(Ctx {
+    index => "i",
+    seq => "s",
+    fields => "f",
+    vals => "v",
+});
 
 impl Ctx {
     /// Builds a fresh context for a popped token.

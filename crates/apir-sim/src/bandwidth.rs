@@ -32,8 +32,11 @@ pub struct BandwidthMeter {
 // The credit is saved as raw `f64` bits, so a restore cannot perturb a
 // single bandwidth decision.
 snap_fields!(BandwidthMeter [
-    credit, consumed_total, cycles,
-    bytes_per_cycle: skip, burst_cap: skip,
+    credit,
+    consumed_total,
+    cycles,
+    bytes_per_cycle: skip,
+    burst_cap: skip,
 ]);
 
 impl BandwidthMeter {

@@ -24,7 +24,10 @@ pub struct DelayLine<T> {
     /// the absolute ready cycles, so a restore never re-derives them.
     q: VecDeque<(Cycle, T)>,
 }
-snap_fields!(DelayLine<T>(q, latency: skip) check Self::in_ready_order);
+snap_fields!(DelayLine<T>(
+    q,
+    latency: skip,
+) check Self::in_ready_order);
 
 impl<T> DelayLine<T> {
     /// Creates a delay line with the given latency in cycles.
@@ -115,7 +118,10 @@ pub struct OutOfOrderStation<T> {
     /// the oldest ready slot.
     entries: Vec<(u64, T, bool, u64, Cycle)>,
 }
-snap_fields!(OutOfOrderStation<T>(entries, cap: skip) check Self::fits);
+snap_fields!(OutOfOrderStation<T>(
+    entries,
+    cap: skip,
+) check Self::fits);
 
 impl<T> OutOfOrderStation<T> {
     /// Creates a station with `cap` slots.

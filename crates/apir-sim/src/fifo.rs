@@ -28,7 +28,11 @@ pub struct Fifo<T> {
     q: VecDeque<T>,
     staged: VecDeque<T>,
 }
-snap_fields!(Fifo<T> { q => "v", staged => "s", cap: skip } check Self::fits);
+snap_fields!(Fifo<T> {
+    q => "v",
+    staged => "s",
+    cap: skip,
+} check Self::fits);
 
 impl<T> Fifo<T> {
     /// Creates a FIFO holding at most `cap` elements (visible + staged).

@@ -35,7 +35,15 @@ pub struct TimelineSample {
     /// Bytes transferred over the memory link.
     pub qpi_bytes: u64,
 }
-snap_fields!(TimelineSample [busy, stall, idle, retired, hits, misses, qpi_bytes]);
+snap_fields!(TimelineSample [
+    busy,
+    stall,
+    idle,
+    retired,
+    hits,
+    misses,
+    qpi_bytes,
+]);
 
 impl TimelineSample {
     /// Adds `other` scaled by `n` (field-wise `self += other * n`).
@@ -76,7 +84,11 @@ pub struct TimelineWindow {
     /// Deltas accumulated over the covered cycles.
     pub sample: TimelineSample,
 }
-snap_fields!(TimelineWindow [start, cycles, sample]);
+snap_fields!(TimelineWindow [
+    start,
+    cycles,
+    sample,
+]);
 
 /// The finished timeline attached to a report.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -105,8 +117,13 @@ pub struct TimelineRecorder {
     dropped: u64,
 }
 snap_fields!(TimelineRecorder {
-    cur, cur_len, cur_start, dropped, ring,
-    window: skip, capacity: skip,
+    cur,
+    cur_len,
+    cur_start,
+    dropped,
+    ring,
+    window: skip,
+    capacity: skip,
 } check Self::fits);
 
 impl TimelineRecorder {

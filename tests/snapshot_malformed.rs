@@ -148,9 +148,28 @@ fn a_hit_pipe_out_of_ready_order_is_rejected() {
 }
 
 #[test]
-fn extern_and_rule_lane_fields_are_checked_against_the_structure() {
+fn ids_widths_and_labels_are_checked_against_the_structure() {
     // (golden doc, member, value, start of the error).
+    let narrow = || Json::arr((0..14).map(|_| Json::U64(0)));
     let cases = [
+        (
+            0,
+            "pipelines.0.latches.5.v",
+            narrow(),
+            "`pipelines[0].latches[5].v`: the body has 15 ops",
+        ),
+        (
+            0,
+            "pipelines.0.stages.2.st.0.1.v",
+            narrow(),
+            "`pipelines[0].stages[2].st[0][1].v`: the body has 15 ops",
+        ),
+        (
+            0,
+            "trace.records.0.2",
+            Json::str("no_such_event"),
+            "`trace.records[0][2]`: unknown event \"no_such_event\"",
+        ),
         (
             0,
             "mem.requests.v.0.p",
