@@ -115,7 +115,7 @@ pub(super) fn certify_cycles(
                 .task_sets()
                 .get(task_set.0)
                 .and_then(|ts| ts.body.get(*pos))
-                .is_some_and(super::super::bdfg_lints::has_guard),
+                .is_some_and(|op| op.guard().is_some()),
             _ => false,
         });
         let reserve_covered = set_ids.len() == 1

@@ -3,7 +3,6 @@
 
 use super::{Diagnostic, Lint, Report};
 use crate::bdfg::{ActorKind, Bdfg, EdgeKind};
-use crate::op::BodyOp;
 use crate::spec::Spec;
 use std::collections::HashMap;
 
@@ -150,7 +149,7 @@ pub(super) fn cycles(bdfg: &Bdfg, spec: &Spec, report: &mut Report) {
                 .task_sets()
                 .get(task_set.0)
                 .and_then(|ts| ts.body.get(*pos))
-                .is_some_and(has_guard),
+                .is_some_and(|op| op.guard().is_some()),
             _ => false,
         });
         if !decided {
@@ -175,20 +174,6 @@ pub(super) fn cycles(bdfg: &Bdfg, spec: &Spec, report: &mut Report) {
                 .hint("guard the recirculating op or route the loop through a rule"),
             );
         }
-    }
-}
-
-pub(super) fn has_guard(op: &BodyOp) -> bool {
-    match op {
-        BodyOp::Store { guard, .. }
-        | BodyOp::Enqueue { guard, .. }
-        | BodyOp::EnqueueRange { guard, .. }
-        | BodyOp::Requeue { guard, .. }
-        | BodyOp::AllocRule { guard, .. }
-        | BodyOp::Rendezvous { guard, .. }
-        | BodyOp::Emit { guard, .. }
-        | BodyOp::Extern { guard, .. } => guard.is_some(),
-        _ => false,
     }
 }
 

@@ -279,6 +279,22 @@ impl BodyOp {
         v
     }
 
+    /// The guard of a guarded op: when its value is 0, the op does
+    /// nothing and yields 0.
+    pub fn guard(&self) -> Option<ValRef> {
+        match self {
+            BodyOp::Store { guard, .. }
+            | BodyOp::Enqueue { guard, .. }
+            | BodyOp::EnqueueRange { guard, .. }
+            | BodyOp::Requeue { guard, .. }
+            | BodyOp::AllocRule { guard, .. }
+            | BodyOp::Rendezvous { guard, .. }
+            | BodyOp::Emit { guard, .. }
+            | BodyOp::Extern { guard, .. } => *guard,
+            _ => None,
+        }
+    }
+
     /// Short mnemonic used in DOT dumps and traces.
     pub fn mnemonic(&self) -> &'static str {
         match self {

@@ -18,9 +18,9 @@ use crate::rules::{ClaimOutcome, RuleEngine, RuleEngineStats, RuleMetrics};
 use crate::snapshot::{self, SNAPSHOT_SCHEMA};
 use crate::types::{to_fields, Ctx, EventMsg, MemReq, TaskToken, WriteKind};
 use crate::FabricConfig;
-use apir_core::op::{BodyOp, StoreKind};
-use apir_core::spec::{ExternIn, Spec, TaskSetId};
-use apir_core::{IndexTuple, ProgramInput, MAX_FIELDS};
+use apir_core::op::{BodyOp, StoreKind, ValRef};
+use apir_core::spec::{ExternIn, RuleId, Spec, TaskSetId};
+use apir_core::{IndexTuple, ProgramInput, RegionId, MAX_FIELDS};
 use apir_sim::delay::OutOfOrderStation;
 use apir_sim::fifo::Fifo;
 use apir_sim::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSnapshot};
@@ -296,6 +296,9 @@ struct Stage {
     op: BodyOp,
     /// Response-routing port for Load/Store/Extern/Rendezvous stages.
     port: Option<u32>,
+    /// Rule engine a Rendezvous stage claims its verdict from (the rule
+    /// of the `AllocRule` it names); `None` for every other op.
+    rule: Option<RuleId>,
     station: Option<OutOfOrderStation<Ctx>>,
     /// Progress cursor of an in-flight `EnqueueRange`.
     expand_pos: Option<u64>,
@@ -309,6 +312,10 @@ struct Stage {
     /// a caused stall, so replaying this cause for the skipped cycles is
     /// exact.
     last_stall_cause: StallCause,
+    /// While the stage sleeps through a stall, the first cycle of it
+    /// that `tracker` does not count yet; every cycle from there repeats
+    /// `last_stall_cause`. Derived: never saved, cleared on load.
+    stall_from: Option<u64>,
 }
 snap_fields!(Stage {
     station => "st",
@@ -318,7 +325,9 @@ snap_fields!(Stage {
     last_stall_cause => "lsc",
     op: skip,
     port: skip,
+    rule: skip,
     comp: skip,
+    stall_from: skip,
 });
 
 struct Pipeline {
@@ -329,6 +338,12 @@ struct Pipeline {
     extern_unit: Option<ExternUnit>,
     /// Trace component of this pipeline (meaningful only when tracing).
     comp: CompId,
+    /// One bit per stage, clear while the stage sleeps: visiting it would
+    /// change nothing but counters it settles on waking (see
+    /// [`tick_pipeline`]). A context entering its latch, a response
+    /// reaching its port, or a context leaving the next latch sets the
+    /// bit. Derived: every bit is set on build and on load.
+    awake: Box<[u64]>,
 }
 snap_fields!(Pipeline {
     latches,
@@ -336,9 +351,53 @@ snap_fields!(Pipeline {
     extern_unit => "ext",
     set: skip,
     comp: skip,
-} check Self::fits);
+    awake: skip,
+} check Self::loaded);
 
 impl Pipeline {
+    /// A bitset with one set bit per stage of an `n`-op body.
+    fn all_awake(n: usize) -> Box<[u64]> {
+        (0..n.div_ceil(64))
+            .map(|w| match n - 64 * w {
+                r if r >= 64 => u64::MAX,
+                r => (1 << r) - 1,
+            })
+            .collect()
+    }
+
+    fn wake(&mut self, i: usize) {
+        self.awake[i / 64] |= 1 << (i % 64);
+    }
+
+    fn sleep(&mut self, i: usize) {
+        self.awake[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// The highest awake stage below `end`, if any.
+    fn awake_below(&self, end: usize) -> Option<usize> {
+        let mut w = end / 64;
+        let mut bits = match end % 64 {
+            0 => 0,
+            r => self.awake[w] & ((1 << r) - 1),
+        };
+        while bits == 0 {
+            w = w.checked_sub(1)?;
+            bits = self.awake[w];
+        }
+        Some(64 * w + 63 - bits.leading_zeros() as usize)
+    }
+
+    /// Checks a loaded snapshot (see [`Pipeline::fits`]) and wakes every
+    /// stage, since the loaded state may give any of them work.
+    fn loaded(&mut self) -> Result<(), String> {
+        self.fits()?;
+        self.awake = Pipeline::all_awake(self.stages.len());
+        for st in self.stages.iter_mut() {
+            st.stall_from = None;
+        }
+        Ok(())
+    }
+
     /// A loaded snapshot must keep a station exactly at the stages with
     /// a response port, hold contexts as wide as the body, and have an
     /// extern unit exactly when the body calls an extern, whose requests
@@ -486,6 +545,15 @@ snap_fields!(Core {
     retired,
 });
 
+impl Core {
+    /// `[retired, squashes, requeues, bounces]`, whose per-pipeline
+    /// deltas become trace records.
+    fn event_totals(&self) -> [u64; 4] {
+        let retired = self.retired.iter().sum();
+        [retired, self.squashes, self.requeues, self.bounces]
+    }
+}
+
 /// Rollback-and-replay progress.
 #[derive(Default)]
 struct Rollback {
@@ -513,6 +581,11 @@ pub struct Fabric {
     pipelines: Box<[Pipeline]>,
     /// Per-port response queues `(tag, word)`.
     resp: Box<[VecDeque<(u64, u64)>]>,
+    /// `(pipeline, stage)` behind each response port.
+    port_owner: Box<[(usize, usize)]>,
+    /// Scratch for `(port, tag, word)` completions on their way to
+    /// `resp`; empty between uses, so never saved.
+    out: Vec<(u32, u64, u64)>,
     bus_staged: Vec<EventMsg>,
     bus_current: Vec<EventMsg>,
     /// Live tasks: queued or in flight, keyed by `(index, seq)`.
@@ -614,8 +687,7 @@ impl Fabric {
             .iter()
             .map(|r| intern(&format!("rule:{}", r.name)))
             .collect();
-        let mut next_port = 0u32;
-        let mut resp_count = 0usize;
+        let mut port_owner = Vec::new();
         let mut pipelines = Vec::new();
         for (tsi, ts) in spec.task_sets().iter().enumerate() {
             for replica in 0..cfg.pipelines_per_set {
@@ -623,43 +695,49 @@ impl Fabric {
                 let mut stages = Vec::with_capacity(ts.body.len());
                 let mut has_extern = false;
                 for (si, op) in ts.body.iter().enumerate() {
-                    let (port, station) = match op {
-                        BodyOp::Load { .. } | BodyOp::Store { .. } => {
-                            let p = next_port;
-                            next_port += 1;
-                            (Some(p), Some(OutOfOrderStation::new(cfg.lsu_window)))
-                        }
-                        BodyOp::Rendezvous { .. } => {
-                            let p = next_port;
-                            next_port += 1;
-                            (Some(p), Some(OutOfOrderStation::new(cfg.rendezvous_window)))
-                        }
+                    let window = match op {
+                        BodyOp::Load { .. } | BodyOp::Store { .. } => Some(cfg.lsu_window),
+                        BodyOp::Rendezvous { .. } => Some(cfg.rendezvous_window),
                         BodyOp::Extern { .. } => {
                             has_extern = true;
-                            let p = next_port;
-                            next_port += 1;
-                            (Some(p), Some(OutOfOrderStation::new(cfg.lsu_window)))
+                            Some(cfg.lsu_window)
                         }
-                        _ => (None, None),
+                        _ => None,
+                    };
+                    let port = window.map(|_| {
+                        port_owner.push((pipelines.len(), si));
+                        (port_owner.len() - 1) as u32
+                    });
+                    let station = window.map(OutOfOrderStation::new);
+                    let rule = match op {
+                        BodyOp::Rendezvous { rule_instance, .. } => {
+                            match &ts.body[rule_instance.pos()] {
+                                BodyOp::AllocRule { rule, .. } => Some(*rule),
+                                _ => unreachable!("validated spec"),
+                            }
+                        }
+                        _ => None,
                     };
                     stages.push(Stage {
                         comp: intern(&format!("{pipe_name}/s{si}:{}", op.mnemonic())),
                         op: op.clone(),
                         port,
+                        rule,
                         station,
                         expand_pos: None,
                         tracker: ActivityTracker::new(),
                         last_activity: None,
                         last_stall_cause: StallCause::DownstreamFull,
+                        stall_from: None,
                     });
                 }
-                resp_count = next_port as usize;
                 pipelines.push(Pipeline {
                     set: TaskSetId(tsi),
                     latches: vec![None; ts.body.len()].into(),
                     stages: stages.into(),
                     extern_unit: has_extern.then(ExternUnit::default),
                     comp: intern(&pipe_name),
+                    awake: Pipeline::all_awake(ts.body.len()),
                 });
             }
         }
@@ -694,7 +772,9 @@ impl Fabric {
             queues,
             engines,
             pipelines: pipelines.into(),
-            resp: vec![VecDeque::new(); resp_count].into(),
+            resp: vec![VecDeque::new(); port_owner.len()].into(),
+            port_owner: port_owner.into(),
+            out: Vec::new(),
             bus_staged: Vec::new(),
             bus_current: Vec::new(),
             live: BTreeSet::new(),
@@ -798,6 +878,7 @@ impl Fabric {
         }
         loop {
             if target.is_some_and(|t| self.cycle >= t) {
+                self.settle_trackers();
                 return Ok(RunSplit::Paused(Box::new(self)));
             }
             let moved = self.tick();
@@ -886,6 +967,7 @@ impl Fabric {
     /// run stays byte-identical to a non-checkpointing one until (and
     /// unless) a rollback actually fires.
     fn take_checkpoint(&mut self) {
+        self.settle_trackers();
         self.ckpt_cycle = self.cycle;
         self.ckpt = Some(self.snapshot());
     }
@@ -931,21 +1013,15 @@ impl Fabric {
     fn escalate_watchdog(&mut self) {
         let now = self.cycle;
         self.core.wd_escalations += 1;
-        let mut out = Vec::new();
         if let Some(key) = self.live.iter().next().copied() {
             for e in &mut self.engines {
-                e.force_min_release(key, &mut out);
+                e.force_min_release(key, &mut self.out);
             }
         }
         for p in &mut self.pipelines {
-            let set = p.set;
             for stage in &mut p.stages {
-                let BodyOp::Rendezvous { rule_instance, .. } = &stage.op else {
+                let Some(rule) = stage.rule else {
                     continue;
-                };
-                let rule = match &self.spec.task_sets()[set.0].body[rule_instance.pos()] {
-                    BodyOp::AllocRule { rule, .. } => *rule,
-                    _ => unreachable!("validated spec"),
                 };
                 let station = stage.station.as_mut().expect("rendezvous has station");
                 while let Some(tag) = station.timeout_one(now + 1) {
@@ -955,9 +1031,7 @@ impl Fabric {
                 }
             }
         }
-        for (port, tag, word) in out {
-            self.resp[port as usize].push_back((tag, word));
-        }
+        self.route_out();
         if let Some(tr) = self.trace.as_mut() {
             tr.record(now, self.tr_fault, "wd_escalate", 1);
         }
@@ -1018,6 +1092,7 @@ impl Fabric {
     }
 
     fn into_report(mut self) -> FabricReport {
+        self.settle_trackers();
         let mut util = UtilizationSummary::new();
         let mut busy = 0u64;
         let mut stall = 0u64;
@@ -1091,7 +1166,7 @@ impl Fabric {
     /// memory subsystem can accept or re-arm transfers that pay off
     /// only cycles later. Skipping such a cycle would change state;
     /// skipping a `!moved` cycle cannot.
-    pub fn tick(&mut self) -> bool {
+    fn tick(&mut self) -> bool {
         self.cycle += 1;
         let now = self.cycle;
         let mut progress = false;
@@ -1121,12 +1196,8 @@ impl Fabric {
         progress |= self.drain_fault_respill();
 
         // 1) Memory subsystem: completions -> response ports.
-        let mut responses = Vec::new();
-        moved |= self.mem.tick(now, &mut responses);
-        for (port, tag, word) in responses {
-            self.resp[port as usize].push_back((tag, word));
-            progress = true;
-        }
+        moved |= self.mem.tick(now, &mut self.out);
+        progress |= self.route_out();
 
         // 2) Host seeding: drain the backlog into queues.
         while let Some(&(ts, fields)) = self.seed_backlog.front() {
@@ -1164,79 +1235,48 @@ impl Fabric {
 
         // 4) Rule engines: evaluate last cycle's events + min broadcast.
         let global_min = self.live.iter().next().copied();
-        let mut rule_out = Vec::new();
-        let bus = std::mem::take(&mut self.bus_current);
         for e in &mut self.engines {
-            moved |= e.tick(&bus, global_min, &mut rule_out);
+            moved |= e.tick(&self.bus_current, global_min, &mut self.out);
         }
-        for (port, tag, word) in rule_out {
-            self.resp[port as usize].push_back((tag, word));
-            progress = true;
-        }
+        self.bus_current.clear();
+        progress |= self.route_out();
 
         // 5) Extern units.
-        for pi in 0..self.pipelines.len() {
-            if self.pipelines[pi].extern_unit.is_none() {
-                continue;
-            }
+        let units = self
+            .pipelines
+            .iter_mut()
+            .filter_map(|p| p.extern_unit.as_mut());
+        for unit in units {
             progress |= tick_extern_unit(
-                self.pipelines[pi].extern_unit.as_mut().expect("checked"),
+                unit,
                 &self.spec,
                 &mut self.mem,
-                &mut self.resp,
+                &mut self.out,
                 &mut self.pending_tasks,
                 &mut self.pending_events,
             );
         }
+        self.route_out();
 
         // 6) Pipelines.
-        for pi in 0..self.pipelines.len() {
-            let before = snap.as_ref().map(|_| {
-                (
-                    self.core.retired.iter().sum::<u64>(),
-                    self.core.squashes,
-                    self.core.requeues,
-                    self.core.bounces,
-                )
-            });
-            let p = &mut self.pipelines[pi];
-            let (p_progress, p_active) = tick_pipeline(
-                p,
-                &self.spec,
-                now,
-                self.cfg.rendezvous_timeout,
-                &mut self.queues,
-                &mut self.engines,
-                &mut self.mem,
-                &mut self.resp,
-                &mut self.bus_staged,
-                self.cfg.event_bus_width,
-                &mut self.live,
-                &mut self.core.next_seq,
-                &mut self.core.next_tag,
-                &mut self.core.retired,
-                &mut self.core.squashes,
-                &mut self.core.requeues,
-                &mut self.core.bounces,
-                self.cfg.record_retirements.then_some(&mut self.retire_log),
-                self.trace.as_mut(),
-            );
+        let mut cx = TickCtx {
+            now,
+            rendezvous_timeout: self.cfg.rendezvous_timeout,
+            bus_cap: self.cfg.event_bus_width,
+            queues: &mut self.queues,
+            engines: &mut self.engines,
+            mem: &mut self.mem,
+            resp: &mut self.resp,
+            bus_staged: &mut self.bus_staged,
+            live: &mut self.live,
+            core: &mut self.core,
+            retire_log: self.cfg.record_retirements.then_some(&mut self.retire_log),
+            trace: self.trace.as_mut(),
+        };
+        for p in self.pipelines.iter_mut() {
+            let (p_progress, p_active) = tick_pipeline(p, &mut cx);
             progress |= p_progress;
             moved |= p_active;
-            if let Some((r0, s0, q0, b0)) = before {
-                let comp = self.pipelines[pi].comp;
-                let tr = self.trace.as_mut().expect("snap implies trace");
-                for (ev, d) in [
-                    ("retire", self.core.retired.iter().sum::<u64>() - r0),
-                    ("squash", self.core.squashes - s0),
-                    ("requeue", self.core.requeues - q0),
-                    ("bounce", self.core.bounces - b0),
-                ] {
-                    if d > 0 {
-                        tr.record(now, comp, ev, d);
-                    }
-                }
-            }
         }
 
         // 7) End of cycle: commit staged state.
@@ -1250,7 +1290,8 @@ impl Fabric {
                 progress |= u.busy.is_some();
             }
         }
-        self.bus_current = std::mem::take(&mut self.bus_staged);
+        // Swap rather than move, so both bus buffers keep their capacity.
+        std::mem::swap(&mut self.bus_current, &mut self.bus_staged);
         if !self.bus_current.is_empty() {
             progress = true;
         }
@@ -1261,10 +1302,9 @@ impl Fabric {
             self.record_tick_deltas(now, &snap);
         }
         self.publish_cycle();
-        if self.timeline.is_some() {
-            let cur = self.timeline_totals();
-            let delta = cur.delta_from(&self.tl_prev);
-            self.timeline.as_mut().expect("checked").observe(&delta);
+        let cur = self.timeline.is_some().then(|| self.timeline_totals());
+        if let (Some(tl), Some(cur)) = (self.timeline.as_mut(), cur) {
+            tl.observe(&cur.delta_from(&self.tl_prev));
             self.tl_prev = cur;
         }
 
@@ -1276,17 +1316,33 @@ impl Fabric {
         moved || progress
     }
 
+    /// Brings every stage's tracker up to the current cycle, which ticks
+    /// leave behind (see [`Stage::record`]): it counts the stall cycles a
+    /// sleeping stage has slept through, and the idle cycles, which are
+    /// the ones not spent busy or stalled. Runs wherever a tracker leaves
+    /// the tick loop: a pause, a checkpoint, the report.
+    fn settle_trackers(&mut self) {
+        let next = self.cycle + 1;
+        for st in self.pipelines.iter_mut().flat_map(|p| p.stages.iter_mut()) {
+            if st.stall_from.is_some() {
+                st.wake_stall(next);
+                st.stall_from = Some(next);
+            }
+            st.tracker.idle = self.cycle - st.tracker.busy - st.tracker.stall;
+        }
+    }
+
     /// Cumulative totals feeding the timeline: per-cycle deltas of these
     /// become the windowed samples. Everything here is monotone, so the
     /// deltas are always well-defined.
     fn timeline_totals(&self) -> TimelineSample {
         let mut s = TimelineSample::default();
-        for p in &self.pipelines {
-            for st in &p.stages {
-                s.busy += st.tracker.busy;
-                s.stall += st.tracker.stall;
-                s.idle += st.tracker.idle;
-            }
+        for st in self.pipelines.iter().flat_map(|p| p.stages.iter()) {
+            let slept = st.stall_from.map_or(0, |from| self.cycle + 1 - from);
+            let stall = st.tracker.stall + slept;
+            s.busy += st.tracker.busy;
+            s.stall += stall;
+            s.idle += self.cycle - st.tracker.busy - stall;
         }
         s.retired = self.core.retired.iter().sum();
         let mem = self.mem.stats();
@@ -1294,6 +1350,18 @@ impl Fabric {
         s.misses = mem.misses;
         s.qpi_bytes = mem.qpi_bytes;
         s
+    }
+
+    /// Moves the completions buffered in `out` to their response ports
+    /// and wakes the stages behind them; returns whether there were any.
+    fn route_out(&mut self) -> bool {
+        let any = !self.out.is_empty();
+        for (port, tag, word) in self.out.drain(..) {
+            self.resp[port as usize].push_back((tag, word));
+            let (pi, si) = self.port_owner[port as usize];
+            self.pipelines[pi].wake(si);
+        }
+        any
     }
 
     /// Do the windowed fault trials consume RNG draws on this fabric?
@@ -1313,46 +1381,31 @@ impl Fabric {
         // The watchdog fires on the first cycle where
         // `cycle - last_progress > deadlock_cycles`.
         let deadline = self.core.last_progress + self.cfg.deadlock_cycles + 1;
-        let mut wake = deadline;
-        let mut consider = |c: u64| {
-            let c = c.max(now + 1);
-            if c < wake {
-                wake = c;
-            }
-        };
-        if let Some(c) = self.mem.next_wake(now, deadline) {
-            consider(c);
-        }
         let fw = self.cfg.faults.fault_window;
-        if fw > 0 && self.fault_trials_armed() {
+        let trial = (fw > 0 && self.fault_trials_armed()).then(|| {
             // Next cycle > now that is ≡ 1 (mod fw).
-            let mut delta = (1 % fw + fw - now % fw) % fw;
-            if delta == 0 {
-                delta = fw;
-            }
-            consider(now + delta);
-        }
+            let delta = (1 % fw + fw - now % fw) % fw;
+            now + if delta == 0 { fw } else { delta }
+        });
         // Rendezvous stations self-wake through their timeout; every
         // other station waits on memory or extern completions, which
-        // the candidates above (or extern-busy forcing dense ticks)
-        // already cover.
+        // the memory wake (or extern-busy forcing dense ticks) already
+        // covers.
         let timeout = self.cfg.rendezvous_timeout;
-        for p in &self.pipelines {
-            for st in &p.stages {
-                if !matches!(st.op, BodyOp::Rendezvous { .. }) {
-                    continue;
-                }
-                if let Some(born) = st
-                    .station
-                    .as_ref()
-                    .and_then(OutOfOrderStation::oldest_waiting_insert)
-                {
-                    consider(born + timeout + 1);
-                }
-            }
-        }
-        drop(consider);
-        wake
+        let bounces = self
+            .pipelines
+            .iter()
+            .flat_map(|p| p.stages.iter())
+            .filter(|st| st.rule.is_some())
+            .filter_map(|st| st.station.as_ref()?.oldest_waiting_insert())
+            .map(|born| born + timeout + 1);
+        self.mem
+            .next_wake(now, deadline)
+            .into_iter()
+            .chain(trial)
+            .chain(bounces)
+            .map(|c| c.max(now + 1))
+            .fold(deadline, u64::min)
     }
 
     /// Jumps the clock forward `k` quiescent cycles, replaying exactly
@@ -1381,13 +1434,15 @@ impl Fabric {
                 total_stages += 1;
                 let waiting = latch.is_some()
                     || st.station.as_ref().is_some_and(|s| !s.is_empty());
+                // The preceding dense tick recorded a caused stall for a
+                // waiting stage; the quiescent cycles repeat it. A
+                // sleeping stage's stall and every idle cycle are counted
+                // later (`settle_trackers`).
                 if waiting {
-                    // The preceding dense tick recorded a caused stall
-                    // for this stage; the quiescent cycles repeat it.
-                    st.tracker.record_stall_n(st.last_stall_cause, k);
+                    if st.stall_from.is_none() {
+                        st.tracker.record_stall_n(st.last_stall_cause, k);
+                    }
                     waiting_stages += 1;
-                } else {
-                    st.tracker.record_n(Activity::Idle, k);
                 }
             }
         }
@@ -1413,8 +1468,7 @@ impl Fabric {
             let Some(pick) = self.mem.faults_mut().and_then(FaultPlan::draw_lane_fault) else {
                 continue;
             };
-            let mut out = Vec::new();
-            if let Some(drained) = self.engines[ei].mask_lane(pick, &mut out) {
+            if let Some(drained) = self.engines[ei].mask_lane(pick, &mut self.out) {
                 let plan = self.mem.faults_mut().expect("plan produced the draw");
                 plan.stats.lanes_masked += 1;
                 if drained {
@@ -1424,9 +1478,7 @@ impl Fabric {
                     tr.record(now, self.tr_fault, "lane_mask", 1);
                 }
             }
-            for (port, tag, word) in out {
-                self.resp[port as usize].push_back((tag, word));
-            }
+            self.route_out();
         }
         for qi in 0..self.queues.len() {
             let Some(pick) = self.mem.faults_mut().and_then(FaultPlan::draw_bank_fault) else {
@@ -1560,7 +1612,7 @@ fn tick_extern_unit(
     unit: &mut ExternUnit,
     spec: &Spec,
     mem: &mut MemorySubsystem,
-    resp: &mut [VecDeque<(u64, u64)>],
+    out: &mut Vec<(u32, u64, u64)>,
     pending_tasks: &mut VecDeque<(TaskSetId, IndexTuple, [u64; MAX_FIELDS])>,
     pending_events: &mut VecDeque<EventMsg>,
 ) -> bool {
@@ -1575,7 +1627,7 @@ fn tick_extern_unit(
             progress = true;
         }
         if job.bytes_left == 0 && job.compute_left == 0 {
-            resp[job.port as usize].push_back((job.tag, job.result));
+            out.push((job.port, job.tag, job.result));
             unit.busy = None;
             progress = true;
         }
@@ -1615,68 +1667,187 @@ fn tick_extern_unit(
     progress
 }
 
-/// Ticks one pipeline, tail to head. Returns `(progress, active)`:
-/// `progress` feeds the deadlock watchdog (forward progress only),
-/// `active` is the wider event-wheel quiescence signal — any stage
-/// doing *anything* this cycle, including non-progress work like pure
-/// ALU moves, guard-fail pass-throughs, and rendezvous timeout bounces.
-#[allow(clippy::too_many_arguments)]
-fn tick_pipeline(
-    p: &mut Pipeline,
-    spec: &Spec,
+/// The fabric state a pipeline tick reads and writes besides the
+/// pipeline itself.
+struct TickCtx<'a> {
     now: u64,
-    timeout: u64,
-    queues: &mut [TaskQueue],
-    engines: &mut [RuleEngine],
-    mem: &mut MemorySubsystem,
-    resp: &mut [VecDeque<(u64, u64)>],
-    bus_staged: &mut Vec<EventMsg>,
+    rendezvous_timeout: u64,
     bus_cap: usize,
-    live: &mut BTreeSet<(IndexTuple, u64)>,
-    next_seq: &mut u64,
-    next_tag: &mut u64,
-    retired: &mut [u64],
-    squashes: &mut u64,
-    requeues: &mut u64,
-    bounces: &mut u64,
-    retire_log: Option<&mut Vec<(u64, usize)>>,
-    mut trace: Option<&mut EventTrace>,
-) -> (bool, bool) {
+    queues: &'a mut [TaskQueue],
+    engines: &'a mut [RuleEngine],
+    mem: &'a mut MemorySubsystem,
+    resp: &'a mut [VecDeque<(u64, u64)>],
+    bus_staged: &'a mut Vec<EventMsg>,
+    live: &'a mut BTreeSet<(IndexTuple, u64)>,
+    core: &'a mut Core,
+    retire_log: Option<&'a mut Vec<(u64, usize)>>,
+    trace: Option<&'a mut EventTrace>,
+}
+
+impl Stage {
+    /// Records this cycle's activity: the tracker, the cause the event
+    /// wheel replays for a stall (`cause` is ignored otherwise), and a
+    /// trace record on a transition (so a stage that stays busy for ten
+    /// thousand cycles costs one record, not ten thousand).
+    ///
+    /// Idle cycles are not counted as they pass: a stage records exactly
+    /// one state per cycle, so its idle count is the cycles left over
+    /// after busy and stall, which [`Fabric::settle_trackers`] writes
+    /// before anything reads it.
+    fn record(&mut self, state: Activity, cause: StallCause, cx: &mut TickCtx) {
+        match state {
+            Activity::Busy => self.tracker.record(Activity::Busy),
+            Activity::Stall => {
+                self.tracker.record_stall(cause);
+                self.last_stall_cause = cause;
+            }
+            Activity::Idle => {}
+        }
+        if let Some(tr) = cx.trace.as_deref_mut() {
+            if self.last_activity != Some(state) {
+                self.last_activity = Some(state);
+                let ev = match state {
+                    Activity::Busy => "busy",
+                    Activity::Stall => "stall",
+                    Activity::Idle => "idle",
+                };
+                tr.record(cx.now, self.comp, ev, 0);
+            }
+        }
+    }
+
+    /// Sleeps through a stall from the next cycle on.
+    fn sleep_stalled(&mut self, now: u64) {
+        self.stall_from = Some(now + 1);
+    }
+
+    /// Counts the stall cycles this stage slept through before `now`.
+    fn wake_stall(&mut self, now: u64) {
+        if let Some(from) = self.stall_from.take() {
+            let cause = self.last_stall_cause;
+            self.tracker.record_stall_n(cause, now - from);
+        }
+    }
+}
+
+/// What phase B does with a latch occupant.
+enum Step {
+    /// Leave the latch with this value in the stage's slot, once the
+    /// next latch is free (else stall: `DownstreamFull`).
+    Advance(u64),
+    /// Move into the station under `(tag, insertion cycle)`.
+    Park(u64, u64),
+    /// Stay in the latch, stalled for this cause.
+    Stay(StallCause),
+}
+
+/// Issues a load or store for the occupant of `stage`'s latch when the
+/// station has a slot and the request channel takes it.
+fn request(
+    stage: &Stage,
+    cx: &mut TickCtx,
+    region: RegionId,
+    offset: u64,
+    write: Option<(WriteKind, u64)>,
+) -> Step {
+    let station = stage.station.as_ref().expect("memory op has station");
+    if !station.can_insert() {
+        return Step::Stay(StallCause::MshrFull);
+    }
+    if !cx.mem.requests.can_push() {
+        return Step::Stay(StallCause::Bandwidth);
+    }
+    let tag = cx.core.next_tag;
+    cx.core.next_tag += 1;
+    cx.mem.requests.push(MemReq {
+        port: stage.port.expect("memory op has port"),
+        tag,
+        region,
+        offset,
+        write,
+    });
+    Step::Park(tag, 0)
+}
+
+/// Ticks one pipeline's awake stages, tail to head. Returns
+/// `(progress, active)`: `progress` feeds the deadlock watchdog (forward
+/// progress only), `active` is the wider event-wheel quiescence signal —
+/// any stage doing *anything* this cycle, including non-progress work
+/// like pure ALU moves, guard-fail pass-throughs, and rendezvous timeout
+/// bounces.
+///
+/// A stage that provably cannot act sleeps, so the cycles it idles or
+/// stalls through cost nothing, while its counters and trace read exactly
+/// what visiting it every cycle would have written:
+/// - an idle stage (nothing latched, nothing in its station, no response
+///   at its port) sleeps until a context enters its latch or a response
+///   reaches its port;
+/// - a blocked stage (a latched context, no station, the next latch
+///   full) sleeps until the next latch empties;
+/// - a stage waiting on its own station (`miss_outstanding`,
+///   `mshr_full`) or on the next latch sleeps until either of those
+///   changes.
+///
+/// A stage that only shared state (a queue, the event bus, the request
+/// channel, an extern unit) or time (a rendezvous timeout) can release
+/// stays awake; its station answers in O(1) when nothing in it is ready
+/// or due to time out.
+fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     let n = p.stages.len();
+    let set = p.set;
+    let now = cx.now;
+    let before = cx.core.event_totals();
     let mut progress = false;
     let mut active = false;
-    let set = p.set;
-    let retired_before: u64 = retired.iter().sum();
 
-    for i in (0..n).rev() {
-        let mut busy = false;
+    let mut end = n;
+    while let Some(i) = p.awake_below(end) {
+        end = i;
         // Split the borrow: current stage vs the next latch.
         let (latch_cur, mut latch_next) = {
             let (a, b) = p.latches.split_at_mut(i + 1);
             (&mut a[i], b.first_mut())
         };
         let stage = &mut p.stages[i];
-        let next_free = latch_next.as_ref().map_or(true, |l| l.is_none());
+        stage.wake_stall(now);
+        let had_ctx = latch_cur.is_some();
+        // The tail retires into no latch, so it is never blocked.
+        let next_free = !latch_next.as_ref().is_some_and(|l| l.is_some());
+        let station_idle = match (stage.port, &stage.station) {
+            (Some(port), Some(station)) => station.is_empty() && cx.resp[port as usize].is_empty(),
+            _ => true,
+        };
+        if latch_cur.is_none() && station_idle {
+            stage.record(Activity::Idle, StallCause::DownstreamFull, cx);
+            p.sleep(i);
+            continue;
+        }
+        // Without a station, only `EnqueueRange` acts on a latched
+        // context while the next latch is full (it emits children).
+        let expands = matches!(stage.op, BodyOp::EnqueueRange { .. });
+        if !next_free && stage.station.is_none() && !expands {
+            stage.record(Activity::Stall, StallCause::DownstreamFull, cx);
+            stage.sleep_stalled(now);
+            p.sleep(i);
+            continue;
+        }
+        let mut busy = false;
 
         // Phase A: drain responses into the station and retire ready
         // entries forward.
         if let (Some(port), Some(station)) = (stage.port, stage.station.as_mut()) {
-            while let Some((tag, word)) = resp[port as usize].pop_front() {
+            while let Some((tag, word)) = cx.resp[port as usize].pop_front() {
                 // A miss is possible: the entry may have been bounced by a
                 // timeout and its late response must be dropped.
                 let _ = station.complete(tag, word);
             }
             // Coordinative rendezvous entries that waited too long bounce
             // back as `false`; their lane is cancelled.
-            if let BodyOp::Rendezvous { rule_instance, .. } = &stage.op {
-                let cutoff = now.saturating_sub(timeout);
+            if let Some(rule) = stage.rule {
+                let cutoff = now.saturating_sub(cx.rendezvous_timeout);
                 if let Some(tag) = station.timeout_one(cutoff) {
-                    let rule = match &spec.task_sets()[set.0].body[rule_instance.pos()] {
-                        BodyOp::AllocRule { rule, .. } => *rule,
-                        _ => unreachable!("validated spec"),
-                    };
-                    engines[rule.0].cancel(tag);
-                    *bounces += 1;
+                    cx.engines[rule.0].cancel(tag);
+                    cx.core.bounces += 1;
                     // A bounce mutates the station and the engine but is
                     // not watchdog progress: flag it for the event wheel
                     // so back-to-back bounces are never skipped over.
@@ -1684,201 +1855,87 @@ fn tick_pipeline(
                 }
             }
             // One completion may advance per cycle (station output port).
-            if next_free || i + 1 == n {
+            if next_free {
                 if let Some((mut ctx, word)) = station.take_ready() {
                     ctx.vals[i] = word;
                     if matches!(stage.op, BodyOp::Rendezvous { .. }) && word == 0 {
-                        *squashes += 1;
+                        cx.core.squashes += 1;
                     }
                     busy = true;
                     progress = true;
-                    advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                    advance(ctx, i, n, latch_next.as_deref_mut(), cx, set);
                 }
             }
         }
 
-        // Phase B: process the latch occupant.
-        let occupied = latch_cur.is_some();
-        // Why the occupant could not leave its latch this cycle; only
-        // meaningful when phase B re-parks it (`stalled_ctx`). The
-        // default covers every pure-op and guard-fail path, which stall
-        // only because the next latch is occupied.
+        // Phase B: process the latch occupant in place; it leaves the
+        // latch only to advance or to park in the station. `stall_cause`
+        // says why it stays; the default covers every pure-op and
+        // guard-fail path, which stall only because the next latch is
+        // occupied.
         let mut stall_cause = StallCause::DownstreamFull;
-        if let Some(ctx) = latch_cur.take() {
-            let next_free = latch_next.as_ref().map_or(true, |l| l.is_none()) || i + 1 == n;
-            let guard_ok = |g: &Option<apir_core::op::ValRef>, ctx: &Ctx| {
-                g.map_or(true, |v| ctx.vals[v.pos()] != 0)
+        if let Some(ctx) = latch_cur.as_ref() {
+            // Phase A may just have filled the next latch.
+            let next_free = !latch_next.as_ref().is_some_and(|l| l.is_some());
+            let val = |v: &ValRef| ctx.vals[v.pos()];
+            let gather = |vs: &[ValRef]| {
+                let mut f = [0u64; MAX_FIELDS];
+                for (k, v) in vs.iter().enumerate() {
+                    f[k] = val(v);
+                }
+                f
             };
-            let mut stalled_ctx: Option<Ctx> = None;
-            match &stage.op {
-                BodyOp::Field(f) => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = ctx.fields[*f as usize];
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                    } else {
-                        stalled_ctx = Some(ctx);
-                    }
-                }
-                BodyOp::IndexComp(l) => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = ctx.index.component(*l as usize);
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                    } else {
-                        stalled_ctx = Some(ctx);
-                    }
-                }
-                BodyOp::Const(c) => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = *c;
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                    } else {
-                        stalled_ctx = Some(ctx);
-                    }
-                }
-                BodyOp::Alu(op, a, b) => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = op.eval(ctx.vals[a.pos()], ctx.vals[b.pos()]);
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                    } else {
-                        stalled_ctx = Some(ctx);
-                    }
-                }
+            // A false guard, or an empty range to expand, passes the
+            // context through with 0.
+            let skip = stage.op.guard().is_some_and(|g| val(&g) == 0)
+                || matches!(&stage.op, BodyOp::EnqueueRange { lo, hi, .. } if val(lo) >= val(hi));
+            let step = match &stage.op {
+                _ if skip => Step::Advance(0),
+                BodyOp::Field(f) => Step::Advance(ctx.fields[*f as usize]),
+                BodyOp::IndexComp(l) => Step::Advance(ctx.index.component(*l as usize)),
+                BodyOp::Const(c) => Step::Advance(*c),
+                BodyOp::Alu(op, a, b) => Step::Advance(op.eval(val(a), val(b))),
                 BodyOp::Select {
                     cond,
                     if_true,
                     if_false,
-                } => {
-                    if next_free {
-                        let mut ctx = ctx;
-                        ctx.vals[i] = if ctx.vals[cond.pos()] != 0 {
-                            ctx.vals[if_true.pos()]
-                        } else {
-                            ctx.vals[if_false.pos()]
-                        };
-                        busy = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                    } else {
-                        stalled_ctx = Some(ctx);
-                    }
-                }
-                BodyOp::Load { region, addr } => {
-                    let station = stage.station.as_mut().expect("load has station");
-                    if station.can_insert() && mem.requests.can_push() {
-                        let tag = *next_tag;
-                        *next_tag += 1;
-                        mem.requests.push(MemReq {
-                            port: stage.port.expect("load has port"),
-                            tag,
-                            region: *region,
-                            offset: ctx.vals[addr.pos()],
-                            write: None,
-                        });
-                        station.insert(tag, ctx);
-                        busy = true;
-                        progress = true;
-                    } else {
-                        stall_cause = if station.can_insert() {
-                            StallCause::Bandwidth
-                        } else {
-                            StallCause::MshrFull
-                        };
-                        stalled_ctx = Some(ctx);
-                    }
-                }
+                } => Step::Advance(if val(cond) != 0 {
+                    val(if_true)
+                } else {
+                    val(if_false)
+                }),
+                BodyOp::Load { region, addr } => request(stage, cx, *region, val(addr), None),
                 BodyOp::Store {
                     region,
                     addr,
                     value,
                     kind,
-                    guard,
+                    ..
                 } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else {
-                        let station = stage.station.as_mut().expect("store has station");
-                        if station.can_insert() && mem.requests.can_push() {
-                            let wk = match kind {
-                                StoreKind::Plain => WriteKind::Plain,
-                                StoreKind::Min => WriteKind::Min,
-                                StoreKind::Cas { expected } => {
-                                    WriteKind::Cas(ctx.vals[expected.pos()])
-                                }
-                                StoreKind::Add => WriteKind::Add,
-                            };
-                            let tag = *next_tag;
-                            *next_tag += 1;
-                            mem.requests.push(MemReq {
-                                port: stage.port.expect("store has port"),
-                                tag,
-                                region: *region,
-                                offset: ctx.vals[addr.pos()],
-                                write: Some((wk, ctx.vals[value.pos()])),
-                            });
-                            station.insert(tag, ctx);
-                            busy = true;
-                            progress = true;
-                        } else {
-                            stall_cause = if station.can_insert() {
-                                StallCause::Bandwidth
-                            } else {
-                                StallCause::MshrFull
-                            };
-                            stalled_ctx = Some(ctx);
-                        }
-                    }
+                    let wk = match kind {
+                        StoreKind::Plain => WriteKind::Plain,
+                        StoreKind::Min => WriteKind::Min,
+                        StoreKind::Cas { expected } => WriteKind::Cas(val(expected)),
+                        StoreKind::Add => WriteKind::Add,
+                    };
+                    request(stage, cx, *region, val(addr), Some((wk, val(value))))
                 }
                 BodyOp::Enqueue {
-                    task_set,
-                    fields,
-                    guard,
+                    task_set, fields, ..
                 } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else if next_free && queues[task_set.0].can_push() {
-                        let mut f = [0u64; MAX_FIELDS];
-                        for (k, v) in fields.iter().enumerate() {
-                            f[k] = ctx.vals[v.pos()];
-                        }
-                        let seq = *next_seq;
-                        *next_seq += 1;
-                        let token = queues[task_set.0]
-                            .push_child(ctx.index, seq, f)
+                    if next_free && cx.queues[task_set.0].can_push() {
+                        let seq = cx.core.next_seq;
+                        cx.core.next_seq += 1;
+                        let token = cx.queues[task_set.0]
+                            .push_child(ctx.index, seq, gather(fields))
                             .expect("checked can_push");
-                        live.insert((token.index, token.seq));
-                        let mut ctx = ctx;
-                        ctx.vals[i] = 1;
-                        busy = true;
+                        cx.live.insert((token.index, token.seq));
                         progress = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                        Step::Advance(1)
+                    } else if next_free {
+                        Step::Stay(StallCause::QueueFull)
                     } else {
-                        stall_cause = if next_free {
-                            StallCause::QueueFull
-                        } else {
-                            StallCause::DownstreamFull
-                        };
-                        stalled_ctx = Some(ctx);
+                        Step::Stay(StallCause::DownstreamFull)
                     }
                 }
                 BodyOp::EnqueueRange {
@@ -1886,316 +1943,213 @@ fn tick_pipeline(
                     lo,
                     hi,
                     extra,
-                    guard,
+                    ..
                 } => {
-                    let lo_v = ctx.vals[lo.pos()];
-                    let hi_v = ctx.vals[hi.pos()];
-                    if !guard_ok(guard, &ctx) || lo_v >= hi_v {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            stage.expand_pos = None;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
+                    let (lo, hi) = (val(lo), val(hi));
+                    let pos = stage.expand_pos.get_or_insert(lo);
+                    // Emit one child per cycle while space is available.
+                    if *pos < hi && cx.queues[task_set.0].can_push() {
+                        let mut f = [0u64; MAX_FIELDS];
+                        f[0] = *pos;
+                        for (k, v) in extra.iter().enumerate() {
+                            f[k + 1] = val(v);
                         }
+                        let seq = cx.core.next_seq;
+                        cx.core.next_seq += 1;
+                        let token = cx.queues[task_set.0]
+                            .push_child(ctx.index, seq, f)
+                            .expect("checked can_push");
+                        cx.live.insert((token.index, token.seq));
+                        *pos += 1;
+                        busy = true;
+                        progress = true;
+                    }
+                    if *pos == hi {
+                        Step::Advance(hi - lo)
                     } else {
-                        let pos = stage.expand_pos.get_or_insert(lo_v);
-                        // Emit one child per cycle while space is available.
-                        if *pos < hi_v && queues[task_set.0].can_push() {
-                            let mut f = [0u64; MAX_FIELDS];
-                            f[0] = *pos;
-                            for (k, v) in extra.iter().enumerate() {
-                                f[k + 1] = ctx.vals[v.pos()];
-                            }
-                            let seq = *next_seq;
-                            *next_seq += 1;
-                            let token = queues[task_set.0]
-                                .push_child(ctx.index, seq, f)
-                                .expect("checked can_push");
-                            live.insert((token.index, token.seq));
-                            *pos += 1;
-                            busy = true;
-                            progress = true;
-                        }
-                        if stage.expand_pos == Some(hi_v) && next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = hi_v - lo_v;
-                            stage.expand_pos = None;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stall_cause = if stage.expand_pos == Some(hi_v) {
-                                StallCause::DownstreamFull
-                            } else {
-                                StallCause::QueueFull
-                            };
-                            stalled_ctx = Some(ctx);
-                        }
+                        Step::Stay(StallCause::QueueFull)
                     }
                 }
-                BodyOp::Requeue { fields, guard } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else if next_free && queues[set.0].can_push_reserved() {
-                        let mut f = [0u64; MAX_FIELDS];
-                        for (k, v) in fields.iter().enumerate() {
-                            f[k] = ctx.vals[v.pos()];
-                        }
-                        let seq = *next_seq;
-                        *next_seq += 1;
+                BodyOp::Requeue { fields, .. } => {
+                    if next_free && cx.queues[set.0].can_push_reserved() {
+                        let seq = cx.core.next_seq;
+                        cx.core.next_seq += 1;
                         let token = TaskToken {
                             index: ctx.index,
                             seq,
-                            fields: f,
+                            fields: gather(fields),
                         };
-                        let pushed = queues[set.0].push_fixed(token);
+                        let pushed = cx.queues[set.0].push_fixed(token);
                         debug_assert!(pushed, "checked can_push");
-                        live.insert((token.index, token.seq));
-                        *requeues += 1;
-                        let mut ctx = ctx;
-                        ctx.vals[i] = 1;
-                        busy = true;
+                        cx.live.insert((token.index, token.seq));
+                        cx.core.requeues += 1;
                         progress = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                        Step::Advance(1)
+                    } else if next_free {
+                        Step::Stay(StallCause::ReserveFull)
                     } else {
-                        stall_cause = if next_free {
-                            StallCause::ReserveFull
-                        } else {
-                            StallCause::DownstreamFull
-                        };
-                        stalled_ctx = Some(ctx);
+                        Step::Stay(StallCause::DownstreamFull)
                     }
                 }
-                BodyOp::AllocRule { rule, params, guard } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else if next_free {
-                        let mut ps = [0u64; MAX_FIELDS];
-                        for (k, v) in params.iter().enumerate() {
-                            ps[k] = ctx.vals[v.pos()];
-                        }
-                        let tag = *next_tag;
-                        *next_tag += 1;
+                BodyOp::AllocRule { rule, params, .. } => {
+                    if next_free {
+                        let tag = cx.core.next_tag;
+                        cx.core.next_tag += 1;
                         // Granted or nacked, the token proceeds: a nack
                         // buffered `false` for this tag, steering the
                         // task into its retry path at the rendezvous.
-                        let _ = engines[rule.0].alloc(ctx.index, ctx.seq, ps, tag);
-                        let mut ctx = ctx;
-                        ctx.vals[i] = tag;
-                        busy = true;
+                        let _ = cx.engines[rule.0].alloc(ctx.index, ctx.seq, gather(params), tag);
                         progress = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                        Step::Advance(tag)
                     } else {
-                        stalled_ctx = Some(ctx);
+                        Step::Stay(StallCause::DownstreamFull)
                     }
                 }
-                BodyOp::Rendezvous {
-                    rule_instance,
-                    guard,
-                } => {
-                    let rule = match &spec.task_sets()[set.0].body[rule_instance.pos()] {
-                        BodyOp::AllocRule { rule, .. } => *rule,
-                        _ => unreachable!("validated spec"),
-                    };
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                        // fallthrough handled; skip station path
-                    } else {
-                    let station = stage.station.as_mut().expect("rendezvous has station");
-                    let port = stage.port.expect("rendezvous has port");
+                BodyOp::Rendezvous { rule_instance, .. } => {
+                    let station = stage.station.as_ref().expect("rendezvous has station");
                     if station.can_insert() && next_free {
-                        let tag = ctx.vals[rule_instance.pos()];
-                        match engines[rule.0].claim(tag, port) {
+                        let rule = stage.rule.expect("rendezvous has rule");
+                        let port = stage.port.expect("rendezvous has port");
+                        let tag = val(rule_instance);
+                        match cx.engines[rule.0].claim(tag, port) {
                             ClaimOutcome::Ready(v) => {
-                                let mut ctx = ctx;
-                                ctx.vals[i] = v as u64;
                                 if !v {
-                                    *squashes += 1;
+                                    cx.core.squashes += 1;
                                 }
-                                busy = true;
                                 progress = true;
-                                advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                                Step::Advance(u64::from(v))
                             }
-                            ClaimOutcome::Wait => {
-                                station.insert_at(tag, ctx, now);
-                                busy = true;
-                                progress = true;
-                            }
+                            ClaimOutcome::Wait => Step::Park(tag, now),
                         }
+                    } else if station.can_insert() {
+                        Step::Stay(StallCause::DownstreamFull)
                     } else {
-                        stall_cause = if station.can_insert() {
-                            StallCause::DownstreamFull
-                        } else {
-                            StallCause::RendezvousParked
-                        };
-                        stalled_ctx = Some(ctx);
-                    }
+                        Step::Stay(StallCause::RendezvousParked)
                     }
                 }
-                BodyOp::Emit {
-                    label,
-                    payload,
-                    guard,
-                } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
-                    } else if next_free && bus_staged.len() < bus_cap {
-                        let mut pl = [0u64; MAX_FIELDS];
-                        for (k, v) in payload.iter().enumerate() {
-                            pl[k] = ctx.vals[v.pos()];
-                        }
-                        bus_staged.push(EventMsg {
+                BodyOp::Emit { label, payload, .. } => {
+                    if next_free && cx.bus_staged.len() < cx.bus_cap {
+                        cx.bus_staged.push(EventMsg {
                             label: *label,
-                            payload: pl,
+                            payload: gather(payload),
                             len: payload.len() as u8,
                             index: ctx.index,
                         });
-                        let mut ctx = ctx;
-                        ctx.vals[i] = 1;
-                        busy = true;
                         progress = true;
-                        advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
+                        Step::Advance(1)
+                    } else if next_free {
+                        Step::Stay(StallCause::BusFull)
                     } else {
-                        stall_cause = if next_free {
-                            StallCause::BusFull
-                        } else {
-                            StallCause::DownstreamFull
-                        };
-                        stalled_ctx = Some(ctx);
+                        Step::Stay(StallCause::DownstreamFull)
                     }
                 }
-                BodyOp::Extern { ext, args, guard } => {
-                    if !guard_ok(guard, &ctx) {
-                        if next_free {
-                            let mut ctx = ctx;
-                            ctx.vals[i] = 0;
-                            busy = true;
-                            advance(ctx, i, n, latch_next.as_deref_mut(), live, retired, set);
-                        } else {
-                            stalled_ctx = Some(ctx);
-                        }
+                BodyOp::Extern { ext, args, .. } => {
+                    let station = stage.station.as_ref().expect("extern has station");
+                    let unit = p.extern_unit.as_mut().expect("extern has unit");
+                    if station.can_insert() && unit.queue.can_push() {
+                        let tag = cx.core.next_tag;
+                        cx.core.next_tag += 1;
+                        unit.queue.push(ExternReq {
+                            tag,
+                            port: stage.port.expect("extern has port"),
+                            ext: ext.0,
+                            args: gather(args),
+                            nargs: args.len() as u8,
+                            index: ctx.index,
+                        });
+                        Step::Park(tag, 0)
+                    } else if station.can_insert() {
+                        Step::Stay(StallCause::DownstreamFull)
                     } else {
-                        let station = stage.station.as_mut().expect("extern has station");
-                        let unit = p.extern_unit.as_mut().expect("extern has unit");
-                        if station.can_insert() && unit.queue.can_push() {
-                            let mut a = [0u64; MAX_FIELDS];
-                            for (k, v) in args.iter().enumerate() {
-                                a[k] = ctx.vals[v.pos()];
-                            }
-                            let tag = *next_tag;
-                            *next_tag += 1;
-                            unit.queue.push(ExternReq {
-                                tag,
-                                port: stage.port.expect("extern has port"),
-                                ext: ext.0,
-                                args: a,
-                                nargs: args.len() as u8,
-                                index: ctx.index,
-                            });
-                            station.insert(tag, ctx);
-                            busy = true;
-                            progress = true;
-                        } else {
-                            stall_cause = if station.can_insert() {
-                                StallCause::DownstreamFull
-                            } else {
-                                StallCause::MshrFull
-                            };
-                            stalled_ctx = Some(ctx);
-                        }
+                        Step::Stay(StallCause::MshrFull)
                     }
                 }
+            };
+            match step {
+                Step::Advance(v) if next_free => {
+                    let mut ctx = latch_cur.take().expect("occupied latch");
+                    ctx.vals[i] = v;
+                    if matches!(stage.op, BodyOp::EnqueueRange { .. }) {
+                        stage.expand_pos = None;
+                    }
+                    busy = true;
+                    advance(ctx, i, n, latch_next, cx, set);
+                }
+                Step::Advance(_) => {}
+                Step::Park(tag, born) => {
+                    let ctx = latch_cur.take().expect("occupied latch");
+                    let station = stage.station.as_mut().expect("parking op has station");
+                    station.insert_at(tag, ctx, born);
+                    busy = true;
+                    progress = true;
+                }
+                Step::Stay(cause) => stall_cause = cause,
             }
-            *latch_cur = stalled_ctx;
         }
 
         active |= busy;
-        // Activity accounting.
-        let waiting_latch = p.latches[i].is_some();
-        let waiting_station = p.stages[i]
-            .station
-            .as_ref()
-            .is_some_and(|s| !s.is_empty());
-        let state = if busy {
-            Activity::Busy
-        } else if waiting_latch || waiting_station {
-            Activity::Stall
-        } else {
-            Activity::Idle
-        };
-        if state == Activity::Stall {
-            // A re-parked latch carries the cause phase B just computed;
-            // a station-only stall is waiting on an outstanding
-            // completion (rendezvous verdict or memory/extern response).
-            let cause = if waiting_latch {
-                stall_cause
-            } else if matches!(p.stages[i].op, BodyOp::Rendezvous { .. }) {
-                StallCause::RendezvousParked
-            } else {
-                StallCause::MissOutstanding
+        // A re-parked latch carries the cause phase B just computed; a
+        // station-only stall is waiting on an outstanding completion
+        // (rendezvous verdict or memory/extern response).
+        let (state, cause) = if busy {
+            (Activity::Busy, stall_cause)
+        } else if latch_cur.is_some() {
+            (Activity::Stall, stall_cause)
+        } else if stage.station.as_ref().is_some_and(|s| !s.is_empty()) {
+            let cause = match stage.op {
+                BodyOp::Rendezvous { .. } => StallCause::RendezvousParked,
+                _ => StallCause::MissOutstanding,
             };
-            p.stages[i].tracker.record_stall(cause);
-            p.stages[i].last_stall_cause = cause;
+            (Activity::Stall, cause)
         } else {
-            p.stages[i].tracker.record(state);
-        }
-        // Trace only activity *transitions* so a stage that stays busy for
-        // ten thousand cycles costs one record, not ten thousand.
-        if let Some(tr) = trace.as_deref_mut() {
-            let st = &mut p.stages[i];
-            if st.last_activity != Some(state) {
-                st.last_activity = Some(state);
-                let ev = match state {
-                    Activity::Busy => "busy",
-                    Activity::Stall => "stall",
-                    Activity::Idle => "idle",
-                };
-                tr.record(now, st.comp, ev, 0);
+            (Activity::Idle, stall_cause)
+        };
+        stage.record(state, cause, cx);
+        // Sleep through a stall that only a wake can end: a response at
+        // the port, or the next latch emptying. A rendezvous also waits
+        // on its timeout, and an extern stage's `DownstreamFull` may be
+        // its unit's full queue.
+        let sleeps = match (state, cause) {
+            (Activity::Idle, _) => true,
+            (Activity::Stall, StallCause::MissOutstanding | StallCause::MshrFull) => true,
+            (Activity::Stall, StallCause::DownstreamFull) => {
+                !matches!(stage.op, BodyOp::Rendezvous { .. } | BodyOp::Extern { .. })
             }
+            _ => false,
+        };
+        if sleeps {
+            if state == Activity::Stall {
+                stage.sleep_stalled(now);
+            }
+            p.sleep(i);
         }
-        let _ = occupied;
+        // A context that entered the next latch wakes its stage; one that
+        // left this latch wakes the stage behind, which may wait on it.
+        if p.latches.get(i + 1).is_some_and(Option::is_some) {
+            p.wake(i + 1);
+        }
+        if had_ctx && p.latches[i].is_none() && i > 0 {
+            p.wake(i - 1);
+        }
     }
 
-    if let Some(log) = retire_log {
-        let delta = retired.iter().sum::<u64>() - retired_before;
-        for _ in 0..delta {
-            log.push((now, set.0));
+    let after = cx.core.event_totals();
+    if let Some(log) = cx.retire_log.as_deref_mut() {
+        log.extend((before[0]..after[0]).map(|_| (now, set.0)));
+    }
+    if let Some(tr) = cx.trace.as_deref_mut() {
+        let evs = ["retire", "squash", "requeue", "bounce"];
+        for ((ev, b), a) in evs.into_iter().zip(before).zip(after) {
+            if a > b {
+                tr.record(now, p.comp, ev, a - b);
+            }
         }
     }
     // Head: pop a task into latch 0.
     if n > 0 && p.latches[0].is_none() {
-        if let Some(token) = queues[set.0].pop() {
+        if let Some(token) = cx.queues[set.0].pop() {
             p.latches[0] = Some(Ctx::from_token(token, n));
+            p.wake(0);
             progress = true;
         }
     }
@@ -2225,6 +2179,8 @@ snap_fields!(Fabric {
     tl_prev,
     spec: skip,
     cfg: skip,
+    port_owner: skip,
+    out: skip,
     lint_errors: skip,
     ckpt: skip,
     ckpt_cycle: skip,
@@ -2280,8 +2236,10 @@ impl Fabric {
     }
 
     /// Checks a loaded snapshot against the structure: optional parts
-    /// present exactly when the config arms them, and every task set,
-    /// queue and response port it names in range.
+    /// present exactly when the config arms them, every task set, queue
+    /// and response port it names in range, and every stage's busy,
+    /// stall and idle cycles summing to the clock (the idle count is
+    /// derived from that sum during a run; see [`Stage::record`]).
     fn fits(&self) -> Result<(), String> {
         if self.trace.is_some() != (self.cfg.trace_capacity > 0) {
             return Err(".trace: presence disagrees with config trace_capacity".into());
@@ -2304,6 +2262,19 @@ impl Fabric {
             e.check_ports(ports)
                 .map_err(|e| snap::nest(format_args!(".engines[{i}]"), e))?;
         }
+        for (pi, p) in self.pipelines.iter().enumerate() {
+            for (si, st) in p.stages.iter().enumerate() {
+                let t = &st.tracker;
+                let sum = u128::from(t.busy) + u128::from(t.stall) + u128::from(t.idle);
+                if sum != u128::from(self.cycle) {
+                    return Err(format!(
+                        ".pipelines[{pi}].stages[{si}].tk: busy + stall + idle is {sum}, \
+                         but the clock is at cycle {}",
+                        self.cycle
+                    ));
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -2323,13 +2294,12 @@ fn advance(
     i: usize,
     n: usize,
     latch_next: Option<&mut Option<Ctx>>,
-    live: &mut BTreeSet<(IndexTuple, u64)>,
-    retired: &mut [u64],
+    cx: &mut TickCtx,
     set: TaskSetId,
 ) {
     if i + 1 == n {
-        live.remove(&(ctx.index, ctx.seq));
-        retired[set.0] += 1;
+        cx.live.remove(&(ctx.index, ctx.seq));
+        cx.core.retired[set.0] += 1;
     } else {
         let slot = latch_next.expect("next latch exists");
         debug_assert!(slot.is_none(), "advance into occupied latch");

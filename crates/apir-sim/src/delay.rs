@@ -117,11 +117,22 @@ pub struct OutOfOrderStation<T> {
     /// order, which matters: [`OutOfOrderStation::take_ready`] removes
     /// the oldest ready slot.
     entries: Vec<(u64, T, bool, u64, Cycle)>,
+    /// Number of entries with the ready flag set, so a station with
+    /// nothing to hand out answers in O(1).
+    ready: usize,
+    /// A lower bound on the insertion cycle of every waiting entry, so
+    /// [`OutOfOrderStation::timeout_one`] answers in O(1) until its
+    /// cutoff passes the bound.
+    waiting_floor: Cycle,
 }
+// `ready` and `waiting_floor` are derived from `entries`: never saved,
+// recomputed on load.
 snap_fields!(OutOfOrderStation<T>(
     entries,
     cap: skip,
-) check Self::fits);
+    ready: skip,
+    waiting_floor: skip,
+) check Self::loaded);
 
 impl<T> OutOfOrderStation<T> {
     /// Creates a station with `cap` slots.
@@ -134,6 +145,8 @@ impl<T> OutOfOrderStation<T> {
         OutOfOrderStation {
             cap,
             entries: Vec::with_capacity(cap),
+            ready: 0,
+            waiting_floor: Cycle::MAX,
         }
     }
 
@@ -170,6 +183,7 @@ impl<T> OutOfOrderStation<T> {
     pub fn insert_at(&mut self, tag: u64, payload: T, now: Cycle) {
         assert!(self.can_insert(), "insert into full station");
         self.entries.push((tag, payload, false, 0, now));
+        self.waiting_floor = self.waiting_floor.min(now);
     }
 
     /// Bounces the oldest still-waiting entry inserted before `cutoff`:
@@ -177,13 +191,23 @@ impl<T> OutOfOrderStation<T> {
     /// caller can cancel whatever it was waiting on). At most one per
     /// call — one bounce port per cycle.
     pub fn timeout_one(&mut self, cutoff: Cycle) -> Option<u64> {
-        let e = self
-            .entries
-            .iter_mut()
-            .filter(|e| !e.2 && e.4 < cutoff)
-            .min_by_key(|e| e.4)?;
+        if cutoff <= self.waiting_floor {
+            return None;
+        }
+        // The oldest waiting entry (the first one on a tie) is also the
+        // oldest of those inserted before `cutoff`, if any are; either
+        // way no waiting entry is older, so it sets the floor.
+        let Some(e) = self.entries.iter_mut().filter(|e| !e.2).min_by_key(|e| e.4) else {
+            self.waiting_floor = Cycle::MAX;
+            return None;
+        };
+        self.waiting_floor = e.4;
+        if e.4 >= cutoff {
+            return None;
+        }
         e.2 = true;
         e.3 = 0;
+        self.ready += 1;
         Some(e.0)
     }
 
@@ -204,6 +228,7 @@ impl<T> OutOfOrderStation<T> {
             if e.0 == tag && !e.2 {
                 e.2 = true;
                 e.3 = word;
+                self.ready += 1;
                 return true;
             }
         }
@@ -212,8 +237,16 @@ impl<T> OutOfOrderStation<T> {
 
     /// Removes and returns the oldest ready entry as `(payload, word)`.
     pub fn take_ready(&mut self) -> Option<(T, u64)> {
-        let idx = self.entries.iter().position(|e| e.2)?;
+        if self.ready == 0 {
+            return None;
+        }
+        let idx = self
+            .entries
+            .iter()
+            .position(|e| e.2)
+            .expect("the ready count matches the ready flags");
         let (_, payload, _, word, _) = self.entries.remove(idx);
+        self.ready -= 1;
         Some((payload, word))
     }
 
@@ -231,7 +264,9 @@ impl<T> OutOfOrderStation<T> {
     }
 
     /// A loaded snapshot must fit the slots the receiver was built with.
-    fn fits(&self) -> Result<(), String> {
+    /// The derived fields are recomputed from the loaded entries: the
+    /// receiver's own values describe whatever it held before.
+    fn loaded(&mut self) -> Result<(), String> {
         if self.entries.len() > self.cap {
             return Err(format!(
                 "holds {} entries, capacity {}",
@@ -239,6 +274,8 @@ impl<T> OutOfOrderStation<T> {
                 self.cap
             ));
         }
+        self.ready = self.entries.iter().filter(|e| e.2).count();
+        self.waiting_floor = self.oldest_waiting_insert().unwrap_or(Cycle::MAX);
         Ok(())
     }
 }
@@ -246,6 +283,7 @@ impl<T> OutOfOrderStation<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apir_util::snap::Snap;
 
     #[test]
     fn delay_line_is_in_order() {
@@ -332,6 +370,88 @@ mod tests {
         assert_eq!(s.take_ready().unwrap(), ('x', 1));
         assert!(s.complete(7, 2));
         assert_eq!(s.take_ready().unwrap(), ('y', 2));
+    }
+
+    /// The ready count and waiting floor match the entries they derive
+    /// from.
+    fn assert_derived<T>(s: &OutOfOrderStation<T>) {
+        assert_eq!(s.ready, s.entries.iter().filter(|e| e.2).count());
+        let oldest = s.oldest_waiting_insert();
+        assert!(oldest.is_none_or(|c| s.waiting_floor <= c));
+    }
+
+    #[test]
+    fn ready_count_follows_completions_timeouts_and_takes() {
+        let mut s = OutOfOrderStation::new(4);
+        s.insert_at(7, 'a', 1);
+        s.insert_at(7, 'b', 2);
+        s.insert_at(9, 'c', 3);
+        assert_derived(&s);
+        assert_eq!(s.take_ready(), None);
+        // Duplicate tags complete one entry per signal, oldest first.
+        assert!(s.complete(7, 10));
+        assert_eq!(s.ready, 1);
+        assert!(s.complete(7, 11));
+        assert_eq!(s.ready, 2);
+        assert!(!s.complete(7, 12));
+        assert_eq!(s.ready, 2);
+        assert_derived(&s);
+        // Nothing waits long enough to bounce, then `c` does.
+        assert_eq!(s.timeout_one(3), None);
+        assert_eq!(s.timeout_one(4), Some(9));
+        assert_eq!(s.ready, 3);
+        assert_eq!(s.timeout_one(10), None);
+        assert_derived(&s);
+        assert_eq!(s.take_ready(), Some(('a', 10)));
+        assert_eq!(s.take_ready(), Some(('b', 11)));
+        assert_eq!(s.take_ready(), Some(('c', 0)));
+        assert_eq!(s.ready, 0);
+        assert_eq!(s.take_ready(), None);
+        assert_derived(&s);
+    }
+
+    #[test]
+    fn timeout_one_bounces_the_oldest_waiting_entry_first() {
+        let mut s = OutOfOrderStation::new(4);
+        s.insert_at(1, 'a', 8);
+        s.insert_at(2, 'b', 5);
+        s.insert_at(3, 'c', 5);
+        assert_eq!(s.timeout_one(6), Some(2));
+        assert_eq!(s.timeout_one(6), Some(3));
+        assert_eq!(s.timeout_one(6), None);
+        s.insert_at(4, 'd', 6);
+        assert_eq!(s.timeout_one(7), Some(4));
+        assert_eq!(s.timeout_one(9), Some(1));
+        assert_derived(&s);
+    }
+
+    #[test]
+    fn a_loaded_station_recounts_what_it_derives() {
+        // An entry completed while the next latch was full: ready, but
+        // not yet taken. Another is still waiting.
+        let mut src = OutOfOrderStation::new(4);
+        src.insert_at(1, 10u64, 5);
+        src.insert_at(2, 20u64, 6);
+        assert!(src.complete(2, 99));
+        let doc = src.save();
+        // Only the entries are saved.
+        assert_eq!(doc, src.entries.save());
+
+        // A fresh receiver and one whose counts describe other entries
+        // must both hand out the ready entry and bounce the waiting one.
+        let mut stale = OutOfOrderStation::new(4);
+        stale.insert_at(3, 30u64, 100);
+        stale.insert_at(4, 40u64, 100);
+        assert!(stale.complete(3, 1));
+        assert!(stale.complete(4, 1));
+        for mut s in [OutOfOrderStation::new(4), stale] {
+            s.load(&doc).unwrap();
+            assert_derived(&s);
+            assert_eq!(s.take_ready(), Some((20, 99)));
+            assert_eq!(s.take_ready(), None);
+            assert_eq!(s.timeout_one(6), Some(1));
+            assert_eq!(s.take_ready(), Some((10, 0)));
+        }
     }
 
     #[test]

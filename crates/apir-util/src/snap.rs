@@ -283,7 +283,9 @@ tuple!(5: A 0, B 1, C 2, D 3, E 4);
 ///
 /// A trailing `check path` names a `fn(&Self) -> Result<(), String>`
 /// that [`Snap::load`] runs after the last field, for invariants that
-/// span fields. Type parameters gain a `Snap + Default` bound.
+/// span fields; a `fn(&mut Self)` may also recompute skipped fields that
+/// are derived from saved ones. Type parameters gain a `Snap + Default`
+/// bound.
 ///
 /// ```
 /// use apir_util::snap::Snap;

@@ -10,7 +10,7 @@ use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::{build_app, AppInstance, APP_NAMES};
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricConfig, FaultConfig, RunSplit};
-use apir_util::props;
+use apir_util::{props, Json};
 
 fn app_cfg(name: &str, fault_seed: Option<u64>, dense: bool) -> (AppInstance, FabricConfig) {
     let app = build_app(name, Scale::Tiny);
@@ -119,6 +119,41 @@ fn dense_tick_oracle_restores_byte_identically() {
     check_restore_equivalence("SPEC-BFS", Some(5), true);
 }
 
+/// Station entries whose completion arrived while the next latch was
+/// full: each station's ready count is derived from them, never saved.
+fn ready_station_entries(doc: &Json) -> usize {
+    let Some(Json::Arr(pipes)) = doc.get("pipelines") else {
+        return 0;
+    };
+    let stages = pipes.iter().filter_map(|p| match p.get("stages") {
+        Some(Json::Arr(st)) => Some(st),
+        _ => None,
+    });
+    let entries = stages.flatten().filter_map(|st| match st.get("st") {
+        Some(Json::Arr(e)) => Some(e),
+        _ => None,
+    });
+    entries
+        .flatten()
+        .filter(|e| matches!(e, Json::Arr(f) if f.get(2) == Some(&Json::Bool(true))))
+        .count()
+}
+
+#[test]
+fn the_mid_run_spec_mst_split_holds_ready_station_entries() {
+    // `spec_mst_restores_byte_identically` splits here, so its restore
+    // must recount the ready entries to hand them out.
+    let (_, cycles) = uninterrupted("SPEC-MST", None, false);
+    let (app, cfg) = app_cfg("SPEC-MST", None, false);
+    let RunSplit::Paused(fabric) = Fabric::new(&app.spec, &app.input, cfg)
+        .run_until(cycles / 2)
+        .unwrap()
+    else {
+        panic!("SPEC-MST runs past its midpoint");
+    };
+    assert!(ready_station_entries(&fabric.snapshot()) > 0);
+}
+
 #[test]
 fn snapshot_doc_carries_the_versioned_schema() {
     let (app, cfg) = app_cfg("SPEC-BFS", None, false);
@@ -130,7 +165,7 @@ fn snapshot_doc_carries_the_versioned_schema() {
     };
     let doc = fabric.snapshot();
     assert_eq!(
-        doc.get("schema").and_then(apir_util::Json::as_str),
+        doc.get("schema").and_then(Json::as_str),
         Some("apir.fabric.snapshot.v1")
     );
     // The document round-trips through the strict parser.
