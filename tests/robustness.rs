@@ -11,7 +11,8 @@ use apir::core::interp::SeqInterp;
 use apir::core::op::AluOp;
 use apir::core::spec::{Spec, TaskSetKind};
 use apir::core::ProgramInput;
-use apir::fabric::{Fabric, FabricConfig, FabricError, FaultConfig};
+use apir::fabric::{Fabric, FabricConfig, FabricError, FaultConfig, RunSplit};
+use apir_util::json::Json;
 
 /// A one-task spec whose only work is a cold-cache load: the miss's QPI
 /// round trip is the longest silent (no-progress) stretch the fabric has.
@@ -288,4 +289,90 @@ fn rendezvous_timeouts_bounce_and_still_retire() {
         "bounces must not change the final image: {:?}",
         seq.mem.diff(&report.mem_image, 8)
     );
+}
+
+/// FNV-1a, which pins rendered snapshot bytes as in `tests/stall_golden.rs`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A counter as saved in a snapshot's metrics registry, whose entries
+/// are `[key, kind, value, ..]`.
+fn saved_counter(doc: &Json, key: &str) -> u64 {
+    let entries = doc
+        .get("metrics")
+        .and_then(Json::as_arr)
+        .expect("metrics array");
+    let entry = entries
+        .iter()
+        .filter_map(Json::as_arr)
+        .find(|e| e[0].as_str() == Some(key))
+        .unwrap_or_else(|| panic!("no metric `{key}`"));
+    entry[2].as_u64().expect("counter value")
+}
+
+#[test]
+fn mid_run_snapshots_save_the_registry_as_of_the_last_executed_tick() {
+    // The metrics registry in a snapshot holds the totals of the last
+    // executed tick, not of the pause cycle. Two pauses show the lag on
+    // the one-miss spec with a strangled link: after a quiescent jump,
+    // and on the cycle the watchdog escalates (the escalation runs after
+    // that cycle's tick).
+    let (s, input) = one_miss_spec();
+    let mut cfg = FabricConfig {
+        deadlock_cycles: 100,
+        rendezvous_timeout: 16,
+        ..FabricConfig::default()
+    };
+    cfg.mem.qpi_gbps = 1e-9;
+    let pause = |target: u64| match Fabric::new(&s, &input, cfg.clone()).run_until(target) {
+        Ok(RunSplit::Paused(f)) => f,
+        Ok(RunSplit::Done(_)) => panic!("finished before cycle {target}"),
+        Err(e) => panic!("run_until({target}): {e}"),
+    };
+    // (target, pause cycle, saved `fabric.cycles`, saved
+    // `fault.watchdog.escalations`, `core.wd_escalations`, snapshot FNV-1a)
+    let cases = [
+        (100, 104, 6, 0, 0, 0x33b9_92f5_d808_6c0a),
+        (105, 105, 105, 0, 1, 0x0651_1b62_e190_8d62),
+    ];
+    for (target, cycle, cycles, saved_escalations, escalations, fnv) in cases {
+        let doc = pause(target).snapshot();
+        let text = doc.render();
+        let core = doc.get("core").expect("core member");
+        let got = (
+            doc.get("cycle").and_then(Json::as_u64),
+            saved_counter(&doc, "fabric.cycles"),
+            saved_counter(&doc, "fault.watchdog.escalations"),
+            core.get("wd_escalations").and_then(Json::as_u64),
+            fnv1a(text.as_bytes()),
+        );
+        let want = (
+            Some(cycle),
+            cycles,
+            saved_escalations,
+            Some(escalations),
+            fnv,
+        );
+        assert_eq!(got, want, "run_until({target})");
+        // The lag itself, so the pins keep covering it.
+        if target == 100 {
+            assert!(cycles < cycle, "no quiescent jump before the pause");
+        } else {
+            assert!(
+                saved_escalations < escalations,
+                "no escalation on the pause cycle"
+            );
+        }
+        // A restored fabric pauses again before its first tick, so it
+        // must save the same bytes, lag included.
+        let restored = Fabric::restore(&s, &input, cfg.clone(), &doc)
+            .unwrap_or_else(|e| panic!("run_until({target}): {e}"));
+        let Ok(RunSplit::Paused(again)) = restored.run_until(cycle) else {
+            panic!("run_until({target}): the restored fabric did not pause");
+        };
+        assert_eq!(again.snapshot().render(), text, "run_until({target})");
+    }
 }
