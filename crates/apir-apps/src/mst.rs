@@ -178,8 +178,7 @@ pub fn parallel_kruskal(
     sorted: &[(u32, u32, u64)],
     window: usize,
 ) -> (Vec<u64>, Vec<u64>) {
-    let mut parent: Vec<u64> = Vec::new();
-    parent.resize(n, 0);
+    let mut parent: Vec<u64> = vec![0; n];
     FlatUnionFind::init(&mut parent);
     let mut flags = vec![0u64; sorted.len()];
     let mut pending: Vec<usize> = (0..sorted.len()).collect();

@@ -163,14 +163,14 @@ pub(super) fn predict(
                         issue * params.line_bytes as f64 / params.qpi_bytes_per_cycle.max(1e-9),
                     ));
                 }
-                BodyOp::Rendezvous { rule_instance, .. } => {
-                    if rendezvous_is_waiting(spec, ts, rule_instance.pos()) {
-                        // A parked waiting rendezvous backpressures every
-                        // upstream latch — deeper placement, more stages
-                        // held behind it.
-                        contrib[i_ds].push((stage(), w * pos as f64));
-                        contrib[i_rp].push((stage(), w * 2.0));
-                    }
+                BodyOp::Rendezvous { rule_instance, .. }
+                    if rendezvous_is_waiting(spec, ts, rule_instance.pos()) =>
+                {
+                    // A parked waiting rendezvous backpressures every
+                    // upstream latch — deeper placement, more stages
+                    // held behind it.
+                    contrib[i_ds].push((stage(), w * pos as f64));
+                    contrib[i_rp].push((stage(), w * 2.0));
                 }
                 BodyOp::AllocRule { .. } => {
                     contrib[i_lb].push((stage(), w * pipes / params.rule_lanes.max(1) as f64));

@@ -142,9 +142,9 @@ pub enum Lint {
     /// `APIR502` — `rendezvous_timeout >= deadlock_cycles`: the bounce
     /// path can never fire before the watchdog declares deadlock, so
     /// station-full stalls are unrecoverable. (A waiting rendezvous
-    /// entry inserted at cycle `t` bounces at `t + rendezvous_timeout
-    /// + 1`; the watchdog expires once `cycle - last_progress >
-    /// deadlock_cycles`.)
+    /// entry inserted at cycle `t` bounces at
+    /// `t + rendezvous_timeout + 1`; the watchdog expires once
+    /// `cycle - last_progress > deadlock_cycles`.)
     WatchdogMisordered,
     /// `APIR503` — a fault-injection rate is outside `[0, 1]` or NaN.
     /// Lane/bank rates are *per-trial* probabilities: they are drawn

@@ -170,27 +170,25 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                         );
                     }
                 }
-                BodyOp::Requeue { fields, .. } => {
-                    if fields.len() != ts.arity() {
-                        report.push(
-                            Diagnostic::new(
-                                Lint::EnqueueArityMismatch,
-                                op_path(&ts.name, pos),
-                                format!(
-                                    "requeue passes {} fields, `{}` carries {}",
-                                    fields.len(),
-                                    ts.name,
-                                    ts.arity()
-                                ),
-                            )
-                            .legacy(SpecError::ArityMismatch {
-                                task_set: ts.name.clone(),
-                                op: pos,
-                                expected: ts.arity(),
-                                got: fields.len(),
-                            }),
-                        );
-                    }
+                BodyOp::Requeue { fields, .. } if fields.len() != ts.arity() => {
+                    report.push(
+                        Diagnostic::new(
+                            Lint::EnqueueArityMismatch,
+                            op_path(&ts.name, pos),
+                            format!(
+                                "requeue passes {} fields, `{}` carries {}",
+                                fields.len(),
+                                ts.name,
+                                ts.arity()
+                            ),
+                        )
+                        .legacy(SpecError::ArityMismatch {
+                            task_set: ts.name.clone(),
+                            op: pos,
+                            expected: ts.arity(),
+                            got: fields.len(),
+                        }),
+                    );
                 }
                 BodyOp::EnqueueRange {
                     task_set: target,
@@ -218,23 +216,21 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                         );
                     }
                 }
-                BodyOp::Emit { payload, .. } => {
-                    if payload.len() > MAX_FIELDS {
-                        report.push(
-                            Diagnostic::new(
-                                Lint::WidthExceeded,
-                                op_path(&ts.name, pos),
-                                format!(
-                                    "emit payload of {} words exceeds limit {MAX_FIELDS}",
-                                    payload.len()
-                                ),
-                            )
-                            .legacy(SpecError::WidthExceeded {
-                                what: format!("emit payload in `{}`", ts.name),
-                                limit: MAX_FIELDS,
-                            }),
-                        );
-                    }
+                BodyOp::Emit { payload, .. } if payload.len() > MAX_FIELDS => {
+                    report.push(
+                        Diagnostic::new(
+                            Lint::WidthExceeded,
+                            op_path(&ts.name, pos),
+                            format!(
+                                "emit payload of {} words exceeds limit {MAX_FIELDS}",
+                                payload.len()
+                            ),
+                        )
+                        .legacy(SpecError::WidthExceeded {
+                            what: format!("emit payload in `{}`", ts.name),
+                            limit: MAX_FIELDS,
+                        }),
+                    );
                 }
                 _ => {}
             }

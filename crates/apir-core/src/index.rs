@@ -72,7 +72,7 @@ impl IndexTuple {
     ///
     /// Panics if `level` is `0` or exceeds [`MAX_DEPTH`].
     pub fn component(&self, level: usize) -> u64 {
-        assert!(level >= 1 && level <= MAX_DEPTH, "level out of range");
+        assert!((1..=MAX_DEPTH).contains(&level), "level out of range");
         self.comps[level - 1]
     }
 
@@ -85,7 +85,7 @@ impl IndexTuple {
     ///
     /// Panics if `level` is `0` or exceeds [`MAX_DEPTH`].
     pub fn child(&self, level: usize, ord: u64) -> Self {
-        assert!(level >= 1 && level <= MAX_DEPTH, "level out of range");
+        assert!((1..=MAX_DEPTH).contains(&level), "level out of range");
         let mut c = [0u64; MAX_DEPTH];
         c[..level - 1].copy_from_slice(&self.comps[..level - 1]);
         c[level - 1] = ord;

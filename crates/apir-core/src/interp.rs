@@ -202,9 +202,8 @@ impl<'s> SeqInterp<'s> {
         let mut pending: Vec<(Option<IndexTuple>, TaskSetId, Vec<u64>)> = Vec::new();
         for (pos, op) in body.iter().enumerate() {
             self.stats.ops += 1;
-            let guard_ok = |g: &Option<crate::op::ValRef>, vals: &[u64]| {
-                g.map_or(true, |v| vals[v.pos()] != 0)
-            };
+            let guard_ok =
+                |g: &Option<crate::op::ValRef>, vals: &[u64]| g.is_none_or(|v| vals[v.pos()] != 0);
             vals[pos] = match op {
                 BodyOp::Field(n) => task.fields.get(*n as usize).copied().unwrap_or(0),
                 BodyOp::IndexComp(l) => task.index.component(*l as usize),

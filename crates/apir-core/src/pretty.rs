@@ -61,9 +61,7 @@ pub fn render(spec: &Spec) -> String {
 
 fn render_op(spec: &Spec, ts: &crate::spec::TaskSetDecl, op: &BodyOp) -> String {
     let v = |r: &crate::op::ValRef| format!("v{}", r.pos());
-    let vs = |rs: &[crate::op::ValRef]| {
-        rs.iter().map(|r| v(r)).collect::<Vec<_>>().join(", ")
-    };
+    let vs = |rs: &[crate::op::ValRef]| rs.iter().map(&v).collect::<Vec<_>>().join(", ");
     let guard = |g: &Option<crate::op::ValRef>| match g {
         Some(g) => format!(" if {}", v(g)),
         None => String::new(),

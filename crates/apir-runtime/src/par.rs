@@ -261,7 +261,7 @@ impl<'s> ParRunner<'s> {
         let mut spawned = Vec::new();
         for (pos, op) in body.iter().enumerate() {
             let guard_ok =
-                |g: &Option<apir_core::op::ValRef>, vals: &[u64]| g.map_or(true, |v| vals[v.pos()] != 0);
+                |g: &Option<apir_core::op::ValRef>, vals: &[u64]| g.is_none_or(|v| vals[v.pos()] != 0);
             vals[pos] = match op {
                 BodyOp::Field(n) => task.fields.get(*n as usize).copied().unwrap_or(0),
                 BodyOp::IndexComp(l) => task.index.component(*l as usize),

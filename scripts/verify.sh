@@ -9,8 +9,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build --release --offline
 
-echo "==> cargo clippy on apir-fabric and apir-sim (warnings are errors)"
-cargo clippy --offline -p apir-fabric -p apir-sim --lib --no-deps -- -D warnings
+echo "==> cargo clippy on every library in the workspace (warnings are errors)"
+cargo clippy --offline --workspace --lib --no-deps -- -D warnings
 
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
