@@ -615,6 +615,10 @@ pub struct Fabric {
     mids_rollback: Option<RollbackIds>,
     metrics: MetricsRegistry,
     mids: FabricMetricIds,
+    /// Cycle of the last executed tick while the registry does not hold
+    /// its running totals and gauges yet (see [`Fabric::publish_levels`]).
+    /// Derived: a loaded registry holds them, so load clears it.
+    unpublished: Option<u64>,
     trace: Option<EventTrace>,
     timeline: Option<TimelineRecorder>,
     /// Cumulative totals behind the last timeline observation; the
@@ -795,6 +799,7 @@ impl Fabric {
             mids_rollback,
             metrics,
             mids,
+            unpublished: None,
             trace,
             timeline,
             tl_prev: TimelineSample::default(),
@@ -1011,6 +1016,9 @@ impl Fabric {
     /// conservative `false` and retries through its abort path). Resets
     /// the watchdog so the recovered work gets a full window to drain.
     fn escalate_watchdog(&mut self) {
+        // The registry keeps the totals of the last executed tick, from
+        // before the escalation changes them.
+        self.publish_levels();
         let now = self.cycle;
         self.core.wd_escalations += 1;
         if let Some(key) = self.live.iter().next().copied() {
@@ -1118,7 +1126,6 @@ impl Fabric {
         self.metrics
             .set_gauge(self.mids.utilization, util.pipeline_utilization());
         let faults = self.fault_totals();
-        self.mids.faults.publish(&faults, &mut self.metrics);
         FabricReport {
             rollbacks: (self.cfg.max_rollbacks > 0).then(|| RollbackSummary {
                 count: self.rollback.done,
@@ -1297,11 +1304,13 @@ impl Fabric {
         }
 
         // 8) Observability: trace deltas vs the start-of-tick snapshot,
-        // then publish this cycle's totals into the metrics registry.
+        // then this cycle's samples. The running totals reach the
+        // registry only when it is read.
         if let Some(snap) = snap {
             self.record_tick_deltas(now, &snap);
         }
-        self.publish_cycle();
+        self.sample(1);
+        self.unpublished = Some(now);
         let cur = self.timeline.is_some().then(|| self.timeline_totals());
         if let (Some(tl), Some(cur)) = (self.timeline.as_mut(), cur) {
             tl.observe(&cur.delta_from(&self.tl_prev));
@@ -1319,9 +1328,12 @@ impl Fabric {
     /// Brings every stage's tracker up to the current cycle, which ticks
     /// leave behind (see [`Stage::record`]): it counts the stall cycles a
     /// sleeping stage has slept through, and the idle cycles, which are
-    /// the ones not spent busy or stalled. Runs wherever a tracker leaves
-    /// the tick loop: a pause, a checkpoint, the report.
+    /// the ones not spent busy or stalled. Also brings the registry's
+    /// running totals up to the last executed tick. Runs wherever a
+    /// tracker or the registry leaves the tick loop: a pause, a
+    /// checkpoint, the report.
     fn settle_trackers(&mut self) {
+        self.publish_levels();
         let next = self.cycle + 1;
         for st in self.pipelines.iter_mut().flat_map(|p| p.stages.iter_mut()) {
             if st.stall_from.is_some() {
@@ -1412,21 +1424,13 @@ impl Fabric {
     /// the per-cycle side effects the dense loop would have produced:
     /// bandwidth-credit accrual (bit-exact — see
     /// [`apir_sim::bandwidth::BandwidthMeter::tick_n`]), the per-cycle
-    /// occupancy histograms, and per-stage activity accounting. A
-    /// quiescent stage repeats the stall/idle state of the preceding
-    /// dense tick, so no trace transition fires, and counters and
-    /// gauges are level-valued, so re-publishing them would be a no-op.
+    /// samples, and per-stage activity accounting. A quiescent stage
+    /// repeats the stall/idle state of the preceding dense tick, so no
+    /// trace transition fires, and no running total moves.
     fn fast_forward(&mut self, k: u64) {
         self.cycle += k;
         self.mem.fast_forward(k);
-        self.mem
-            .publish_skipped(&self.mids.mem, &mut self.metrics, k);
-        for (q, ids) in self.queues.iter().zip(self.mids.queues.iter()) {
-            q.publish_skipped(ids, &mut self.metrics, k);
-        }
-        for (e, ids) in self.engines.iter().zip(self.mids.rules.iter()) {
-            e.publish_skipped(ids, &mut self.metrics, k);
-        }
+        self.sample(k);
         let mut waiting_stages = 0u64;
         let mut total_stages = 0u64;
         for p in &mut self.pipelines {
@@ -1576,12 +1580,32 @@ impl Fabric {
         }
     }
 
-    /// Syncs every registered metric with the component totals at the end
-    /// of the cycle. Gauges get the instantaneous value; occupancy
-    /// histograms get one observation per cycle.
-    fn publish_cycle(&mut self) {
+    /// Takes the per-cycle samples of `n` cycles that all look like the
+    /// end of the last tick: the queue and memory occupancy histograms
+    /// and the queue, memory and rule-lane admission stalls.
+    fn sample(&mut self, n: u64) {
         let m = &mut self.metrics;
-        m.set_counter(self.mids.cycles, self.cycle);
+        for (q, ids) in self.queues.iter().zip(self.mids.queues.iter()) {
+            q.sample(ids, m, n);
+        }
+        self.mem.sample(&self.mids.mem, m, n);
+        for (e, ids) in self.engines.iter().zip(self.mids.rules.iter()) {
+            e.sample(ids, m, n);
+        }
+    }
+
+    /// Writes the running totals and gauges the components keep into the
+    /// registry, as of the last executed tick, unless it holds them
+    /// already. Every path that reads the registry or changes a total
+    /// outside a tick (the watchdog escalation) calls this first; a
+    /// quiescent jump changes no total, only the clock, so
+    /// `fabric.cycles` stays at the last executed tick.
+    fn publish_levels(&mut self) {
+        let Some(cycle) = self.unpublished.take() else {
+            return;
+        };
+        let m = &mut self.metrics;
+        m.set_counter(self.mids.cycles, cycle);
         for (id, &r) in self.mids.retired.iter().zip(self.core.retired.iter()) {
             m.set_counter(*id, r);
         }
@@ -1796,7 +1820,8 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     let n = p.stages.len();
     let set = p.set;
     let now = cx.now;
-    let before = cx.core.event_totals();
+    let logged = cx.retire_log.is_some() || cx.trace.is_some();
+    let before = logged.then(|| cx.core.event_totals());
     let mut progress = false;
     let mut active = false;
 
@@ -2133,15 +2158,17 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         }
     }
 
-    let after = cx.core.event_totals();
-    if let Some(log) = cx.retire_log.as_deref_mut() {
-        log.extend((before[0]..after[0]).map(|_| (now, set.0)));
-    }
-    if let Some(tr) = cx.trace.as_deref_mut() {
-        let evs = ["retire", "squash", "requeue", "bounce"];
-        for ((ev, b), a) in evs.into_iter().zip(before).zip(after) {
-            if a > b {
-                tr.record(now, p.comp, ev, a - b);
+    if let Some(before) = before {
+        let after = cx.core.event_totals();
+        if let Some(log) = cx.retire_log.as_deref_mut() {
+            log.extend((before[0]..after[0]).map(|_| (now, set.0)));
+        }
+        if let Some(tr) = cx.trace.as_deref_mut() {
+            let evs = ["retire", "squash", "requeue", "bounce"];
+            for ((ev, b), a) in evs.into_iter().zip(before).zip(after) {
+                if a > b {
+                    tr.record(now, p.comp, ev, a - b);
+                }
             }
         }
     }
@@ -2186,12 +2213,13 @@ snap_fields!(Fabric {
     ckpt_cycle: skip,
     mids_rollback: skip,
     mids: skip,
+    unpublished: skip,
     tr_host: skip,
     tr_mem: skip,
     tr_fault: skip,
     tr_queues: skip,
     tr_rules: skip,
-} check Self::fits);
+} check Self::loaded);
 
 impl Fabric {
     /// Serializes the complete mutable state of this fabric as an
@@ -2233,6 +2261,15 @@ impl Fabric {
         let mut f = Fabric::new(spec, input, cfg);
         f.load(doc).map_err(|e| snap::describe(&e))?;
         Ok(f)
+    }
+
+    /// Checks a loaded snapshot (see [`Fabric::fits`]); its registry
+    /// holds the running totals of the tick before the snapshot, so
+    /// nothing is left to publish.
+    fn loaded(&mut self) -> Result<(), String> {
+        self.fits()?;
+        self.unpublished = None;
+        Ok(())
     }
 
     /// Checks a loaded snapshot against the structure: optional parts

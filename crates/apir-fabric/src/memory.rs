@@ -388,25 +388,26 @@ impl MemorySubsystem {
         ages
     }
 
-    /// Publishes the per-cycle view into the metrics registry: the
-    /// running `MemStats` totals, occupancy (gauge + histogram), and the
-    /// admission-stall attribution — one `mem.stall` count per cycle the
-    /// front of the miss-wait queue stays blocked, split into
-    /// `mshr_full` (read blocked on the in-flight-miss bound) vs
-    /// `bandwidth` (blocked on link byte credits).
+    /// Writes the running `MemStats` totals and the occupancy gauge into
+    /// the metrics registry.
     pub fn publish(&self, ids: &MemMetrics, m: &mut MetricsRegistry) {
         m.set_counter(ids.reads, self.stats.reads);
         m.set_counter(ids.writes, self.stats.writes);
         m.set_counter(ids.hits, self.stats.hits);
         m.set_counter(ids.misses, self.stats.misses);
         m.set_counter(ids.qpi_bytes, self.stats.qpi_bytes);
-        let inflight = self.inflight() as u64;
-        m.set_gauge(ids.inflight, inflight as f64);
-        m.observe(ids.inflight_hist, inflight);
-        self.publish_stall(ids, m, 1);
+        m.set_gauge(ids.inflight, self.inflight() as f64);
     }
 
-    fn publish_stall(&self, ids: &MemMetrics, m: &mut MetricsRegistry, n: u64) {
+    /// Samples `n` cycles in which the subsystem's census stays as it is
+    /// now (a skipped quiescent stretch changes neither the in-flight
+    /// count nor the blocked front), in O(1): `n` occupancy
+    /// observations, and the admission-stall attribution — one
+    /// `mem.stall` count per cycle the front of the miss-wait queue stays
+    /// blocked, split into `mshr_full` (read blocked on the in-flight-miss
+    /// bound) vs `bandwidth` (blocked on link byte credits).
+    pub fn sample(&self, ids: &MemMetrics, m: &mut MetricsRegistry, n: u64) {
+        m.observe_n(ids.inflight_hist, self.inflight() as u64, n);
         let Some(front) = self.miss_wait.front() else {
             return;
         };
@@ -653,14 +654,6 @@ impl MemorySubsystem {
     /// is unchanged by construction.
     pub fn fast_forward(&mut self, n: u64) {
         self.qpi.tick_n(n);
-    }
-
-    /// Replays the per-cycle occupancy observation and admission-stall
-    /// attribution for `n` skipped cycles (neither the in-flight census
-    /// nor the blocked front can change while the fabric is quiescent).
-    pub fn publish_skipped(&self, ids: &MemMetrics, m: &mut MetricsRegistry, n: u64) {
-        m.observe_n(ids.inflight_hist, self.inflight() as u64, n);
-        self.publish_stall(ids, m, n);
     }
 
     fn complete(&mut self, req: MemReq) -> (u32, u64, u64) {

@@ -69,8 +69,13 @@ pub struct TaskQueue {
     /// capacity when a bank fault masks one out).
     per_bank: usize,
     /// Banks masked out by injected hard faults; the allocator and the
-    /// pop rotation skip them.
+    /// pop rotation skip them, and they are always empty.
     masked: Box<[bool]>,
+    /// Tokens in all banks, visible and staged. Derived: recounted on
+    /// load.
+    len: usize,
+    /// Tokens a pop can take this cycle. Derived: recounted on load.
+    visible: usize,
 }
 snap_fields!(TaskQueue {
     banks,
@@ -85,7 +90,9 @@ snap_fields!(TaskQueue {
     level: skip,
     reserve: skip,
     per_bank: skip,
-} check Self::consistent);
+    len: skip,
+    visible: skip,
+} check Self::loaded);
 
 impl TaskQueue {
     /// Creates a queue with `banks` banks sharing `capacity` entries.
@@ -110,6 +117,8 @@ impl TaskQueue {
             capacity: per * banks,
             per_bank: per,
             masked: vec![false; banks].into(),
+            len: 0,
+            visible: 0,
         }
     }
 
@@ -121,18 +130,18 @@ impl TaskQueue {
 
     /// Entries currently queued (visible + staged).
     pub fn len(&self) -> usize {
-        self.banks.iter().map(Fifo::len).sum()
+        self.len
     }
 
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
-        self.banks.iter().all(Fifo::is_empty)
+        self.len == 0
     }
 
     /// Can one more ordinary task be pushed this cycle (leaving the
     /// recirculation reserve free)?
     pub fn can_push(&self) -> bool {
-        self.len() + self.reserve < self.capacity
+        self.len + self.reserve < self.capacity
             && self
                 .banks
                 .iter()
@@ -172,7 +181,10 @@ impl TaskQueue {
         let victim = live[(pick % live.len() as u64) as usize];
         self.masked[victim] = true;
         self.capacity = self.per_bank * (live.len() - 1);
-        Some(self.banks[victim].drain_all())
+        self.visible -= self.banks[victim].visible();
+        let drained = self.banks[victim].drain_all();
+        self.len -= drained.len();
+        Some(drained)
     }
 
     /// Peak occupancy observed.
@@ -230,15 +242,20 @@ impl TaskQueue {
             if !self.masked[b] && self.banks[b].try_push(token) {
                 self.push_rr = (b + 1) % n;
                 self.pushed_total += 1;
-                self.peak = self.peak.max(self.len());
+                self.len += 1;
+                self.peak = self.peak.max(self.len);
                 return true;
             }
         }
         false
     }
 
-    /// Pops the next task, rotating across banks.
+    /// Pops the next task, rotating across banks; O(1) when no task is
+    /// visible yet.
     pub fn pop(&mut self) -> Option<TaskToken> {
+        if self.visible == 0 {
+            return None;
+        }
         let n = self.banks.len();
         for k in 0..n {
             let b = (self.pop_rr + k) % n;
@@ -247,6 +264,8 @@ impl TaskQueue {
             }
             if let Some(t) = self.banks[b].pop() {
                 self.pop_rr = (b + 1) % n;
+                self.visible -= 1;
+                self.len -= 1;
                 return Some(t);
             }
         }
@@ -263,32 +282,22 @@ impl TaskQueue {
             .min()
     }
 
-    /// Publishes the per-cycle view into the metrics registry: total
-    /// pushes, occupancy (gauge + histogram), the peak, and the
-    /// backpressure attribution — one `queue.<name>.stall` count per
-    /// cycle an ordinary push would be refused, split into `queue_full`
-    /// (no bank has room) vs `reserve_full` (only the recirculation
-    /// reserve margin is left).
+    /// Writes the running totals and gauges into the metrics registry:
+    /// total pushes, occupancy and the peak.
     pub fn publish(&self, ids: &QueueMetrics, m: &mut MetricsRegistry) {
         m.set_counter(ids.pushed, self.pushed_total);
-        let occ = self.len() as u64;
-        m.set_gauge(ids.occupancy, occ as f64);
-        m.observe(ids.occupancy_hist, occ);
+        m.set_gauge(ids.occupancy, self.len as f64);
         m.set_gauge(ids.peak, self.peak as f64);
-        self.publish_stall(ids, m, 1);
     }
 
-    /// Publishes `n` skipped quiescent cycles in O(1): the occupancy
-    /// histogram gets `n` observations at the current (unchanging)
-    /// occupancy, and the per-cycle stall attribution is replayed `n`
-    /// times against the frozen state. Level-valued counters and gauges
-    /// need no replay.
-    pub fn publish_skipped(&self, ids: &QueueMetrics, m: &mut MetricsRegistry, n: u64) {
-        m.observe_n(ids.occupancy_hist, self.len() as u64, n);
-        self.publish_stall(ids, m, n);
-    }
-
-    fn publish_stall(&self, ids: &QueueMetrics, m: &mut MetricsRegistry, n: u64) {
+    /// Samples `n` cycles in which the queue stays as it is now, in
+    /// O(1): `n` occupancy observations, and the backpressure
+    /// attribution — one `queue.<name>.stall` count per cycle an
+    /// ordinary push would be refused, split into `queue_full` (no bank
+    /// has room) vs `reserve_full` (only the recirculation reserve
+    /// margin is left).
+    pub fn sample(&self, ids: &QueueMetrics, m: &mut MetricsRegistry, n: u64) {
+        m.observe_n(ids.occupancy_hist, self.len as u64, n);
         if self.can_push() {
             return;
         }
@@ -300,15 +309,29 @@ impl TaskQueue {
         }
     }
 
-    /// End-of-cycle commit of all banks.
+    /// End-of-cycle commit of the banks that staged a push.
     pub fn commit(&mut self) {
+        if self.visible == self.len {
+            return;
+        }
         for b in &mut self.banks {
             b.commit();
         }
+        self.visible = self.len;
     }
 
-    /// A loaded snapshot must keep the rotations in range and the
-    /// capacity equal to what the surviving banks hold.
+    /// Checks a loaded snapshot (see [`TaskQueue::consistent`]) and
+    /// recounts the derived totals.
+    fn loaded(&mut self) -> Result<(), String> {
+        self.consistent()?;
+        self.len = self.banks.iter().map(Fifo::len).sum();
+        self.visible = self.banks.iter().map(Fifo::visible).sum();
+        Ok(())
+    }
+
+    /// A loaded snapshot must keep the rotations in range, the capacity
+    /// equal to what the surviving banks hold, and the masked banks
+    /// empty.
     fn consistent(&self) -> Result<(), String> {
         let n = self.banks.len();
         for (key, rr) in [("push_rr", self.push_rr), ("pop_rr", self.pop_rr)] {
@@ -323,6 +346,10 @@ impl TaskQueue {
                 self.capacity
             ));
         }
+        let full = |(b, &m): (&Fifo<TaskToken>, &bool)| m && !b.is_empty();
+        if let Some(b) = self.banks.iter().zip(&self.masked).position(full) {
+            return Err(format!(".banks[{b}]: a masked bank holds tasks"));
+        }
         Ok(())
     }
 }
@@ -331,6 +358,7 @@ impl TaskQueue {
 mod tests {
     use super::*;
     use crate::types::to_fields;
+    use apir_util::snap::Snap;
 
     fn q(kind: TaskSetKind) -> TaskQueue {
         TaskQueue::new(kind, 1, 4, 16)
@@ -420,6 +448,55 @@ mod tests {
         // Masking one of two banks would leave 4 slots <= 2 * reserve.
         assert!(q.mask_bank(0).is_none());
         assert_eq!(q.live_banks(), 2);
+    }
+
+    /// The derived counts must equal a recount of the banks.
+    fn assert_counts(q: &TaskQueue) {
+        let len = q.banks.iter().map(Fifo::len).sum();
+        let visible = q.banks.iter().map(Fifo::visible).sum();
+        assert_eq!((q.len, q.visible), (len, visible));
+    }
+
+    #[test]
+    fn derived_counts_follow_push_commit_pop_mask_and_load() {
+        let mut q = q(TaskSetKind::ForEach);
+        for i in 0..6 {
+            q.push_child(IndexTuple::ROOT, i, to_fields(&[i])).unwrap();
+            assert_counts(&q);
+        }
+        assert_eq!((q.len(), q.visible), (6, 0));
+        assert!(q.pop().is_none(), "staged tasks are not visible");
+        q.commit();
+        assert_counts(&q);
+        assert_eq!(q.visible, 6);
+        q.pop().unwrap();
+        q.push_child(IndexTuple::ROOT, 6, to_fields(&[6])).unwrap();
+        assert_counts(&q);
+        assert_eq!((q.len(), q.visible), (6, 5));
+        let drained = q.mask_bank(0).expect("first mask allowed");
+        assert_counts(&q);
+        assert_eq!(q.len(), 6 - drained.len());
+        q.commit();
+        assert_counts(&q);
+        // A loaded queue that holds committed tasks pops at once.
+        let mut back = TaskQueue::new(TaskSetKind::ForEach, 1, 4, 16);
+        back.load(&q.save()).unwrap();
+        assert_counts(&back);
+        assert_eq!((back.len(), back.visible), (q.len(), q.visible));
+        assert!(back.pop().is_some());
+        assert_counts(&back);
+    }
+
+    #[test]
+    fn a_loaded_masked_bank_must_be_empty() {
+        let mut q = q(TaskSetKind::ForEach);
+        q.push_child(IndexTuple::ROOT, 0, to_fields(&[0])).unwrap();
+        let bank = q.banks.iter().position(|b| !b.is_empty()).unwrap();
+        q.masked[bank] = true;
+        q.capacity = q.per_bank * 3;
+        let mut back = TaskQueue::new(TaskSetKind::ForEach, 1, 4, 16);
+        let err = back.load(&q.save()).unwrap_err();
+        assert!(err.contains("a masked bank holds tasks"), "{err}");
     }
 
     #[test]

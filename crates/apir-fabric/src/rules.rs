@@ -146,6 +146,10 @@ pub struct RuleEngine {
     /// grants them (they are always empty once drained).
     masked: Box<[bool]>,
     stats: RuleEngineStats,
+    /// Lanes holding a rule instance. Derived: recounted on load.
+    occupied: usize,
+    /// Lanes not masked. Derived: recounted on load.
+    live: usize,
 }
 snap_fields!(RuleEngine {
     lanes,
@@ -155,7 +159,9 @@ snap_fields!(RuleEngine {
     stats,
     decl: skip,
     clauses: skip,
-});
+    occupied: skip,
+    live: skip,
+} check Self::loaded);
 
 impl RuleEngine {
     /// Creates an engine with `lanes` lanes.
@@ -168,6 +174,8 @@ impl RuleEngine {
             evicted_returns: Vec::new(),
             masked: vec![false; lanes.max(1)].into(),
             stats: RuleEngineStats::default(),
+            occupied: 0,
+            live: lanes.max(1),
         }
     }
 
@@ -183,12 +191,12 @@ impl RuleEngine {
 
     /// Occupied lanes.
     pub fn occupied(&self) -> usize {
-        self.lanes.iter().filter(|l| l.is_some()).count()
+        self.occupied
     }
 
     /// Lanes still in service (not masked by an injected fault).
     pub fn live_lanes(&self) -> usize {
-        self.masked.iter().filter(|&&m| !m).count()
+        self.live
     }
 
     /// Masks out one live lane (an injected hard fault). If the lane is
@@ -211,6 +219,7 @@ impl RuleEngine {
             self.release(victim, false, out);
         }
         self.masked[victim] = true;
+        self.live -= 1;
         Some(drained)
     }
 
@@ -233,41 +242,31 @@ impl RuleEngine {
         true
     }
 
-    /// Publishes the per-cycle view into the metrics registry: the
-    /// running `RuleEngineStats` totals plus current lane occupancy, and
-    /// the saturation attribution — one `rule.<name>.stall` count per
-    /// cycle no live lane is free, split into `lane_masked` (fault
-    /// masking removed lanes that would otherwise be free) vs
-    /// `lane_busy` (every lane genuinely held).
+    /// Writes the running `RuleEngineStats` totals and the lane
+    /// occupancy gauges into the metrics registry.
     pub fn publish(&self, ids: &RuleMetrics, m: &mut MetricsRegistry) {
         m.set_counter(ids.allocs, self.stats.allocs);
         m.set_counter(ids.nacks, self.stats.alloc_stalls);
         m.set_counter(ids.clause_fires, self.stats.clause_fires);
         m.set_counter(ids.otherwise_fires, self.stats.otherwise_fires);
         m.set_counter(ids.evictions, self.stats.evictions);
-        m.set_gauge(ids.occupied, self.occupied() as f64);
+        m.set_gauge(ids.occupied, self.occupied as f64);
         m.set_gauge(ids.peak_lanes, self.stats.peak_lanes as f64);
-        self.publish_stall(ids, m, 1);
     }
 
-    /// Publishes `n` skipped quiescent cycles in O(1): the per-cycle
-    /// saturation attribution replayed against the frozen lane state.
-    /// The running totals and gauges are level-valued and need no replay.
-    pub fn publish_skipped(&self, ids: &RuleMetrics, m: &mut MetricsRegistry, n: u64) {
-        self.publish_stall(ids, m, n);
-    }
-
-    fn publish_stall(&self, ids: &RuleMetrics, m: &mut MetricsRegistry, n: u64) {
-        let free_live = self
-            .lanes
-            .iter()
-            .zip(&self.masked)
-            .any(|(l, &masked)| !masked && l.is_none());
-        if free_live {
+    /// Samples `n` cycles in which the lanes stay as they are now, in
+    /// O(1): the saturation attribution — one `rule.<name>.stall` count
+    /// per cycle no live lane is free, split into `lane_masked` (fault
+    /// masking removed lanes that would otherwise be free) vs
+    /// `lane_busy` (every lane genuinely held). Masked lanes are empty,
+    /// so a live lane is free exactly when fewer lanes are occupied
+    /// than live.
+    pub fn sample(&self, ids: &RuleMetrics, m: &mut MetricsRegistry, n: u64) {
+        if self.occupied < self.live {
             return;
         }
         m.inc(ids.stall, n);
-        if self.masked.iter().any(|&masked| masked) {
+        if self.live < self.lanes.len() {
             m.inc(ids.stall_lane_masked, n);
         } else {
             m.inc(ids.stall_lane_busy, n);
@@ -335,9 +334,9 @@ impl RuleEngine {
             countdown,
             claimed_port: None,
         });
+        self.occupied += 1;
         self.stats.allocs += 1;
-        let occ = self.occupied() as u64;
-        self.stats.peak_lanes = self.stats.peak_lanes.max(occ);
+        self.stats.peak_lanes = self.stats.peak_lanes.max(self.occupied as u64);
         AllocOutcome::Granted
     }
 
@@ -349,6 +348,7 @@ impl RuleEngine {
         for l in &mut self.lanes {
             if l.as_ref().is_some_and(|l| l.tag == tag) {
                 *l = None;
+                self.occupied -= 1;
             }
         }
     }
@@ -371,6 +371,7 @@ impl RuleEngine {
         match self.decl.mode {
             RuleMode::Immediate => {
                 let lane = self.lanes[idx].take().expect("lane present");
+                self.occupied -= 1;
                 ClaimOutcome::Ready(lane.verdict)
             }
             RuleMode::Waiting => {
@@ -493,12 +494,25 @@ impl RuleEngine {
 
     fn release(&mut self, li: usize, value: bool, out: &mut Vec<(u32, u64, u64)>) {
         let lane = self.lanes[li].take().expect("lane present");
+        self.occupied -= 1;
         match lane.claimed_port {
             Some(port) => out.push((port, lane.tag, value as u64)),
             None => {
                 self.returns.insert(lane.tag, value);
             }
         }
+    }
+
+    /// A loaded snapshot must leave every masked lane empty; recounts the
+    /// derived lane totals.
+    fn loaded(&mut self) -> Result<(), String> {
+        let held = |(l, &m): (&Option<Lane>, &bool)| m && l.is_some();
+        if let Some(i) = self.lanes.iter().zip(&self.masked).position(held) {
+            return Err(format!(".lanes[{i}]: a masked lane holds a rule instance"));
+        }
+        self.occupied = self.lanes.iter().filter(|l| l.is_some()).count();
+        self.live = self.masked.iter().filter(|&&m| !m).count();
+        Ok(())
     }
 
     /// Every response port a lane or a deferred return names must exist:
@@ -529,6 +543,7 @@ mod tests {
     use apir_core::expr::dsl::*;
     use apir_core::spec::LabelId;
     use crate::types::to_fields;
+    use apir_util::snap::Snap;
 
     fn msg(label: usize, payload: &[u64], index: &[u64]) -> EventMsg {
         EventMsg {
@@ -673,6 +688,74 @@ mod tests {
         assert_eq!(out, vec![(3, 1, 1)]);
         assert_eq!(e.stats().otherwise_fires, 1);
         assert_eq!(e.occupied(), 0);
+    }
+
+    /// The derived counts must equal a recount of the lanes, and the
+    /// O(1) free-lane test must agree with a scan for one.
+    fn assert_counts(e: &RuleEngine) {
+        let occupied = e.lanes.iter().filter(|l| l.is_some()).count();
+        let live = e.masked.iter().filter(|&&m| !m).count();
+        assert_eq!((e.occupied, e.live), (occupied, live));
+        let free_live = e.lanes.iter().zip(&e.masked).any(|(l, &m)| !m && l.is_none());
+        assert_eq!(e.occupied < e.live, free_live);
+    }
+
+    #[test]
+    fn derived_counts_follow_every_lane_change_and_load() {
+        let decl = RuleDecl::new("r", 0, true);
+        let mut e = RuleEngine::new(decl.clone(), 4);
+        for i in 0..4u64 {
+            let index = IndexTuple::new(&[5 + i]);
+            assert_eq!(e.alloc(index, i, to_fields(&[]), i), AllocOutcome::Granted);
+            assert_counts(&e);
+        }
+        assert_eq!(e.stats().peak_lanes, 4);
+        // An earlier task evicts the latest holder.
+        let early = IndexTuple::new(&[1]);
+        assert_eq!(e.alloc(early, 9, to_fields(&[]), 9), AllocOutcome::Granted);
+        assert_eq!((e.occupied(), e.stats().evictions), (4, 1));
+        assert_counts(&e);
+        assert_eq!(e.alloc(IndexTuple::new(&[99]), 10, to_fields(&[]), 10), AllocOutcome::Nacked);
+        assert_counts(&e);
+        assert_eq!(e.claim(0, 0), ClaimOutcome::Ready(true));
+        assert_counts(&e);
+        e.cancel(1);
+        assert_counts(&e);
+        assert_eq!(e.occupied(), 2);
+        // Masking lane 2 drains its holder; masking lane 0 drains none.
+        let mut out = Vec::new();
+        assert_eq!(e.mask_lane(2, &mut out), Some(true));
+        assert_counts(&e);
+        assert_eq!(e.mask_lane(0, &mut out), Some(false));
+        assert_counts(&e);
+        assert_eq!((e.occupied(), e.live_lanes()), (1, 2));
+        let mut back = RuleEngine::new(decl, 4);
+        back.load(&e.save()).unwrap();
+        assert_counts(&back);
+        assert_eq!((back.occupied(), back.live_lanes()), (1, 2));
+
+        // Releases through `force_min_release` and a fired `otherwise`.
+        let mut w = RuleEngine::new(RuleDecl::new_waiting("w", 0, true), 2);
+        let (i1, i2) = (IndexTuple::new(&[1]), IndexTuple::new(&[2]));
+        assert_eq!(w.alloc(i1, 1, to_fields(&[]), 1), AllocOutcome::Granted);
+        assert_eq!(w.alloc(i2, 2, to_fields(&[]), 2), AllocOutcome::Granted);
+        assert_eq!(w.claim(1, 3), ClaimOutcome::Wait);
+        assert_eq!(w.claim(2, 4), ClaimOutcome::Wait);
+        assert!(w.force_min_release((i1, 1), &mut out));
+        assert_counts(&w);
+        w.tick(&[], Some((i2, 2)), &mut out);
+        assert_counts(&w);
+        assert_eq!(w.occupied(), 0);
+    }
+
+    #[test]
+    fn a_loaded_masked_lane_must_be_empty() {
+        let decl = RuleDecl::new("r", 0, true);
+        let mut e = RuleEngine::new(decl.clone(), 4);
+        assert_eq!(e.alloc(IndexTuple::new(&[1]), 1, to_fields(&[]), 1), AllocOutcome::Granted);
+        e.masked[0] = true;
+        let err = RuleEngine::new(decl, 4).load(&e.save()).unwrap_err();
+        assert!(err.contains("a masked lane holds a rule instance"), "{err}");
     }
 
     #[test]

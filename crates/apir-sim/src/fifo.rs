@@ -109,7 +109,9 @@ impl<T> Fifo<T> {
 
     /// End-of-cycle: makes staged pushes visible.
     pub fn commit(&mut self) {
-        self.q.append(&mut self.staged);
+        if !self.staged.is_empty() {
+            self.q.append(&mut self.staged);
+        }
     }
 
     /// Drains every element (visible and staged); used when squashing.
@@ -189,6 +191,21 @@ mod tests {
         f.commit();
         let drained: Vec<i32> = std::iter::from_fn(|| f.pop()).collect();
         assert_eq!(drained, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn commit_with_nothing_staged_changes_nothing() {
+        let mut f = Fifo::new(4);
+        f.commit();
+        assert!(f.is_empty());
+        f.push(1);
+        f.commit();
+        f.commit();
+        assert_eq!((f.visible(), f.len()), (1, 1));
+        assert_eq!(f.iter().copied().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(f.pop(), Some(1));
+        f.commit();
+        assert_eq!(f.pop(), None);
     }
 
     #[test]

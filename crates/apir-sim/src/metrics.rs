@@ -2,14 +2,18 @@
 //! power-of-two-bucket histograms.
 //!
 //! The fabric's components (pipelines, task queues, rule engines, the
-//! memory subsystem) publish into one [`MetricsRegistry`] every cycle,
-//! unifying what used to be ad-hoc struct fields (`squashes`,
-//! `queue_peaks`, `MemStats`, `RuleEngineStats`) behind **stable metric
-//! keys** (see README §Observability for the key table). Registration
-//! returns typed handles ([`CounterId`], [`GaugeId`], [`HistogramId`])
-//! so the per-cycle hot path is a plain `Vec` index store, never a map
-//! lookup. Snapshots iterate keys in sorted order, which makes every
-//! rendering of the same run byte-identical.
+//! memory subsystem) report into one [`MetricsRegistry`] behind **stable
+//! metric keys** (see README §Observability for the key table). Running
+//! totals and gauges stay in the components' own fields; the fabric
+//! writes them into the registry only when the registry is read (a
+//! pause, a checkpoint, the report). Only per-cycle samples, the
+//! occupancy histograms and the admission-stall counts, are recorded as
+//! the cycles pass, in O(1) per component for any number of identical
+//! cycles ([`MetricsRegistry::observe_n`]). Registration returns typed
+//! handles ([`CounterId`], [`GaugeId`], [`HistogramId`]) so an update is
+//! a plain `Vec` index store, never a map lookup. Snapshots iterate keys
+//! in sorted order, which makes every rendering of the same run
+//! byte-identical.
 
 use apir_util::snap::{self, Snap};
 use apir_util::Json;
@@ -163,7 +167,6 @@ pub enum MetricValue {
 #[derive(Default)]
 pub struct MetricsRegistry {
     index: BTreeMap<String, usize>,
-    names: Vec<String>,
     metrics: Vec<Metric>,
 }
 
@@ -180,7 +183,6 @@ impl MetricsRegistry {
         );
         let id = self.metrics.len();
         self.index.insert(key.to_string(), id);
-        self.names.push(key.to_string());
         self.metrics.push(m);
         id
     }
