@@ -344,6 +344,9 @@ struct Pipeline {
     /// reaching its port, or a context leaving the next latch sets the
     /// bit. Derived: every bit is set on build and on load.
     awake: Box<[u64]>,
+    /// No bit of `awake` is set, so a tick only needs to visit the
+    /// pipeline when its queue has a task to pop. Derived with `awake`.
+    asleep: bool,
 }
 snap_fields!(Pipeline {
     latches,
@@ -352,6 +355,7 @@ snap_fields!(Pipeline {
     set: skip,
     comp: skip,
     awake: skip,
+    asleep: skip,
 } check Self::loaded);
 
 impl Pipeline {
@@ -367,6 +371,7 @@ impl Pipeline {
 
     fn wake(&mut self, i: usize) {
         self.awake[i / 64] |= 1 << (i % 64);
+        self.asleep = false;
     }
 
     fn sleep(&mut self, i: usize) {
@@ -392,6 +397,7 @@ impl Pipeline {
     fn loaded(&mut self) -> Result<(), String> {
         self.fits()?;
         self.awake = Pipeline::all_awake(self.stages.len());
+        self.asleep = false;
         for st in self.stages.iter_mut() {
             st.stall_from = None;
         }
@@ -742,6 +748,7 @@ impl Fabric {
                     extern_unit: has_extern.then(ExternUnit::default),
                     comp: intern(&pipe_name),
                     awake: Pipeline::all_awake(ts.body.len()),
+                    asleep: false,
                 });
             }
         }
@@ -1281,6 +1288,11 @@ impl Fabric {
             trace: self.trace.as_mut(),
         };
         for p in self.pipelines.iter_mut() {
+            // A visit would find no awake stage and nothing to pop.
+            if p.asleep && cx.queues[p.set.0].visible() == 0 {
+                debug_assert!(p.awake.iter().all(|&w| w == 0), "a stage woke unseen");
+                continue;
+            }
             let (p_progress, p_active) = tick_pipeline(p, &mut cx);
             progress |= p_progress;
             moved |= p_active;
@@ -2180,6 +2192,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
             progress = true;
         }
     }
+    p.asleep = p.awake.iter().all(|&w| w == 0);
     (progress, active || progress)
 }
 

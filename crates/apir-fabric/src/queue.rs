@@ -250,6 +250,12 @@ impl TaskQueue {
         false
     }
 
+    /// Tasks a pop can take this cycle (pushes become visible at the
+    /// end-of-cycle commit).
+    pub fn visible(&self) -> usize {
+        self.visible
+    }
+
     /// Pops the next task, rotating across banks; O(1) when no task is
     /// visible yet.
     pub fn pop(&mut self) -> Option<TaskToken> {
