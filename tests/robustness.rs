@@ -2,7 +2,8 @@
 //! rendezvous timeout bounces, the partial reports carried by every
 //! runtime error (`Deadlock`, `MaxCycles`, `LinkFailed`), and the
 //! checkpoint/rollback ladder that turns terminal link failures into
-//! bounded rollback-and-replay recoveries.
+//! bounded rollback-and-replay recoveries; also the metrics registry a
+//! snapshot saves after a quiescent jump or a watchdog escalation.
 
 use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::build_app;
