@@ -11,10 +11,10 @@
 //! act on the real [`apir_core::MemImage`] at completion, so the final
 //! image can be compared against the sequential interpreter.
 
-use crate::fault::{FaultMetrics, FaultPlan, FaultStats};
-use crate::memory::{MemMetrics, MemStats, MemorySubsystem};
-use crate::queue::{QueueMetrics, TaskQueue};
-use crate::rules::{ClaimOutcome, RuleEngine, RuleEngineStats, RuleMetrics};
+use crate::fault::{FaultPlan, FaultStats};
+use crate::memory::{MemStats, MemorySubsystem};
+use crate::queue::TaskQueue;
+use crate::rules::{ClaimOutcome, RuleEngine, RuleEngineStats};
 use crate::snapshot::{self, SNAPSHOT_SCHEMA};
 use crate::types::{to_fields, Ctx, EventMsg, MemReq, TaskToken, WriteKind};
 use crate::FabricConfig;
@@ -23,7 +23,7 @@ use apir_core::spec::{ExternIn, RuleId, Spec, TaskSetId};
 use apir_core::{IndexTuple, ProgramInput, RegionId, MAX_FIELDS};
 use apir_sim::delay::OutOfOrderStation;
 use apir_sim::fifo::Fifo;
-use apir_sim::metrics::{CounterId, GaugeId, MetricsRegistry, MetricsSnapshot};
+use apir_sim::metrics::{CounterId, MetricsRegistry, MetricsSnapshot};
 use apir_sim::seconds_from_cycles;
 use apir_sim::stats::{Activity, ActivityTracker, StallCause, UtilizationSummary};
 use apir_sim::timeline::{Timeline, TimelineRecorder, TimelineSample};
@@ -31,8 +31,11 @@ use apir_sim::trace::{CompId, EventTrace};
 use apir_util::json::Json;
 use apir_util::snap::{self, Snap};
 use apir_util::snap_fields;
+use observe::MetricIds;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
+
+mod observe;
 
 /// Simulation failure. The runtime variants carry the partial
 /// [`FabricReport`] at the point of failure (metrics, trace, memory
@@ -213,64 +216,6 @@ impl FabricReport {
     }
 }
 
-/// Pre-registered handles for the fabric-level metric keys; component
-/// keys live in [`MemMetrics`], [`QueueMetrics`], [`RuleMetrics`].
-struct FabricMetricIds {
-    cycles: CounterId,
-    busy: CounterId,
-    stall: CounterId,
-    idle: CounterId,
-    /// One counter per [`StallCause`], in `StallCause::ALL` order.
-    stall_causes: Vec<CounterId>,
-    retired: Vec<CounterId>,
-    squashes: CounterId,
-    requeues: CounterId,
-    bounces: CounterId,
-    extern_calls: CounterId,
-    utilization: GaugeId,
-    queues: Vec<QueueMetrics>,
-    mem: MemMetrics,
-    rules: Vec<RuleMetrics>,
-    faults: FaultMetrics,
-}
-
-impl FabricMetricIds {
-    fn register(m: &mut MetricsRegistry, spec: &Spec) -> Self {
-        FabricMetricIds {
-            cycles: m.counter("fabric.cycles"),
-            busy: m.counter("fabric.busy"),
-            stall: m.counter("fabric.stall"),
-            idle: m.counter("fabric.idle"),
-            stall_causes: StallCause::ALL
-                .iter()
-                .map(|c| m.counter(&format!("fabric.stall.{}", c.key())))
-                .collect(),
-            retired: spec
-                .task_sets()
-                .iter()
-                .map(|t| m.counter(&format!("fabric.retired.{}", t.name)))
-                .collect(),
-            squashes: m.counter("fabric.squashes"),
-            requeues: m.counter("fabric.requeues"),
-            bounces: m.counter("fabric.bounces"),
-            extern_calls: m.counter("fabric.extern_calls"),
-            utilization: m.gauge("fabric.utilization"),
-            queues: spec
-                .task_sets()
-                .iter()
-                .map(|t| QueueMetrics::register(m, &t.name))
-                .collect(),
-            mem: MemMetrics::register(m),
-            rules: spec
-                .rules()
-                .iter()
-                .map(|r| RuleMetrics::register(m, &r.name))
-                .collect(),
-            faults: FaultMetrics::register(m),
-        }
-    }
-}
-
 /// Metric handles for the rollback-recovery path, registered only when
 /// `max_rollbacks > 0` so fault-free and plain-chaos reports (and their
 /// goldens) keep their exact key set.
@@ -278,16 +223,6 @@ struct RollbackIds {
     count: CounterId,
     replayed: CounterId,
     last_cycle: CounterId,
-}
-
-/// Cheap per-tick capture of the totals whose deltas become trace
-/// records (allocated only when tracing is enabled).
-struct TickSnap {
-    mem: MemStats,
-    pushed: Vec<u64>,
-    rules: Vec<RuleEngineStats>,
-    seeds_pending: usize,
-    faults: FaultStats,
 }
 
 /// A stage snapshots its station, cursor and activity; the op and its
@@ -620,7 +555,7 @@ pub struct Fabric {
     /// `fault.rollback.*` metric handles, when recovery is armed.
     mids_rollback: Option<RollbackIds>,
     metrics: MetricsRegistry,
-    mids: FabricMetricIds,
+    mids: MetricIds,
     /// Cycle of the last executed tick while the registry does not hold
     /// its running totals and gauges yet (see [`Fabric::publish_levels`]).
     /// Derived: a loaded registry holds them, so load clears it.
@@ -673,7 +608,7 @@ impl Fabric {
             .map(|r| RuleEngine::new(r.clone(), cfg.rule_lanes))
             .collect();
         let mut metrics = MetricsRegistry::new();
-        let mids = FabricMetricIds::register(&mut metrics, spec);
+        let mids = MetricIds::register(&mut metrics, spec);
         let mids_rollback = (cfg.max_rollbacks > 0).then(|| RollbackIds {
             count: metrics.counter("fault.rollback.count"),
             replayed: metrics.counter("fault.rollback.replayed_cycles"),
@@ -776,7 +711,7 @@ impl Fabric {
         let lint_errors = lint.has_errors().then(|| lint.render_text());
         let timeline = (cfg.timeline_window > 0)
             .then(|| TimelineRecorder::new(cfg.timeline_window, cfg.timeline_capacity));
-        Fabric {
+        let mut f = Fabric {
             spec: spec.clone(),
             cfg,
             mem,
@@ -815,7 +750,9 @@ impl Fabric {
             tr_fault,
             tr_queues,
             tr_rules,
-        }
+        };
+        f.register_levels();
+        f
     }
 
     /// Runs the accelerator to quiescence.
@@ -1185,14 +1122,8 @@ impl Fabric {
         let now = self.cycle;
         let mut progress = false;
         let mut moved = false;
-        // Totals whose per-cycle deltas become trace records.
-        let snap = self.trace.as_ref().map(|_| TickSnap {
-            mem: self.mem.stats(),
-            pushed: self.queues.iter().map(TaskQueue::pushed_total).collect(),
-            rules: self.engines.iter().map(RuleEngine::stats).collect(),
-            seeds_pending: self.seed_backlog.len(),
-            faults: self.fault_totals(),
-        });
+        // Totals whose moves in this tick become trace records.
+        let before = self.trace.is_some().then(|| self.traced_totals());
 
         // 0) Fault campaign: windowed lane/bank hard-fault trials, then
         // respill of tokens drained from masked banks. Trials run at
@@ -1315,11 +1246,11 @@ impl Fabric {
             progress = true;
         }
 
-        // 8) Observability: trace deltas vs the start-of-tick snapshot,
-        // then this cycle's samples. The running totals reach the
-        // registry only when it is read.
-        if let Some(snap) = snap {
-            self.record_tick_deltas(now, &snap);
+        // 8) Observability: trace records for the totals that moved, then
+        // this cycle's samples. The running totals reach the registry only
+        // when it is read.
+        if let Some(before) = before {
+            self.record_moved(now, before);
         }
         self.sample(1);
         self.unpublished = Some(now);
@@ -1531,115 +1462,6 @@ impl Fabric {
             }
         }
         progress
-    }
-
-    /// Emits trace records for whatever the shared components (host,
-    /// memory, queues, rule engines) did this cycle, as deltas against
-    /// the totals captured at the top of [`Fabric::tick`].
-    fn record_tick_deltas(&mut self, now: u64, snap: &TickSnap) {
-        let tr = self.trace.as_mut().expect("snap implies trace");
-        let seeded = snap.seeds_pending.saturating_sub(self.seed_backlog.len());
-        if seeded > 0 {
-            tr.record(now, self.tr_host, "seed", seeded as u64);
-        }
-        let mem = self.mem.stats();
-        for (ev, d) in [
-            ("hit", mem.hits - snap.mem.hits),
-            ("miss", mem.misses - snap.mem.misses),
-            ("write", mem.writes - snap.mem.writes),
-        ] {
-            if d > 0 {
-                tr.record(now, self.tr_mem, ev, d);
-            }
-        }
-        for (qi, q) in self.queues.iter().enumerate() {
-            let d = q.pushed_total() - snap.pushed[qi];
-            if d > 0 {
-                tr.record(now, self.tr_queues[qi], "push", d);
-            }
-        }
-        for (ei, e) in self.engines.iter().enumerate() {
-            let s = e.stats();
-            let p = &snap.rules[ei];
-            for (ev, d) in [
-                ("alloc", s.allocs - p.allocs),
-                ("nack", s.alloc_stalls - p.alloc_stalls),
-                ("clause", s.clause_fires - p.clause_fires),
-                ("otherwise", s.otherwise_fires - p.otherwise_fires),
-                ("evict", s.evictions - p.evictions),
-            ] {
-                if d > 0 {
-                    tr.record(now, self.tr_rules[ei], ev, d);
-                }
-            }
-        }
-        // Soft-error and link injections/recoveries this cycle (lane,
-        // bank, and watchdog events are recorded at their action sites).
-        let f = self.mem.fault_stats();
-        let pf = &snap.faults;
-        for (ev, d) in [
-            ("soft_injected", f.soft_injected - pf.soft_injected),
-            ("soft_corrected", f.soft_corrected - pf.soft_corrected),
-            ("soft_refetched", f.soft_refetched - pf.soft_refetched),
-            ("link_drop", f.link_dropped - pf.link_dropped),
-            ("link_late", f.link_late - pf.link_late),
-            ("link_retry", f.link_retried - pf.link_retried),
-            ("link_escalate", f.link_escalated - pf.link_escalated),
-        ] {
-            if d > 0 {
-                tr.record(now, self.tr_fault, ev, d);
-            }
-        }
-    }
-
-    /// Takes the per-cycle samples of `n` cycles that all look like the
-    /// end of the last tick: the queue and memory occupancy histograms
-    /// and the queue, memory and rule-lane admission stalls.
-    fn sample(&mut self, n: u64) {
-        let m = &mut self.metrics;
-        for (q, ids) in self.queues.iter().zip(self.mids.queues.iter()) {
-            q.sample(ids, m, n);
-        }
-        self.mem.sample(&self.mids.mem, m, n);
-        for (e, ids) in self.engines.iter().zip(self.mids.rules.iter()) {
-            e.sample(ids, m, n);
-        }
-    }
-
-    /// Writes the running totals and gauges the components keep into the
-    /// registry, as of the last executed tick, unless it holds them
-    /// already. Every path that reads the registry or changes a total
-    /// outside a tick (the watchdog escalation) calls this first; a
-    /// quiescent jump changes no total, only the clock, so
-    /// `fabric.cycles` stays at the last executed tick.
-    fn publish_levels(&mut self) {
-        let Some(cycle) = self.unpublished.take() else {
-            return;
-        };
-        let m = &mut self.metrics;
-        m.set_counter(self.mids.cycles, cycle);
-        for (id, &r) in self.mids.retired.iter().zip(self.core.retired.iter()) {
-            m.set_counter(*id, r);
-        }
-        m.set_counter(self.mids.squashes, self.core.squashes);
-        m.set_counter(self.mids.requeues, self.core.requeues);
-        m.set_counter(self.mids.bounces, self.core.bounces);
-        let externs: u64 = self
-            .pipelines
-            .iter()
-            .filter_map(|p| p.extern_unit.as_ref())
-            .map(|u| u.calls)
-            .sum();
-        m.set_counter(self.mids.extern_calls, externs);
-        for (q, ids) in self.queues.iter().zip(self.mids.queues.iter()) {
-            q.publish(ids, m);
-        }
-        self.mem.publish(&self.mids.mem, m);
-        for (e, ids) in self.engines.iter().zip(self.mids.rules.iter()) {
-            e.publish(ids, m);
-        }
-        let faults = self.fault_totals();
-        self.mids.faults.publish(&faults, &mut self.metrics);
     }
 }
 

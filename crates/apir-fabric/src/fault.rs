@@ -34,7 +34,6 @@
 //!   half its replicas or below the recirculation reserve, so graceful
 //!   degradation can never become a self-inflicted deadlock.
 
-use apir_sim::metrics::{CounterId, MetricsRegistry};
 use apir_util::rng::SmallRng;
 use apir_util::snap_fields;
 
@@ -298,64 +297,6 @@ impl FaultPlan {
         self.rng.link = SmallRng::seed_from_u64(
             self.cfg.seed ^ 0xbf58_476d_1ce4_e5b9 ^ epoch.wrapping_mul(0xa076_1d64_78bd_642f),
         );
-    }
-}
-
-/// Handles for the stable `fault.*` metric keys. Always registered (and
-/// zero) so snapshots keep the same key set whether or not a campaign is
-/// active.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultMetrics {
-    soft_injected: CounterId,
-    soft_corrected: CounterId,
-    soft_refetched: CounterId,
-    link_dropped: CounterId,
-    link_late: CounterId,
-    link_retried: CounterId,
-    link_escalated: CounterId,
-    lanes_masked: CounterId,
-    lanes_drained: CounterId,
-    banks_masked: CounterId,
-    banks_drained: CounterId,
-    watchdog_escalations: CounterId,
-    watchdog_flushed: CounterId,
-}
-
-impl FaultMetrics {
-    /// Registers the `fault.*` keys.
-    pub fn register(m: &mut MetricsRegistry) -> Self {
-        FaultMetrics {
-            soft_injected: m.counter("fault.mem.soft_injected"),
-            soft_corrected: m.counter("fault.mem.soft_corrected"),
-            soft_refetched: m.counter("fault.mem.soft_refetched"),
-            link_dropped: m.counter("fault.link.dropped"),
-            link_late: m.counter("fault.link.late"),
-            link_retried: m.counter("fault.link.retried"),
-            link_escalated: m.counter("fault.link.escalated"),
-            lanes_masked: m.counter("fault.lane.masked"),
-            lanes_drained: m.counter("fault.lane.drained"),
-            banks_masked: m.counter("fault.bank.masked"),
-            banks_drained: m.counter("fault.bank.drained"),
-            watchdog_escalations: m.counter("fault.watchdog.escalations"),
-            watchdog_flushed: m.counter("fault.watchdog.flushed"),
-        }
-    }
-
-    /// Publishes the running totals.
-    pub fn publish(&self, s: &FaultStats, m: &mut MetricsRegistry) {
-        m.set_counter(self.soft_injected, s.soft_injected);
-        m.set_counter(self.soft_corrected, s.soft_corrected);
-        m.set_counter(self.soft_refetched, s.soft_refetched);
-        m.set_counter(self.link_dropped, s.link_dropped);
-        m.set_counter(self.link_late, s.link_late);
-        m.set_counter(self.link_retried, s.link_retried);
-        m.set_counter(self.link_escalated, s.link_escalated);
-        m.set_counter(self.lanes_masked, s.lanes_masked);
-        m.set_counter(self.lanes_drained, s.lanes_drained);
-        m.set_counter(self.banks_masked, s.banks_masked);
-        m.set_counter(self.banks_drained, s.banks_drained);
-        m.set_counter(self.watchdog_escalations, s.watchdog_escalations);
-        m.set_counter(self.watchdog_flushed, s.watchdog_flushed);
     }
 }
 

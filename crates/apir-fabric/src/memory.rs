@@ -24,7 +24,6 @@ use crate::types::{MemReq, WriteKind};
 use apir_sim::bandwidth::BandwidthMeter;
 use apir_sim::delay::DelayLine;
 use apir_sim::fifo::Fifo;
-use apir_sim::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use apir_sim::stats::StallCause;
 use apir_sim::{cycles_from_ns, Cycle};
 use apir_core::{MemAccess, MemImage};
@@ -89,39 +88,6 @@ snap_fields!(MemStats [
     misses,
     qpi_bytes,
 ]);
-
-/// Handles for the memory subsystem's stable metric keys (`mem.*`).
-#[derive(Clone, Copy, Debug)]
-pub struct MemMetrics {
-    reads: CounterId,
-    writes: CounterId,
-    hits: CounterId,
-    misses: CounterId,
-    qpi_bytes: CounterId,
-    inflight: GaugeId,
-    inflight_hist: HistogramId,
-    stall: CounterId,
-    stall_mshr_full: CounterId,
-    stall_bandwidth: CounterId,
-}
-
-impl MemMetrics {
-    /// Registers the `mem.*` keys.
-    pub fn register(m: &mut MetricsRegistry) -> Self {
-        MemMetrics {
-            reads: m.counter("mem.reads"),
-            writes: m.counter("mem.writes"),
-            hits: m.counter("mem.hits"),
-            misses: m.counter("mem.misses"),
-            qpi_bytes: m.counter("mem.qpi_bytes"),
-            inflight: m.gauge("mem.inflight"),
-            inflight_hist: m.histogram("mem.inflight_hist"),
-            stall: m.counter("mem.stall"),
-            stall_mshr_full: m.counter(&format!("mem.stall.{}", StallCause::MshrFull.key())),
-            stall_bandwidth: m.counter(&format!("mem.stall.{}", StallCause::Bandwidth.key())),
-        }
-    }
-}
 
 struct TagArray {
     tags: Box<[u64]>, // tag + 1, 0 = invalid
@@ -388,35 +354,16 @@ impl MemorySubsystem {
         ages
     }
 
-    /// Writes the running `MemStats` totals and the occupancy gauge into
-    /// the metrics registry.
-    pub fn publish(&self, ids: &MemMetrics, m: &mut MetricsRegistry) {
-        m.set_counter(ids.reads, self.stats.reads);
-        m.set_counter(ids.writes, self.stats.writes);
-        m.set_counter(ids.hits, self.stats.hits);
-        m.set_counter(ids.misses, self.stats.misses);
-        m.set_counter(ids.qpi_bytes, self.stats.qpi_bytes);
-        m.set_gauge(ids.inflight, self.inflight() as f64);
-    }
-
-    /// Samples `n` cycles in which the subsystem's census stays as it is
-    /// now (a skipped quiescent stretch changes neither the in-flight
-    /// count nor the blocked front), in O(1): `n` occupancy
-    /// observations, and the admission-stall attribution — one
-    /// `mem.stall` count per cycle the front of the miss-wait queue stays
-    /// blocked, split into `mshr_full` (read blocked on the in-flight-miss
-    /// bound) vs `bandwidth` (blocked on link byte credits).
-    pub fn sample(&self, ids: &MemMetrics, m: &mut MetricsRegistry, n: u64) {
-        m.observe_n(ids.inflight_hist, self.inflight() as u64, n);
-        let Some(front) = self.miss_wait.front() else {
-            return;
-        };
-        m.inc(ids.stall, n);
-        let is_write = front.req.write.is_some();
-        if !is_write && self.miss_pipe.len() >= self.cfg.max_inflight_misses {
-            m.inc(ids.stall_mshr_full, n);
+    /// Why the front of the miss-wait queue is blocked now, if anything
+    /// waits there: `MshrFull` when it is a read and the in-flight-miss
+    /// bound is reached, else `Bandwidth` (link byte credits). A skipped
+    /// quiescent stretch changes neither.
+    pub fn admission_stall(&self) -> Option<StallCause> {
+        let front = self.miss_wait.front()?;
+        if front.req.write.is_none() && self.miss_pipe.len() >= self.cfg.max_inflight_misses {
+            Some(StallCause::MshrFull)
         } else {
-            m.inc(ids.stall_bandwidth, n);
+            Some(StallCause::Bandwidth)
         }
     }
 
@@ -977,6 +924,34 @@ mod tests {
         assert_eq!(f.soft_refetched, 0);
         // Correction is free: same latency envelope as a clean miss.
         assert!(t < 2 * 54, "inline correction must not refetch: {t}");
+    }
+
+    #[test]
+    fn admission_stall_names_what_blocks_the_wait_queue_front() {
+        let cfg = MemConfig {
+            max_inflight_misses: 1,
+            ..MemConfig::default()
+        };
+        let mut m = MemorySubsystem::new(cfg, MemImage::new(&[("a".into(), 4096)]));
+        assert_eq!(m.admission_stall(), None);
+        let read = MissEntry {
+            req: read_req(1, 0),
+            ..MissEntry::default()
+        };
+        m.miss_wait.push_back(read);
+        assert_eq!(m.admission_stall(), Some(StallCause::Bandwidth));
+        m.miss_pipe.push(0, read);
+        assert_eq!(m.admission_stall(), Some(StallCause::MshrFull));
+        // A write at the front takes no MSHR.
+        let write = MemReq {
+            write: Some((WriteKind::Plain, 5)),
+            ..read_req(2, 8)
+        };
+        m.miss_wait.push_front(MissEntry {
+            req: write,
+            ..MissEntry::default()
+        });
+        assert_eq!(m.admission_stall(), Some(StallCause::Bandwidth));
     }
 
     #[test]

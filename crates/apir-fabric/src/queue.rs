@@ -11,43 +11,8 @@ use crate::types::TaskToken;
 use apir_core::spec::TaskSetKind;
 use apir_core::IndexTuple;
 use apir_sim::fifo::Fifo;
-use apir_sim::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use apir_sim::stats::StallCause;
 use apir_util::snap_fields;
-
-/// Handles for one task queue's stable metric keys
-/// (`queue.<task_set>.*`).
-#[derive(Clone, Copy, Debug)]
-pub struct QueueMetrics {
-    pushed: CounterId,
-    occupancy: GaugeId,
-    occupancy_hist: HistogramId,
-    peak: GaugeId,
-    stall: CounterId,
-    stall_queue_full: CounterId,
-    stall_reserve_full: CounterId,
-}
-
-impl QueueMetrics {
-    /// Registers the `queue.<name>.*` keys for the task set `name`.
-    pub fn register(m: &mut MetricsRegistry, name: &str) -> Self {
-        QueueMetrics {
-            pushed: m.counter(&format!("queue.{name}.pushed")),
-            occupancy: m.gauge(&format!("queue.{name}.occupancy")),
-            occupancy_hist: m.histogram(&format!("queue.{name}.occupancy_hist")),
-            peak: m.gauge(&format!("queue.{name}.peak")),
-            stall: m.counter(&format!("queue.{name}.stall")),
-            stall_queue_full: m.counter(&format!(
-                "queue.{name}.stall.{}",
-                StallCause::QueueFull.key()
-            )),
-            stall_reserve_full: m.counter(&format!(
-                "queue.{name}.stall.{}",
-                StallCause::ReserveFull.key()
-            )),
-        }
-    }
-}
 
 /// One task set's multi-bank queue.
 #[derive(Clone, Debug)]
@@ -288,30 +253,16 @@ impl TaskQueue {
             .min()
     }
 
-    /// Writes the running totals and gauges into the metrics registry:
-    /// total pushes, occupancy and the peak.
-    pub fn publish(&self, ids: &QueueMetrics, m: &mut MetricsRegistry) {
-        m.set_counter(ids.pushed, self.pushed_total);
-        m.set_gauge(ids.occupancy, self.len as f64);
-        m.set_gauge(ids.peak, self.peak as f64);
-    }
-
-    /// Samples `n` cycles in which the queue stays as it is now, in
-    /// O(1): `n` occupancy observations, and the backpressure
-    /// attribution — one `queue.<name>.stall` count per cycle an
-    /// ordinary push would be refused, split into `queue_full` (no bank
-    /// has room) vs `reserve_full` (only the recirculation reserve
-    /// margin is left).
-    pub fn sample(&self, ids: &QueueMetrics, m: &mut MetricsRegistry, n: u64) {
-        m.observe_n(ids.occupancy_hist, self.len as u64, n);
+    /// Why an ordinary push would be refused now, if it would:
+    /// `QueueFull` when no bank has room, `ReserveFull` when only the
+    /// recirculation reserve is left.
+    pub fn admission_stall(&self) -> Option<StallCause> {
         if self.can_push() {
-            return;
-        }
-        m.inc(ids.stall, n);
-        if self.can_push_reserved() {
-            m.inc(ids.stall_reserve_full, n);
+            None
+        } else if self.can_push_reserved() {
+            Some(StallCause::ReserveFull)
         } else {
-            m.inc(ids.stall_queue_full, n);
+            Some(StallCause::QueueFull)
         }
     }
 
@@ -454,6 +405,26 @@ mod tests {
         // Masking one of two banks would leave 4 slots <= 2 * reserve.
         assert!(q.mask_bank(0).is_none());
         assert_eq!(q.live_banks(), 2);
+    }
+
+    #[test]
+    fn admission_stall_tells_a_full_queue_from_a_full_margin() {
+        let mut q = TaskQueue::new(TaskSetKind::ForEach, 1, 1, 4);
+        q.set_reserve(2);
+        assert_eq!(q.admission_stall(), None);
+        for i in 0..2 {
+            q.push_child(IndexTuple::ROOT, i, to_fields(&[i])).unwrap();
+        }
+        assert!(!q.can_push() && q.can_push_reserved());
+        assert_eq!(q.admission_stall(), Some(StallCause::ReserveFull));
+        for i in 2..4 {
+            assert!(q.push_fixed(TaskToken {
+                index: IndexTuple::new(&[i]),
+                seq: i,
+                fields: to_fields(&[i]),
+            }));
+        }
+        assert_eq!(q.admission_stall(), Some(StallCause::QueueFull));
     }
 
     /// The derived counts must equal a recount of the banks.

@@ -13,7 +13,6 @@ use crate::types::EventMsg;
 use apir_core::expr::EvalCtx;
 use apir_core::rule::{EcaClause, EventPat, RuleAction, RuleDecl, RuleMode};
 use apir_core::{IndexTuple, MAX_FIELDS};
-use apir_sim::metrics::{CounterId, GaugeId, MetricsRegistry};
 use apir_sim::stats::StallCause;
 use apir_util::snap_fields;
 use std::collections::BTreeMap;
@@ -66,45 +65,6 @@ snap_fields!(RuleEngineStats [
     evictions,
     peak_lanes,
 ]);
-
-/// Handles for one rule engine's stable metric keys (`rule.<name>.*`).
-#[derive(Clone, Copy, Debug)]
-pub struct RuleMetrics {
-    allocs: CounterId,
-    nacks: CounterId,
-    clause_fires: CounterId,
-    otherwise_fires: CounterId,
-    evictions: CounterId,
-    occupied: GaugeId,
-    peak_lanes: GaugeId,
-    stall: CounterId,
-    stall_lane_busy: CounterId,
-    stall_lane_masked: CounterId,
-}
-
-impl RuleMetrics {
-    /// Registers the `rule.<name>.*` keys for the rule `name`.
-    pub fn register(m: &mut MetricsRegistry, name: &str) -> Self {
-        RuleMetrics {
-            allocs: m.counter(&format!("rule.{name}.allocs")),
-            nacks: m.counter(&format!("rule.{name}.nacks")),
-            clause_fires: m.counter(&format!("rule.{name}.clause_fires")),
-            otherwise_fires: m.counter(&format!("rule.{name}.otherwise_fires")),
-            evictions: m.counter(&format!("rule.{name}.evictions")),
-            occupied: m.gauge(&format!("rule.{name}.occupied")),
-            peak_lanes: m.gauge(&format!("rule.{name}.peak_lanes")),
-            stall: m.counter(&format!("rule.{name}.stall")),
-            stall_lane_busy: m.counter(&format!(
-                "rule.{name}.stall.{}",
-                StallCause::LaneBusy.key()
-            )),
-            stall_lane_masked: m.counter(&format!(
-                "rule.{name}.stall.{}",
-                StallCause::LaneMasked.key()
-            )),
-        }
-    }
-}
 
 #[derive(Clone, Debug, Default)]
 struct Lane {
@@ -242,34 +202,17 @@ impl RuleEngine {
         true
     }
 
-    /// Writes the running `RuleEngineStats` totals and the lane
-    /// occupancy gauges into the metrics registry.
-    pub fn publish(&self, ids: &RuleMetrics, m: &mut MetricsRegistry) {
-        m.set_counter(ids.allocs, self.stats.allocs);
-        m.set_counter(ids.nacks, self.stats.alloc_stalls);
-        m.set_counter(ids.clause_fires, self.stats.clause_fires);
-        m.set_counter(ids.otherwise_fires, self.stats.otherwise_fires);
-        m.set_counter(ids.evictions, self.stats.evictions);
-        m.set_gauge(ids.occupied, self.occupied as f64);
-        m.set_gauge(ids.peak_lanes, self.stats.peak_lanes as f64);
-    }
-
-    /// Samples `n` cycles in which the lanes stay as they are now, in
-    /// O(1): the saturation attribution — one `rule.<name>.stall` count
-    /// per cycle no live lane is free, split into `lane_masked` (fault
-    /// masking removed lanes that would otherwise be free) vs
-    /// `lane_busy` (every lane genuinely held). Masked lanes are empty,
-    /// so a live lane is free exactly when fewer lanes are occupied
-    /// than live.
-    pub fn sample(&self, ids: &RuleMetrics, m: &mut MetricsRegistry, n: u64) {
+    /// Why no live lane is free now, if none is: `LaneMasked` when
+    /// fault masking removed lanes, else `LaneBusy` (every lane held).
+    /// Masked lanes are empty, so a live lane is free exactly when fewer
+    /// lanes are occupied than live.
+    pub fn admission_stall(&self) -> Option<StallCause> {
         if self.occupied < self.live {
-            return;
-        }
-        m.inc(ids.stall, n);
-        if self.live < self.lanes.len() {
-            m.inc(ids.stall_lane_masked, n);
+            None
+        } else if self.live < self.lanes.len() {
+            Some(StallCause::LaneMasked)
         } else {
-            m.inc(ids.stall_lane_busy, n);
+            Some(StallCause::LaneBusy)
         }
     }
 
@@ -756,6 +699,26 @@ mod tests {
         e.masked[0] = true;
         let err = RuleEngine::new(decl, 4).load(&e.save()).unwrap_err();
         assert!(err.contains("a masked lane holds a rule instance"), "{err}");
+    }
+
+    #[test]
+    fn admission_stall_tells_masked_lanes_from_busy_ones() {
+        let mut e = RuleEngine::new(RuleDecl::new("r", 0, true), 4);
+        assert_eq!(e.admission_stall(), None);
+        for i in 1..=2u64 {
+            let g = e.alloc(IndexTuple::new(&[i]), i, to_fields(&[]), i);
+            assert_eq!(g, AllocOutcome::Granted);
+        }
+        assert_eq!(e.admission_stall(), None);
+        // Lanes 2 and 3 are free: masking them leaves no free live lane.
+        let mut out = Vec::new();
+        assert_eq!(e.mask_lane(2, &mut out), Some(false));
+        assert_eq!(e.mask_lane(2, &mut out), Some(false));
+        assert_eq!(e.admission_stall(), Some(StallCause::LaneMasked));
+        let mut full = RuleEngine::new(RuleDecl::new("r", 0, true), 1);
+        let g = full.alloc(IndexTuple::new(&[1]), 1, to_fields(&[]), 1);
+        assert_eq!(g, AllocOutcome::Granted);
+        assert_eq!(full.admission_stall(), Some(StallCause::LaneBusy));
     }
 
     #[test]
