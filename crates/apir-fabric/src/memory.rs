@@ -198,7 +198,6 @@ pub struct MemorySubsystem {
     /// Seeded fault source; `None` on the fault-free hot path.
     faults: Option<FaultPlan>,
     qpi: BandwidthMeter,
-    miss_latency: Cycle,
     stats: MemStats,
     /// Flat word-address base of each region (fixed at load time).
     bases: Vec<u64>,
@@ -219,7 +218,6 @@ snap_fields!(MemorySubsystem {
     qpi,
     stats,
     cfg: skip,
-    miss_latency: skip,
     bases: skip,
 });
 
@@ -250,7 +248,6 @@ impl MemorySubsystem {
             tags,
             qpi,
             image,
-            miss_latency,
             stats: MemStats::default(),
             bases,
             cfg,
@@ -638,11 +635,6 @@ impl MemorySubsystem {
             }
         };
         (req.port, req.tag, word)
-    }
-
-    /// Miss path latency in cycles (for reports).
-    pub fn miss_latency(&self) -> Cycle {
-        self.miss_latency
     }
 
     /// Checks a loaded snapshot against the rest of the fabric: the

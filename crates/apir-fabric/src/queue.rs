@@ -243,16 +243,6 @@ impl TaskQueue {
         None
     }
 
-    /// Minimum `(index, seq)` over every queued task (exact, scanning all
-    /// banks — for-all tokens are not FIFO-ordered by index).
-    pub fn min_queued(&self) -> Option<(IndexTuple, u64)> {
-        self.banks
-            .iter()
-            .flat_map(|b| b.iter())
-            .map(|t| (t.index, t.seq))
-            .min()
-    }
-
     /// Why an ordinary push would be refused now, if it would:
     /// `QueueFull` when no bank has room, `ReserveFull` when only the
     /// recirculation reserve is left.
@@ -474,26 +464,5 @@ mod tests {
         let mut back = TaskQueue::new(TaskSetKind::ForEach, 1, 4, 16);
         let err = back.load(&q.save()).unwrap_err();
         assert!(err.contains("a masked bank holds tasks"), "{err}");
-    }
-
-    #[test]
-    fn min_queued_scans_banks() {
-        let mut q = TaskQueue::new(TaskSetKind::ForAll, 1, 2, 8);
-        let big = IndexTuple::new(&[9]);
-        let small = IndexTuple::new(&[2]);
-        assert!(q.push_fixed(TaskToken {
-            index: big,
-            seq: 1,
-            fields: to_fields(&[])
-        }));
-        assert!(q.push_fixed(TaskToken {
-            index: small,
-            seq: 2,
-            fields: to_fields(&[])
-        }));
-        q.commit();
-        assert_eq!(q.min_queued(), Some((small, 2)));
-        assert_eq!(q.peak(), 2);
-        assert_eq!(q.pushed_total(), 2);
     }
 }

@@ -139,11 +139,6 @@ impl RuleEngine {
         }
     }
 
-    /// The rule served.
-    pub fn decl(&self) -> &RuleDecl {
-        &self.decl
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> RuleEngineStats {
         self.stats

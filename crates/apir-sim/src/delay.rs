@@ -165,15 +165,6 @@ impl<T> OutOfOrderStation<T> {
         self.entries.len() < self.cap
     }
 
-    /// Inserts an entry waiting on `tag`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when full; check [`OutOfOrderStation::can_insert`] first.
-    pub fn insert(&mut self, tag: u64, payload: T) {
-        self.insert_at(tag, payload, 0);
-    }
-
     /// Inserts an entry stamped with the current cycle (enables
     /// [`OutOfOrderStation::timeout_one`]).
     ///
@@ -250,14 +241,6 @@ impl<T> OutOfOrderStation<T> {
         Some((payload, word))
     }
 
-    /// Iterates over the payloads of entries still waiting.
-    pub fn iter_waiting(&self) -> impl Iterator<Item = (&u64, &T)> {
-        self.entries
-            .iter()
-            .filter(|e| !e.2)
-            .map(|e| (&e.0, &e.1))
-    }
-
     /// Iterates over every payload (waiting or ready).
     pub fn iter_all(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().map(|e| &e.1)
@@ -310,8 +293,8 @@ mod tests {
     #[test]
     fn station_completes_out_of_order() {
         let mut s = OutOfOrderStation::new(4);
-        s.insert(10, "first");
-        s.insert(20, "second");
+        s.insert_at(10, "first", 0);
+        s.insert_at(20, "second", 0);
         assert!(s.take_ready().is_none());
         assert!(s.complete(20, 99));
         let (p, w) = s.take_ready().unwrap();
@@ -354,7 +337,7 @@ mod tests {
     #[test]
     fn station_capacity_enforced() {
         let mut s = OutOfOrderStation::new(1);
-        s.insert(1, ());
+        s.insert_at(1, (), 0);
         assert!(!s.can_insert());
         s.complete(1, 0);
         s.take_ready();
@@ -364,8 +347,8 @@ mod tests {
     #[test]
     fn duplicate_tags_complete_one_at_a_time() {
         let mut s = OutOfOrderStation::new(4);
-        s.insert(7, 'x');
-        s.insert(7, 'y');
+        s.insert_at(7, 'x', 0);
+        s.insert_at(7, 'y', 0);
         assert!(s.complete(7, 1));
         assert_eq!(s.take_ready().unwrap(), ('x', 1));
         assert!(s.complete(7, 2));
@@ -452,16 +435,5 @@ mod tests {
             assert_eq!(s.timeout_one(6), Some(1));
             assert_eq!(s.take_ready(), Some((10, 0)));
         }
-    }
-
-    #[test]
-    fn iter_waiting_skips_ready() {
-        let mut s = OutOfOrderStation::new(4);
-        s.insert(1, 'a');
-        s.insert(2, 'b');
-        s.complete(1, 0);
-        let waiting: Vec<char> = s.iter_waiting().map(|(_, c)| *c).collect();
-        assert_eq!(waiting, vec!['b']);
-        assert_eq!(s.iter_all().count(), 2);
     }
 }

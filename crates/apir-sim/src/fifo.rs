@@ -69,11 +69,6 @@ impl<T> Fifo<T> {
         self.len() < self.cap
     }
 
-    /// Free slots remaining this cycle.
-    pub fn free(&self) -> usize {
-        self.cap - self.len()
-    }
-
     /// Stages a push; returns `false` (dropping nothing) when full.
     #[must_use]
     pub fn try_push(&mut self, v: T) -> bool {
@@ -94,11 +89,6 @@ impl<T> Fifo<T> {
     pub fn push(&mut self, v: T) {
         assert!(self.can_push(), "push into full fifo");
         self.staged.push_back(v);
-    }
-
-    /// Peeks the oldest visible element.
-    pub fn peek(&self) -> Option<&T> {
-        self.q.front()
     }
 
     /// Pops the oldest visible element (takes effect immediately, modeling
@@ -170,7 +160,6 @@ mod tests {
         assert!(!f.can_push());
         f.pop();
         assert!(f.can_push());
-        assert_eq!(f.free(), 1);
     }
 
     #[test]

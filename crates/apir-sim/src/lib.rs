@@ -36,11 +36,6 @@ pub mod trace;
 /// A simulation timestamp in clock cycles.
 pub type Cycle = u64;
 
-/// Converts a frequency in MHz and a wall time in seconds to cycles.
-pub fn cycles_from_seconds(mhz: u64, seconds: f64) -> Cycle {
-    (seconds * mhz as f64 * 1.0e6) as Cycle
-}
-
 /// Converts a cycle count at `mhz` to seconds.
 pub fn seconds_from_cycles(mhz: u64, cycles: Cycle) -> f64 {
     cycles as f64 / (mhz as f64 * 1.0e6)
@@ -61,7 +56,6 @@ mod tests {
         // 200 MHz: 1 cycle = 5 ns.
         assert_eq!(cycles_from_ns(200, 70.0), 14);
         assert_eq!(cycles_from_ns(200, 1.0), 1);
-        assert_eq!(cycles_from_seconds(200, 1.0), 200_000_000);
         let s = seconds_from_cycles(200, 200_000_000);
         assert!((s - 1.0).abs() < 1e-12);
     }

@@ -231,14 +231,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        match &self.metrics[id.0] {
-            Metric::Counter(v) => *v,
-            _ => unreachable!("typed handle"),
-        }
-    }
-
     /// Sets a gauge.
     pub fn set_gauge(&mut self, id: GaugeId, value: f64) {
         match &mut self.metrics[id.0] {
@@ -538,6 +530,6 @@ mod tests {
         let c = m.counter("synced");
         m.set_counter(c, 41);
         m.set_counter(c, 42);
-        assert_eq!(m.counter_value(c), 42);
+        assert_eq!(m.snapshot().counter("synced"), Some(42));
     }
 }

@@ -192,11 +192,6 @@ impl ActivityTracker {
         self.stall_by[cause as usize] += n;
     }
 
-    /// Stalled cycles attributed to `cause`.
-    pub fn stalls_for(&self, cause: StallCause) -> u64 {
-        self.stall_by[cause as usize]
-    }
-
     /// `(cause, cycles)` pairs in stable declaration order.
     pub fn stall_causes(&self) -> impl Iterator<Item = (StallCause, u64)> + '_ {
         StallCause::ALL.iter().map(|&c| (c, self.stall_by[c as usize]))
@@ -252,28 +247,6 @@ impl UtilizationSummary {
     /// Per-component `(name, busy, stall, idle)` rows for reports.
     pub fn rows(&self) -> impl Iterator<Item = (&str, &ActivityTracker)> {
         self.trackers.iter().map(|(n, t)| (n.as_str(), t))
-    }
-}
-
-/// A simple monotonically increasing event counter with a name, used for
-/// squashes, retries, cache hits etc.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
     }
 }
 
@@ -376,14 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_ops() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn stall_causes_partition_stall() {
         let mut t = ActivityTracker::new();
         t.record_stall(StallCause::MshrFull);
@@ -392,9 +357,13 @@ mod tests {
         t.record(Activity::Busy);
         assert_eq!(t.stall, 7);
         assert_eq!(t.stall_by.iter().sum::<u64>(), t.stall);
-        assert_eq!(t.stalls_for(StallCause::MshrFull), 1);
-        assert_eq!(t.stalls_for(StallCause::Bandwidth), 5);
-        assert_eq!(t.stalls_for(StallCause::DownstreamFull), 1);
+        let by_cause: Vec<_> = t.stall_causes().filter(|&(_, n)| n > 0).collect();
+        let want = [
+            (StallCause::DownstreamFull, 1),
+            (StallCause::MshrFull, 1),
+            (StallCause::Bandwidth, 5),
+        ];
+        assert_eq!(by_cause, want);
         assert_eq!(t.total(), 8);
     }
 
