@@ -140,7 +140,7 @@ impl std::error::Error for FabricError {}
 pub struct FabricReport {
     /// Total cycles simulated.
     pub cycles: u64,
-    /// Wall time at the configured clock.
+    /// Wall time at the configured clock (`mem.clock_mhz`).
     pub seconds: f64,
     /// Tasks retired per task set.
     pub retired: Vec<u64>,
@@ -1082,7 +1082,7 @@ impl Fabric {
             trace: self.trace,
             timeline: self.timeline.take().map(TimelineRecorder::finish),
             cycles: self.cycle,
-            seconds: seconds_from_cycles(self.cfg.clock_mhz, self.cycle),
+            seconds: seconds_from_cycles(self.cfg.mem.clock_mhz, self.cycle),
             retired: self.core.retired.into_vec(),
             squashes: self.core.squashes,
             requeues: self.core.requeues,

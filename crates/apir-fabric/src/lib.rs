@@ -107,8 +107,6 @@ pub fn analyze_config(
 /// parameters, normally chosen by the `apir-synth` heuristic).
 #[derive(Clone, Debug)]
 pub struct FabricConfig {
-    /// FPGA clock in MHz (paper: all accelerators run at 200 MHz).
-    pub clock_mhz: u64,
     /// Pipeline replicas instantiated per task set.
     pub pipelines_per_set: usize,
     /// Banks per task queue.
@@ -184,7 +182,6 @@ pub struct FabricConfig {
 impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
-            clock_mhz: 200,
             pipelines_per_set: 2,
             queue_banks: 4,
             queue_capacity: 1 << 16,

@@ -44,7 +44,8 @@ pub struct MemConfig {
     pub miss_extra_ns: f64,
     /// QPI link bandwidth in GB/s (the Figure 10 sweep scales this).
     pub qpi_gbps: f64,
-    /// FPGA clock in MHz (needed to convert ns and GB/s to cycles).
+    /// FPGA clock in MHz (paper: all accelerators run at 200 MHz): it
+    /// converts ns and GB/s to cycles, and a report's cycles to seconds.
     pub clock_mhz: u64,
     /// Maximum misses in flight (MSHR count).
     pub max_inflight_misses: usize,
