@@ -493,6 +493,23 @@ impl Core {
         let retired = self.retired.iter().sum();
         [retired, self.squashes, self.requeues, self.bounces]
     }
+
+    /// Pushes a child of `parent` onto `queue` under the next sequence
+    /// number and adds it to `live`. The caller checked `can_push`.
+    fn spawn(
+        &mut self,
+        queue: &mut TaskQueue,
+        live: &mut BTreeSet<(IndexTuple, u64)>,
+        parent: IndexTuple,
+        fields: [u64; MAX_FIELDS],
+    ) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let token = queue
+            .push_child(parent, seq, fields)
+            .expect("checked can_push");
+        live.insert((token.index, token.seq));
+    }
 }
 
 /// Rollback-and-replay progress.
@@ -1149,12 +1166,8 @@ impl Fabric {
             if !self.queues[ts.0].can_push() {
                 break;
             }
-            let seq = self.core.next_seq;
-            self.core.next_seq += 1;
-            let token = self.queues[ts.0]
-                .push_child(IndexTuple::ROOT, seq, fields)
-                .expect("checked can_push");
-            self.live.insert((token.index, token.seq));
+            let q = &mut self.queues[ts.0];
+            self.core.spawn(q, &mut self.live, IndexTuple::ROOT, fields);
             self.seed_backlog.pop_front();
             progress = true;
         }
@@ -1164,12 +1177,8 @@ impl Fabric {
             if !self.queues[ts.0].can_push() {
                 break;
             }
-            let seq = self.core.next_seq;
-            self.core.next_seq += 1;
-            let token = self.queues[ts.0]
-                .push_child(parent, seq, fields)
-                .expect("checked can_push");
-            self.live.insert((token.index, token.seq));
+            let q = &mut self.queues[ts.0];
+            self.core.spawn(q, &mut self.live, parent, fields);
             self.pending_tasks.pop_front();
             progress = true;
         }
@@ -1734,8 +1743,10 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         // occupied.
         let mut stall_cause = StallCause::DownstreamFull;
         if let Some(ctx) = latch_cur.as_ref() {
-            // Phase A may just have filled the next latch.
+            // Phase A may just have filled the next latch. A stage without
+            // a station gets here with it full only to expand a range.
             let next_free = !latch_next.as_ref().is_some_and(|l| l.is_some());
+            debug_assert!(next_free || stage.station.is_some() || expands);
             let val = |v: &ValRef| ctx.vals[v.pos()];
             let gather = |vs: &[ValRef]| {
                 let mut f = [0u64; MAX_FIELDS];
@@ -1782,19 +1793,13 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
                 BodyOp::Enqueue {
                     task_set, fields, ..
                 } => {
-                    if next_free && cx.queues[task_set.0].can_push() {
-                        let seq = cx.core.next_seq;
-                        cx.core.next_seq += 1;
-                        let token = cx.queues[task_set.0]
-                            .push_child(ctx.index, seq, gather(fields))
-                            .expect("checked can_push");
-                        cx.live.insert((token.index, token.seq));
+                    let queue = &mut cx.queues[task_set.0];
+                    if queue.can_push() {
+                        cx.core.spawn(queue, cx.live, ctx.index, gather(fields));
                         progress = true;
                         Step::Advance(1)
-                    } else if next_free {
-                        Step::Stay(StallCause::QueueFull)
                     } else {
-                        Step::Stay(StallCause::DownstreamFull)
+                        Step::Stay(StallCause::QueueFull)
                     }
                 }
                 BodyOp::EnqueueRange {
@@ -1807,18 +1812,14 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
                     let (lo, hi) = (val(lo), val(hi));
                     let pos = stage.expand_pos.get_or_insert(lo);
                     // Emit one child per cycle while space is available.
-                    if *pos < hi && cx.queues[task_set.0].can_push() {
+                    let queue = &mut cx.queues[task_set.0];
+                    if *pos < hi && queue.can_push() {
                         let mut f = [0u64; MAX_FIELDS];
                         f[0] = *pos;
                         for (k, v) in extra.iter().enumerate() {
                             f[k + 1] = val(v);
                         }
-                        let seq = cx.core.next_seq;
-                        cx.core.next_seq += 1;
-                        let token = cx.queues[task_set.0]
-                            .push_child(ctx.index, seq, f)
-                            .expect("checked can_push");
-                        cx.live.insert((token.index, token.seq));
+                        cx.core.spawn(queue, cx.live, ctx.index, f);
                         *pos += 1;
                         busy = true;
                         progress = true;
@@ -1830,7 +1831,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
                     }
                 }
                 BodyOp::Requeue { fields, .. } => {
-                    if next_free && cx.queues[set.0].can_push_reserved() {
+                    if cx.queues[set.0].can_push_reserved() {
                         let seq = cx.core.next_seq;
                         cx.core.next_seq += 1;
                         let token = TaskToken {
@@ -1844,25 +1845,19 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
                         cx.core.requeues += 1;
                         progress = true;
                         Step::Advance(1)
-                    } else if next_free {
-                        Step::Stay(StallCause::ReserveFull)
                     } else {
-                        Step::Stay(StallCause::DownstreamFull)
+                        Step::Stay(StallCause::ReserveFull)
                     }
                 }
                 BodyOp::AllocRule { rule, params, .. } => {
-                    if next_free {
-                        let tag = cx.core.next_tag;
-                        cx.core.next_tag += 1;
-                        // Granted or nacked, the token proceeds: a nack
-                        // buffered `false` for this tag, steering the
-                        // task into its retry path at the rendezvous.
-                        let _ = cx.engines[rule.0].alloc(ctx.index, ctx.seq, gather(params), tag);
-                        progress = true;
-                        Step::Advance(tag)
-                    } else {
-                        Step::Stay(StallCause::DownstreamFull)
-                    }
+                    let tag = cx.core.next_tag;
+                    cx.core.next_tag += 1;
+                    // Granted or nacked, the token proceeds: a nack
+                    // buffered `false` for this tag, steering the task
+                    // into its retry path at the rendezvous.
+                    let _ = cx.engines[rule.0].alloc(ctx.index, ctx.seq, gather(params), tag);
+                    progress = true;
+                    Step::Advance(tag)
                 }
                 BodyOp::Rendezvous { rule_instance, .. } => {
                     let station = stage.station.as_ref().expect("rendezvous has station");
@@ -1887,7 +1882,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
                     }
                 }
                 BodyOp::Emit { label, payload, .. } => {
-                    if next_free && cx.bus_staged.len() < cx.bus_cap {
+                    if cx.bus_staged.len() < cx.bus_cap {
                         cx.bus_staged.push(EventMsg {
                             label: *label,
                             payload: gather(payload),
@@ -1896,10 +1891,8 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
                         });
                         progress = true;
                         Step::Advance(1)
-                    } else if next_free {
-                        Step::Stay(StallCause::BusFull)
                     } else {
-                        Step::Stay(StallCause::DownstreamFull)
+                        Step::Stay(StallCause::BusFull)
                     }
                 }
                 BodyOp::Extern { ext, args, .. } => {
