@@ -15,6 +15,11 @@ cargo clippy --offline --workspace --lib --no-deps -- -D warnings
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+# hostbench is a workspace of its own that builds against the crates'
+# public API, so the workspace build above does not notice when it breaks.
+echo "==> hostbench build + self-test"
+cargo test --release --offline --manifest-path hostbench/Cargo.toml
+
 echo "==> apir-lint over the builtin benchmark specs"
 cargo run -q --release --offline -p apir-check --bin apir-lint
 
