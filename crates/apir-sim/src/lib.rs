@@ -19,7 +19,7 @@
 //! * [`stats`] — activity tracking (busy/stall/idle) from which pipeline
 //!   utilization rates are computed exactly as in Figure 10 of the paper;
 //! * [`metrics`] — the named metrics registry (counters, gauges,
-//!   power-of-two histograms) every fabric component reports into;
+//!   power-of-two histograms) the fabric reads its components into;
 //! * [`trace`] — the bounded structured event trace behind the
 //!   `apir-trace` renderers;
 //! * [`timeline`] — windowed metric-delta snapshots (a bounded ring of

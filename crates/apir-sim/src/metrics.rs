@@ -1,15 +1,14 @@
 //! A zero-dependency metrics registry: named counters, gauges, and
 //! power-of-two-bucket histograms.
 //!
-//! The fabric's components (pipelines, task queues, rule engines, the
-//! memory subsystem) report into one [`MetricsRegistry`] behind **stable
-//! metric keys** (see README §Observability for the key table). Running
-//! totals and gauges stay in the components' own fields; the fabric
-//! writes them into the registry only when the registry is read (a
+//! The fabric keeps one [`MetricsRegistry`] behind **stable metric keys**
+//! (see README §Observability for the key table). Its components do not
+//! report into it: they keep plain running totals and gauges, and the
+//! fabric reads them into the registry only when the registry is read (a
 //! pause, a checkpoint, the report). Only per-cycle samples, the
 //! occupancy histograms and the admission-stall counts, are recorded as
-//! the cycles pass, in O(1) per component for any number of identical
-//! cycles ([`MetricsRegistry::observe_n`]). Registration returns typed
+//! the cycles pass, by one fabric sampler in O(1) for any number of
+//! identical cycles ([`MetricsRegistry::observe_n`]). Registration returns typed
 //! handles ([`CounterId`], [`GaugeId`], [`HistogramId`]) so an update is
 //! a plain `Vec` index store, never a map lookup. Snapshots iterate keys
 //! in sorted order, which makes every rendering of the same run
