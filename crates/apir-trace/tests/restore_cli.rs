@@ -66,3 +66,25 @@ fn malformed_snapshots_exit_2_naming_the_member() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A document nested far past the parser's depth limit is a located
+/// parse error with exit code 2, not a stack overflow that aborts the
+/// process.
+#[test]
+fn deeply_nested_document_exits_2_naming_the_offset() {
+    let dir = std::env::temp_dir().join(format!("apir-restore-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(100_000)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_apir-trace"))
+        .args(["restore-run", "SPEC-BFS", path.to_str().unwrap()])
+        .output()
+        .expect("spawn apir-trace");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("JSON parse error at byte 128: arrays and objects nest deeper than 128"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

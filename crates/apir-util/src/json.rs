@@ -11,8 +11,18 @@
 //! * [`Json::render`] — compact rendering with stable float formatting
 //!   (Rust's shortest-roundtrip `Display`, deterministic on every
 //!   platform) and full string escaping;
-//! * [`parse`] — a strict recursive-descent parser, used by the bench
-//!   schema validator and by tests that re-read emitted reports.
+//! * [`parse`] — a recursive-descent parser for every document read
+//!   back from outside the process: snapshots (`restore-run`), campaign
+//!   plans, JSONL resume logs, `diff` inputs and the bench baseline.
+//!
+//! The parser reads its input in one left-to-right pass: a run of
+//! plain string bytes is copied as one slice, so the work is linear in
+//! the document's size. It accepts exactly the RFC 8259 grammar — no
+//! `+1`, `01`, `1.` or `.5`, no number that overflows `f64`, no raw
+//! control character inside a string, exactly four hex digits after
+//! `\u` — and nests at most [`MAX_DEPTH`] arrays and objects, so a
+//! hostile document cannot exhaust the stack. Every rejection is a
+//! [`ParseError`] carrying the byte offset at fault.
 
 use std::fmt::Write as _;
 
@@ -254,15 +264,21 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How many arrays and objects [`parse`] nests before it rejects the
+/// document (serde_json's default). The deepest document this workspace
+/// writes, a snapshot, nests 9.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// [`ParseError`] on malformed input or trailing garbage.
+/// [`ParseError`] on malformed input, trailing garbage, or nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters after document"));
@@ -292,12 +308,17 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(
+            *pos,
+            format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -315,7 +336,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Pars
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     expect(b, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(b, pos);
@@ -328,7 +349,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         pairs.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -342,7 +363,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -351,7 +372,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -368,6 +389,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     expect(b, pos, b'"')?;
     let mut s = String::new();
     loop {
+        // Copy the run of plain bytes up to the next quote, backslash or
+        // control byte as one slice, so each byte is looked at once. The
+        // run lies between ASCII bytes of a `&str`: it is whole chars.
+        let run = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\' | 0..=0x1f) {
+            *pos += 1;
+        }
+        let plain = std::str::from_utf8(&b[run..*pos])
+            .map_err(|e| err(run + e.valid_up_to(), "invalid UTF-8"))?;
+        s.push_str(plain);
         match b.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
@@ -388,10 +419,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     Some(b'u') => {
                         let hex = b
                             .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
                             .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
+                        // Exactly four hex digits: `from_str_radix` would
+                        // also take a sign (`\u+041`).
+                        let code = hex
+                            .iter()
+                            .try_fold(0, |code, &h| Some(code * 16 + (h as char).to_digit(16)?))
+                            .ok_or_else(|| err(*pos, "bad \\u escape"))?;
                         // Surrogates are rejected rather than paired; the
                         // writer never emits them.
                         let c = char::from_u32(code)
@@ -403,37 +437,58 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                s.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err(err(*pos, "unescaped control character in string")),
         }
     }
 }
 
+/// Scans a number by the RFC 8259 grammar,
+/// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("ASCII digits");
-    if text.is_empty() || text == "-" {
+    } else if !matches!(b.get(*pos), Some(b'0'..=b'9')) {
         return Err(err(start, "expected a value"));
     }
+    let int = *pos;
+    digits(b, pos, "expected a digit after `-`")?;
+    if b[int] == b'0' && *pos > int + 1 {
+        return Err(err(int + 1, "leading zero in a number"));
+    }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        digits(b, pos, "expected a digit after `.`")?;
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        digits(b, pos, "expected a digit in the exponent")?;
+    }
+    let text = std::str::from_utf8(&b[start..*pos]).expect("ASCII digits");
     // Exact u64 when possible, so counters round-trip bit-for-bit.
     if let Ok(v) = text.parse::<u64>() {
         return Ok(Json::U64(v));
     }
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err(start, format!("bad number `{text}`")))
+    match text.parse::<f64>() {
+        Ok(f) if f.is_finite() => Ok(Json::Num(f)),
+        _ => Err(err(start, format!("number `{text}` is out of range"))),
+    }
+}
+
+/// Skips one or more ASCII digits; `missing` names the error when there
+/// is none.
+fn digits(b: &[u8], pos: &mut usize, missing: &str) -> Result<(), ParseError> {
+    let start = *pos;
+    while matches!(b.get(*pos), Some(b'0'..=b'9')) {
+        *pos += 1;
+    }
+    if *pos == start {
+        return Err(err(start, missing));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -509,5 +564,91 @@ mod tests {
         assert_eq!(j.get("c").unwrap().as_str(), Some("s"));
         assert_eq!(j.get("d").unwrap().as_arr().unwrap().len(), 1);
         assert!(j.get("zzz").is_none());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        // The error names the first bracket past the limit.
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        assert!(e.msg.contains("deeper than 128"), "{e}");
+        // Far past the limit is the same located error, not a stack
+        // overflow.
+        assert_eq!(parse(&"[".repeat(100_000)).unwrap_err().at, MAX_DEPTH);
+        // Objects count as levels too: `{"a":` is 5 bytes.
+        let objs = format!("{}1{}", r#"{"a":"#.repeat(129), "}".repeat(129));
+        assert_eq!(parse(&objs).unwrap_err().at, 5 * MAX_DEPTH);
+    }
+
+    #[test]
+    fn grammar_is_rfc_8259() {
+        // (document, byte offset of the rejection)
+        let rejected = [
+            ("+1", 0),
+            ("01", 1),
+            ("00", 1),
+            ("-01", 2),
+            ("1.", 2),
+            (".5", 0),
+            ("-.5", 1),
+            ("-", 1),
+            ("1.e5", 2),
+            ("1e", 2),
+            ("1e+", 3),
+            ("1e999", 0),
+            ("[0,-1e999]", 3),
+            ("\"a\u{0}b\"", 2),
+            ("\"tab\there\"", 4),
+            ("{\"k\":\"\u{1f}\"}", 6),
+            ("\"line\nbreak\"", 5),
+            (r#""\u+041""#, 2),
+            (r#""\u-041""#, 2),
+            (r#""\u 041""#, 2),
+            (r#""\u004""#, 2),
+            (r#""\u00""#, 2),
+        ];
+        for (doc, at) in rejected {
+            let e = parse(doc).expect_err(doc);
+            assert_eq!(e.at, at, "{doc:?}: {e}");
+        }
+        // Edge cases that parse exactly as they always have.
+        let accepted = [
+            ("-0", Json::Num(-0.0), "-0"),
+            ("0", Json::U64(0), "0"),
+            ("0.5e-3", Json::Num(0.0005), "0.0005"),
+            ("1E+5", Json::Num(1e5), "100000"),
+            ("-12.5e1", Json::Num(-125.0), "-125"),
+            ("1e-400", Json::Num(0.0), "0"),
+            (
+                "18446744073709551615",
+                Json::U64(u64::MAX),
+                "18446744073709551615",
+            ),
+            (
+                "18446744073709551616",
+                Json::Num(18446744073709551616.0),
+                "18446744073709552000",
+            ),
+            (r#""Aé/\/""#, Json::str("Aé//"), r#""Aé//""#),
+            ("\"π \u{7f}\"", Json::str("π \u{7f}"), "\"π \u{7f}\""),
+        ];
+        for (doc, value, rendered) in accepted {
+            let got = parse(doc).expect(doc);
+            assert_eq!(got, value, "{doc}");
+            assert_eq!(got.render(), rendered, "{doc}");
+        }
+    }
+
+    #[test]
+    fn string_runs_keep_escapes_and_multibyte_chars_in_place() {
+        let doc = r#"["plain", "", "a\"b\\c\nd", "αβγ\tδ", "\u0000x", "endé"]"#;
+        let want =
+            Json::arr(["plain", "", "a\"b\\c\nd", "αβγ\tδ", "\u{0}x", "endé"].map(Json::str));
+        assert_eq!(parse(doc).unwrap(), want);
+        assert_eq!(parse(&want.render()).unwrap(), want);
+        let e = parse(r#"["ok", "torn"#).unwrap_err();
+        assert_eq!((e.at, e.msg.as_str()), (12, "unterminated string"));
     }
 }
