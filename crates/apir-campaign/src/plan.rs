@@ -37,6 +37,7 @@ use apir_bench::scale::APP_NAMES;
 use apir_bench::Scale;
 use apir_fabric::FabricConfig;
 use apir_util::json::{parse, Json};
+use std::collections::HashSet;
 
 /// The only plan schema this engine accepts.
 pub const PLAN_SCHEMA: &str = "apir.campaign.plan.v1";
@@ -212,6 +213,10 @@ pub fn parse_plan(text: &str) -> Result<CampaignPlan, PlanError> {
     let mut seeds: Vec<u64> = Vec::new();
     let mut configs: Vec<ConfigVariant> = Vec::new();
     let mut saw = (false, false, false);
+    // Sets keep the duplicate checks linear in the plan's size; entries
+    // are visited in document order, so the first repeat is reported.
+    let mut seen_apps = HashSet::new();
+    let mut seen_seeds = HashSet::new();
 
     for (key, value) in members {
         match key.as_str() {
@@ -241,7 +246,7 @@ pub fn parse_plan(text: &str) -> Result<CampaignPlan, PlanError> {
                             APP_NAMES.join(", ")
                         )));
                     }
-                    if apps.iter().any(|a| a == name) {
+                    if !seen_apps.insert(name) {
                         return Err(PlanError::new(format!("duplicate app `{name}`")));
                     }
                     apps.push(name.to_string());
@@ -254,7 +259,7 @@ pub fn parse_plan(text: &str) -> Result<CampaignPlan, PlanError> {
                     .ok_or_else(|| PlanError::new("`seeds` must be an array of integers"))?;
                 for v in arr {
                     let seed = want_u64(v, "`seeds` entries")?;
-                    if seeds.contains(&seed) {
+                    if !seen_seeds.insert(seed) {
                         return Err(PlanError::new(format!("duplicate seed {seed}")));
                     }
                     seeds.push(seed);
@@ -290,10 +295,9 @@ pub fn parse_plan(text: &str) -> Result<CampaignPlan, PlanError> {
             "`configs` must be a non-empty array of config variants",
         ));
     }
-    for (i, c) in configs.iter().enumerate() {
-        if configs[..i].iter().any(|o| o.id == c.id) {
-            return Err(PlanError::new(format!("duplicate config id `{}`", c.id)));
-        }
+    let mut seen_ids = HashSet::new();
+    if let Some(c) = configs.iter().find(|c| !seen_ids.insert(c.id.as_str())) {
+        return Err(PlanError::new(format!("duplicate config id `{}`", c.id)));
     }
 
     Ok(CampaignPlan {
@@ -515,6 +519,32 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.msg.contains("duplicate config id `a`"), "{e}");
+    }
+
+    #[test]
+    fn duplicates_report_the_first_repeat_in_document_order() {
+        let plan = |apps: &str, seeds: &str, ids: &str| {
+            let configs: Vec<String> = ids
+                .split(',')
+                .map(|id| format!(r#"{{"id":"{id}"}}"#))
+                .collect();
+            let text = format!(
+                r#"{{"schema":"apir.campaign.plan.v1","apps":[{apps}],
+                    "seeds":[{seeds}],"configs":[{}]}}"#,
+                configs.join(",")
+            );
+            parse_plan(&text).unwrap_err().msg
+        };
+        let bfs_sssp = r#""SPEC-BFS","SPEC-SSSP""#;
+        assert_eq!(
+            plan(r#""SPEC-SSSP","SPEC-BFS","SPEC-BFS","SPEC-SSSP""#, "1", "a"),
+            "duplicate app `SPEC-BFS`"
+        );
+        assert_eq!(plan(bfs_sssp, "5,6,6,5", "a"), "duplicate seed 6");
+        assert_eq!(plan(bfs_sssp, "1,2", "a,b,b,a"), "duplicate config id `b`");
+        // Seeds are checked as they are read, config ids only once every
+        // config parsed: a repeated seed wins.
+        assert_eq!(plan(bfs_sssp, "1,1", "a,a"), "duplicate seed 1");
     }
 
     #[test]
