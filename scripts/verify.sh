@@ -29,9 +29,10 @@ cargo run -q --release --offline -p apir-check --bin apir-lint -- --analyze --st
 bench_base=$(mktemp) ; chaos_a=$(mktemp) ; chaos_b=$(mktemp) ; analysis_tmp=$(mktemp)
 camp_a=$(mktemp) ; camp_b=$(mktemp)
 snap_doc=$(mktemp) ; snap_full=$(mktemp) ; snap_resumed=$(mktemp)
+big_doc=$(mktemp) ; big_full=$(mktemp) ; big_resumed=$(mktemp)
 resume_full=$(mktemp) ; resume_partial=$(mktemp) ; resume_out=$(mktemp)
 trap 'rm -f "$bench_base" "$chaos_a" "$chaos_b" "$analysis_tmp" "$camp_a" "$camp_b" \
-  "$snap_doc" "$snap_full" "$snap_resumed" "$resume_full" "$resume_partial" "$resume_out"' EXIT
+  "$snap_doc" "$snap_full" "$snap_resumed" "$big_doc" "$big_full" "$big_resumed" "$resume_full" "$resume_partial" "$resume_out"' EXIT
 
 echo "==> static-analysis baseline drift gate (apir.analysis.report.v1)"
 cargo run -q --release --offline -p apir-trace -- analyze --json "$analysis_tmp" > /dev/null
@@ -105,6 +106,21 @@ cargo run -q --release --offline -p apir-trace -- \
 if ! cargo run -q --release --offline -p apir-trace -- \
   diff --machine "$snap_full" "$snap_resumed"; then
   echo "ERROR: a run restored from a snapshot diverged from the uninterrupted run (keys above)." >&2
+  exit 1
+fi
+
+echo "==> multi-MB snapshot round-trip gate (SPEC-MST small, ~5 MB document, linear-time read)"
+cargo run -q --release --offline -p apir-trace -- \
+  run SPEC-MST --scale small --json "$big_full" > /dev/null
+cargo run -q --release --offline -p apir-trace -- \
+  snapshot SPEC-MST --scale small --at 20000 --out "$big_doc" > /dev/null
+# Reading is linear in the document's size, so this restore takes well
+# under a second in a release build; a quadratic reader takes ~40 s here.
+cargo run -q --release --offline -p apir-trace -- \
+  restore-run SPEC-MST "$big_doc" --scale small --json "$big_resumed" > /dev/null
+if ! cargo run -q --release --offline -p apir-trace -- \
+  diff --machine "$big_full" "$big_resumed"; then
+  echo "ERROR: a run restored from a multi-MB snapshot diverged from the uninterrupted run (keys above)." >&2
   exit 1
 fi
 
