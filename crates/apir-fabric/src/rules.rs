@@ -8,6 +8,12 @@
 //! and releases the lane". The rendezvous switch in the pipeline claims
 //! the value and steers the task token. The minimum live task is broadcast
 //! every cycle to trigger `otherwise` clauses (liveness).
+//!
+//! The hardware compares every lane with a requester's priority and with
+//! the minimum-task broadcast in parallel. The model gets the same answers
+//! from an ordered index of the occupied lanes, keyed by the holder's task
+//! order and then the lane: the eviction victim is its last entry and the
+//! minimum task's lane is one range lookup, so neither scans the lanes.
 
 use crate::types::EventMsg;
 use apir_core::expr::EvalCtx;
@@ -15,7 +21,7 @@ use apir_core::rule::{EcaClause, EventPat, RuleAction, RuleDecl, RuleMode};
 use apir_core::{IndexTuple, MAX_FIELDS};
 use apir_sim::stats::StallCause;
 use apir_util::snap_fields;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Result of requesting a lane.
@@ -110,6 +116,9 @@ pub struct RuleEngine {
     occupied: usize,
     /// Lanes not masked. Derived: recounted on load.
     live: usize,
+    /// The occupied lanes as `(parent_index, parent_seq, lane)`, in task
+    /// order and then lane order. Derived: rebuilt on load.
+    order: BTreeSet<(IndexTuple, u64, usize)>,
 }
 snap_fields!(RuleEngine {
     lanes,
@@ -121,6 +130,7 @@ snap_fields!(RuleEngine {
     clauses: skip,
     occupied: skip,
     live: skip,
+    order: skip,
 } check Self::loaded);
 
 impl RuleEngine {
@@ -136,6 +146,7 @@ impl RuleEngine {
             stats: RuleEngineStats::default(),
             occupied: 0,
             live: lanes.max(1),
+            order: BTreeSet::new(),
         }
     }
 
@@ -162,13 +173,14 @@ impl RuleEngine {
     /// drop below half the lanes; otherwise returns whether the lane had
     /// to be drained.
     pub fn mask_lane(&mut self, pick: u64, out: &mut Vec<(u32, u64, u64)>) -> Option<bool> {
-        let live: Vec<usize> = (0..self.lanes.len())
-            .filter(|&i| !self.masked[i])
-            .collect();
-        if live.len() * 2 <= self.lanes.len() {
+        if self.live * 2 <= self.lanes.len() {
             return None;
         }
-        let victim = live[(pick % live.len() as u64) as usize];
+        let nth = (pick % self.live as u64) as usize;
+        let victim = (0..self.lanes.len())
+            .filter(|&i| !self.masked[i])
+            .nth(nth)
+            .expect("fewer live lanes than counted");
         let drained = self.lanes[victim].is_some();
         if drained {
             self.release(victim, false, out);
@@ -186,11 +198,9 @@ impl RuleEngine {
         key: (IndexTuple, u64),
         out: &mut Vec<(u32, u64, u64)>,
     ) -> bool {
-        let pos = self.lanes.iter().position(|l| {
-            l.as_ref()
-                .is_some_and(|l| (l.parent_index, l.parent_seq) == key)
-        });
-        let Some(pos) = pos else { return false };
+        let Some(pos) = self.lane_of(key) else {
+            return false;
+        };
         self.stats.otherwise_fires += 1;
         let v = self.decl.otherwise;
         self.release(pos, v, out);
@@ -230,39 +240,32 @@ impl RuleEngine {
             self.stats.allocs += 1;
             return AllocOutcome::Granted;
         }
-        let free = (0..self.lanes.len()).find(|&i| self.lanes[i].is_none() && !self.masked[i]);
-        let slot_idx = match free {
-            Some(i) => i,
-            None => {
-                // Priority allocator: an earlier-ordered requester evicts
-                // the *latest* lane holder, which receives a conservative
-                // `false` (abort/retry). This guarantees the minimum live
-                // task always obtains a lane, preserving the liveness
-                // argument of the `otherwise` clause under finite lanes.
-                let victim = self
-                    .lanes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, l)| {
-                        l.as_ref().map(|l| (i, (l.parent_index, l.parent_seq)))
-                    })
-                    .max_by_key(|&(_, key)| key);
-                match victim {
-                    Some((vi, vkey)) if (parent_index, parent_seq) < vkey => {
-                        self.stats.evictions += 1;
-                        let mut out = Vec::new();
-                        self.release(vi, false, &mut out);
-                        self.evicted_returns.extend(out);
-                        vi
-                    }
-                    _ => {
-                        self.stats.alloc_stalls += 1;
-                        self.returns.insert(tag, false);
-                        return AllocOutcome::Nacked;
-                    }
+        let slot_idx = if self.occupied < self.live {
+            (0..self.lanes.len())
+                .find(|&i| self.lanes[i].is_none() && !self.masked[i])
+                .expect("fewer occupied lanes than live ones")
+        } else {
+            // Priority allocator: an earlier-ordered requester evicts
+            // the *latest* lane holder, which receives a conservative
+            // `false` (abort/retry). This guarantees the minimum live
+            // task always obtains a lane, preserving the liveness
+            // argument of the `otherwise` clause under finite lanes.
+            match self.victim() {
+                Some((vkey, vi)) if (parent_index, parent_seq) < vkey => {
+                    self.stats.evictions += 1;
+                    let mut evicted = std::mem::take(&mut self.evicted_returns);
+                    self.release(vi, false, &mut evicted);
+                    self.evicted_returns = evicted;
+                    vi
+                }
+                _ => {
+                    self.stats.alloc_stalls += 1;
+                    self.returns.insert(tag, false);
+                    return AllocOutcome::Nacked;
                 }
             }
         };
+        self.order.insert((parent_index, parent_seq, slot_idx));
         self.lanes[slot_idx] = Some(Lane {
             parent_index,
             parent_seq,
@@ -283,10 +286,9 @@ impl RuleEngine {
     /// Idempotent; a no-op if the value was already delivered.
     pub fn cancel(&mut self, tag: u64) {
         self.returns.remove(&tag);
-        for l in &mut self.lanes {
-            if l.as_ref().is_some_and(|l| l.tag == tag) {
-                *l = None;
-                self.occupied -= 1;
+        for li in 0..self.lanes.len() {
+            if self.lanes[li].as_ref().is_some_and(|l| l.tag == tag) {
+                self.vacate(li);
             }
         }
     }
@@ -307,11 +309,7 @@ impl RuleEngine {
             return ClaimOutcome::Ready(self.decl.otherwise);
         };
         match self.decl.mode {
-            RuleMode::Immediate => {
-                let lane = self.lanes[idx].take().expect("lane present");
-                self.occupied -= 1;
-                ClaimOutcome::Ready(lane.verdict)
-            }
+            RuleMode::Immediate => ClaimOutcome::Ready(self.vacate(idx).verdict),
             RuleMode::Waiting => {
                 self.lanes[idx].as_mut().expect("lane present").claimed_port = Some(port);
                 ClaimOutcome::Wait
@@ -359,14 +357,7 @@ impl RuleEngine {
             }
         }
         // 2) Minimum-task broadcast.
-        let Some((min_idx, min_seq)) = global_min else {
-            return moved || self.stats.clause_fires + self.stats.otherwise_fires != fires_before;
-        };
-        let min_lane_pos = self.lanes.iter().position(|l| {
-            l.as_ref()
-                .is_some_and(|l| l.parent_index == min_idx && l.parent_seq == min_seq)
-        });
-        if let Some(pos) = min_lane_pos {
+        if let Some(pos) = global_min.and_then(|key| self.lane_of(key)) {
             let (idx, params) = {
                 let l = self.lanes[pos].as_ref().expect("lane present");
                 (l.parent_index, l.params)
@@ -430,9 +421,33 @@ impl RuleEngine {
         }
     }
 
-    fn release(&mut self, li: usize, value: bool, out: &mut Vec<(u32, u64, u64)>) {
+    /// The latest holder's key and lane: the greatest
+    /// `(parent_index, parent_seq)`, and of the lanes that hold it the
+    /// last, as a scan keeping the last maximum finds it.
+    fn victim(&self) -> Option<((IndexTuple, u64), usize)> {
+        self.order.last().map(|&(index, seq, li)| ((index, seq), li))
+    }
+
+    /// The first lane held by exactly the task `key`. The range holds
+    /// every entry equal to `key` under `Ord`, which ignores an index's
+    /// depth; `==` compares the depth too.
+    fn lane_of(&self, (index, seq): (IndexTuple, u64)) -> Option<usize> {
+        self.order
+            .range((index, seq, 0)..=(index, seq, usize::MAX))
+            .find(|&&(i, _, _)| i == index)
+            .map(|&(_, _, li)| li)
+    }
+
+    /// Empties lane `li`; every lane change but a grant goes through here.
+    fn vacate(&mut self, li: usize) -> Lane {
         let lane = self.lanes[li].take().expect("lane present");
+        self.order.remove(&(lane.parent_index, lane.parent_seq, li));
         self.occupied -= 1;
+        lane
+    }
+
+    fn release(&mut self, li: usize, value: bool, out: &mut Vec<(u32, u64, u64)>) {
+        let lane = self.vacate(li);
         match lane.claimed_port {
             Some(port) => out.push((port, lane.tag, value as u64)),
             None => {
@@ -442,13 +457,16 @@ impl RuleEngine {
     }
 
     /// A loaded snapshot must leave every masked lane empty; recounts the
-    /// derived lane totals.
+    /// derived lane totals and rebuilds the lane index.
     fn loaded(&mut self) -> Result<(), String> {
         let held = |(l, &m): (&Option<Lane>, &bool)| m && l.is_some();
         if let Some(i) = self.lanes.iter().zip(&self.masked).position(held) {
             return Err(format!(".lanes[{i}]: a masked lane holds a rule instance"));
         }
-        self.occupied = self.lanes.iter().filter(|l| l.is_some()).count();
+        self.order = (self.lanes.iter().enumerate())
+            .filter_map(|(i, l)| l.as_ref().map(|l| (l.parent_index, l.parent_seq, i)))
+            .collect();
+        self.occupied = self.order.len();
         self.live = self.masked.iter().filter(|&&m| !m).count();
         Ok(())
     }
@@ -482,6 +500,7 @@ mod tests {
     use apir_core::spec::LabelId;
     use crate::types::to_fields;
     use apir_util::snap::Snap;
+    use apir_util::Gen;
 
     fn msg(label: usize, payload: &[u64], index: &[u64]) -> EventMsg {
         EventMsg {
@@ -628,14 +647,142 @@ mod tests {
         assert_eq!(e.occupied(), 0);
     }
 
+    /// The victim scan the lane index replaced: the greatest key, and of
+    /// the lanes holding it the last.
+    fn scan_victim(e: &RuleEngine) -> Option<((IndexTuple, u64), usize)> {
+        (e.lanes.iter().enumerate())
+            .filter_map(|(i, l)| l.as_ref().map(|l| (i, (l.parent_index, l.parent_seq))))
+            .max_by_key(|&(_, key)| key)
+            .map(|(i, key)| (key, i))
+    }
+
+    /// The minimum-task scan the lane index replaced: the first lane held
+    /// by exactly `key`.
+    fn scan_lane_of(e: &RuleEngine, key: (IndexTuple, u64)) -> Option<usize> {
+        e.lanes
+            .iter()
+            .position(|l| l.as_ref().is_some_and(|l| (l.parent_index, l.parent_seq) == key))
+    }
+
     /// The derived counts must equal a recount of the lanes, and the
-    /// O(1) free-lane test must agree with a scan for one.
+    /// O(1) free-lane test must agree with a scan for one. The lane index
+    /// must equal a sorted recount of the occupied lanes and answer as the
+    /// scans it replaced, for every held key and for keys no lane holds.
     fn assert_counts(e: &RuleEngine) {
         let occupied = e.lanes.iter().filter(|l| l.is_some()).count();
         let live = e.masked.iter().filter(|&&m| !m).count();
         assert_eq!((e.occupied, e.live), (occupied, live));
         let free_live = e.lanes.iter().zip(&e.masked).any(|(l, &m)| !m && l.is_none());
         assert_eq!(e.occupied < e.live, free_live);
+        let mut held: Vec<_> = (e.lanes.iter().enumerate())
+            .filter_map(|(i, l)| l.as_ref().map(|l| (l.parent_index, l.parent_seq, i)))
+            .collect();
+        held.sort();
+        assert!(e.order.iter().eq(&held), "index {:?}, lanes {held:?}", e.order);
+        assert_eq!(e.victim(), scan_victim(e));
+        // The same components at full depth: equal under `Ord` to the
+        // key, and held by no lane here (no test index is 4 deep).
+        let twin = |(index, seq): (IndexTuple, u64)| (IndexTuple::new(&index.as_array()), seq);
+        let keys = held.iter().map(|&(index, seq, _)| (index, seq));
+        let absent = keys.clone().map(twin).chain([twin((IndexTuple::ROOT, 0))]);
+        for key in keys.chain(absent) {
+            assert_eq!(e.lane_of(key), scan_lane_of(e, key), "lane of {key:?}");
+        }
+    }
+
+    /// What one run of [`random_lane_ops`] reached.
+    #[derive(Debug, Default)]
+    struct Reached {
+        /// One task held two lanes at once.
+        shared: bool,
+        /// Two holders' indexes were equal under `Ord` but differed in
+        /// depth.
+        twins: bool,
+        evictions: u64,
+    }
+
+    /// Applies a random sequence of lane operations to a 4-lane engine in
+    /// a random mode and checks the derived state after every one. An
+    /// eviction must take the lane the old scan picks. The holders come
+    /// from a pool small enough that one task often holds two lanes, and
+    /// `[3]` and `[3, 0]` (equal under `Ord`) are both in it.
+    fn random_lane_ops(g: &mut Gen) -> Reached {
+        let decl = if g.gen_bool(0.5) {
+            RuleDecl::new("r", 1, true)
+        } else {
+            RuleDecl::new_waiting("w", 1, true)
+        };
+        let decl = decl
+            .on_label(LabelId(0), eq(ev(0), param(0)), RuleAction::Return(false))
+            .on_min_waiting(eq(ev(0), param(0)), RuleAction::Return(true));
+        let indexes = [[1].as_slice(), &[3], &[3, 0], &[4]].map(IndexTuple::new);
+        let key = |g: &mut Gen| (indexes[g.gen_range(0..indexes.len())], g.gen_range(0u64..3));
+        let mut e = RuleEngine::new(decl.clone(), 4);
+        let (mut out, mut tags, mut reached) = (Vec::new(), 0u64, Reached::default());
+        for _ in 0..g.gen_range(1usize..48) {
+            match g.gen_range(0u32..9) {
+                0..=2 => {
+                    let (index, seq) = key(g);
+                    let victim = scan_victim(&e).filter(|_| e.occupied == e.live);
+                    let evictions = e.stats.evictions;
+                    e.alloc(index, seq, to_fields(&[g.gen_range(0u64..3)]), tags);
+                    if e.stats.evictions > evictions {
+                        let (_, vi) = victim.expect("an eviction needs a full engine");
+                        assert_eq!(e.lanes[vi].as_ref().map(|l| l.tag), Some(tags), "victim");
+                    }
+                    tags += 1;
+                }
+                3 => {
+                    e.claim(g.gen_range(0..tags + 1), g.gen_range(0u32..2));
+                }
+                4 => e.cancel(g.gen_range(0..tags + 1)),
+                5 => {
+                    let events = [msg(0, &[g.gen_range(0u64..3)], &[2])];
+                    let events = &events[..g.gen_range(0usize..2)];
+                    let min = Some(key(g)).filter(|_| g.gen_bool(0.75));
+                    e.tick(events, min, &mut out);
+                }
+                6 => {
+                    e.mask_lane(g.gen_range(0u64..4), &mut out);
+                }
+                7 => {
+                    e.force_min_release(key(g), &mut out);
+                }
+                _ => {
+                    let mut back = RuleEngine::new(decl.clone(), 4);
+                    back.load(&e.save()).unwrap();
+                    e = back;
+                }
+            }
+            assert_counts(&e);
+            let keys: Vec<_> = e.order.iter().map(|&(index, seq, _)| (index, seq)).collect();
+            for (i, a) in keys.iter().enumerate() {
+                for b in &keys[i + 1..] {
+                    reached.shared |= a == b;
+                    reached.twins |= a.0.cmp(&b.0).is_eq() && a.0 != b.0;
+                }
+            }
+        }
+        reached.evictions = e.stats.evictions;
+        reached
+    }
+
+    apir_util::props! {
+        cases = 256;
+
+        /// The lane index agrees with the scans it replaced after every
+        /// lane change, save and load.
+        fn lane_index_agrees_with_the_scans_after_every_op(g) {
+            random_lane_ops(g);
+        }
+    }
+
+    #[test]
+    fn random_lane_ops_reach_shared_holders_and_depth_twins() {
+        let runs: Vec<Reached> = (0..32).map(|s| random_lane_ops(&mut Gen::new(s, 0))).collect();
+        assert!(runs.iter().any(|r| r.shared), "{runs:?}");
+        assert!(runs.iter().any(|r| r.twins), "{runs:?}");
+        assert!(runs.iter().any(|r| r.evictions > 0), "{runs:?}");
     }
 
     #[test]
