@@ -29,10 +29,11 @@ cargo run -q --release --offline -p apir-check --bin apir-lint -- --analyze --st
 bench_base=$(mktemp) ; chaos_a=$(mktemp) ; chaos_b=$(mktemp) ; analysis_tmp=$(mktemp)
 camp_a=$(mktemp) ; camp_b=$(mktemp)
 snap_doc=$(mktemp) ; snap_full=$(mktemp) ; snap_resumed=$(mktemp)
-big_doc=$(mktemp) ; big_full=$(mktemp) ; big_resumed=$(mktemp)
+big_doc=$(mktemp) ; big_full=$(mktemp) ; big_resumed=$(mktemp) ; big_chaos=$(mktemp)
 resume_full=$(mktemp) ; resume_partial=$(mktemp) ; resume_out=$(mktemp)
 trap 'rm -f "$bench_base" "$chaos_a" "$chaos_b" "$analysis_tmp" "$camp_a" "$camp_b" \
-  "$snap_doc" "$snap_full" "$snap_resumed" "$big_doc" "$big_full" "$big_resumed" "$resume_full" "$resume_partial" "$resume_out"' EXIT
+  "$snap_doc" "$snap_full" "$snap_resumed" "$big_doc" "$big_full" "$big_resumed" "$big_chaos" \
+  "$resume_full" "$resume_partial" "$resume_out"' EXIT
 
 echo "==> static-analysis baseline drift gate (apir.analysis.report.v1)"
 cargo run -q --release --offline -p apir-trace -- analyze --json "$analysis_tmp" > /dev/null
@@ -121,6 +122,23 @@ cargo run -q --release --offline -p apir-trace -- \
 if ! cargo run -q --release --offline -p apir-trace -- \
   diff --machine "$big_full" "$big_resumed"; then
   echo "ERROR: a run restored from a multi-MB snapshot diverged from the uninterrupted run (keys above)." >&2
+  exit 1
+fi
+
+echo "==> SPEC-MST small-scale report pins (rule lanes full: evictions and nacks, fault-free and chaos)"
+# At this scale every one of the 64 rule lanes fills and tens of
+# thousands of allocations are nacked or evict a holder, so the pins
+# cover the rule engine's eviction and minimum-task paths under load.
+if ! cargo run -q --release --offline -p apir-trace -- \
+  diff --machine "$big_full" tests/golden/spec_mst_small.json; then
+  echo "ERROR: SPEC-MST --scale small drifted from tests/golden/spec_mst_small.json (keys above)." >&2
+  exit 1
+fi
+cargo run -q --release --offline -p apir-trace -- \
+  run SPEC-MST --scale small --faults 1 --json "$big_chaos" > /dev/null
+if ! cargo run -q --release --offline -p apir-trace -- \
+  diff --machine "$big_chaos" tests/golden/spec_mst_small_chaos1.json; then
+  echo "ERROR: SPEC-MST --scale small --faults 1 drifted from tests/golden/spec_mst_small_chaos1.json (keys above)." >&2
   exit 1
 fi
 
