@@ -180,7 +180,7 @@ impl RuleEngine {
         let victim = (0..self.lanes.len())
             .filter(|&i| !self.masked[i])
             .nth(nth)
-            .expect("fewer live lanes than counted");
+            .expect("`live` counts the unmasked lanes");
         let drained = self.lanes[victim].is_some();
         if drained {
             self.release(victim, false, out);
@@ -198,9 +198,7 @@ impl RuleEngine {
         key: (IndexTuple, u64),
         out: &mut Vec<(u32, u64, u64)>,
     ) -> bool {
-        let Some(pos) = self.lane_of(key) else {
-            return false;
-        };
+        let Some(pos) = self.lane_of(key) else { return false };
         self.stats.otherwise_fires += 1;
         let v = self.decl.otherwise;
         self.release(pos, v, out);
@@ -243,7 +241,7 @@ impl RuleEngine {
         let slot_idx = if self.occupied < self.live {
             (0..self.lanes.len())
                 .find(|&i| self.lanes[i].is_none() && !self.masked[i])
-                .expect("fewer occupied lanes than live ones")
+                .expect("occupied < live leaves a live lane free")
         } else {
             // Priority allocator: an earlier-ordered requester evicts
             // the *latest* lane holder, which receives a conservative
@@ -463,7 +461,10 @@ impl RuleEngine {
         if let Some(i) = self.lanes.iter().zip(&self.masked).position(held) {
             return Err(format!(".lanes[{i}]: a masked lane holds a rule instance"));
         }
-        self.order = (self.lanes.iter().enumerate())
+        self.order = self
+            .lanes
+            .iter()
+            .enumerate()
             .filter_map(|(i, l)| l.as_ref().map(|l| (l.parent_index, l.parent_seq, i)))
             .collect();
         self.occupied = self.order.len();
@@ -650,7 +651,9 @@ mod tests {
     /// The victim scan the lane index replaced: the greatest key, and of
     /// the lanes holding it the last.
     fn scan_victim(e: &RuleEngine) -> Option<((IndexTuple, u64), usize)> {
-        (e.lanes.iter().enumerate())
+        e.lanes
+            .iter()
+            .enumerate()
             .filter_map(|(i, l)| l.as_ref().map(|l| (i, (l.parent_index, l.parent_seq))))
             .max_by_key(|&(_, key)| key)
             .map(|(i, key)| (key, i))
@@ -674,7 +677,10 @@ mod tests {
         assert_eq!((e.occupied, e.live), (occupied, live));
         let free_live = e.lanes.iter().zip(&e.masked).any(|(l, &m)| !m && l.is_none());
         assert_eq!(e.occupied < e.live, free_live);
-        let mut held: Vec<_> = (e.lanes.iter().enumerate())
+        let mut held: Vec<_> = e
+            .lanes
+            .iter()
+            .enumerate()
             .filter_map(|(i, l)| l.as_ref().map(|l| (l.parent_index, l.parent_seq, i)))
             .collect();
         held.sort();
