@@ -241,6 +241,16 @@ fn rollback_recovery_completes_a_run_that_link_failure_killed() {
         report.metrics.counter("fault.rollback.replayed_cycles").unwrap() >= 1,
         "replay must cover at least the doomed stretch"
     );
+    assert_eq!(
+        report.metrics.counter("fault.rollback.replayed_cycles"),
+        Some(rb.replayed_cycles),
+        "seed {seed}"
+    );
+    assert_eq!(
+        report.metrics.counter("fault.rollback.last_cycle"),
+        rb.events.last().map(|e| e.0),
+        "seed {seed}"
+    );
     // The first rollback fires at or after the cycle the unprotected
     // run died at (same seed, same fault stream up to that point).
     assert_eq!(rb.events[0].0, fail_cycle, "seed {seed}");
@@ -297,6 +307,48 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+#[test]
+fn partial_reports_of_every_terminal_kind_are_pinned() {
+    // The rendered partial report of each runtime failure, pinned as
+    // FNV-1a: the deadlock and the link failure of the tests above, and
+    // SPEC-MST under chaos cut off by `max_cycles`.
+    let (s, input) = one_miss_spec();
+    let mut strangled = FabricConfig {
+        deadlock_cycles: 100,
+        rendezvous_timeout: 16,
+        ..FabricConfig::default()
+    };
+    strangled.mem.qpi_gbps = 1e-9;
+    let mut dropping = FabricConfig::default();
+    dropping.faults = FaultConfig {
+        seed: 7,
+        drop_rate: 1.0,
+        retry_timeout: 4,
+        max_retries: 2,
+        ..FaultConfig::default()
+    };
+    let name = "SPEC-MST";
+    let app = build_app(name, Scale::Tiny);
+    let mut capped = synthesized_cfg(name, Scale::Tiny);
+    scale_cache(&mut capped, &app.input);
+    (app.tune)(&mut capped);
+    capped.faults = FaultConfig::chaos(7);
+    capped.max_cycles = 2000;
+    let runs = [
+        (Fabric::new(&s, &input, strangled).run(), "deadlock", 0x9692_5925_52a4_5d55),
+        (Fabric::new(&s, &input, dropping).run(), "link_failed", 0xca91_e8e9_2f9b_859f),
+        (Fabric::new(&app.spec, &app.input, capped).run(), "max_cycles", 0xf3d6_7eeb_f5be_4675),
+    ];
+    for (run, kind, fnv) in runs {
+        let Err(err) = run else {
+            panic!("{kind}: the run finished");
+        };
+        assert_eq!(err.kind(), kind);
+        let text = err.partial_report_json().expect("a partial report").render();
+        assert_eq!(fnv1a(text.as_bytes()), fnv, "{kind}: {} bytes", text.len());
+    }
 }
 
 /// A counter as saved in a snapshot's metrics registry, whose entries
