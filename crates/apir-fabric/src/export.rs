@@ -443,10 +443,9 @@ mod tests {
 
     #[test]
     fn empty_histogram_round_trips_without_nan() {
-        let mut m = apir_sim::metrics::MetricsRegistry::new();
-        let _h = m.histogram("empty.hist");
         let mut r = tiny_report();
-        r.metrics = m.snapshot();
+        let h = MetricValue::Histogram(Histogram::new());
+        r.metrics = [("empty.hist".to_string(), h)].into_iter().collect();
         let json = r.to_json();
         assert!(!json.contains("NaN"), "no NaN leaks into the document");
         let parsed = apir_util::json::parse(&json).expect("valid JSON");
@@ -523,12 +522,12 @@ mod tests {
 
     #[test]
     fn saturated_histogram_is_flagged() {
-        let mut m = apir_sim::metrics::MetricsRegistry::new();
-        let h = m.histogram("hot.hist");
-        m.observe(h, u64::MAX);
-        m.observe(h, u64::MAX); // sum caps; flag must surface
+        let mut h = Histogram::new();
+        h.observe(u64::MAX);
+        h.observe(u64::MAX); // sum caps; flag must surface
         let mut r = tiny_report();
-        r.metrics = m.snapshot();
+        let h = MetricValue::Histogram(h);
+        r.metrics = [("hot.hist".to_string(), h)].into_iter().collect();
         let json = r.to_json();
         let parsed = apir_util::json::parse(&json).expect("valid JSON");
         let h = parsed.get("metrics").unwrap().get("hot.hist").unwrap();

@@ -23,7 +23,7 @@ use apir_core::spec::{ExternIn, RuleId, Spec, TaskSetId};
 use apir_core::{IndexTuple, ProgramInput, RegionId, MAX_FIELDS};
 use apir_sim::delay::OutOfOrderStation;
 use apir_sim::fifo::Fifo;
-use apir_sim::metrics::{CounterId, MetricsRegistry, MetricsSnapshot};
+use apir_sim::metrics::MetricsSnapshot;
 use apir_sim::seconds_from_cycles;
 use apir_sim::stats::{Activity, ActivityTracker, StallCause, UtilizationSummary};
 use apir_sim::timeline::{Timeline, TimelineRecorder, TimelineSample};
@@ -31,7 +31,7 @@ use apir_sim::trace::{CompId, EventTrace};
 use apir_util::json::Json;
 use apir_util::snap::{self, Snap};
 use apir_util::snap_fields;
-use observe::MetricIds;
+use observe::Samples;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
@@ -166,8 +166,9 @@ pub struct FabricReport {
     pub mem_image: apir_core::MemImage,
     /// `(cycle, task_set)` per retirement, if recording was enabled.
     pub retirements: Vec<(u64, usize)>,
-    /// Final snapshot of the metrics registry (stable `fabric.*`,
-    /// `queue.*`, `mem.*`, `rule.*` keys — see README §Observability).
+    /// Every metric, rendered from the final state (stable `fabric.*`,
+    /// `queue.*`, `mem.*`, `rule.*`, `fault.*` keys — see README
+    /// §Observability).
     pub metrics: MetricsSnapshot,
     /// Per-primitive-operation busy/stall/idle totals.
     pub activity: UtilizationSummary,
@@ -214,15 +215,6 @@ impl FabricReport {
     pub fn total_retired(&self) -> u64 {
         self.retired.iter().sum()
     }
-}
-
-/// Metric handles for the rollback-recovery path, registered only when
-/// `max_rollbacks > 0` so fault-free and plain-chaos reports (and their
-/// goldens) keep their exact key set.
-struct RollbackIds {
-    count: CounterId,
-    replayed: CounterId,
-    last_cycle: CounterId,
 }
 
 /// A stage snapshots its station, cursor and activity; the op and its
@@ -569,14 +561,9 @@ pub struct Fabric {
     /// Cycle at which `ckpt` was taken.
     ckpt_cycle: u64,
     rollback: Rollback,
-    /// `fault.rollback.*` metric handles, when recovery is armed.
-    mids_rollback: Option<RollbackIds>,
-    metrics: MetricsRegistry,
-    mids: MetricIds,
-    /// Cycle of the last executed tick while the registry does not hold
-    /// its running totals and gauges yet (see [`Fabric::publish_levels`]).
-    /// Derived: a loaded registry holds them, so load clears it.
-    unpublished: Option<u64>,
+    /// The per-cycle samples of each queue, the memory and each rule
+    /// engine: the only metric state kept (see [`Fabric::metrics`]).
+    samples: Box<[Samples]>,
     trace: Option<EventTrace>,
     timeline: Option<TimelineRecorder>,
     /// Cumulative totals behind the last timeline observation; the
@@ -624,13 +611,6 @@ impl Fabric {
             .iter()
             .map(|r| RuleEngine::new(r.clone(), cfg.rule_lanes))
             .collect();
-        let mut metrics = MetricsRegistry::new();
-        let mids = MetricIds::register(&mut metrics, spec);
-        let mids_rollback = (cfg.max_rollbacks > 0).then(|| RollbackIds {
-            count: metrics.counter("fault.rollback.count"),
-            replayed: metrics.counter("fault.rollback.replayed_cycles"),
-            last_cycle: metrics.counter("fault.rollback.last_cycle"),
-        });
         let mut trace = (cfg.trace_capacity > 0)
             .then(|| EventTrace::new(cfg.trace_capacity, &snapshot::EVENT_NAMES));
         let mut intern = |name: &str| {
@@ -728,7 +708,7 @@ impl Fabric {
         let lint_errors = lint.has_errors().then(|| lint.render_text());
         let timeline = (cfg.timeline_window > 0)
             .then(|| TimelineRecorder::new(cfg.timeline_window, cfg.timeline_capacity));
-        let mut f = Fabric {
+        Fabric {
             spec: spec.clone(),
             cfg,
             mem,
@@ -755,10 +735,7 @@ impl Fabric {
             ckpt: None,
             ckpt_cycle: 0,
             rollback: Rollback::default(),
-            mids_rollback,
-            metrics,
-            mids,
-            unpublished: None,
+            samples: Samples::all(spec),
             trace,
             timeline,
             tl_prev: TimelineSample::default(),
@@ -767,9 +744,7 @@ impl Fabric {
             tr_fault,
             tr_queues,
             tr_rules,
-        };
-        f.register_levels();
-        f
+        }
     }
 
     /// Runs the accelerator to quiescence.
@@ -949,7 +924,7 @@ impl Fabric {
         let events = std::mem::take(&mut self.rollback.events);
         let replayed = self.rollback.replayed;
         let doc = self.ckpt.take().expect("rollback requires a checkpoint");
-        self.load(&doc)
+        self.load_snapshot(&doc)
             .expect("in-memory checkpoint restores against its own fabric");
         self.ckpt = Some(doc);
         self.rollback.done = epoch;
@@ -958,12 +933,6 @@ impl Fabric {
         self.rollback.events.push((fail_cycle, self.cycle));
         if let Some(plan) = self.mem.faults_mut() {
             plan.resalt_link(epoch);
-        }
-        if let Some(ids) = &self.mids_rollback {
-            self.metrics.set_counter(ids.count, epoch);
-            self.metrics
-                .set_counter(ids.replayed, self.rollback.replayed);
-            self.metrics.set_counter(ids.last_cycle, fail_cycle);
         }
         if let Some(tr) = self.trace.as_mut() {
             tr.record(self.cycle, self.tr_fault, "rollback", epoch);
@@ -977,9 +946,6 @@ impl Fabric {
     /// conservative `false` and retries through its abort path). Resets
     /// the watchdog so the recovered work gets a full window to drain.
     fn escalate_watchdog(&mut self) {
-        // The registry keeps the totals of the last executed tick, from
-        // before the escalation changes them.
-        self.publish_levels();
         let now = self.cycle;
         self.core.wd_escalations += 1;
         if let Some(key) = self.live.iter().next().copied() {
@@ -1063,29 +1029,12 @@ impl Fabric {
     fn into_report(mut self) -> FabricReport {
         self.settle_trackers();
         let mut util = UtilizationSummary::new();
-        let mut busy = 0u64;
-        let mut stall = 0u64;
-        let mut idle = 0u64;
-        let mut causes = [0u64; StallCause::COUNT];
         for (pi, p) in self.pipelines.iter().enumerate() {
             for (si, st) in p.stages.iter().enumerate() {
                 util.add(format!("p{pi}.s{si}:{}", st.op.mnemonic()), st.tracker);
-                busy += st.tracker.busy;
-                stall += st.tracker.stall;
-                idle += st.tracker.idle;
-                for (acc, &c) in causes.iter_mut().zip(st.tracker.stall_by.iter()) {
-                    *acc += c;
-                }
             }
         }
-        self.metrics.set_counter(self.mids.busy, busy);
-        self.metrics.set_counter(self.mids.stall, stall);
-        self.metrics.set_counter(self.mids.idle, idle);
-        for (&id, &c) in self.mids.stall_causes.iter().zip(causes.iter()) {
-            self.metrics.set_counter(id, c);
-        }
-        self.metrics
-            .set_gauge(self.mids.utilization, util.pipeline_utilization());
+        let metrics = self.metrics(Some(&util));
         let faults = self.fault_totals();
         FabricReport {
             rollbacks: (self.cfg.max_rollbacks > 0).then(|| RollbackSummary {
@@ -1094,7 +1043,7 @@ impl Fabric {
                 events: self.rollback.events.clone(),
             }),
             faults,
-            metrics: self.metrics.snapshot(),
+            metrics,
             activity: util.clone(),
             trace: self.trace,
             timeline: self.timeline.take().map(TimelineRecorder::finish),
@@ -1256,13 +1205,12 @@ impl Fabric {
         }
 
         // 8) Observability: trace records for the totals that moved, then
-        // this cycle's samples. The running totals reach the registry only
-        // when it is read.
+        // this cycle's samples. The running totals stay in the components
+        // until metrics are read.
         if let Some(before) = before {
             self.record_moved(now, before);
         }
         self.sample(1);
-        self.unpublished = Some(now);
         let cur = self.timeline.is_some().then(|| self.timeline_totals());
         if let (Some(tl), Some(cur)) = (self.timeline.as_mut(), cur) {
             tl.observe(&cur.delta_from(&self.tl_prev));
@@ -1280,12 +1228,9 @@ impl Fabric {
     /// Brings every stage's tracker up to the current cycle, which ticks
     /// leave behind (see [`Stage::record`]): it counts the stall cycles a
     /// sleeping stage has slept through, and the idle cycles, which are
-    /// the ones not spent busy or stalled. Also brings the registry's
-    /// running totals up to the last executed tick. Runs wherever a
-    /// tracker or the registry leaves the tick loop: a pause, a
-    /// checkpoint, the report.
+    /// the ones not spent busy or stalled. Runs wherever a tracker leaves
+    /// the tick loop: a pause, a checkpoint, the report.
     fn settle_trackers(&mut self) {
-        self.publish_levels();
         let next = self.cycle + 1;
         for st in self.pipelines.iter_mut().flat_map(|p| p.stages.iter_mut()) {
             if st.stall_from.is_some() {
@@ -2011,6 +1956,8 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     (progress, active || progress)
 }
 
+// The samples are saved inside the `metrics` member, a view of the state
+// that `Fabric::snapshot` renders and `Fabric::load_snapshot` checks.
 snap_fields!(Fabric {
     cycle,
     core,
@@ -2028,7 +1975,6 @@ snap_fields!(Fabric {
     engines,
     mem,
     pipelines,
-    metrics,
     trace,
     timeline,
     tl_prev,
@@ -2039,15 +1985,13 @@ snap_fields!(Fabric {
     lint_errors: skip,
     ckpt: skip,
     ckpt_cycle: skip,
-    mids_rollback: skip,
-    mids: skip,
-    unpublished: skip,
+    samples: skip,
     tr_host: skip,
     tr_mem: skip,
     tr_fault: skip,
     tr_queues: skip,
     tr_rules: skip,
-} check Self::loaded);
+} check Self::fits);
 
 impl Fabric {
     /// Serializes the complete mutable state of this fabric as an
@@ -2058,6 +2002,10 @@ impl Fabric {
     pub fn snapshot(&self) -> Json {
         let mut doc = self.save();
         if let Json::Obj(members) = &mut doc {
+            // The metrics are a view of the state, saved after the pipelines.
+            let at = members.iter().position(|(k, _)| k == "trace");
+            let at = at.expect("the trace member is saved");
+            members.insert(at, ("metrics".into(), self.metrics(None).save()));
             members.insert(0, ("schema".into(), Json::str(SNAPSHOT_SCHEMA)));
         }
         doc
@@ -2087,17 +2035,17 @@ impl Fabric {
             return Err(format!("snapshot: `schema` is not `{SNAPSHOT_SCHEMA}`"));
         }
         let mut f = Fabric::new(spec, input, cfg);
-        f.load(doc).map_err(|e| snap::describe(&e))?;
+        f.load_snapshot(doc).map_err(|e| snap::describe(&e))?;
         Ok(f)
     }
 
-    /// Checks a loaded snapshot (see [`Fabric::fits`]); its registry
-    /// holds the running totals of the tick before the snapshot, so
-    /// nothing is left to publish.
-    fn loaded(&mut self) -> Result<(), String> {
-        self.fits()?;
-        self.unpublished = None;
-        Ok(())
+    /// Loads a snapshot document: the state, then the samples of its
+    /// `metrics` member, whose other values must agree with the state
+    /// (see [`Fabric::load_metrics`]).
+    fn load_snapshot(&mut self, doc: &Json) -> Result<(), String> {
+        self.load(doc)?;
+        let metrics = snap::member(doc, "metrics")?;
+        self.load_metrics(metrics).map_err(|e| snap::nest(".metrics", e))
     }
 
     /// Checks a loaded snapshot against the structure: optional parts

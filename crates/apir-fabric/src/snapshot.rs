@@ -3,14 +3,15 @@
 //! A snapshot is a complete serialization of one [`crate::Fabric`]'s
 //! mutable state at a cycle boundary — memory image, tag array, in-flight
 //! MSHRs, queue banks, rule-lane occupants, pipeline latches and
-//! stations, fault RNG streams, metrics, trace and timeline rings — as an
+//! stations, fault RNG streams, per-cycle metric samples, trace and
+//! timeline rings — as an
 //! `apir.fabric.snapshot.v1` JSON document. The contract is *restore
 //! equivalence*: restoring a snapshot and running to completion produces
 //! a report byte-identical to the uninterrupted run, from any snapshot
 //! cycle, under either scheduler.
 //!
 //! Structure vs. values: everything derivable from the `(spec, input,
-//! config)` triple — stage wiring, port assignment, metric registration,
+//! config)` triple — stage wiring, port assignment, metric keys,
 //! trace-component interning, RNG *seeds* — is **structural** and is
 //! rebuilt by [`crate::Fabric::new`] on restore. The snapshot carries
 //! only the **mutable values**: queue contents, lane occupants, RNG
@@ -27,6 +28,13 @@
 //! values load, each component checks what only it can see: FIFO and
 //! station capacities, delay-line ready order, and the task sets,
 //! regions, offsets and response ports that requests name.
+//!
+//! The `metrics` member is a view of the state: the snapshot renders
+//! every metric from the components, and a load reads back only the
+//! per-cycle samples (occupancy histograms, admission-stall counts). The
+//! other levels are derived, so a load checks them instead: its keys and
+//! kinds must be the receiver's, and each saved counter and gauge must
+//! equal what the loaded components give, or the error names the entry.
 //!
 //! This module holds the schema constant and the trace-event vocabulary
 //! (trace records carry `&'static str` labels, which a load resolves

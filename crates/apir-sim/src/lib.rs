@@ -18,8 +18,9 @@
 //!   QPI link model);
 //! * [`stats`] — activity tracking (busy/stall/idle) from which pipeline
 //!   utilization rates are computed exactly as in Figure 10 of the paper;
-//! * [`metrics`] — the named metrics registry (counters, gauges,
-//!   power-of-two histograms) the fabric reads its components into;
+//! * [`metrics`] — metric values (counters, gauges, power-of-two
+//!   histograms) and the key-sorted snapshot the fabric renders from its
+//!   components whenever metrics are read;
 //! * [`trace`] — the bounded structured event trace behind the
 //!   `apir-trace` renderers;
 //! * [`timeline`] — windowed metric-delta snapshots (a bounded ring of

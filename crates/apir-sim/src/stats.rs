@@ -244,6 +244,21 @@ impl UtilizationSummary {
         sum / self.trackers.len() as f64
     }
 
+    /// The trackers summed: busy, stall and idle cycles and the stall
+    /// cycles of each cause, over every primitive operation.
+    pub fn totals(&self) -> ActivityTracker {
+        let mut sum = ActivityTracker::new();
+        for (_, t) in &self.trackers {
+            sum.busy += t.busy;
+            sum.stall += t.stall;
+            sum.idle += t.idle;
+            for (acc, c) in sum.stall_by.iter_mut().zip(t.stall_by) {
+                *acc += c;
+            }
+        }
+        sum
+    }
+
     /// Per-component `(name, busy, stall, idle)` rows for reports.
     pub fn rows(&self) -> impl Iterator<Item = (&str, &ActivityTracker)> {
         self.trackers.iter().map(|(n, t)| (n.as_str(), t))
@@ -299,6 +314,25 @@ mod tests {
         assert!((s.pipeline_utilization() - 0.5).abs() < 1e-12);
         assert_eq!(s.count(), 2);
         assert_eq!(s.rows().count(), 2);
+    }
+
+    #[test]
+    fn totals_sum_every_tracker() {
+        let mut a = ActivityTracker::new();
+        a.record_n(Activity::Busy, 2);
+        a.record_stall_n(StallCause::QueueFull, 3);
+        let mut b = ActivityTracker::new();
+        b.record_n(Activity::Idle, 4);
+        b.record_stall(StallCause::QueueFull);
+        b.record_stall(StallCause::Bandwidth);
+        let mut s = UtilizationSummary::new();
+        s.add("a", a);
+        s.add("b", b);
+        let t = s.totals();
+        assert_eq!((t.busy, t.stall, t.idle), (2, 5, 4));
+        assert_eq!(t.stall_by[StallCause::QueueFull as usize], 4);
+        assert_eq!(t.stall_by[StallCause::Bandwidth as usize], 1);
+        assert_eq!(UtilizationSummary::new().totals(), ActivityTracker::new());
     }
 
     #[test]

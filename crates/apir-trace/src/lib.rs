@@ -408,20 +408,9 @@ fn pct(part: u64, total: u64) -> f64 {
 /// components were refusing admissions — the paper's Figure 9
 /// utilization story, reproduced from the report's counters.
 fn write_stall_attribution(out: &mut String, report: &FabricReport) {
-    use apir_sim::stats::StallCause;
-    let mut busy = 0u64;
-    let mut stall = 0u64;
-    let mut idle = 0u64;
-    let mut causes = [0u64; StallCause::COUNT];
-    for (_, t) in report.activity.rows() {
-        busy += t.busy;
-        stall += t.stall;
-        idle += t.idle;
-        for (c, n) in t.stall_causes() {
-            causes[c as usize] += n;
-        }
-    }
-    let total = busy + stall + idle;
+    let t = report.activity.totals();
+    let (busy, stall, idle) = (t.busy, t.stall, t.idle);
+    let total = t.total();
     let _ = writeln!(out, "\n== stall attribution ==");
     let _ = writeln!(
         out,
@@ -430,11 +419,7 @@ fn write_stall_attribution(out: &mut String, report: &FabricReport) {
         pct(stall, total),
         pct(idle, total)
     );
-    let mut ranked: Vec<(StallCause, u64)> = StallCause::ALL
-        .iter()
-        .map(|&c| (c, causes[c as usize]))
-        .filter(|&(_, n)| n > 0)
-        .collect();
+    let mut ranked: Vec<_> = t.stall_causes().filter(|&(_, n)| n > 0).collect();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.key().cmp(b.0.key())));
     for (c, n) in ranked {
         let _ = writeln!(

@@ -108,8 +108,9 @@ fn spec_bfs_stall_cause_vector_is_pinned() {
 
 #[test]
 fn metrics_registry_agrees_with_report_fields() {
-    // The registry is a second bookkeeping path for the same events; the
-    // stable keys must agree with the legacy report fields on every app.
+    // The metrics are rendered from the same component state as the
+    // report's typed fields; the stable keys must agree with those fields
+    // on every app.
     for (name, _) in &GOLDENS {
         let r = baseline_run(name);
         let m = &r.metrics;

@@ -206,6 +206,24 @@ fn ids_widths_and_labels_are_checked_against_the_structure() {
             Json::U64(999),
             "`pipelines[0].ext.busy.p`: port 999 calls no extern",
         ),
+        (
+            0,
+            "metrics.34.0",
+            Json::str("mem.hitz"),
+            "`metrics[34]`: expected [\"mem.hits\", 0, ...] with 3 elements",
+        ),
+        (
+            0,
+            "metrics.34.1",
+            Json::U64(1),
+            "`metrics[34]`: expected [\"mem.hits\", 0, ...] with 3 elements",
+        ),
+        (
+            0,
+            "metrics.34.2",
+            Json::U64(30),
+            "`metrics[34]`: `mem.hits` is saved as Counter(30), but the state gives Counter(29)",
+        ),
     ];
     for (i, path, value, want) in cases {
         let e = rejected_value(i, path, value);
