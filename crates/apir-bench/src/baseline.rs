@@ -4,21 +4,19 @@
 //! accelerators at a pinned scale (every workload generator is seeded,
 //! so the simulated counters are a pure function of the code) and
 //! renders per-app `{cycles, utilization, mem.hits, mem.misses,
-//! retired, squashes, wall_ms, mcycles_per_sec}`. The first six keys
-//! are deterministic; the two wall-clock keys (v2) measure the host
-//! machine and change run to run, so every byte-identity comparison —
-//! [`emit_baseline`]'s double-run assert, the `verify.sh` bench-smoke
-//! `git diff` — excludes them (see [`strip_wall_lines`]).
-//! [`validate_baseline`] checks any document against the schema.
+//! retired, squashes}`. Every key is deterministic, so two renderings
+//! are byte-identical ([`emit_baseline`]'s double-run assert, the
+//! `verify.sh` bench gate). Host speed is measured by `hostbench`, not
+//! here. [`validate_baseline`] checks any document against the schema.
 
 use crate::experiments::{scale_cache, synthesized_cfg};
 use crate::scale::{build_app, Scale, APP_NAMES};
 use apir_fabric::Fabric;
 use apir_util::json::{parse, Json};
 
-/// Schema identifier embedded in the baseline document. `v2` added the
-/// host wall-clock keys `wall_ms` and `mcycles_per_sec` per app.
-pub const BASELINE_SCHEMA: &str = "apir.bench.fabric.v2";
+/// Schema identifier embedded in the baseline document. `v3` dropped
+/// v2's host wall-clock keys `wall_ms` and `mcycles_per_sec`.
+pub const BASELINE_SCHEMA: &str = "apir.bench.fabric.v3";
 
 /// The pinned scale of the checked-in baseline (seeded generators make
 /// scale + code → a unique document).
@@ -27,7 +25,7 @@ pub const BASELINE_SCALE: Scale = Scale::Tiny;
 /// Canonical file name of the baseline.
 pub const BASELINE_FILE: &str = "BENCH_fabric.json";
 
-/// Per-app *deterministic* result keys every baseline entry must carry.
+/// Per-app result keys every baseline entry must carry.
 pub const APP_KEYS: [&str; 6] = [
     "cycles",
     "utilization",
@@ -37,24 +35,8 @@ pub const APP_KEYS: [&str; 6] = [
     "squashes",
 ];
 
-/// Per-app wall-clock keys (v2): host-dependent, excluded from every
-/// byte-identity comparison.
-pub const WALL_KEYS: [&str; 2] = ["wall_ms", "mcycles_per_sec"];
-
-/// Drops the lines carrying wall-clock keys so two documents can be
-/// compared for the determinism contract (the pretty renderer puts one
-/// key per line; `verify.sh` applies the same filter with `git diff -I`).
-pub fn strip_wall_lines(doc: &str) -> String {
-    doc.lines()
-        .filter(|l| !WALL_KEYS.iter().any(|k| l.contains(k)))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Runs the six builtin apps at `scale` and renders the baseline
 /// document (pretty, trailing newline — it is meant to be diffed).
-/// `Fabric::run` alone is timed, not workload generation or result
-/// verification, so `mcycles_per_sec` is the simulator's own rate.
 pub fn baseline_json(scale: Scale) -> String {
     let apps: Vec<(String, Json)> = APP_NAMES
         .iter()
@@ -63,20 +45,11 @@ pub fn baseline_json(scale: Scale) -> String {
             let app = build_app(name, scale);
             scale_cache(&mut cfg, &app.input);
             (app.tune)(&mut cfg);
-            let fabric = Fabric::new(&app.spec, &app.input, cfg);
-            let t0 = std::time::Instant::now();
-            let r = fabric
+            let r = Fabric::new(&app.spec, &app.input, cfg)
                 .run()
                 .unwrap_or_else(|e| panic!("{name}: fabric failed: {e}"));
-            let wall = t0.elapsed();
             (app.check)(&r.mem_image)
                 .unwrap_or_else(|e| panic!("{name}: bad result: {e}"));
-            let wall_ms = wall.as_secs_f64() * 1e3;
-            let mcps = if wall.as_secs_f64() > 0.0 {
-                r.cycles as f64 / 1e6 / wall.as_secs_f64()
-            } else {
-                0.0
-            };
             let entry = Json::obj([
                 ("cycles", Json::U64(r.cycles)),
                 ("utilization", Json::Num(r.utilization)),
@@ -84,10 +57,6 @@ pub fn baseline_json(scale: Scale) -> String {
                 ("mem.misses", Json::U64(r.mem.misses)),
                 ("retired", Json::U64(r.total_retired())),
                 ("squashes", Json::U64(r.squashes)),
-                // Rounded so the noise floor doesn't suggest precision
-                // the measurement doesn't have.
-                ("wall_ms", Json::Num((wall_ms * 1e3).round() / 1e3)),
-                ("mcycles_per_sec", Json::Num((mcps * 1e2).round() / 1e2)),
             ]);
             (name.to_string(), entry)
         })
@@ -140,24 +109,13 @@ pub fn validate_baseline(doc: &str) -> Result<(), String> {
                     .ok_or_else(|| format!("{name}: `{key}` not a non-negative integer"))?;
             }
         }
-        for key in WALL_KEYS {
-            let v = entry
-                .get(key)
-                .ok_or_else(|| format!("{name}: missing `{key}`"))?
-                .as_f64()
-                .ok_or_else(|| format!("{name}: `{key}` not a number"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{name}: `{key}` is {v}, not a finite non-negative"));
-            }
-        }
     }
     Ok(())
 }
 
 /// Generates the baseline **twice**, asserts the two renderings are
-/// byte-identical after dropping the wall-clock lines (the determinism
-/// contract covers every simulated counter; host timing is expected to
-/// jitter), validates the schema, and writes the first document to
+/// byte-identical (the determinism contract covers every simulated
+/// counter), validates the schema, and writes the first document to
 /// `path`.
 ///
 /// # Errors
@@ -172,8 +130,7 @@ pub fn emit_baseline(path: &std::path::Path, scale: Scale) -> Result<(), String>
     let first = baseline_json(scale);
     let second = baseline_json(scale);
     assert_eq!(
-        strip_wall_lines(&first),
-        strip_wall_lines(&second),
+        first, second,
         "baseline generation is nondeterministic — fabric determinism bug"
     );
     validate_baseline(&first)?;
@@ -188,22 +145,8 @@ mod tests {
     fn baseline_is_valid_and_deterministic() {
         let a = baseline_json(Scale::Tiny);
         let b = baseline_json(Scale::Tiny);
-        assert_eq!(
-            strip_wall_lines(&a),
-            strip_wall_lines(&b),
-            "two generations must be byte-identical outside wall-clock lines"
-        );
+        assert_eq!(a, b, "two generations must be byte-identical");
         validate_baseline(&a).expect("schema-valid");
-    }
-
-    #[test]
-    fn strip_wall_lines_removes_only_wall_keys() {
-        let doc = "{\n  \"cycles\": 5,\n  \"wall_ms\": 1.25,\n  \"mcycles_per_sec\": 80.0,\n  \"retired\": 3\n}";
-        let stripped = strip_wall_lines(doc);
-        assert!(stripped.contains("cycles"));
-        assert!(stripped.contains("retired"));
-        assert!(!stripped.contains("wall_ms"));
-        assert!(!stripped.contains("mcycles_per_sec"));
     }
 
     #[test]
@@ -221,7 +164,7 @@ mod tests {
                 .iter()
                 .map(|n| {
                     format!(
-                        r#""{n}":{{"cycles":{cycles},"utilization":{util},"mem.hits":0,"mem.misses":0,"retired":1,"squashes":0,"wall_ms":1.5,"mcycles_per_sec":12.0}}"#
+                        r#""{n}":{{"cycles":{cycles},"utilization":{util},"mem.hits":0,"mem.misses":0,"retired":1,"squashes":0}}"#
                     )
                 })
                 .collect();

@@ -90,12 +90,11 @@ commands:
                   discarded), only missing cells run, and the output is
                   byte-identical to an uninterrupted run
       exit 0: all cells ok   exit 1: cell failures   exit 2: bad plan
-  diff <A.json> <B.json> [--machine] [--tolerance-wall]
+  diff <A.json> <B.json> [--machine]
       Compare two JSON documents of the same schema key by key
       (fabric reports, campaign results, analysis baselines, or
       apir.fabric.snapshot.v1 snapshots — drift shows as exact keys).
-      --machine         stable pipe-separated output for scripts
-      --tolerance-wall  ignore wall-clock keys (wall_ms, mcycles_per_sec)
+      --machine   stable pipe-separated output for scripts
       exit 0: identical   exit 1: drift   exit 2: schema mismatch/error
   list
       List the builtin app names.
@@ -628,12 +627,10 @@ fn cmd_campaign(args: Vec<String>) {
 
 fn cmd_diff(args: Vec<String>) {
     let mut machine = false;
-    let mut tolerate_wall = false;
     let mut paths = Vec::new();
     for arg in args {
         match arg.as_str() {
             "--machine" => machine = true,
-            "--tolerance-wall" => tolerate_wall = true,
             other if other.starts_with("--") => fail(&format!("unknown flag `{other}`")),
             _ => paths.push(arg),
         }
@@ -653,7 +650,7 @@ fn cmd_diff(args: Vec<String>) {
     };
     let a = load(a_path);
     let b = load(b_path);
-    let diffs = match diff_docs(&a, &b, tolerate_wall) {
+    let diffs = match diff_docs(&a, &b) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("apir-trace: {e}");

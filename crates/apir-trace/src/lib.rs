@@ -577,10 +577,6 @@ pub fn timeline_sparkline(report: &FabricReport) -> Option<String> {
     Some(s)
 }
 
-/// Wall-clock keys excluded from comparison under `--tolerance-wall`
-/// (the same convention as `apir_bench::baseline::strip_wall_lines`).
-pub const WALL_KEYS: [&str; 2] = ["wall_ms", "mcycles_per_sec"];
-
 /// One difference between two flattened report documents.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DiffLine {
@@ -663,23 +659,17 @@ fn flatten_into(prefix: &str, v: &Json, out: &mut BTreeMap<String, String>) {
     }
 }
 
-fn is_wall_key(key: &str) -> bool {
-    let last = key.rsplit('.').next().unwrap_or(key);
-    WALL_KEYS.contains(&last)
-}
-
 /// Compares two report documents key by key.
 ///
 /// Both documents are flattened to dotted scalar keys and compared
-/// exactly; `tolerate_wall` skips the non-deterministic wall-clock keys
-/// ([`WALL_KEYS`]). An empty result means the documents are equivalent.
+/// exactly. An empty result means the documents are equivalent.
 ///
 /// # Errors
 ///
 /// When the documents carry different `schema` identifiers — per-key
 /// deltas between different schemas would be noise, so the caller should
 /// treat this as a distinct outcome (exit code 2 in the CLI).
-pub fn diff_docs(a: &Json, b: &Json, tolerate_wall: bool) -> Result<Vec<DiffLine>, String> {
+pub fn diff_docs(a: &Json, b: &Json) -> Result<Vec<DiffLine>, String> {
     let sa = a.get("schema").and_then(Json::as_str);
     let sb = b.get("schema").and_then(Json::as_str);
     if sa != sb {
@@ -695,9 +685,6 @@ pub fn diff_docs(a: &Json, b: &Json, tolerate_wall: bool) -> Result<Vec<DiffLine
     flatten_into("", b, &mut fb);
     let mut out = Vec::new();
     for (key, va) in &fa {
-        if tolerate_wall && is_wall_key(key) {
-            continue;
-        }
         match fb.get(key) {
             Some(vb) if va == vb => {}
             Some(vb) => out.push(DiffLine::Changed {
@@ -712,9 +699,6 @@ pub fn diff_docs(a: &Json, b: &Json, tolerate_wall: bool) -> Result<Vec<DiffLine
         }
     }
     for (key, vb) in &fb {
-        if tolerate_wall && is_wall_key(key) {
-            continue;
-        }
         if !fa.contains_key(key) {
             out.push(DiffLine::Added {
                 key: key.clone(),
@@ -799,7 +783,7 @@ mod tests {
         let r = bfs_report();
         let a = apir_util::json::parse(&r.to_json()).unwrap();
         let b = apir_util::json::parse(&r.to_json()).unwrap();
-        assert_eq!(diff_docs(&a, &b, false).unwrap(), Vec::new());
+        assert_eq!(diff_docs(&a, &b).unwrap(), Vec::new());
     }
 
     #[test]
@@ -812,7 +796,7 @@ mod tests {
             r#"{"schema":"s.v1","x":5,"nest":{"k":[1,3]},"fresh":true}"#,
         )
         .unwrap();
-        let d = diff_docs(&a, &b, false).unwrap();
+        let d = diff_docs(&a, &b).unwrap();
         let keys: Vec<&str> = d.iter().map(DiffLine::key).collect();
         assert_eq!(keys, ["gone", "nest.k[1]", "x", "fresh"]);
         assert!(matches!(&d[0], DiffLine::Removed { .. }));
@@ -827,20 +811,8 @@ mod tests {
     fn diff_schema_mismatch_errors() {
         let a = apir_util::json::parse(r#"{"schema":"s.v1","x":1}"#).unwrap();
         let b = apir_util::json::parse(r#"{"schema":"s.v2","x":1}"#).unwrap();
-        let err = diff_docs(&a, &b, false).unwrap_err();
+        let err = diff_docs(&a, &b).unwrap_err();
         assert!(err.contains("s.v1") && err.contains("s.v2"));
-    }
-
-    #[test]
-    fn diff_tolerance_wall_skips_wall_keys_only() {
-        let a = apir_util::json::parse(r#"{"wall_ms":1.5,"mcycles_per_sec":9.0,"x":1}"#).unwrap();
-        let b = apir_util::json::parse(r#"{"wall_ms":2.5,"mcycles_per_sec":4.0,"x":2}"#).unwrap();
-        let strict = diff_docs(&a, &b, false).unwrap();
-        assert_eq!(strict.len(), 3);
-        let tolerant = diff_docs(&a, &b, true).unwrap();
-        assert_eq!(tolerant.len(), 1);
-        assert_eq!(tolerant[0].key(), "x");
-        assert_eq!(tolerant[0].render_machine(), "changed|x|1|2");
     }
 
     #[test]

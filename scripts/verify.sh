@@ -51,12 +51,11 @@ cargo run -q --release --offline -p apir-trace -- validate-analysis > /dev/null
 echo "==> bench baseline smoke (tiny scale; schema + determinism checked by the emitter)"
 git show :BENCH_fabric.json > "$bench_base"
 cargo run -q --release --offline -p apir-bench --bin figures -- bench
-# Wall-clock keys (wall_ms / mcycles_per_sec) measure the host and are
-# expected to jitter; every simulated counter must stay byte-identical.
-# `apir-trace diff` names exactly which counters moved, unlike the old
-# `git diff -I` check, and exits 2 on a schema mismatch.
+# Every key is a simulated counter, so the regenerated document must
+# match the committed one exactly. `apir-trace diff` names the counters
+# that moved and exits 2 on a schema mismatch.
 if ! cargo run -q --release --offline -p apir-trace -- \
-  diff --machine --tolerance-wall "$bench_base" BENCH_fabric.json; then
+  diff --machine "$bench_base" BENCH_fabric.json; then
   echo "ERROR: BENCH_fabric.json drifted from the committed baseline (keys above)." >&2
   echo "If the microarchitectural change is intentional, commit the regenerated file." >&2
   exit 1
@@ -74,8 +73,8 @@ cargo run -q --release --offline -p apir-trace -- \
   run SPEC-SSSP --faults 1 --json "$chaos_a" > /dev/null
 cargo run -q --release --offline -p apir-trace -- \
   run SPEC-SSSP --faults 1 --json "$chaos_b" > /dev/null
-# No wall-key tolerance here: the reports contain no host timings, so
-# two same-seed runs must agree on every key.
+# The reports contain no host timings, so two same-seed runs must agree
+# on every key.
 if ! cargo run -q --release --offline -p apir-trace -- \
   diff --machine "$chaos_a" "$chaos_b"; then
   echo "ERROR: two chaos runs with the same seed produced different reports (keys above)." >&2

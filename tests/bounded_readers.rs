@@ -252,7 +252,7 @@ fn diff(bytes: usize) -> Read {
     let (a, b) = (doc(apps).render(), doc(changed).render());
     Box::new(move || {
         let (a, b) = (parse(&a).expect("parses"), parse(&b).expect("parses"));
-        let lines = diff_docs(&a, &b, false).expect("same schema");
+        let lines = diff_docs(&a, &b).expect("same schema");
         let got: Vec<String> = lines
             .iter()
             .map(|l| match l {

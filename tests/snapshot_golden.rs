@@ -48,7 +48,7 @@ fn check(p: &Pause, golden: &str) {
         return;
     }
     let first = match (parse(golden), parse(&got)) {
-        (Ok(want), Ok(have)) => match diff_docs(&want, &have, false) {
+        (Ok(want), Ok(have)) => match diff_docs(&want, &have) {
             Ok(lines) => lines
                 .first()
                 .map_or("member order".into(), DiffLine::render),
