@@ -6,9 +6,9 @@
 //! Graph must be well-formed (balanced switch/steer, no dangling channels,
 //! Section 4), and speculative rules imply memory-conflict hazards that are
 //! otherwise only caught at runtime. This module is the analysis pass that
-//! enforces them: a multi-lint analyzer over [`Spec`](crate::spec::Spec)
-//! and [`Bdfg`](crate::bdfg::Bdfg) producing [`Diagnostic`]s with stable
-//! `APIRxxx` codes, severities and entity paths.
+//! enforces them: a multi-lint analyzer over [`Spec`] and [`Bdfg`]
+//! producing [`Diagnostic`]s with stable `APIRxxx` codes, severities and
+//! entity paths.
 //!
 //! Analysis families (stable code ranges):
 //!

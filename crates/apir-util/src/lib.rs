@@ -10,7 +10,7 @@
 //! * [`prop`] — a minimal property-test harness: seeded case generation,
 //!   shrink-by-halving, and failure-seed reporting, driven by the
 //!   [`props!`](crate::props) macro (replaces `proptest`);
-//! * [`bench`] — a wall-clock benchmark harness with criterion-shaped
+//! * [`bench`](mod@bench) — a wall-clock benchmark harness with criterion-shaped
 //!   `group` / `bench_function` / `iter` surface and a
 //!   [`bench_main!`](crate::bench_main) entry macro (replaces `criterion`
 //!   for the two `apir-bench` benches);

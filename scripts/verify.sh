@@ -12,6 +12,9 @@ RUSTFLAGS="-D warnings" cargo build --release --offline
 echo "==> cargo clippy on every library in the workspace (warnings are errors)"
 cargo clippy --offline --workspace --lib --no-deps -- -D warnings
 
+echo "==> cargo doc on every crate in the workspace (warnings are errors, so no broken link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
