@@ -48,8 +48,7 @@ pub fn baseline_json(scale: Scale) -> String {
             let r = Fabric::new(&app.spec, &app.input, cfg)
                 .run()
                 .unwrap_or_else(|e| panic!("{name}: fabric failed: {e}"));
-            (app.check)(&r.mem_image)
-                .unwrap_or_else(|e| panic!("{name}: bad result: {e}"));
+            (app.check)(&r.mem_image).unwrap_or_else(|e| panic!("{name}: bad result: {e}"));
             let entry = Json::obj([
                 ("cycles", Json::U64(r.cycles)),
                 ("utilization", Json::Num(r.utilization)),

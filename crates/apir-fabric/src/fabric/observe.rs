@@ -69,7 +69,8 @@ impl Samples {
             out.push((format!("{key}.{name}"), MetricValue::Histogram(h.clone())));
         }
         let [(_, a), (_, b)] = self.stalls;
-        out.push((format!("{key}.stall"), MetricValue::Counter(a.saturating_add(b))));
+        let total = MetricValue::Counter(a.saturating_add(b));
+        out.push((format!("{key}.stall"), total));
         for (c, v) in self.stalls {
             out.push((format!("{key}.stall.{}", c.key()), MetricValue::Counter(v)));
         }
@@ -78,13 +79,12 @@ impl Samples {
     /// Reads the samples back from `m`, a rendering a snapshot loaded into.
     fn read_back(&mut self, m: &MetricsSnapshot) {
         let key = &self.key;
+        let kept = "a load keeps the rendered keys and kinds";
         if let Some((name, h)) = &mut self.occupancy {
-            let saved = m.histogram(&format!("{key}.{name}"));
-            *h = saved.expect("a rendered histogram").clone();
+            *h = m.histogram(&format!("{key}.{name}")).expect(kept).clone();
         }
         for (c, v) in &mut self.stalls {
-            let saved = m.counter(&format!("{key}.stall.{}", c.key()));
-            *v = saved.expect("a rendered counter");
+            *v = m.counter(&format!("{key}.stall.{}", c.key())).expect(kept);
         }
     }
 }
@@ -170,7 +170,8 @@ impl Fabric {
             let rb = &self.rollback;
             counter("fault.rollback.count".into(), rb.done);
             counter("fault.rollback.replayed_cycles".into(), rb.replayed);
-            counter("fault.rollback.last_cycle".into(), rb.events.last().map_or(0, |e| e.0));
+            let last = rb.events.last().map_or(0, |e| e.0);
+            counter("fault.rollback.last_cycle".into(), last);
         }
         let util = activity.map_or(0.0, UtilizationSummary::pipeline_utilization);
         out.push(("fabric.utilization".into(), MetricValue::Gauge(util)));
@@ -230,7 +231,8 @@ impl Fabric {
     pub(super) fn sample(&mut self, n: u64) {
         let queues = self.queues.iter().map(|q| (q.len(), q.admission_stall()));
         let mem = (self.mem.inflight(), self.mem.admission_stall());
-        let rules = self.engines.iter().map(|e| (e.occupied(), e.admission_stall()));
+        let rules = self.engines.iter();
+        let rules = rules.map(|e| (e.occupied(), e.admission_stall()));
         let seen = queues.chain([mem]).chain(rules);
         for (s, (occupancy, stall)) in self.samples.iter_mut().zip(seen) {
             s.take(occupancy, stall, n);

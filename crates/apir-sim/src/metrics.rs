@@ -277,7 +277,8 @@ mod tests {
     use super::*;
 
     fn snapshot(entries: Vec<(&str, MetricValue)>) -> MetricsSnapshot {
-        entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+        let entries = entries.into_iter();
+        entries.map(|(k, v)| (k.to_string(), v)).collect()
     }
 
     #[test]

@@ -371,9 +371,9 @@ fn saved_counter(doc: &Json, key: &str) -> u64 {
 fn mid_run_snapshots_save_the_metrics_of_the_pause_cycle() {
     // A snapshot's metrics are rendered from the state it saves, so they
     // agree with it on every pause. Two pauses on the one-miss spec with
-    // a strangled link once caught a lag: after a quiescent jump, and on
-    // the cycle the watchdog escalates (the escalation runs after that
-    // cycle's tick).
+    // a strangled link are where totals kept apart from that state would
+    // lag it: after a quiescent jump, and on the cycle the watchdog
+    // escalates (the escalation runs after that cycle's tick).
     let (s, input) = one_miss_spec();
     let mut cfg = FabricConfig {
         deadlock_cycles: 100,
