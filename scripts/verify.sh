@@ -32,10 +32,10 @@ cargo run -q --release --offline -p apir-check --bin apir-lint -- --analyze --st
 bench_base=$(mktemp) ; chaos_a=$(mktemp) ; chaos_b=$(mktemp) ; analysis_tmp=$(mktemp)
 camp_a=$(mktemp) ; camp_b=$(mktemp)
 snap_doc=$(mktemp) ; snap_full=$(mktemp) ; snap_resumed=$(mktemp)
-big_doc=$(mktemp) ; big_full=$(mktemp) ; big_resumed=$(mktemp) ; big_chaos=$(mktemp)
+big_doc=$(mktemp) ; big_full=$(mktemp) ; big_resumed=$(mktemp) ; big_chaos=$(mktemp) ; tl=$(mktemp)
 resume_full=$(mktemp) ; resume_partial=$(mktemp) ; resume_out=$(mktemp)
 trap 'rm -f "$bench_base" "$chaos_a" "$chaos_b" "$analysis_tmp" "$camp_a" "$camp_b" \
-  "$snap_doc" "$snap_full" "$snap_resumed" "$big_doc" "$big_full" "$big_resumed" "$big_chaos" \
+  "$snap_doc" "$snap_full" "$snap_resumed" "$big_doc" "$big_full" "$big_resumed" "$big_chaos" "$tl" \
   "$resume_full" "$resume_partial" "$resume_out"' EXIT
 
 echo "==> static-analysis baseline drift gate (apir.analysis.report.v1)"
@@ -141,6 +141,18 @@ cargo run -q --release --offline -p apir-trace -- \
 if ! cargo run -q --release --offline -p apir-trace -- \
   diff --machine "$big_chaos" tests/golden/spec_mst_small_chaos1.json; then
   echo "ERROR: SPEC-MST --scale small --faults 1 drifted from tests/golden/spec_mst_small_chaos1.json (keys above)." >&2
+  exit 1
+fi
+
+echo "==> SPEC-SSSP small-scale timeline pin (256-cycle windows under chaos seed 1)"
+# At this scale SSSP waits on misses under chaos, so quiescent jumps of
+# the event wheel meet window ends: every window must still close on
+# its own cycle with the totals of that cycle.
+cargo run -q --release --offline -p apir-trace -- \
+  timeline SPEC-SSSP --scale small --window 256 --faults 1 --json "$tl" > /dev/null
+if ! cargo run -q --release --offline -p apir-trace -- \
+  diff --machine "$tl" tests/golden/spec_sssp_small_timeline256_chaos1.json; then
+  echo "ERROR: the SPEC-SSSP small timeline drifted from tests/golden/spec_sssp_small_timeline256_chaos1.json (keys above)." >&2
   exit 1
 fi
 
