@@ -469,20 +469,20 @@ mod tests {
 
     #[test]
     fn timeline_block_renders_windows() {
-        use apir_sim::timeline::TimelineRecorder;
+        use apir_sim::timeline::{TimelineRecorder, TimelineSample};
         let mut rec = TimelineRecorder::new(4, 8);
-        let s = apir_sim::timeline::TimelineSample {
-            busy: 1,
-            stall: 2,
-            idle: 3,
-            retired: 1,
+        let totals = |cycles: u64| TimelineSample {
+            busy: cycles,
+            stall: 2 * cycles,
+            idle: 3 * cycles,
+            retired: cycles,
             hits: 0,
             misses: 0,
-            qpi_bytes: 64,
+            qpi_bytes: 64 * cycles,
         };
-        rec.observe_n(&s, 6);
+        rec.close(4, &totals(4));
         let mut r = tiny_report();
-        r.timeline = Some(rec.finish());
+        r.timeline = Some(rec.finish(6, &totals(6)));
         let parsed = apir_util::json::parse(&r.to_json()).expect("valid JSON");
         let tl = parsed.get("timeline").expect("timeline present");
         assert_eq!(tl.get("window").unwrap().as_u64(), Some(4));

@@ -566,9 +566,6 @@ pub struct Fabric {
     samples: Box<[Samples]>,
     trace: Option<EventTrace>,
     timeline: Option<TimelineRecorder>,
-    /// Cumulative totals behind the last timeline observation; the
-    /// per-cycle delta against these becomes the next sample.
-    tl_prev: TimelineSample,
     tr_host: CompId,
     tr_mem: CompId,
     tr_fault: CompId,
@@ -738,7 +735,6 @@ impl Fabric {
             samples: Samples::all(spec),
             trace,
             timeline,
-            tl_prev: TimelineSample::default(),
             tr_host,
             tr_mem,
             tr_fault,
@@ -1036,6 +1032,7 @@ impl Fabric {
         }
         let metrics = self.metrics(Some(&util));
         let faults = self.fault_totals();
+        let timeline = self.timeline.take().map(|tl| tl.finish(self.cycle, &self.timeline_totals()));
         FabricReport {
             rollbacks: (self.cfg.max_rollbacks > 0).then(|| RollbackSummary {
                 count: self.rollback.done,
@@ -1046,7 +1043,7 @@ impl Fabric {
             metrics,
             activity: util.clone(),
             trace: self.trace,
-            timeline: self.timeline.take().map(TimelineRecorder::finish),
+            timeline,
             cycles: self.cycle,
             seconds: seconds_from_cycles(self.cfg.mem.clock_mhz, self.cycle),
             retired: self.core.retired.into_vec(),
@@ -1206,15 +1203,14 @@ impl Fabric {
 
         // 8) Observability: trace records for the totals that moved, then
         // this cycle's samples. The running totals stay in the components
-        // until metrics are read.
+        // until metrics are read, or until a timeline window ends here.
         if let Some(before) = before {
             self.record_moved(now, before);
         }
         self.sample(1);
-        let cur = self.timeline.is_some().then(|| self.timeline_totals());
-        if let (Some(tl), Some(cur)) = (self.timeline.as_mut(), cur) {
-            tl.observe(&cur.delta_from(&self.tl_prev));
-            self.tl_prev = cur;
+        if self.timeline.as_ref().is_some_and(|tl| tl.ends_window(now)) {
+            let totals = self.timeline_totals();
+            self.timeline.as_mut().expect("an armed timeline").close(now, &totals);
         }
 
         if progress {
@@ -1241,9 +1237,10 @@ impl Fabric {
         }
     }
 
-    /// Cumulative totals feeding the timeline: per-cycle deltas of these
-    /// become the windowed samples. Everything here is monotone, so the
-    /// deltas are always well-defined.
+    /// The running totals a timeline window reads at its end, counting
+    /// the stall cycles of a sleeping stage up to the current cycle.
+    /// Everything here is monotone, so a window's growth is never
+    /// negative.
     fn timeline_totals(&self) -> TimelineSample {
         let mut s = TimelineSample::default();
         for st in self.pipelines.iter().flat_map(|p| p.stages.iter()) {
@@ -1308,11 +1305,14 @@ impl Fabric {
             .filter(|st| st.rule.is_some())
             .filter_map(|st| st.station.as_ref()?.oldest_waiting_insert())
             .map(|born| born + timeout + 1);
+        // A timeline window reads the totals on its last cycle.
+        let window_end = self.timeline.as_ref().map(|tl| tl.next_end(now));
         self.mem
             .next_wake(now, deadline)
             .into_iter()
             .chain(trial)
             .chain(bounces)
+            .chain(window_end)
             .map(|c| c.max(now + 1))
             .fold(deadline, u64::min)
     }
@@ -1328,36 +1328,18 @@ impl Fabric {
         self.cycle += k;
         self.mem.fast_forward(k);
         self.sample(k);
-        let mut waiting_stages = 0u64;
-        let mut total_stages = 0u64;
         for p in &mut self.pipelines {
             for (latch, st) in p.latches.iter().zip(p.stages.iter_mut()) {
-                total_stages += 1;
                 let waiting = latch.is_some()
                     || st.station.as_ref().is_some_and(|s| !s.is_empty());
                 // The preceding dense tick recorded a caused stall for a
                 // waiting stage; the quiescent cycles repeat it. A
                 // sleeping stage's stall and every idle cycle are counted
                 // later (`settle_trackers`).
-                if waiting {
-                    if st.stall_from.is_none() {
-                        st.tracker.record_stall_n(st.last_stall_cause, k);
-                    }
-                    waiting_stages += 1;
+                if waiting && st.stall_from.is_none() {
+                    st.tracker.record_stall_n(st.last_stall_cause, k);
                 }
             }
-        }
-        if let Some(tl) = self.timeline.as_mut() {
-            // Per-cycle delta of a quiescent cycle: no stage is busy,
-            // waiting stages stall, the rest idle, and no retirement or
-            // memory traffic happens (any of those would have moved).
-            let delta = TimelineSample {
-                stall: waiting_stages,
-                idle: total_stages - waiting_stages,
-                ..TimelineSample::default()
-            };
-            tl.observe_n(&delta, k);
-            self.tl_prev.add_scaled(&delta, k);
         }
     }
 
@@ -1977,7 +1959,6 @@ snap_fields!(Fabric {
     pipelines,
     trace,
     timeline,
-    tl_prev,
     spec: skip,
     cfg: skip,
     port_owner: skip,
@@ -2050,9 +2031,10 @@ impl Fabric {
 
     /// Checks a loaded snapshot against the structure: optional parts
     /// present exactly when the config arms them, every task set, queue
-    /// and response port it names in range, and every stage's busy,
-    /// stall and idle cycles summing to the clock (the idle count is
-    /// derived from that sum during a run; see [`Stage::record`]).
+    /// and response port it names in range, every stage's busy, stall
+    /// and idle cycles summing to the clock (the idle count is derived
+    /// from that sum during a run; see [`Stage::record`]), and no total
+    /// below its value at the timeline's last window end.
     fn fits(&self) -> Result<(), String> {
         if self.trace.is_some() != (self.cfg.trace_capacity > 0) {
             return Err(".trace: presence disagrees with config trace_capacity".into());
@@ -2087,6 +2069,10 @@ impl Fabric {
                     ));
                 }
             }
+        }
+        if let Some(tl) = &self.timeline {
+            let totals = self.timeline_totals();
+            tl.check_start(&totals).map_err(|e| snap::nest(".timeline", e))?;
         }
         Ok(())
     }

@@ -144,9 +144,12 @@ pub struct FabricConfig {
     /// [`apir_sim::trace::EventTrace::dropped`].
     pub trace_capacity: usize,
     /// Cycles per timeline window; `0` (the default) disables the
-    /// windowed timeline entirely. When enabled, the fabric snapshots
-    /// activity/memory deltas every `timeline_window` cycles into a
-    /// bounded ring exported as the report's `timeline` block.
+    /// windowed timeline entirely. When enabled, windows end on the
+    /// multiples of `timeline_window`: on each of those cycles the fabric
+    /// reads its activity and memory totals once and records their growth
+    /// since the last window end in a bounded ring, exported as the
+    /// report's `timeline` block. Each window end is an event-wheel wake,
+    /// so a window of 1 ticks every cycle while the timeline is armed.
     pub timeline_window: u64,
     /// Ring capacity (windows retained) of the timeline recorder. When
     /// the ring fills, the oldest windows are evicted and counted in

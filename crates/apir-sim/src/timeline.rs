@@ -1,23 +1,26 @@
 //! Windowed activity timelines: *when* the fabric was busy, not just
 //! how much in total.
 //!
-//! [`TimelineRecorder`] accumulates per-cycle metric deltas and closes a
-//! window every `window` cycles, keeping the most recent `capacity`
-//! windows in a bounded ring (older windows are evicted and counted in
-//! `dropped`). The recorder is fed one [`TimelineSample`] of deltas per
-//! simulated cycle; the event-wheel scheduler replays a skipped
-//! quiescent stretch through [`TimelineRecorder::observe_n`] — during
-//! quiescence the per-cycle delta is constant (no busy work, no
-//! retirements, no memory traffic), so `n` identical cycles are folded
-//! in `O(n / window)` chunk steps, the same trick as
-//! `Histogram::observe_n`. Dense and wheel schedules therefore produce
-//! byte-identical timelines.
+//! A [`TimelineSample`] holds the fabric's running totals (busy, stall
+//! and idle stage-cycles, retirements, cache hits and misses, link
+//! bytes), which its components already keep. [`TimelineRecorder`]
+//! keeps no running copy of them: the fabric closes a window at every
+//! multiple of `window` by passing [`TimelineRecorder::close`] the totals
+//! of that cycle, and the window's sample is their difference from the
+//! totals at the previous close. Window `k` therefore covers cycles
+//! `k·window + 1 ..= (k + 1)·window`, and [`TimelineRecorder::finish`]
+//! closes the partial last one. The newest `capacity` windows stay in a
+//! bounded ring (older windows are evicted and counted in `dropped`).
+//!
+//! A window reads the totals only at its two ends, so the dense and the
+//! event-wheel schedules give byte-identical timelines as long as the
+//! wheel ticks on every window end, which the fabric makes a wake.
 
 use apir_util::snap_fields;
 use std::collections::VecDeque;
 
-/// Metric deltas accumulated over one or more cycles. Each field is a
-/// non-negative delta of a monotone fabric counter.
+/// Running totals of monotone fabric counters, or their difference over
+/// a window.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimelineSample {
     /// Stage-cycles spent busy.
@@ -46,42 +49,40 @@ snap_fields!(TimelineSample [
 ]);
 
 impl TimelineSample {
-    /// Adds `other` scaled by `n` (field-wise `self += other * n`).
-    pub fn add_scaled(&mut self, other: &TimelineSample, n: u64) {
-        self.busy += other.busy * n;
-        self.stall += other.stall * n;
-        self.idle += other.idle * n;
-        self.retired += other.retired * n;
-        self.hits += other.hits * n;
-        self.misses += other.misses * n;
-        self.qpi_bytes += other.qpi_bytes * n;
-    }
-
-    /// Field-wise `self - prev` (caller guarantees monotonicity).
-    pub fn delta_from(&self, prev: &TimelineSample) -> TimelineSample {
-        TimelineSample {
-            busy: self.busy - prev.busy,
-            stall: self.stall - prev.stall,
-            idle: self.idle - prev.idle,
-            retired: self.retired - prev.retired,
-            hits: self.hits - prev.hits,
-            misses: self.misses - prev.misses,
-            qpi_bytes: self.qpi_bytes - prev.qpi_bytes,
-        }
+    /// Field-wise `self - prev`.
+    ///
+    /// # Errors
+    ///
+    /// When a field of `prev` is above its value here, an error naming
+    /// the first such field at its position in the saved array (`[0]` is
+    /// `busy`).
+    pub fn delta_from(&self, prev: &TimelineSample) -> Result<TimelineSample, String> {
+        let d = |i: usize, name: &str, now: u64, then: u64| {
+            now.checked_sub(then)
+                .ok_or_else(|| format!("[{i}]: {name} {then} is above the total {now}"))
+        };
+        Ok(TimelineSample {
+            busy: d(0, "busy", self.busy, prev.busy)?,
+            stall: d(1, "stall", self.stall, prev.stall)?,
+            idle: d(2, "idle", self.idle, prev.idle)?,
+            retired: d(3, "retired", self.retired, prev.retired)?,
+            hits: d(4, "hits", self.hits, prev.hits)?,
+            misses: d(5, "misses", self.misses, prev.misses)?,
+            qpi_bytes: d(6, "qpi_bytes", self.qpi_bytes, prev.qpi_bytes)?,
+        })
     }
 }
 
 /// One closed window: `cycles` consecutive cycles starting at
-/// simulation cycle `start` (1-based), with the deltas accumulated
-/// across them. The final window of a run may be partial
-/// (`cycles < window`).
+/// simulation cycle `start` (1-based), with the totals' growth across
+/// them. The final window of a run may be partial (`cycles < window`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimelineWindow {
     /// First simulation cycle covered (cycles are 1-based).
     pub start: u64,
     /// Number of cycles covered.
     pub cycles: u64,
-    /// Deltas accumulated over the covered cycles.
+    /// Growth of each total over the covered cycles.
     pub sample: TimelineSample,
 }
 snap_fields!(TimelineWindow [
@@ -101,8 +102,9 @@ pub struct Timeline {
     pub windows: Vec<TimelineWindow>,
 }
 
-/// Accumulates per-cycle deltas into windows of `window` cycles, keeping
-/// the newest `capacity` windows.
+/// Closes windows of `window` cycles from the totals at their last
+/// cycle, keeping the newest `capacity` windows. Its only other state is
+/// the totals at the last close.
 ///
 /// The default recorder has a zero window: it is a placeholder for a
 /// snapshot load, which rejects it.
@@ -110,16 +112,13 @@ pub struct Timeline {
 pub struct TimelineRecorder {
     window: u64,
     capacity: usize,
-    cur: TimelineSample,
-    cur_len: u64,
-    cur_start: u64,
+    /// The totals at the last window end (zero before the first).
+    start: TimelineSample,
     ring: VecDeque<TimelineWindow>,
     dropped: u64,
 }
 snap_fields!(TimelineRecorder {
-    cur,
-    cur_len,
-    cur_start,
+    start,
     dropped,
     ring,
     window: skip,
@@ -134,16 +133,13 @@ impl TimelineRecorder {
         Self {
             window,
             capacity: capacity.max(1),
-            cur: TimelineSample::default(),
-            cur_len: 0,
-            cur_start: 1,
+            start: TimelineSample::default(),
             ring: VecDeque::new(),
             dropped: 0,
         }
     }
 
-    /// A loaded snapshot must fit the ring, and its open window must
-    /// still be open: a full one would have been closed already.
+    /// A loaded snapshot must fit the ring.
     fn fits(&self) -> Result<(), String> {
         if self.ring.len() > self.capacity {
             return Err(format!(
@@ -152,56 +148,59 @@ impl TimelineRecorder {
                 self.capacity
             ));
         }
-        if self.cur_len >= self.window {
-            return Err(format!(
-                ".cur_len: {} cycles fill the {}-cycle window",
-                self.cur_len, self.window
-            ));
-        }
         Ok(())
     }
 
-    /// Folds one cycle's deltas.
-    pub fn observe(&mut self, s: &TimelineSample) {
-        self.observe_n(s, 1);
+    /// Checks the loaded totals at the last window end against the
+    /// `totals` now: closing the next window subtracts them.
+    ///
+    /// # Errors
+    ///
+    /// An error located in `start` when one of its fields is above its
+    /// total now.
+    pub fn check_start(&self, totals: &TimelineSample) -> Result<(), String> {
+        let growth = totals.delta_from(&self.start);
+        growth.map(|_| ()).map_err(|e| format!(".start{e}"))
     }
 
-    /// Folds `n` consecutive cycles that each carry the identical delta
-    /// `s`, in O(n / window) window steps rather than O(n) cycle steps.
-    pub fn observe_n(&mut self, s: &TimelineSample, mut n: u64) {
-        while n > 0 {
-            let room = self.window - self.cur_len;
-            let chunk = n.min(room);
-            self.cur.add_scaled(s, chunk);
-            self.cur_len += chunk;
-            n -= chunk;
-            if self.cur_len == self.window {
-                self.flush();
-            }
-        }
+    /// Does cycle `now` end a window?
+    pub fn ends_window(&self, now: u64) -> bool {
+        now.is_multiple_of(self.window)
     }
 
-    fn flush(&mut self) {
-        if self.cur_len == 0 {
-            return;
-        }
+    /// The first cycle after `now` that ends a window.
+    pub fn next_end(&self, now: u64) -> u64 {
+        (now / self.window + 1).saturating_mul(self.window)
+    }
+
+    /// Closes the window that ends at cycle `now`, which holds the cycles
+    /// since the last window end, given the `totals` at `now`.
+    ///
+    /// # Panics
+    ///
+    /// If a total is below its value at the last close.
+    pub fn close(&mut self, now: u64, totals: &TimelineSample) {
+        let cycles = (now - 1) % self.window + 1;
+        let sample = totals.delta_from(&self.start).expect("the totals never fall");
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
         }
         self.ring.push_back(TimelineWindow {
-            start: self.cur_start,
-            cycles: self.cur_len,
-            sample: self.cur,
+            start: now - cycles + 1,
+            cycles,
+            sample,
         });
-        self.cur_start += self.cur_len;
-        self.cur = TimelineSample::default();
-        self.cur_len = 0;
+        self.start = *totals;
     }
 
-    /// Flushes the partial final window and returns the finished timeline.
-    pub fn finish(mut self) -> Timeline {
-        self.flush();
+    /// Closes the partial last window of a run that ended at cycle `now`
+    /// with `totals`, unless `now` ends a window itself, and returns the
+    /// finished timeline.
+    pub fn finish(mut self, now: u64, totals: &TimelineSample) -> Timeline {
+        if !self.ends_window(now) {
+            self.close(now, totals);
+        }
         Timeline {
             window: self.window,
             dropped: self.dropped,
@@ -214,21 +213,30 @@ impl TimelineRecorder {
 mod tests {
     use super::*;
 
-    fn sample(busy: u64, retired: u64) -> TimelineSample {
+    /// The totals after `cycles` cycles that each add `busy` busy
+    /// stage-cycles and `retired` retirements.
+    fn totals(cycles: u64, busy: u64, retired: u64) -> TimelineSample {
         TimelineSample {
-            busy,
-            retired,
+            busy: busy * cycles,
+            retired: retired * cycles,
             ..TimelineSample::default()
         }
     }
 
-    #[test]
-    fn windows_close_on_boundaries_and_final_partial_flushes() {
-        let mut r = TimelineRecorder::new(4, 16);
-        for _ in 0..10 {
-            r.observe(&sample(2, 1));
+    /// Runs `cycles` cycles of constant growth, closing every window end.
+    fn run(r: &mut TimelineRecorder, cycles: u64) {
+        for now in 1..=cycles {
+            if r.ends_window(now) {
+                r.close(now, &totals(now, 2, 1));
+            }
         }
-        let t = r.finish();
+    }
+
+    #[test]
+    fn windows_close_on_boundaries_and_final_partial_closes() {
+        let mut r = TimelineRecorder::new(4, 16);
+        run(&mut r, 10);
+        let t = r.finish(10, &totals(10, 2, 1));
         assert_eq!(t.window, 4);
         assert_eq!(t.dropped, 0);
         assert_eq!(t.windows.len(), 3);
@@ -242,32 +250,30 @@ mod tests {
     }
 
     #[test]
-    fn observe_n_equals_n_observes() {
-        let s = TimelineSample {
-            busy: 1,
-            stall: 3,
-            idle: 2,
-            retired: 0,
-            hits: 5,
-            misses: 1,
-            qpi_bytes: 64,
-        };
-        let mut bulk = TimelineRecorder::new(7, 8);
-        let mut seq = TimelineRecorder::new(7, 8);
-        bulk.observe_n(&s, 23);
-        for _ in 0..23 {
-            seq.observe(&s);
-        }
-        assert_eq!(bulk.finish(), seq.finish());
+    fn a_run_ending_on_a_window_end_has_no_partial_window() {
+        let mut r = TimelineRecorder::new(4, 16);
+        run(&mut r, 8);
+        let t = r.finish(8, &totals(8, 2, 1));
+        assert_eq!(t.windows.len(), 2);
+        assert_eq!(t.windows[1].start, 5);
+        assert_eq!(t.windows[1].cycles, 4);
+    }
+
+    #[test]
+    fn window_ends_are_the_multiples_of_the_window() {
+        let r = TimelineRecorder::new(7, 4);
+        assert!(r.ends_window(0) && r.ends_window(14) && !r.ends_window(15));
+        assert_eq!(r.next_end(0), 7);
+        assert_eq!(r.next_end(13), 14);
+        assert_eq!(r.next_end(14), 21);
+        assert_eq!(r.next_end(u64::MAX - 1), u64::MAX);
     }
 
     #[test]
     fn ring_drops_oldest_windows() {
         let mut r = TimelineRecorder::new(2, 3);
-        for i in 0..10u64 {
-            r.observe(&sample(i, 0));
-        }
-        let t = r.finish();
+        run(&mut r, 10);
+        let t = r.finish(10, &totals(10, 2, 1));
         assert_eq!(t.dropped, 2);
         assert_eq!(t.windows.len(), 3);
         // Oldest retained window starts after the two evicted ones.
@@ -277,31 +283,27 @@ mod tests {
 
     #[test]
     fn empty_recorder_finishes_empty() {
-        let t = TimelineRecorder::new(8, 4).finish();
+        let t = TimelineRecorder::new(8, 4).finish(0, &TimelineSample::default());
         assert_eq!(t.windows.len(), 0);
         assert_eq!(t.dropped, 0);
     }
 
     #[test]
-    fn observe_n_spanning_many_windows_matches_chunked() {
-        let s = sample(0, 1);
-        let mut r = TimelineRecorder::new(3, 100);
-        r.observe(&s); // offset the window phase
-        r.observe_n(&s, 16);
-        let t = r.finish();
-        assert_eq!(t.windows.iter().map(|w| w.cycles).sum::<u64>(), 17);
-        assert_eq!(t.windows.iter().map(|w| w.sample.retired).sum::<u64>(), 17);
-        assert_eq!(t.windows.len(), 6);
-        assert_eq!(t.windows.last().unwrap().cycles, 17 % 3);
+    fn zero_capacity_is_clamped() {
+        let mut r = TimelineRecorder::new(1, 0);
+        run(&mut r, 2);
+        let t = r.finish(2, &totals(2, 1, 0));
+        assert_eq!(t.windows.len(), 1);
+        assert_eq!(t.dropped, 1);
     }
 
     #[test]
-    fn zero_capacity_is_clamped() {
-        let mut r = TimelineRecorder::new(1, 0);
-        r.observe(&sample(1, 0));
-        r.observe(&sample(1, 0));
-        let t = r.finish();
-        assert_eq!(t.windows.len(), 1);
-        assert_eq!(t.dropped, 1);
+    fn a_start_above_the_totals_is_located() {
+        let mut r = TimelineRecorder::new(4, 4);
+        r.close(4, &TimelineSample { idle: 5, ..TimelineSample::default() });
+        let now = TimelineSample { busy: 9, idle: 3, ..TimelineSample::default() };
+        assert_eq!(r.check_start(&now).unwrap_err(), ".start[2]: idle 5 is above the total 3");
+        let later = TimelineSample { idle: 5, ..now };
+        assert_eq!(r.check_start(&later), Ok(()));
     }
 }

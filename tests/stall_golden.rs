@@ -72,7 +72,7 @@ const CELLS: [Cell; 3] = [
         pause_at: 26_000,
         cycles: 52_342,
         stalls: [1_119_830, 95_598, 0, 552_668, 280_614, 781_962, 0, 0],
-        snapshot_fnv: 0xd57d1fc51ab85203,
+        snapshot_fnv: 0xd12ae51efecc6143,
         report_fnv: 0x5c556cbaf8e38ef5,
     },
     Cell {
@@ -81,7 +81,7 @@ const CELLS: [Cell; 3] = [
         pause_at: 38_000,
         cycles: 77_432,
         stalls: [661_578, 0, 536, 150_857, 0, 99_925, 236_424, 0],
-        snapshot_fnv: 0x3e1e5c90472c1bac,
+        snapshot_fnv: 0xbe0cebbafabe7b6c,
         report_fnv: 0xa2814bbcc1075ce6,
     },
     Cell {
@@ -90,7 +90,7 @@ const CELLS: [Cell; 3] = [
         pause_at: 7_500,
         cycles: 15_110,
         stalls: [214_888, 0, 0, 184_774, 0, 90_297, 0, 60],
-        snapshot_fnv: 0xf7fce6abfdbebdc6,
+        snapshot_fnv: 0x3249411864b78de2,
         report_fnv: 0x51f3907e343c33ae,
     },
 ];
