@@ -1032,7 +1032,8 @@ impl Fabric {
         }
         let metrics = self.metrics(Some(&util));
         let faults = self.fault_totals();
-        let timeline = self.timeline.take().map(|tl| tl.finish(self.cycle, &self.timeline_totals()));
+        let timeline = self.timeline.take();
+        let timeline = timeline.map(|tl| tl.finish(self.cycle, &self.timeline_totals()));
         FabricReport {
             rollbacks: (self.cfg.max_rollbacks > 0).then(|| RollbackSummary {
                 count: self.rollback.done,

@@ -5,7 +5,8 @@
 //! `admission_stall`; they are the only metric state the fabric keeps.
 //! [`Fabric::metrics`] renders everything from the components whenever
 //! metrics are read, and [`Fabric::load_metrics`] reads a snapshot's
-//! samples back and checks the rest of its metrics against the state.
+//! samples back, checks them against the clock, and checks the rest of
+//! its metrics against the state.
 
 use super::Fabric;
 use apir_core::spec::Spec;
@@ -86,6 +87,33 @@ impl Samples {
         for (c, v) in &mut self.stalls {
             *v = m.counter(&format!("{key}.stall.{}", c.key())).expect(kept);
         }
+    }
+
+    /// Checks samples read back against the `cycle` they were taken up
+    /// to: a histogram observes every cycle once, and a component stalls
+    /// admission for at most one cause a cycle. Later samples add to
+    /// them, so a count beyond those bounds could overflow.
+    fn check(&self, cycle: u64) -> Result<(), String> {
+        let key = &self.key;
+        if let Some((name, h)) = &self.occupancy {
+            let held: u128 = h.nonzero_buckets().map(|(_, n)| u128::from(n)).sum();
+            if h.count() != cycle || held != u128::from(cycle) {
+                return Err(format!(
+                    "`{key}.{name}` counts {} cycles in buckets that hold {held}, \
+                     but the clock is at cycle {cycle}",
+                    h.count()
+                ));
+            }
+        }
+        let [(a, n), (b, m)] = self.stalls;
+        if u128::from(n) + u128::from(m) > u128::from(cycle) {
+            return Err(format!(
+                "`{key}.stall.{}` and `{key}.stall.{}` sum to more than the clock's {cycle} cycles",
+                a.key(),
+                b.key()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -178,15 +206,16 @@ impl Fabric {
         out.into_iter().collect()
     }
 
-    /// Reads the samples back from a snapshot's `metrics` member and
-    /// checks the rest of it against the loaded state: its keys and kinds
-    /// must be this fabric's, and each counter and gauge must be what the
-    /// components give.
+    /// Reads the samples back from a snapshot's `metrics` member, checks
+    /// them against the clock, and checks the rest of it against the
+    /// loaded state: its keys and kinds must be this fabric's, and each
+    /// counter and gauge must be what the components give.
     pub(super) fn load_metrics(&mut self, j: &Json) -> Result<(), String> {
         let mut saved = self.metrics(None);
         saved.load(j)?;
         for s in self.samples.iter_mut() {
             s.read_back(&saved);
+            s.check(self.cycle)?;
         }
         let have = self.metrics(None);
         let pairs = saved.entries().iter().zip(have.entries());

@@ -231,6 +231,40 @@ fn ids_widths_and_labels_are_checked_against_the_structure() {
     }
 }
 
+#[test]
+fn counts_the_clock_cannot_have_reached_are_rejected() {
+    // Each doc restored before these checks and then panicked with an
+    // overflow: on the next sample for the first two, on the next window
+    // end for the third. (golden doc, members set to u64::MAX, error.)
+    let cases: [(usize, &[&str], &str); 3] = [
+        (
+            0,
+            &["metrics.36.3"],
+            "`metrics`: `mem.inflight_hist` counts 18446744073709551615 cycles in buckets \
+             that hold 400, but the clock is at cycle 400",
+        ),
+        (
+            0,
+            &["metrics.40.2", "metrics.41.2"],
+            "`metrics`: `mem.stall.mshr_full` and `mem.stall.bandwidth` sum to more than \
+             the clock's 400 cycles",
+        ),
+        (
+            2,
+            &["timeline.start.0"],
+            "`timeline.start[0]`: busy 18446744073709551615 is above the total 9",
+        ),
+    ];
+    for (i, paths, want) in cases {
+        let e = rejected(i, |d| {
+            for path in paths {
+                *at(d, path) = Json::U64(u64::MAX);
+            }
+        });
+        assert_eq!(e, format!("snapshot: {want}"), "{paths:?}");
+    }
+}
+
 /// Number of nodes in `j` (itself included) that satisfy `pick`.
 fn count(j: &Json, pick: fn(&Json) -> bool) -> usize {
     let inner: usize = match j {
