@@ -33,7 +33,7 @@ mod hazard;
 mod spec_lints;
 
 use crate::bdfg::Bdfg;
-use crate::spec::{Spec, SpecError};
+use crate::spec::Spec;
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -417,9 +417,6 @@ pub struct Diagnostic {
     pub message: String,
     /// Suggested fix, when one is known.
     pub hint: Option<String>,
-    /// The legacy [`SpecError`] this diagnostic maps to, for the
-    /// `Spec::build` compatibility shim.
-    pub(crate) legacy: Option<SpecError>,
 }
 
 impl Diagnostic {
@@ -431,7 +428,6 @@ impl Diagnostic {
             entity: entity.into(),
             message: message.into(),
             hint: None,
-            legacy: None,
         }
     }
 
@@ -445,17 +441,6 @@ impl Diagnostic {
     pub fn hint(mut self, h: impl Into<String>) -> Self {
         self.hint = Some(h.into());
         self
-    }
-
-    pub(crate) fn legacy(mut self, e: SpecError) -> Self {
-        self.legacy = Some(e);
-        self
-    }
-
-    /// The legacy [`SpecError`] this diagnostic maps to, when it has one
-    /// (drives the `Spec::build` compatibility shim).
-    pub(crate) fn legacy_error(&self) -> Option<&SpecError> {
-        self.legacy.as_ref()
     }
 }
 
@@ -471,6 +456,8 @@ impl fmt::Display for Diagnostic {
         )
     }
 }
+
+impl std::error::Error for Diagnostic {}
 
 /// The findings of one full analysis pass over one spec/graph.
 #[derive(Clone, Debug, Default)]

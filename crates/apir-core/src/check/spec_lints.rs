@@ -1,10 +1,10 @@
-//! Spec-level analyses: body structure (the legacy `Spec::build` checks),
+//! Spec-level analyses: body structure (the checks `Spec::build` always made),
 //! rule liveness, switch/steer balance and interface contracts.
 
 use super::{Diagnostic, Lint, Report, Severity};
 use crate::op::BodyOp;
 use crate::rule::{EventPat, RuleAction, RuleMode};
-use crate::spec::{Spec, SpecError};
+use crate::spec::Spec;
 use crate::{MAX_DEPTH, MAX_FIELDS};
 
 fn ts_path(name: &str) -> String {
@@ -32,9 +32,8 @@ pub(super) fn emitted_labels(spec: &Spec) -> Vec<bool> {
     emitted
 }
 
-/// The structural checks `Spec::build` has always performed, emitted in
-/// the exact legacy order with the legacy [`SpecError`] attached so the
-/// build shim reports identical first errors.
+/// The structural checks `Spec::build` has always performed, in their
+/// original order, so the first error it reports is unchanged.
 pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
     for ts in spec.task_sets() {
         if ts.body.is_empty() {
@@ -44,10 +43,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                     ts_path(&ts.name),
                     format!("task set `{}` has an empty body", ts.name),
                 )
-                .hint("open a body with Spec::body and commit it with finish()")
-                .legacy(SpecError::EmptyBody {
-                    task_set: ts.name.clone(),
-                }),
+                .hint("open a body with Spec::body and commit it with finish()"),
             );
         }
         if ts.level == 0 || ts.level > MAX_DEPTH {
@@ -59,11 +55,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                         "task set `{}` level {} out of range 1..={MAX_DEPTH}",
                         ts.name, ts.level
                     ),
-                )
-                .legacy(SpecError::BadLevel {
-                    task_set: ts.name.clone(),
-                    level: ts.level,
-                }),
+                ),
             );
         }
         if ts.arity() > MAX_FIELDS {
@@ -76,11 +68,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                         ts.name,
                         ts.arity()
                     ),
-                )
-                .legacy(SpecError::WidthExceeded {
-                    what: format!("fields of task set `{}`", ts.name),
-                    limit: MAX_FIELDS,
-                }),
+                ),
             );
         }
         for (pos, op) in ts.body.iter().enumerate() {
@@ -91,11 +79,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                             Lint::ForwardReference,
                             op_path(&ts.name, pos),
                             format!("forward value reference in `{}` op {pos}", ts.name),
-                        )
-                        .legacy(SpecError::ForwardReference {
-                            task_set: ts.name.clone(),
-                            op: pos,
-                        }),
+                        ),
                     );
                 }
             }
@@ -113,11 +97,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                                     ts.name
                                 ),
                             )
-                            .hint("pass the ValRef returned by alloc_rule/alloc_rule_if")
-                            .legacy(SpecError::BadRendezvous {
-                                task_set: ts.name.clone(),
-                                op: pos,
-                            }),
+                            .hint("pass the ValRef returned by alloc_rule/alloc_rule_if"),
                         );
                     }
                 }
@@ -134,13 +114,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                                     decl.n_params,
                                     params.len()
                                 ),
-                            )
-                            .legacy(SpecError::RuleArityMismatch {
-                                task_set: ts.name.clone(),
-                                op: pos,
-                                expected: decl.n_params as usize,
-                                got: params.len(),
-                            }),
+                            ),
                         );
                     }
                 }
@@ -160,13 +134,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                                     spec.task_sets()[target.0].name,
                                     fields.len()
                                 ),
-                            )
-                            .legacy(SpecError::ArityMismatch {
-                                task_set: ts.name.clone(),
-                                op: pos,
-                                expected: want,
-                                got: fields.len(),
-                            }),
+                            ),
                         );
                     }
                 }
@@ -181,13 +149,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                                 ts.name,
                                 ts.arity()
                             ),
-                        )
-                        .legacy(SpecError::ArityMismatch {
-                            task_set: ts.name.clone(),
-                            op: pos,
-                            expected: ts.arity(),
-                            got: fields.len(),
-                        }),
+                        ),
                     );
                 }
                 BodyOp::EnqueueRange {
@@ -206,13 +168,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                                     spec.task_sets()[target.0].name,
                                     extra.len() + 1
                                 ),
-                            )
-                            .legacy(SpecError::ArityMismatch {
-                                task_set: ts.name.clone(),
-                                op: pos,
-                                expected: want,
-                                got: extra.len() + 1,
-                            }),
+                            ),
                         );
                     }
                 }
@@ -225,11 +181,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                                 "emit payload of {} words exceeds limit {MAX_FIELDS}",
                                 payload.len()
                             ),
-                        )
-                        .legacy(SpecError::WidthExceeded {
-                            what: format!("emit payload in `{}`", ts.name),
-                            limit: MAX_FIELDS,
-                        }),
+                        ),
                     );
                 }
                 _ => {}
@@ -239,7 +191,7 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
 }
 
 /// Rule declaration checks (widths, countdown indices, label emission) —
-/// the legacy rule loop of `Spec::build`, with diagnostics.
+/// the rule checks `Spec::build` always made.
 pub(super) fn rule_declarations(spec: &Spec, report: &mut Report) {
     let emitted = emitted_labels(spec);
     for r in spec.rules() {
@@ -252,11 +204,7 @@ pub(super) fn rule_declarations(spec: &Spec, report: &mut Report) {
                         "rule `{}` declares {} params, limit {MAX_FIELDS}",
                         r.name, r.n_params
                     ),
-                )
-                .legacy(SpecError::WidthExceeded {
-                    what: format!("params of rule `{}`", r.name),
-                    limit: MAX_FIELDS,
-                }),
+                ),
             );
         }
         if let Some(p) = r.countdown_param {
@@ -269,10 +217,7 @@ pub(super) fn rule_declarations(spec: &Spec, report: &mut Report) {
                             "rule `{}` countdown parameter {p} out of range (arity {})",
                             r.name, r.n_params
                         ),
-                    )
-                    .legacy(SpecError::BadCountdownParam {
-                        rule: r.name.clone(),
-                    }),
+                    ),
                 );
             }
         }
@@ -290,11 +235,7 @@ pub(super) fn rule_declarations(spec: &Spec, report: &mut Report) {
                                     r.name
                                 ),
                             )
-                            .hint("add an emit op or remove the clause")
-                            .legacy(SpecError::UnusedLabel {
-                                rule: r.name.clone(),
-                                label: l.0,
-                            }),
+                            .hint("add an emit op or remove the clause"),
                         );
                     } else {
                         // Extern cores may emit any label at runtime; only
@@ -464,8 +405,8 @@ pub(super) fn switch_steer(spec: &Spec, report: &mut Report) {
     }
 }
 
-/// Interface family beyond the legacy arity checks: event payload widths
-/// read by conditions, and extern declarations.
+/// Interface family beyond the body-structure arity checks: event
+/// payload widths read by conditions, and extern declarations.
 pub(super) fn interfaces(spec: &Spec, report: &mut Report) {
     // Max payload arity statically emitted per label (None = no body emit).
     let mut payload_arity: Vec<Option<usize>> = vec![None; spec.labels().len()];

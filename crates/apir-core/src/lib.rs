@@ -69,7 +69,7 @@ pub use check::{Diagnostic, Lint, Report, Severity};
 pub use index::IndexTuple;
 pub use mem::{MemAccess, MemImage};
 pub use program::{ProgramInput, SeededTask};
-pub use spec::{RegionId, Spec, SpecError, TaskSetId, TaskSetKind};
+pub use spec::{RegionId, Spec, TaskSetId, TaskSetKind};
 
 /// Maximum number of data fields a task token may carry.
 ///

@@ -5,6 +5,7 @@
 //! are straight-line dataflow programs, plus ECA rules describing the
 //! conditions under which tasks may execute concurrently.
 
+use crate::check::Diagnostic;
 use crate::index::IndexTuple;
 use crate::mem::MemAccess;
 use crate::op::{AluOp, BodyOp, StoreKind, ValRef};
@@ -128,94 +129,6 @@ impl fmt::Debug for ExternDecl {
     }
 }
 
-/// Errors produced by [`Spec::build`] validation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SpecError {
-    /// A [`ValRef`] points at or after its own op.
-    ForwardReference { task_set: String, op: usize },
-    /// A rendezvous operand is not an `AllocRule` result.
-    BadRendezvous { task_set: String, op: usize },
-    /// Enqueue field count does not match the target set arity.
-    ArityMismatch {
-        task_set: String,
-        op: usize,
-        expected: usize,
-        got: usize,
-    },
-    /// Too many fields / params / payload words for the fixed token width.
-    WidthExceeded { what: String, limit: usize },
-    /// Task set nesting level out of range.
-    BadLevel { task_set: String, level: usize },
-    /// Rule parameter count mismatch at an `AllocRule` site.
-    RuleArityMismatch {
-        task_set: String,
-        op: usize,
-        expected: usize,
-        got: usize,
-    },
-    /// A rule clause references an event label no body emits.
-    UnusedLabel { rule: String, label: usize },
-    /// A rule's countdown parameter index is out of range.
-    BadCountdownParam { rule: String },
-    /// A task set body was never provided.
-    EmptyBody { task_set: String },
-    /// An error-level finding of the static analyzer with no legacy
-    /// equivalent; carries the stable `APIRxxx` code and rendered message.
-    Lint {
-        code: &'static str,
-        message: String,
-    },
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpecError::ForwardReference { task_set, op } => {
-                write!(f, "forward value reference in `{task_set}` op {op}")
-            }
-            SpecError::BadRendezvous { task_set, op } => {
-                write!(f, "rendezvous in `{task_set}` op {op} does not consume an alloc_rule")
-            }
-            SpecError::ArityMismatch {
-                task_set,
-                op,
-                expected,
-                got,
-            } => write!(
-                f,
-                "enqueue arity mismatch in `{task_set}` op {op}: expected {expected}, got {got}"
-            ),
-            SpecError::WidthExceeded { what, limit } => {
-                write!(f, "{what} exceeds the fixed width limit of {limit}")
-            }
-            SpecError::BadLevel { task_set, level } => {
-                write!(f, "task set `{task_set}` level {level} out of range")
-            }
-            SpecError::RuleArityMismatch {
-                task_set,
-                op,
-                expected,
-                got,
-            } => write!(
-                f,
-                "rule arity mismatch in `{task_set}` op {op}: expected {expected}, got {got}"
-            ),
-            SpecError::UnusedLabel { rule, label } => {
-                write!(f, "rule `{rule}` listens on label {label} which no body emits")
-            }
-            SpecError::BadCountdownParam { rule } => {
-                write!(f, "rule `{rule}` countdown parameter out of range")
-            }
-            SpecError::EmptyBody { task_set } => {
-                write!(f, "task set `{task_set}` has an empty body")
-            }
-            SpecError::Lint { code, message } => write!(f, "[{code}] {message}"),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
 /// A complete application specification.
 ///
 /// Build one with the fluent API, then call [`Spec::build`] to validate:
@@ -313,17 +226,13 @@ impl Spec {
     ///
     /// # Errors
     ///
-    /// Returns the first [`SpecError`] found: forward references, arity
-    /// mismatches, rendezvous without rule, width violations, etc.
-    /// Error-level lints with no legacy equivalent (e.g. a dead waiting
-    /// rule, an unguarded store/store race) map to [`SpecError::Lint`].
-    pub fn build(mut self) -> Result<Spec, SpecError> {
+    /// Returns the first error-level [`Diagnostic`] found: a forward
+    /// reference, an arity mismatch, a rendezvous without a rule, a width
+    /// violation, a dead waiting rule, an unguarded store/store race, etc.
+    pub fn build(mut self) -> Result<Spec, Diagnostic> {
         let report = crate::check::check_spec(&self);
         if let Some(d) = report.first_error() {
-            return Err(d.legacy_error().cloned().unwrap_or(SpecError::Lint {
-                code: d.lint.code(),
-                message: d.message.clone(),
-            }));
+            return Err(d.clone());
         }
         self.validated = true;
         Ok(self)
@@ -576,6 +485,7 @@ impl<'a> BodyBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Lint;
     use crate::rule::RuleAction;
 
     fn toy() -> Spec {
@@ -619,7 +529,7 @@ mod tests {
         b.enqueue(ts, &[x], None); // needs 2 fields
         b.finish();
         let err = s.build().unwrap_err();
-        assert!(matches!(err, SpecError::ArityMismatch { .. }));
+        assert_eq!(err.lint, Lint::EnqueueArityMismatch);
     }
 
     #[test]
@@ -631,7 +541,7 @@ mod tests {
         b.rendezvous(x);
         b.finish();
         let err = s.build().unwrap_err();
-        assert!(matches!(err, SpecError::BadRendezvous { .. }));
+        assert_eq!(err.lint, Lint::RendezvousWithoutAlloc);
     }
 
     #[test]
@@ -645,7 +555,7 @@ mod tests {
         b.rendezvous(h);
         b.finish();
         let err = s.build().unwrap_err();
-        assert!(matches!(err, SpecError::RuleArityMismatch { .. }));
+        assert_eq!(err.lint, Lint::RuleParamArityMismatch);
     }
 
     #[test]
@@ -665,14 +575,14 @@ mod tests {
         let _ = x;
         b.finish();
         let err = s.build().unwrap_err();
-        assert!(matches!(err, SpecError::UnusedLabel { .. }));
+        assert_eq!(err.lint, Lint::UnemittedLabel);
     }
 
     #[test]
     fn empty_body_rejected() {
         let mut s = Spec::new("bad");
         s.task_set("t", TaskSetKind::ForEach, 1, &["a"]);
-        assert!(matches!(s.build(), Err(SpecError::EmptyBody { .. })));
+        assert_eq!(s.build().unwrap_err().lint, Lint::EmptyBody);
     }
 
     #[test]
@@ -682,7 +592,7 @@ mod tests {
         let mut b = s.body(ts);
         b.konst(0);
         b.finish();
-        assert!(matches!(s.build(), Err(SpecError::BadLevel { .. })));
+        assert_eq!(s.build().unwrap_err().lint, Lint::BadLevel);
     }
 
     #[test]

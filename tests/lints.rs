@@ -8,7 +8,7 @@ use apir::core::bdfg::{Actor, ActorKind, Bdfg, Edge, EdgeKind};
 use apir::core::expr::dsl::{c, eq, ev, param};
 use apir::core::mem::MemAccess;
 use apir::core::rule::{RuleAction, RuleDecl};
-use apir::core::spec::{ExternIn, ExternOut, Spec, SpecError, TaskSetKind};
+use apir::core::spec::{ExternIn, ExternOut, Spec, TaskSetKind};
 use apir::core::TaskSetId;
 use apir_util::props;
 use std::sync::Arc;
@@ -34,11 +34,8 @@ fn waiting_rule_without_otherwise_is_apir001() {
     let report = check_spec(&s);
     assert!(has_at_least(&report, Lint::WaitingRuleNeverTrue, Severity::Error));
     assert_eq!(Lint::WaitingRuleNeverTrue.code(), "APIR001");
-    // The build shim surfaces it as the code-carrying SpecError variant.
-    match s.build() {
-        Err(SpecError::Lint { code, .. }) => assert_eq!(code, "APIR001"),
-        other => panic!("expected APIR001 lint error, got {other:?}"),
-    }
+    // `Spec::build` fails with the first error-level diagnostic.
+    assert_eq!(s.build().unwrap_err().lint, Lint::WaitingRuleNeverTrue);
 }
 
 #[test]
@@ -53,8 +50,7 @@ fn countdown_out_of_range_is_apir003() {
     b.finish();
     let report = check_spec(&s);
     assert!(has_at_least(&report, Lint::CountdownOutOfRange, Severity::Error));
-    // Legacy mapping is preserved.
-    assert!(matches!(s.build(), Err(SpecError::BadCountdownParam { .. })));
+    assert_eq!(s.build().unwrap_err().lint, Lint::CountdownOutOfRange);
 }
 
 #[test]
@@ -150,8 +146,7 @@ fn arity_mismatched_enqueue_is_apir301() {
     let report = check_spec(&s);
     assert!(has_at_least(&report, Lint::EnqueueArityMismatch, Severity::Error));
     assert_eq!(Lint::EnqueueArityMismatch.code(), "APIR301");
-    // Legacy mapping is preserved.
-    assert!(matches!(s.build(), Err(SpecError::ArityMismatch { .. })));
+    assert_eq!(s.build().unwrap_err().lint, Lint::EnqueueArityMismatch);
 }
 
 #[test]
@@ -207,10 +202,7 @@ fn unguarded_cross_task_store_store_is_apir401() {
     let report = check_spec(&s);
     assert!(has_at_least(&report, Lint::StoreStoreRace, Severity::Error));
     assert_eq!(Lint::StoreStoreRace.code(), "APIR401");
-    match s.build() {
-        Err(SpecError::Lint { code, .. }) => assert_eq!(code, "APIR401"),
-        other => panic!("expected APIR401 lint error, got {other:?}"),
-    }
+    assert_eq!(s.build().unwrap_err().lint, Lint::StoreStoreRace);
 }
 
 #[test]
