@@ -77,40 +77,32 @@ impl Samples {
         }
     }
 
-    /// Reads the samples back from `m`, a rendering a snapshot loaded into.
-    fn read_back(&mut self, m: &MetricsSnapshot) {
+    /// Reads the samples back from `m`, a rendering a snapshot taken at
+    /// `cycle` loaded into, and checks them against that clock: a
+    /// histogram observes each cycle once, and a component stalls for one
+    /// cause at most a cycle, so the next samples cannot overflow.
+    fn read_back(&mut self, m: &MetricsSnapshot, cycle: u64) -> Result<(), String> {
         let key = &self.key;
         let kept = "a load keeps the rendered keys and kinds";
         if let Some((name, h)) = &mut self.occupancy {
             *h = m.histogram(&format!("{key}.{name}")).expect(kept).clone();
+            let (n, held) = (h.count(), h.nonzero_buckets().map(|b| u128::from(b.1)));
+            let held = held.sum::<u128>();
+            if n != cycle || held != u128::from(cycle) {
+                return Err(format!(
+                    "`{key}.{name}` counts {n} cycles in buckets that hold {held}, \
+                     but the clock is at cycle {cycle}"
+                ));
+            }
         }
         for (c, v) in &mut self.stalls {
             *v = m.counter(&format!("{key}.stall.{}", c.key())).expect(kept);
         }
-    }
-
-    /// Checks samples read back against the `cycle` they were taken up
-    /// to: a histogram observes every cycle once, and a component stalls
-    /// admission for at most one cause a cycle. Later samples add to
-    /// them, so a count beyond those bounds could overflow.
-    fn check(&self, cycle: u64) -> Result<(), String> {
-        let key = &self.key;
-        if let Some((name, h)) = &self.occupancy {
-            let held: u128 = h.nonzero_buckets().map(|(_, n)| u128::from(n)).sum();
-            if h.count() != cycle || held != u128::from(cycle) {
-                return Err(format!(
-                    "`{key}.{name}` counts {} cycles in buckets that hold {held}, \
-                     but the clock is at cycle {cycle}",
-                    h.count()
-                ));
-            }
-        }
-        let [(a, n), (b, m)] = self.stalls;
-        if u128::from(n) + u128::from(m) > u128::from(cycle) {
+        let [(a, n), (b, m)] = self.stalls.map(|(c, v)| (c.key(), u128::from(v)));
+        if n + m > u128::from(cycle) {
             return Err(format!(
-                "`{key}.stall.{}` and `{key}.stall.{}` sum to more than the clock's {cycle} cycles",
-                a.key(),
-                b.key()
+                "`{key}.stall.{a}` and `{key}.stall.{b}` sum to more than \
+                 the clock's {cycle} cycles"
             ));
         }
         Ok(())
@@ -214,8 +206,7 @@ impl Fabric {
         let mut saved = self.metrics(None);
         saved.load(j)?;
         for s in self.samples.iter_mut() {
-            s.read_back(&saved);
-            s.check(self.cycle)?;
+            s.read_back(&saved, self.cycle)?;
         }
         let have = self.metrics(None);
         let pairs = saved.entries().iter().zip(have.entries());

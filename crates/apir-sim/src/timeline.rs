@@ -1,20 +1,17 @@
 //! Windowed activity timelines: *when* the fabric was busy, not just
 //! how much in total.
 //!
-//! A [`TimelineSample`] holds the fabric's running totals (busy, stall
-//! and idle stage-cycles, retirements, cache hits and misses, link
-//! bytes), which its components already keep. [`TimelineRecorder`]
-//! keeps no running copy of them: the fabric closes a window at every
-//! multiple of `window` by passing [`TimelineRecorder::close`] the totals
-//! of that cycle, and the window's sample is their difference from the
-//! totals at the previous close. Window `k` therefore covers cycles
-//! `k·window + 1 ..= (k + 1)·window`, and [`TimelineRecorder::finish`]
-//! closes the partial last one. The newest `capacity` windows stay in a
-//! bounded ring (older windows are evicted and counted in `dropped`).
-//!
-//! A window reads the totals only at its two ends, so the dense and the
-//! event-wheel schedules give byte-identical timelines as long as the
-//! wheel ticks on every window end, which the fabric makes a wake.
+//! A [`TimelineSample`] holds running totals the fabric's components
+//! already keep: busy, stall and idle stage-cycles, retirements, cache
+//! hits and misses, link bytes. Window `k` of a [`TimelineRecorder`]
+//! covers cycles `k·window + 1 ..= (k + 1)·window`. On its last cycle
+//! the fabric passes the totals to [`TimelineRecorder::close`], and the
+//! window records their growth since the previous window end, the only
+//! totals the recorder keeps; [`TimelineRecorder::finish`] closes the
+//! partial last window. The newest `capacity` windows stay in a bounded
+//! ring (older ones are evicted and counted in `dropped`). Every window
+//! end is an event-wheel wake, so dense and wheel schedules give
+//! byte-identical timelines.
 
 use apir_util::snap_fields;
 use std::collections::VecDeque;
@@ -49,13 +46,8 @@ snap_fields!(TimelineSample [
 ]);
 
 impl TimelineSample {
-    /// Field-wise `self - prev`.
-    ///
-    /// # Errors
-    ///
-    /// When a field of `prev` is above its value here, an error naming
-    /// the first such field at its position in the saved array (`[0]` is
-    /// `busy`).
+    /// Field-wise `self - prev`, or an error naming the first field of
+    /// `prev` above its value here, at its position in the saved array.
     pub fn delta_from(&self, prev: &TimelineSample) -> Result<TimelineSample, String> {
         let d = |i: usize, name: &str, now: u64, then: u64| {
             now.checked_sub(then)
@@ -103,8 +95,7 @@ pub struct Timeline {
 }
 
 /// Closes windows of `window` cycles from the totals at their last
-/// cycle, keeping the newest `capacity` windows. Its only other state is
-/// the totals at the last close.
+/// cycle and keeps the newest `capacity` of them.
 ///
 /// The default recorder has a zero window: it is a placeholder for a
 /// snapshot load, which rejects it.
@@ -151,16 +142,10 @@ impl TimelineRecorder {
         Ok(())
     }
 
-    /// Checks the loaded totals at the last window end against the
-    /// `totals` now: closing the next window subtracts them.
-    ///
-    /// # Errors
-    ///
-    /// An error located in `start` when one of its fields is above its
-    /// total now.
+    /// Checks loaded totals at the last window end against the `totals`
+    /// now, from which the next close subtracts them.
     pub fn check_start(&self, totals: &TimelineSample) -> Result<(), String> {
-        let growth = totals.delta_from(&self.start);
-        growth.map(|_| ()).map_err(|e| format!(".start{e}"))
+        totals.delta_from(&self.start).map(|_| ()).map_err(|e| format!(".start{e}"))
     }
 
     /// Does cycle `now` end a window?
@@ -173,12 +158,8 @@ impl TimelineRecorder {
         (now / self.window + 1).saturating_mul(self.window)
     }
 
-    /// Closes the window that ends at cycle `now`, which holds the cycles
-    /// since the last window end, given the `totals` at `now`.
-    ///
-    /// # Panics
-    ///
-    /// If a total is below its value at the last close.
+    /// Closes the window of the cycles since the last window end, given
+    /// the `totals` at its last cycle `now`.
     pub fn close(&mut self, now: u64, totals: &TimelineSample) {
         let cycles = (now - 1) % self.window + 1;
         let sample = totals.delta_from(&self.start).expect("the totals never fall");
