@@ -884,9 +884,7 @@ impl Fabric {
             // same cycle as the dense loop.
             if !moved && !self.cfg.dense_tick {
                 let wake = self.next_wake().min(self.cfg.max_cycles);
-                if wake > self.cycle + 1 {
-                    self.fast_forward(wake - self.cycle - 1);
-                }
+                self.skip_to(wake - 1);
             }
         }
     }
@@ -1209,10 +1207,7 @@ impl Fabric {
             self.record_moved(now, before);
         }
         self.sample(1);
-        if self.timeline.as_ref().is_some_and(|tl| tl.ends_window(now)) {
-            let totals = self.timeline_totals();
-            self.timeline.as_mut().expect("an armed timeline").close(now, &totals);
-        }
+        self.close_window();
 
         if progress {
             self.core.last_progress = self.cycle;
@@ -1235,6 +1230,16 @@ impl Fabric {
                 st.stall_from = Some(next);
             }
             st.tracker.idle = self.cycle - st.tracker.busy - st.tracker.stall;
+        }
+    }
+
+    /// Closes the timeline window that ends on the current cycle, if one
+    /// does, from the components' totals.
+    fn close_window(&mut self) {
+        let now = self.cycle;
+        if let Some(mut tl) = self.timeline.take_if(|tl| tl.ends_window(now)) {
+            tl.close(now, &self.timeline_totals());
+            self.timeline = Some(tl);
         }
     }
 
@@ -1306,16 +1311,25 @@ impl Fabric {
             .filter(|st| st.rule.is_some())
             .filter_map(|st| st.station.as_ref()?.oldest_waiting_insert())
             .map(|born| born + timeout + 1);
-        // A timeline window reads the totals on its last cycle.
-        let window_end = self.timeline.as_ref().map(|tl| tl.next_end(now));
         self.mem
             .next_wake(now, deadline)
             .into_iter()
             .chain(trial)
             .chain(bounces)
-            .chain(window_end)
             .map(|c| c.max(now + 1))
             .fold(deadline, u64::min)
+    }
+
+    /// Jumps the clock over quiescent cycles to `target`, stopping on each
+    /// timeline window end on the way to close the window there. The
+    /// stops add no tick, so the cycles that do tick (and with them a
+    /// checkpoint or a pause) do not depend on the timeline.
+    fn skip_to(&mut self, target: u64) {
+        while self.cycle < target {
+            let next_end = self.timeline.as_ref().map(|tl| tl.next_end(self.cycle));
+            self.fast_forward(next_end.unwrap_or(target).min(target) - self.cycle);
+            self.close_window();
+        }
     }
 
     /// Jumps the clock forward `k` quiescent cycles, replaying exactly

@@ -148,8 +148,8 @@ pub struct FabricConfig {
     /// multiples of `timeline_window`: on each of those cycles the fabric
     /// reads its activity and memory totals once and records their growth
     /// since the last window end in a bounded ring, exported as the
-    /// report's `timeline` block. Each window end is an event-wheel wake,
-    /// so a window of 1 ticks every cycle while the timeline is armed.
+    /// report's `timeline` block. A quiescent jump of the event wheel
+    /// stops on each window end it crosses without ticking there.
     pub timeline_window: u64,
     /// Ring capacity (windows retained) of the timeline recorder. When
     /// the ring fills, the oldest windows are evicted and counted in

@@ -9,9 +9,9 @@
 //! window records their growth since the previous window end, the only
 //! totals the recorder keeps; [`TimelineRecorder::finish`] closes the
 //! partial last window. The newest `capacity` windows stay in a bounded
-//! ring (older ones are evicted and counted in `dropped`). Every window
-//! end is an event-wheel wake, so dense and wheel schedules give
-//! byte-identical timelines.
+//! ring (older ones are evicted and counted in `dropped`). A quiescent
+//! jump of the event wheel stops on every window end it crosses, so
+//! dense and wheel schedules give byte-identical timelines.
 
 use apir_util::snap_fields;
 use std::collections::VecDeque;
@@ -145,7 +145,10 @@ impl TimelineRecorder {
     /// Checks loaded totals at the last window end against the `totals`
     /// now, from which the next close subtracts them.
     pub fn check_start(&self, totals: &TimelineSample) -> Result<(), String> {
-        totals.delta_from(&self.start).map(|_| ()).map_err(|e| format!(".start{e}"))
+        totals
+            .delta_from(&self.start)
+            .map(|_| ())
+            .map_err(|e| format!(".start{e}"))
     }
 
     /// Does cycle `now` end a window?
@@ -162,7 +165,9 @@ impl TimelineRecorder {
     /// the `totals` at its last cycle `now`.
     pub fn close(&mut self, now: u64, totals: &TimelineSample) {
         let cycles = (now - 1) % self.window + 1;
-        let sample = totals.delta_from(&self.start).expect("the totals never fall");
+        let sample = totals
+            .delta_from(&self.start)
+            .expect("the totals never fall");
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -281,9 +286,22 @@ mod tests {
     #[test]
     fn a_start_above_the_totals_is_located() {
         let mut r = TimelineRecorder::new(4, 4);
-        r.close(4, &TimelineSample { idle: 5, ..TimelineSample::default() });
-        let now = TimelineSample { busy: 9, idle: 3, ..TimelineSample::default() };
-        assert_eq!(r.check_start(&now).unwrap_err(), ".start[2]: idle 5 is above the total 3");
+        r.close(
+            4,
+            &TimelineSample {
+                idle: 5,
+                ..TimelineSample::default()
+            },
+        );
+        let now = TimelineSample {
+            busy: 9,
+            idle: 3,
+            ..TimelineSample::default()
+        };
+        assert_eq!(
+            r.check_start(&now).unwrap_err(),
+            ".start[2]: idle 5 is above the total 3"
+        );
         let later = TimelineSample { idle: 5, ..now };
         assert_eq!(r.check_start(&later), Ok(()));
     }

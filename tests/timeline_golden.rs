@@ -10,7 +10,10 @@
 //! wheel inside one build, and `property_based` checks only sums across
 //! windows; neither notices an error that both schedulers share.
 
+use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::scale::build_app;
 use apir::bench::Scale;
+use apir::fabric::{Fabric, FabricReport, FaultConfig};
 use apir::trace::timeline_run;
 
 struct Cell {
@@ -30,7 +33,14 @@ const fn cell(
     windows: usize,
     fnv: u64,
 ) -> Cell {
-    Cell { app, window, faults, cycles, windows, fnv }
+    Cell {
+        app,
+        window,
+        faults,
+        cycles,
+        windows,
+        fnv,
+    }
 }
 
 /// Ring capacity of every cell: large enough that no window is dropped
@@ -85,5 +95,57 @@ fn timeline_reports_match_their_pins() {
             ));
         }
     }
-    assert!(bad.is_empty(), "timeline pins moved; measured:\n{}", bad.join("\n"));
+    assert!(
+        bad.is_empty(),
+        "timeline pins moved; measured:\n{}",
+        bad.join("\n")
+    );
+}
+
+/// Runs `app` on a flaky link with rollback recovery armed and the
+/// timeline window `window` (0 leaves the timeline off).
+fn rollback_run(app: &str, seed: u64, window: u64) -> FabricReport {
+    let inst = build_app(app, Scale::Tiny);
+    let mut cfg = synthesized_cfg(app, Scale::Tiny);
+    scale_cache(&mut cfg, &inst.input);
+    (inst.tune)(&mut cfg);
+    cfg.faults = FaultConfig {
+        seed,
+        drop_rate: 0.03,
+        retry_timeout: 4,
+        max_retries: 1,
+        ..FaultConfig::default()
+    };
+    cfg.checkpoint_interval = 256;
+    cfg.max_rollbacks = 16;
+    cfg.timeline_window = window;
+    let r = Fabric::new(&inst.spec, &inst.input, cfg).run();
+    r.unwrap_or_else(|e| panic!("{app} seed {seed}: {e}"))
+}
+
+#[test]
+fn arming_the_timeline_moves_no_checkpoint() {
+    // A checkpoint is taken on the first tick at least
+    // `checkpoint_interval` cycles after the last, so a timeline that
+    // made the event wheel tick on its window ends would move it, and a
+    // rollback would then replay from another cycle. These runs roll
+    // back two or three times each.
+    for (app, seed, window) in [
+        ("SPEC-BFS", 14, 32),
+        ("SPEC-SSSP", 15, 7),
+        ("SPEC-SSSP", 15, 32),
+    ] {
+        let mut armed = rollback_run(app, seed, window);
+        assert!(
+            armed.rollbacks.as_ref().is_some_and(|rb| rb.count > 0),
+            "{app} seed {seed}"
+        );
+        assert!(armed.timeline.take().is_some());
+        let plain = rollback_run(app, seed, 0);
+        assert_eq!(
+            armed.to_json(),
+            plain.to_json(),
+            "{app} seed {seed} window {window}"
+        );
+    }
 }
