@@ -86,8 +86,8 @@ impl Samples {
         let kept = "a load keeps the rendered keys and kinds";
         if let Some((name, h)) = &mut self.occupancy {
             *h = m.histogram(&format!("{key}.{name}")).expect(kept).clone();
-            let (n, held) = (h.count(), h.nonzero_buckets().map(|b| u128::from(b.1)));
-            let held = held.sum::<u128>();
+            let (n, held) = (h.count(), h.nonzero_buckets().map(|(_, k)| u128::from(k)));
+            let held: u128 = held.sum();
             if n != cycle || held != u128::from(cycle) {
                 return Err(format!(
                     "`{key}.{name}` counts {n} cycles in buckets that hold {held}, \
@@ -98,8 +98,8 @@ impl Samples {
         for (c, v) in &mut self.stalls {
             *v = m.counter(&format!("{key}.stall.{}", c.key())).expect(kept);
         }
-        let [(a, n), (b, m)] = self.stalls.map(|(c, v)| (c.key(), u128::from(v)));
-        if n + m > u128::from(cycle) {
+        let [(a, x), (b, y)] = self.stalls.map(|(c, v)| (c.key(), u128::from(v)));
+        if x + y > u128::from(cycle) {
             return Err(format!(
                 "`{key}.stall.{a}` and `{key}.stall.{b}` sum to more than \
                  the clock's {cycle} cycles"

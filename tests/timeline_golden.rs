@@ -3,12 +3,14 @@
 //!
 //! A window covers cycles `k·w + 1 ..= (k + 1)·w` of a `w`-cycle window;
 //! the last one ends with the run. The cells cross four apps, three
-//! windows (one cycle, a window that divides no other, and the CLI's
-//! default) and a fault-free and a chaos run, so a window that closes a
-//! cycle early or late, or a quiescent jump that lands its cycles in the
-//! wrong window, moves some pin. `scheduler_equiv` compares dense with
-//! wheel inside one build, and `property_based` checks only sums across
-//! windows; neither notices an error that both schedulers share.
+//! windows (one cycle, seven cycles, which no power-of-two latency lines
+//! up with, and the CLI's default of 256) and a fault-free and a chaos
+//! run, so a window that closes a cycle early or late, or a quiescent
+//! jump that lands its cycles in the wrong window, moves some pin.
+//! `scheduler_equiv` compares dense with wheel inside one build, and
+//! `property_based` checks only sums across windows; neither notices an
+//! error that both schedulers share. The last test checks that arming a
+//! timeline changes nothing else in runs that roll back.
 
 use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::build_app;
