@@ -86,8 +86,8 @@ impl Samples {
         let kept = "a load keeps the rendered keys and kinds";
         if let Some((name, h)) = &mut self.occupancy {
             *h = m.histogram(&format!("{key}.{name}")).expect(kept).clone();
-            let (n, held) = (h.count(), h.nonzero_buckets().map(|(_, k)| u128::from(k)));
-            let held: u128 = held.sum();
+            let n = h.count();
+            let held: u128 = h.nonzero_buckets().map(|(_, k)| u128::from(k)).sum();
             if n != cycle || held != u128::from(cycle) {
                 return Err(format!(
                     "`{key}.{name}` counts {n} cycles in buckets that hold {held}, \
