@@ -48,7 +48,7 @@ snap_fields!(TimelineSample [
 impl TimelineSample {
     /// Field-wise `self - prev`, or an error naming the first field of
     /// `prev` above its value here, at its position in the saved array.
-    pub fn delta_from(&self, prev: &TimelineSample) -> Result<TimelineSample, String> {
+    fn delta_from(&self, prev: &TimelineSample) -> Result<TimelineSample, String> {
         let d = |i: usize, name: &str, now: u64, then: u64| {
             now.checked_sub(then)
                 .ok_or_else(|| format!("[{i}]: {name} {then} is above the total {now}"))
