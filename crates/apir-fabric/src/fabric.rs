@@ -32,10 +32,12 @@ use apir_util::json::Json;
 use apir_util::snap::{self, Snap};
 use apir_util::snap_fields;
 use observe::Samples;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 mod observe;
+#[cfg(test)]
+mod tests;
 
 /// Simulation failure. The runtime variants carry the partial
 /// [`FabricReport`] at the point of failure (metrics, trace, memory
@@ -271,6 +273,10 @@ struct Pipeline {
     /// reaching its port, or a context leaving the next latch sets the
     /// bit. Derived: every bit is set on build and on load.
     awake: Box<[u64]>,
+    /// One bit per stage, set from when the stage falls asleep on the
+    /// full memory request channel (`bandwidth`) until it is next woken
+    /// for a free slot or visited. Derived: clear on build and on load.
+    chan: Box<[u64]>,
     /// No bit of `awake` is set, so a tick only needs to visit the
     /// pipeline when its queue has a task to pop. Derived with `awake`.
     asleep: bool,
@@ -282,8 +288,23 @@ snap_fields!(Pipeline {
     set: skip,
     comp: skip,
     awake: skip,
+    chan: skip,
     asleep: skip,
 } check Self::loaded);
+
+/// The highest set bit of `bits` below `end`, if any.
+fn highest_below(bits: &[u64], end: usize) -> Option<usize> {
+    let mut w = end / 64;
+    let mut word = match end % 64 {
+        0 => 0,
+        r => bits[w] & ((1 << r) - 1),
+    };
+    while word == 0 {
+        w = w.checked_sub(1)?;
+        word = bits[w];
+    }
+    Some(64 * w + 63 - word.leading_zeros() as usize)
+}
 
 impl Pipeline {
     /// A bitset with one set bit per stage of an `n`-op body.
@@ -305,18 +326,30 @@ impl Pipeline {
         self.awake[i / 64] &= !(1 << (i % 64));
     }
 
-    /// The highest awake stage below `end`, if any.
-    fn awake_below(&self, end: usize) -> Option<usize> {
-        let mut w = end / 64;
-        let mut bits = match end % 64 {
-            0 => 0,
-            r => self.awake[w] & ((1 << r) - 1),
-        };
-        while bits == 0 {
-            w = w.checked_sub(1)?;
-            bits = self.awake[w];
+    /// Clears stage `i`'s channel bit; returns whether it was set.
+    fn leave_channel(&mut self, i: usize) -> bool {
+        let bit = 1 << (i % 64);
+        let set = self.chan[i / 64] & bit != 0;
+        self.chan[i / 64] &= !bit;
+        set
+    }
+
+    /// Wakes up to `n` of the stages asleep on the request channel, in
+    /// the order a tick visits them (last stage first), and clears their
+    /// channel bits; returns how many it woke.
+    fn wake_for_channel(&mut self, n: usize) -> usize {
+        let mut woken = 0;
+        let mut end = self.stages.len();
+        while woken < n {
+            let Some(i) = highest_below(&self.chan, end) else {
+                break;
+            };
+            self.leave_channel(i);
+            self.wake(i);
+            woken += 1;
+            end = i;
         }
-        Some(64 * w + 63 - bits.leading_zeros() as usize)
+        woken
     }
 
     /// Checks a loaded snapshot (see [`Pipeline::fits`]) and wakes every
@@ -324,6 +357,7 @@ impl Pipeline {
     fn loaded(&mut self) -> Result<(), String> {
         self.fits()?;
         self.awake = Pipeline::all_awake(self.stages.len());
+        self.chan.fill(0);
         self.asleep = false;
         for st in self.stages.iter_mut() {
             st.stall_from = None;
@@ -487,11 +521,11 @@ impl Core {
     }
 
     /// Pushes a child of `parent` onto `queue` under the next sequence
-    /// number and adds it to `live`. The caller checked `can_push`.
+    /// number and counts it live. The caller checked `can_push`.
     fn spawn(
         &mut self,
         queue: &mut TaskQueue,
-        live: &mut BTreeSet<(IndexTuple, u64)>,
+        live: &mut LiveTasks,
         parent: IndexTuple,
         fields: [u64; MAX_FIELDS],
     ) {
@@ -500,7 +534,36 @@ impl Core {
         let token = queue
             .push_child(parent, seq, fields)
             .expect("checked can_push");
-        live.insert((token.index, token.seq));
+        live.add((token.index, token.seq));
+    }
+}
+
+/// How many tasks are live (queued or in flight), and the least of them
+/// by `(index, seq)` while that is known. Derived: a load rebuilds both
+/// from [`Fabric::held_tasks`], the walk over where the tasks are.
+#[derive(Default)]
+struct LiveTasks {
+    count: usize,
+    /// The least live task, unless `stale`.
+    min: Option<(IndexTuple, u64)>,
+    /// The least task retired since `min` was last found, so the next
+    /// reader walks the tasks (see [`Fabric::min_live`]).
+    stale: bool,
+}
+
+impl LiveTasks {
+    /// Counts a spawned or requeued task.
+    fn add(&mut self, key: (IndexTuple, u64)) {
+        self.count += 1;
+        if !self.stale && self.min.is_none_or(|m| key < m) {
+            self.min = Some(key);
+        }
+    }
+
+    /// Uncounts a task retiring at a pipeline's tail.
+    fn retire(&mut self, key: (IndexTuple, u64)) {
+        self.count -= 1;
+        self.stale |= self.min == Some(key);
     }
 }
 
@@ -538,8 +601,14 @@ pub struct Fabric {
     out: Vec<(u32, u64, u64)>,
     bus_staged: Vec<EventMsg>,
     bus_current: Vec<EventMsg>,
-    /// Live tasks: queued or in flight, keyed by `(index, seq)`.
-    live: BTreeSet<(IndexTuple, u64)>,
+    /// The count and least of the live tasks. Snapshots save the tasks
+    /// as the `live` member, a view of the state (see
+    /// [`Fabric::snapshot`]).
+    live: LiveTasks,
+    /// Stages of every pipeline that sleep on the full request channel:
+    /// the set bits of the pipelines' `chan`. Derived: zero on build and
+    /// on load.
+    chan_waiting: usize,
     /// Host-side seed backlog, pushed in as queue space allows.
     seed_backlog: VecDeque<(TaskSetId, [u64; MAX_FIELDS])>,
     /// Task activations from extern cores awaiting queue space.
@@ -550,7 +619,7 @@ pub struct Fabric {
     core: Core,
     retire_log: Vec<(u64, usize)>,
     /// Tokens drained from fault-masked queue banks awaiting respill
-    /// onto the surviving banks (they stay in `live` throughout).
+    /// onto the surviving banks (they stay live throughout).
     fault_respill: VecDeque<(usize, TaskToken)>,
     /// Rendered lint report when the analyzer found error-level findings;
     /// [`Fabric::run`] refuses to start while this is set.
@@ -677,6 +746,7 @@ impl Fabric {
                     extern_unit: has_extern.then(ExternUnit::default),
                     comp: intern(&pipe_name),
                     awake: Pipeline::all_awake(ts.body.len()),
+                    chan: vec![0; ts.body.len().div_ceil(64)].into(),
                     asleep: false,
                 });
             }
@@ -717,7 +787,8 @@ impl Fabric {
             out: Vec::new(),
             bus_staged: Vec::new(),
             bus_current: Vec::new(),
-            live: BTreeSet::new(),
+            live: LiveTasks::default(),
+            chan_waiting: 0,
             seed_backlog,
             pending_tasks: VecDeque::new(),
             pending_events: VecDeque::new(),
@@ -890,7 +961,7 @@ impl Fabric {
     }
 
     fn is_done(&self) -> bool {
-        self.live.is_empty()
+        self.live.count == 0
             && self.seed_backlog.is_empty()
             && self.pending_tasks.is_empty()
             && self.fault_respill.is_empty()
@@ -942,7 +1013,7 @@ impl Fabric {
     fn escalate_watchdog(&mut self) {
         let now = self.cycle;
         self.core.wd_escalations += 1;
-        if let Some(key) = self.live.iter().next().copied() {
+        if let Some(key) = self.min_live() {
             for e in &mut self.engines {
                 e.force_min_release(key, &mut self.out);
             }
@@ -978,10 +1049,45 @@ impl Fabric {
         s
     }
 
-    fn diagnostics(&self) -> String {
+    /// The least live task by `(index, seq)`: the cached one, or, once
+    /// that retired, the least that one walk over the tasks finds.
+    fn min_live(&mut self) -> Option<(IndexTuple, u64)> {
+        if self.live.stale {
+            self.live.min = self.held_tasks().min();
+            self.live.stale = false;
+        }
+        self.live.min
+    }
+
+    /// The `(index, seq)` of every live task, found where it is: in a
+    /// queue, awaiting respill off a masked bank, in a pipeline latch, or
+    /// in a station.
+    fn held_tasks(&self) -> impl Iterator<Item = (IndexTuple, u64)> + '_ {
+        let queued = self.queues.iter().flat_map(TaskQueue::iter);
+        let respilled = self.fault_respill.iter().map(|(_, t)| t);
+        let tokens = queued.chain(respilled).map(|t| (t.index, t.seq));
+        let contexts = self.pipelines.iter().flat_map(|p| {
+            let stations = p.stages.iter().filter_map(|st| st.station.as_ref());
+            p.latches
+                .iter()
+                .flatten()
+                .chain(stations.flat_map(OutOfOrderStation::iter_all))
+        });
+        tokens.chain(contexts.map(|c| (c.index, c.seq)))
+    }
+
+    /// [`Fabric::held_tasks`] in order, as a snapshot's `live` member
+    /// lists them.
+    fn live_keys(&self) -> Vec<(IndexTuple, u64)> {
+        let mut keys: Vec<_> = self.held_tasks().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    fn diagnostics(&mut self) -> String {
         let mut s = format!(
             "live={} seed_backlog={} pending_tasks={} ",
-            self.live.len(),
+            self.live.count,
             self.seed_backlog.len(),
             self.pending_tasks.len()
         );
@@ -1007,7 +1113,7 @@ impl Fabric {
             })
             .sum();
         s.push_str(&format!("in_pipeline={in_flight}"));
-        if let Some(&(idx, seq)) = self.live.iter().next() {
+        if let Some((idx, seq)) = self.min_live() {
             s.push_str(&format!(" min_live=({idx}, seq {seq})"));
         }
         let ages = self.mem.mshr_ages(self.cycle);
@@ -1133,7 +1239,7 @@ impl Fabric {
         }
 
         // 4) Rule engines: evaluate last cycle's events + min broadcast.
-        let global_min = self.live.iter().next().copied();
+        let global_min = self.min_live();
         for e in &mut self.engines {
             moved |= e.tick(&self.bus_current, global_min, &mut self.out);
         }
@@ -1157,7 +1263,21 @@ impl Fabric {
         }
         self.route_out();
 
-        // 6) Pipelines.
+        // 6) Pipelines. First wake the stages asleep on the full request
+        // channel that the channel now has room for: at most one per free
+        // slot, in the order the pipelines visit them. A woken stage still
+        // holds the context, guard and station slot it fell asleep with,
+        // so it pushes if a slot is left when it is visited; any later
+        // one would find the channel full.
+        let mut free = self.mem.requests.free().min(self.chan_waiting);
+        for p in self.pipelines.iter_mut() {
+            if free == 0 {
+                break;
+            }
+            let woken = p.wake_for_channel(free);
+            free -= woken;
+            self.chan_waiting -= woken;
+        }
         let mut cx = TickCtx {
             now,
             rendezvous_timeout: self.cfg.rendezvous_timeout,
@@ -1168,6 +1288,7 @@ impl Fabric {
             resp: &mut self.resp,
             bus_staged: &mut self.bus_staged,
             live: &mut self.live,
+            chan_waiting: &mut self.chan_waiting,
             core: &mut self.core,
             retire_log: self.cfg.record_retirements.then_some(&mut self.retire_log),
             trace: self.trace.as_mut(),
@@ -1397,7 +1518,8 @@ impl Fabric {
     }
 
     /// Pushes tokens drained from masked banks back onto the surviving
-    /// banks through the recirculation reserve (they never left `live`).
+    /// banks through the recirculation reserve (they never stopped being
+    /// live).
     fn drain_fault_respill(&mut self) -> bool {
         let mut progress = false;
         let mut i = 0;
@@ -1487,7 +1609,8 @@ struct TickCtx<'a> {
     mem: &'a mut MemorySubsystem,
     resp: &'a mut [VecDeque<(u64, u64)>],
     bus_staged: &'a mut Vec<EventMsg>,
-    live: &'a mut BTreeSet<(IndexTuple, u64)>,
+    live: &'a mut LiveTasks,
+    chan_waiting: &'a mut usize,
     core: &'a mut Core,
     retire_log: Option<&'a mut Vec<(u64, usize)>>,
     trace: Option<&'a mut EventTrace>,
@@ -1595,12 +1718,15 @@ fn request(
 ///   full) sleeps until the next latch empties;
 /// - a stage waiting on its own station (`miss_outstanding`,
 ///   `mshr_full`) or on the next latch sleeps until either of those
-///   changes.
+///   changes;
+/// - a load or store stage that the full request channel holds back
+///   (`bandwidth`) also sleeps until [`Fabric::tick`] wakes it for a free
+///   slot in the channel.
 ///
-/// A stage that only shared state (a queue, the event bus, the request
-/// channel, an extern unit) or time (a rendezvous timeout) can release
-/// stays awake; its station answers in O(1) when nothing in it is ready
-/// or due to time out.
+/// A stage that only other shared state (a queue, the event bus, an
+/// extern unit) or time (a rendezvous timeout) can release stays awake;
+/// its station answers in O(1) when nothing in it is ready or due to
+/// time out.
 fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     let n = p.stages.len();
     let set = p.set;
@@ -1611,8 +1737,11 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     let mut active = false;
 
     let mut end = n;
-    while let Some(i) = p.awake_below(end) {
+    while let Some(i) = highest_below(&p.awake, end) {
         end = i;
+        if p.leave_channel(i) {
+            *cx.chan_waiting -= 1;
+        }
         // Split the borrow: current stage vs the next latch.
         let (latch_cur, mut latch_next) = {
             let (a, b) = p.latches.split_at_mut(i + 1);
@@ -1783,7 +1912,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
                         };
                         let pushed = cx.queues[set.0].push_fixed(token);
                         debug_assert!(pushed, "checked can_push");
-                        cx.live.insert((token.index, token.seq));
+                        cx.live.add((token.index, token.seq));
                         cx.core.requeues += 1;
                         progress = true;
                         Step::Advance(1)
@@ -1900,12 +2029,16 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         };
         stage.record(state, cause, cx);
         // Sleep through a stall that only a wake can end: a response at
-        // the port, or the next latch emptying. A rendezvous also waits
-        // on its timeout, and an extern stage's `DownstreamFull` may be
-        // its unit's full queue.
+        // the port, the next latch emptying, or a free slot in the request
+        // channel (see `Fabric::tick`). A rendezvous also waits on its
+        // timeout, and an extern stage's `DownstreamFull` may be its
+        // unit's full queue.
         let sleeps = match (state, cause) {
             (Activity::Idle, _) => true,
-            (Activity::Stall, StallCause::MissOutstanding | StallCause::MshrFull) => true,
+            (
+                Activity::Stall,
+                StallCause::MissOutstanding | StallCause::MshrFull | StallCause::Bandwidth,
+            ) => true,
             (Activity::Stall, StallCause::DownstreamFull) => {
                 !matches!(stage.op, BodyOp::Rendezvous { .. } | BodyOp::Extern { .. })
             }
@@ -1914,6 +2047,10 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         if sleeps {
             if state == Activity::Stall {
                 stage.sleep_stalled(now);
+                if cause == StallCause::Bandwidth {
+                    p.chan[i / 64] |= 1 << (i % 64);
+                    *cx.chan_waiting += 1;
+                }
             }
             p.sleep(i);
         }
@@ -1959,7 +2096,6 @@ snap_fields!(Fabric {
     cycle,
     core,
     rollback,
-    live,
     seed_backlog,
     pending_tasks,
     pending_events,
@@ -1978,6 +2114,8 @@ snap_fields!(Fabric {
     cfg: skip,
     port_owner: skip,
     out: skip,
+    live: skip,
+    chan_waiting: skip,
     lint_errors: skip,
     ckpt: skip,
     ckpt_cycle: skip,
@@ -1998,10 +2136,15 @@ impl Fabric {
     pub fn snapshot(&self) -> Json {
         let mut doc = self.save();
         if let Json::Obj(members) = &mut doc {
-            // The metrics are a view of the state, saved after the pipelines.
-            let at = members.iter().position(|(k, _)| k == "trace");
-            let at = at.expect("the trace member is saved");
-            members.insert(at, ("metrics".into(), self.metrics(None).save()));
+            // The live tasks and the metrics are views of the state, saved
+            // before the seed backlog and after the pipelines.
+            let mut insert_before = |key: &str, member: &str, value: Json| {
+                let at = members.iter().position(|(k, _)| k == key);
+                let at = at.unwrap_or_else(|| panic!("the {key} member is saved"));
+                members.insert(at, (member.into(), value));
+            };
+            insert_before("seed_backlog", "live", self.live_keys().save());
+            insert_before("trace", "metrics", self.metrics(None).save());
             members.insert(0, ("schema".into(), Json::str(SNAPSHOT_SCHEMA)));
         }
         doc
@@ -2035,13 +2178,46 @@ impl Fabric {
         Ok(f)
     }
 
-    /// Loads a snapshot document: the state, then the samples of its
-    /// `metrics` member, whose other values must agree with the state
-    /// (see [`Fabric::load_metrics`]).
+    /// Loads a snapshot document: the state, then its two views of it.
+    /// The `live` member must list exactly the tasks the state holds (see
+    /// [`Fabric::load_live`]); the samples of the `metrics` member are
+    /// read back, and its other values must agree with the state (see
+    /// [`Fabric::load_metrics`]).
     fn load_snapshot(&mut self, doc: &Json) -> Result<(), String> {
         self.load(doc)?;
+        // `Pipeline::loaded` woke every stage and cleared its channel bit.
+        self.chan_waiting = 0;
+        let live = snap::member(doc, "live")?;
+        self.load_live(live).map_err(|e| snap::nest(".live", e))?;
         let metrics = snap::member(doc, "metrics")?;
         self.load_metrics(metrics).map_err(|e| snap::nest(".metrics", e))
+    }
+
+    /// Checks a snapshot's `live` member against the tasks the loaded
+    /// queues, latches, stations and respill buffer hold, in order, and
+    /// rebuilds the live count and least task from them.
+    fn load_live(&mut self, j: &Json) -> Result<(), String> {
+        let mut saved: Vec<(IndexTuple, u64)> = Vec::new();
+        saved.load(j)?;
+        let held = self.live_keys();
+        let n = saved.len().max(held.len());
+        if let Some(i) = (0..n).find(|&i| saved.get(i) != held.get(i)) {
+            let show = |key: Option<&(IndexTuple, u64)>| match key {
+                Some((idx, seq)) => format!("({idx}, seq {seq})"),
+                None => "nothing".to_string(),
+            };
+            return Err(format!(
+                "entry {i} is {}, but the state's tasks in order have {} there",
+                show(saved.get(i)),
+                show(held.get(i))
+            ));
+        }
+        self.live = LiveTasks {
+            count: held.len(),
+            min: held.first().copied(),
+            stale: false,
+        };
+        Ok(())
     }
 
     /// Checks a loaded snapshot against the structure: optional parts
@@ -2112,7 +2288,7 @@ fn advance(
     set: TaskSetId,
 ) {
     if i + 1 == n {
-        cx.live.remove(&(ctx.index, ctx.seq));
+        cx.live.retire((ctx.index, ctx.seq));
         cx.core.retired[set.0] += 1;
     } else {
         let slot = latch_next.expect("next latch exists");

@@ -215,6 +215,11 @@ impl TaskQueue {
         false
     }
 
+    /// Iterates over every queued token, bank by bank.
+    pub fn iter(&self) -> impl Iterator<Item = &TaskToken> {
+        self.banks.iter().flat_map(Fifo::iter)
+    }
+
     /// Tasks a pop can take this cycle (pushes become visible at the
     /// end-of-cycle commit).
     pub fn visible(&self) -> usize {
@@ -422,6 +427,7 @@ mod tests {
         let len = q.banks.iter().map(Fifo::len).sum();
         let visible = q.banks.iter().map(Fifo::visible).sum();
         assert_eq!((q.len, q.visible), (len, visible));
+        assert_eq!(q.iter().count(), len);
     }
 
     #[test]

@@ -335,23 +335,26 @@ impl RuleEngine {
         let moved = !self.evicted_returns.is_empty();
         // 0) Returns from lanes evicted during alloc this cycle.
         out.append(&mut self.evicted_returns);
-        // 1) Label-triggered clauses.
-        let clauses = Arc::clone(&self.clauses);
-        for ev in events {
-            for clause in clauses.iter() {
-                let EventPat::Label(l) = clause.event else {
-                    continue;
-                };
-                if l != ev.label {
-                    continue;
+        // 1) Label-triggered clauses. The clause list is shared only with
+        // a tick that evaluates it: most ticks carry no event.
+        if !events.is_empty() {
+            let clauses = Arc::clone(&self.clauses);
+            for ev in events {
+                for clause in clauses.iter() {
+                    let EventPat::Label(l) = clause.event else {
+                        continue;
+                    };
+                    if l != ev.label {
+                        continue;
+                    }
+                    self.eval_clause_on_lanes(
+                        &clause.condition,
+                        clause.action,
+                        ev.index,
+                        ev.payload(),
+                        out,
+                    );
                 }
-                self.eval_clause_on_lanes(
-                    &clause.condition,
-                    clause.action,
-                    ev.index,
-                    ev.payload(),
-                    out,
-                );
             }
         }
         // 2) Minimum-task broadcast.
@@ -361,6 +364,7 @@ impl RuleEngine {
                 (l.parent_index, l.params)
             };
             // 2a) `ON min-waiting` clauses see the minimum lane's params.
+            let clauses = Arc::clone(&self.clauses);
             for clause in clauses.iter() {
                 if clause.event != EventPat::MinWaiting {
                     continue;

@@ -69,6 +69,11 @@ impl<T> Fifo<T> {
         self.len() < self.cap
     }
 
+    /// How many more elements can be pushed this cycle.
+    pub fn free(&self) -> usize {
+        self.cap - self.len()
+    }
+
     /// Stages a push; returns `false` (dropping nothing) when full.
     #[must_use]
     pub fn try_push(&mut self, v: T) -> bool {
@@ -153,13 +158,16 @@ mod tests {
     fn capacity_counts_staged() {
         let mut f = Fifo::new(2);
         assert!(f.try_push(1));
+        assert_eq!(f.free(), 1);
         assert!(f.try_push(2));
         assert!(!f.try_push(3));
         assert!(!f.can_push());
+        assert_eq!(f.free(), 0);
         f.commit();
         assert!(!f.can_push());
         f.pop();
         assert!(f.can_push());
+        assert_eq!(f.free(), 1);
     }
 
     #[test]

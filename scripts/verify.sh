@@ -33,10 +33,11 @@ bench_base=$(mktemp) ; chaos_a=$(mktemp) ; chaos_b=$(mktemp) ; analysis_tmp=$(mk
 camp_a=$(mktemp) ; camp_b=$(mktemp)
 snap_doc=$(mktemp) ; snap_full=$(mktemp) ; snap_resumed=$(mktemp)
 big_doc=$(mktemp) ; big_full=$(mktemp) ; big_resumed=$(mktemp) ; big_chaos=$(mktemp) ; tl=$(mktemp)
+sssp_medium=$(mktemp)
 resume_full=$(mktemp) ; resume_partial=$(mktemp) ; resume_out=$(mktemp)
 trap 'rm -f "$bench_base" "$chaos_a" "$chaos_b" "$analysis_tmp" "$camp_a" "$camp_b" \
   "$snap_doc" "$snap_full" "$snap_resumed" "$big_doc" "$big_full" "$big_resumed" "$big_chaos" "$tl" \
-  "$resume_full" "$resume_partial" "$resume_out"' EXIT
+  "$sssp_medium" "$resume_full" "$resume_partial" "$resume_out"' EXIT
 
 echo "==> static-analysis baseline drift gate (apir.analysis.report.v1)"
 cargo run -q --release --offline -p apir-trace -- analyze --json "$analysis_tmp" > /dev/null
@@ -141,6 +142,18 @@ cargo run -q --release --offline -p apir-trace -- \
 if ! cargo run -q --release --offline -p apir-trace -- \
   diff --machine "$big_chaos" tests/golden/spec_mst_small_chaos1.json; then
   echo "ERROR: SPEC-MST --scale small --faults 1 drifted from tests/golden/spec_mst_small_chaos1.json (keys above)." >&2
+  exit 1
+fi
+
+echo "==> SPEC-SSSP medium-scale report pin (the request channel full: bandwidth stalls)"
+# At this scale load and store stages spend over six million
+# stage-cycles waiting for room in the 256-entry memory request channel,
+# so the pin covers the wake of the stages asleep on it.
+cargo run -q --release --offline -p apir-trace -- \
+  run SPEC-SSSP --scale medium --cap 0 --json "$sssp_medium" > /dev/null
+if ! cargo run -q --release --offline -p apir-trace -- \
+  diff --machine "$sssp_medium" tests/golden/spec_sssp_medium.json; then
+  echo "ERROR: SPEC-SSSP --scale medium drifted from tests/golden/spec_sssp_medium.json (keys above)." >&2
   exit 1
 fi
 

@@ -405,12 +405,13 @@ fn doubling_series() {
 }
 
 /// Every JSON document committed to the repository.
-const DOCS: [&str; 14] = [
+const DOCS: [&str; 15] = [
     include_str!("golden/spec_bfs_400.json"),
     include_str!("golden/spec_mst_2000_chaos7.json"),
     include_str!("golden/coor_lu_20_chaos7_timeline.json"),
     include_str!("golden/spec_mst_small.json"),
     include_str!("golden/spec_mst_small_chaos1.json"),
+    include_str!("golden/spec_sssp_medium.json"),
     include_str!("golden/spec_sssp_small_timeline256_chaos1.json"),
     include_str!("plans/bad_schema.json"),
     include_str!("plans/bad_unknown_app.json"),

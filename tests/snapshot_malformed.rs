@@ -265,6 +265,34 @@ fn counts_the_clock_cannot_have_reached_are_rejected() {
     }
 }
 
+#[test]
+fn a_live_member_that_is_not_the_held_tasks_is_rejected() {
+    // Both docs restored before this check: with the extra task the run
+    // then waited for it until a watchdog deadlock at cycle 201,690, and
+    // without the first task it finished as if nothing were missing.
+    fn live(d: &mut Json) -> &mut Vec<Json> {
+        match at(d, "live") {
+            Json::Arr(v) => v,
+            _ => unreachable!("`live` is an array"),
+        }
+    }
+    let extra: fn(&mut Json) = |d| live(d).push(parse("[[99],1000]").unwrap());
+    let first_gone: fn(&mut Json) = |d| drop(live(d).remove(0));
+    let cases = [
+        (
+            extra,
+            "entry 7 is ({99}, seq 1000), but the state's tasks in order have nothing there",
+        ),
+        (
+            first_gone,
+            "entry 0 is ({3,0}, seq 13), but the state's tasks in order have ({3,0}, seq 12) there",
+        ),
+    ];
+    for (edit, want) in cases {
+        assert_eq!(rejected(0, edit), format!("snapshot: `live`: {want}"));
+    }
+}
+
 /// Number of nodes in `j` (itself included) that satisfy `pick`.
 fn count(j: &Json, pick: fn(&Json) -> bool) -> usize {
     let inner: usize = match j {
