@@ -221,6 +221,7 @@ impl FabricReport {
 
 /// A stage snapshots its station, cursor and activity; the op and its
 /// port are structure.
+#[derive(Clone)]
 struct Stage {
     op: BodyOp,
     /// Response-routing port for Load/Store/Extern/Rendezvous stages.
@@ -259,6 +260,7 @@ snap_fields!(Stage {
     stall_from: skip,
 });
 
+#[derive(Clone)]
 struct Pipeline {
     set: TaskSetId,
     latches: Box<[Option<Ctx>]>,
@@ -424,7 +426,7 @@ impl Pipeline {
     }
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ExternJob {
     tag: u64,
     port: u32,
@@ -440,7 +442,7 @@ snap_fields!(ExternJob {
     compute_left => "c",
 });
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ExternReq {
     tag: u64,
     port: u32,
@@ -458,6 +460,7 @@ snap_fields!(ExternReq {
     index => "i",
 });
 
+#[derive(Clone)]
 struct ExternUnit {
     queue: Fifo<ExternReq>,
     busy: Option<ExternJob>,
@@ -481,7 +484,7 @@ impl Default for ExternUnit {
 
 /// Scalar run state: sequence and tag cursors, the progress watchdog,
 /// and event totals.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Core {
     next_seq: u64,
     next_tag: u64,
@@ -541,7 +544,7 @@ impl Core {
 /// How many tasks are live (queued or in flight), and the least of them
 /// by `(index, seq)` while that is known. Derived: a load rebuilds both
 /// from [`Fabric::held_tasks`], the walk over where the tasks are.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct LiveTasks {
     count: usize,
     /// The least live task, unless `stale`.
@@ -568,7 +571,7 @@ impl LiveTasks {
 }
 
 /// Rollback-and-replay progress.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Rollback {
     /// Rollbacks performed so far (≤ `max_rollbacks`); also the re-salt
     /// epoch of the link RNG stream after the most recent rollback.
@@ -584,7 +587,9 @@ snap_fields!(Rollback {
     events,
 });
 
-/// The accelerator instance.
+/// The accelerator instance. A clone holds the whole state, so it runs
+/// on exactly as the original would.
+#[derive(Clone)]
 pub struct Fabric {
     spec: Spec,
     cfg: FabricConfig,
@@ -624,11 +629,10 @@ pub struct Fabric {
     /// Rendered lint report when the analyzer found error-level findings;
     /// [`Fabric::run`] refuses to start while this is set.
     lint_errors: Option<String>,
-    /// In-memory checkpoint (a full snapshot document) for
-    /// rollback-and-replay, refreshed every `checkpoint_interval` cycles.
-    ckpt: Option<Json>,
-    /// Cycle at which `ckpt` was taken.
-    ckpt_cycle: u64,
+    /// The rollback checkpoint: a clone of this fabric, holding no
+    /// checkpoint of its own, refreshed every `checkpoint_interval`
+    /// cycles while rollback recovery is armed.
+    ckpt: Option<Box<Fabric>>,
     rollback: Rollback,
     /// The per-cycle samples of each queue, the memory and each rule
     /// engine: the only metric state kept (see [`Fabric::metrics`]).
@@ -801,7 +805,6 @@ impl Fabric {
             fault_respill: VecDeque::new(),
             lint_errors,
             ckpt: None,
-            ckpt_cycle: 0,
             rollback: Rollback::default(),
             samples: Samples::all(spec),
             trace,
@@ -881,7 +884,7 @@ impl Fabric {
         // Arm the recovery path: checkpoint the pristine (or restored)
         // state so a failure before the first interval elapses still has
         // somewhere to rewind to.
-        if self.cfg.checkpoint_interval > 0 && self.ckpt.is_none() {
+        if self.cfg.max_rollbacks > 0 && self.ckpt.is_none() {
             self.take_checkpoint();
         }
         loop {
@@ -894,10 +897,7 @@ impl Fabric {
                 // Rollback-and-replay: rewind to the last checkpoint and
                 // re-run the window under a re-salted link RNG stream
                 // instead of aborting, while the budget lasts.
-                if self.cfg.max_rollbacks > 0
-                    && self.rollback.done < u64::from(self.cfg.max_rollbacks)
-                    && self.ckpt.is_some()
-                {
+                if self.rollback.done < u64::from(self.cfg.max_rollbacks) {
                     self.rollback_and_replay();
                     continue;
                 }
@@ -915,13 +915,7 @@ impl Fabric {
                     report: Box::new(self.into_report()),
                 });
             }
-            // `>=` rather than `==`: a quiescent jump can overshoot the
-            // exact interval boundary.
-            if self.cfg.checkpoint_interval > 0
-                && self.cycle - self.ckpt_cycle >= self.cfg.checkpoint_interval
-            {
-                self.take_checkpoint();
-            }
+            self.checkpoint_if_due();
             if self.is_done() {
                 return Ok(RunSplit::Done(Box::new(self.into_report())));
             }
@@ -968,34 +962,43 @@ impl Fabric {
             && self.mem.is_idle()
     }
 
-    /// Captures the in-memory rollback checkpoint. Snapshotting is a
-    /// pure observer — it never perturbs the run, so a checkpointing
-    /// run stays byte-identical to a non-checkpointing one until (and
-    /// unless) a rollback actually fires.
+    /// Takes the rollback checkpoint, a clone, once the last one is
+    /// dropped so that the clone holds none. Cloning changes nothing, so
+    /// a checkpointing run is byte-identical to one without until a
+    /// rollback fires.
     fn take_checkpoint(&mut self) {
-        self.settle_trackers();
-        self.ckpt_cycle = self.cycle;
-        self.ckpt = Some(self.snapshot());
+        self.ckpt = None;
+        self.ckpt = Some(Box::new(self.clone()));
     }
 
-    /// Rewinds to the in-memory checkpoint after a terminal link
+    /// The cycle of the next checkpoint while recovery is armed: the
+    /// last one's plus `checkpoint_interval`, whichever scheduler runs.
+    fn next_checkpoint(&self) -> Option<u64> {
+        Some(self.ckpt.as_ref()?.cycle + self.cfg.checkpoint_interval)
+    }
+
+    /// Takes the checkpoint when the clock is on its cycle.
+    fn checkpoint_if_due(&mut self) {
+        if self.next_checkpoint() == Some(self.cycle) {
+            self.take_checkpoint();
+        }
+    }
+
+    /// Rewinds to a clone of the checkpoint after a terminal link
     /// failure and re-salts the link RNG stream so the replay draws a
-    /// fresh drop schedule. Recovery progress (rollback counters, the
-    /// event log, and the checkpoint itself) is meta-state: it survives
-    /// the rewind rather than being restored from it.
+    /// fresh drop schedule. Recovery progress (the rollback record and
+    /// the checkpoint itself) is meta-state: it survives the rewind
+    /// rather than being restored from it.
     fn rollback_and_replay(&mut self) {
-        let fail_cycle = self.cycle;
-        let epoch = self.rollback.done + 1;
-        let events = std::mem::take(&mut self.rollback.events);
-        let replayed = self.rollback.replayed;
-        let doc = self.ckpt.take().expect("rollback requires a checkpoint");
-        self.load_snapshot(&doc)
-            .expect("in-memory checkpoint restores against its own fabric");
-        self.ckpt = Some(doc);
-        self.rollback.done = epoch;
-        self.rollback.replayed = replayed + (fail_cycle - self.cycle);
-        self.rollback.events = events;
-        self.rollback.events.push((fail_cycle, self.cycle));
+        let ckpt = self.ckpt.take().expect("rollback requires a checkpoint");
+        let failed = std::mem::replace(self, (*ckpt).clone());
+        self.ckpt = Some(ckpt);
+        self.rollback = failed.rollback;
+        let rb = &mut self.rollback;
+        rb.done += 1;
+        rb.replayed += failed.cycle - self.cycle;
+        rb.events.push((failed.cycle, self.cycle));
+        let epoch = rb.done;
         if let Some(plan) = self.mem.faults_mut() {
             plan.resalt_link(epoch);
         }
@@ -1342,7 +1345,7 @@ impl Fabric {
     /// leave behind (see [`Stage::record`]): it counts the stall cycles a
     /// sleeping stage has slept through, and the idle cycles, which are
     /// the ones not spent busy or stalled. Runs wherever a tracker leaves
-    /// the tick loop: a pause, a checkpoint, the report.
+    /// the tick loop: a pause or the report.
     fn settle_trackers(&mut self) {
         let next = self.cycle + 1;
         for st in self.pipelines.iter_mut().flat_map(|p| p.stages.iter_mut()) {
@@ -1442,14 +1445,17 @@ impl Fabric {
     }
 
     /// Jumps the clock over quiescent cycles to `target`, stopping on each
-    /// timeline window end on the way to close the window there. The
+    /// timeline window end and checkpoint cycle on the way to close the
+    /// window or take the checkpoint there, as a dense tick would. The
     /// stops add no tick, so the cycles that do tick (and with them a
-    /// checkpoint or a pause) do not depend on the timeline.
+    /// pause) depend on neither.
     fn skip_to(&mut self, target: u64) {
         while self.cycle < target {
             let next_end = self.timeline.as_ref().map(|tl| tl.next_end(self.cycle));
-            self.fast_forward(next_end.unwrap_or(target).min(target) - self.cycle);
+            let stops = next_end.into_iter().chain(self.next_checkpoint());
+            self.fast_forward(stops.fold(target, u64::min) - self.cycle);
             self.close_window();
+            self.checkpoint_if_due();
         }
     }
 
@@ -2056,7 +2062,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         }
         // A context that entered the next latch wakes its stage; one that
         // left this latch wakes the stage behind, which may wait on it.
-        if p.latches.get(i + 1).is_some_and(Option::is_some) {
+        if next_free && p.latches.get(i + 1).is_some_and(Option::is_some) {
             p.wake(i + 1);
         }
         if had_ctx && p.latches[i].is_none() && i > 0 {
@@ -2118,7 +2124,6 @@ snap_fields!(Fabric {
     chan_waiting: skip,
     lint_errors: skip,
     ckpt: skip,
-    ckpt_cycle: skip,
     samples: skip,
     tr_host: skip,
     tr_mem: skip,

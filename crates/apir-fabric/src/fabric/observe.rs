@@ -27,6 +27,7 @@ type Traced = (CompId, &'static str, u64);
 /// One component's per-cycle samples under its key prefix: its
 /// occupancy histogram, if it keeps one, and its admission stalls by
 /// cause.
+#[derive(Clone)]
 pub(super) struct Samples {
     key: String,
     occupancy: Option<(&'static str, Histogram)>,

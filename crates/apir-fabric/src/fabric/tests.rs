@@ -19,7 +19,8 @@ const APPS: [&str; 6] = [
 /// The live count and cached least task against an ordered set of the
 /// walk's keys, and the channel waiter count against the pipelines'
 /// channel bits, each on a stage that will push a request when it is
-/// visited: one that latches a context and has a station slot for it.
+/// visited: one that latches a context and has a station slot for it,
+/// and that sleeps until the channel has room for it.
 fn check(f: &Fabric) {
     let at = f.cycle;
     let keys: BTreeSet<_> = f.held_tasks().collect();
@@ -50,6 +51,11 @@ fn check(f: &Fabric) {
             assert!(
                 p.latches[i].is_some() && slot,
                 "cycle {at}: stage {i} cannot push"
+            );
+            assert_eq!(
+                p.awake[i / 64] & (1 << (i % 64)),
+                0,
+                "cycle {at}: stage {i} waits on the channel awake"
             );
         }
     }

@@ -155,12 +155,11 @@ pub struct FabricConfig {
     /// the ring fills, the oldest windows are evicted and counted in
     /// [`apir_sim::timeline::Timeline::dropped`].
     pub timeline_capacity: usize,
-    /// Arm periodic in-memory checkpoints every this many cycles; `0`
-    /// (the default) disables them. A checkpoint is a full
-    /// [`snapshot`]-format capture of the fabric's mutable state kept in
-    /// memory, from which rollback recovery replays after a terminal
-    /// link failure. Restore-then-run is byte-identical to the
-    /// uninterrupted run, so checkpoints never perturb results.
+    /// Cycles between the in-memory checkpoints that rollback recovery
+    /// replays from after a terminal link failure, counted from the cycle
+    /// the run starts at, under either scheduler. They are taken only
+    /// while recovery is armed (`max_rollbacks > 0`). A checkpoint is a
+    /// clone of the fabric, so checkpoints never perturb results.
     pub checkpoint_interval: u64,
     /// Maximum rollback-and-replay recoveries per run; `0` (the
     /// default) keeps the historical behavior of aborting with

@@ -90,6 +90,7 @@ snap_fields!(MemStats [
     qpi_bytes,
 ]);
 
+#[derive(Clone)]
 struct TagArray {
     tags: Box<[u64]>, // tag + 1, 0 = invalid
     num_lines: usize,
@@ -176,6 +177,7 @@ snap_fields!(LinkFailure {
 });
 
 /// The memory subsystem component.
+#[derive(Clone)]
 pub struct MemorySubsystem {
     cfg: MemConfig,
     image: MemImage,

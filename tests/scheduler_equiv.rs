@@ -12,6 +12,9 @@
 //! 2. the typed fault mix,
 //! 3. the complete `(cycle, task_set)` retirement log.
 //!
+//! Rollback cells on a flaky link pin each dense report's hash as well,
+//! so a checkpoint taken on another cycle under the wheel shows.
+//!
 //! A regression test also pins the `fault_window == 1` schedule: the
 //! old `now % fw == 1` predicate never fired for a one-cycle window
 //! (no cycle satisfies `now % 1 == 1`), so maximum-pressure campaigns
@@ -54,8 +57,14 @@ fn run(name: &str, app: &apir::apps::AppInstance, cfg: FabricConfig) -> FabricRe
         .unwrap_or_else(|e| panic!("{name}: run failed: {e}"))
 }
 
-/// Runs one config under both schedulers and asserts full equivalence.
-fn assert_schedulers_agree(name: &str, app: &apir::apps::AppInstance, cfg: FabricConfig, tag: &str) {
+/// Runs one config under both schedulers, asserts full equivalence, and
+/// returns the dense report.
+fn assert_schedulers_agree(
+    name: &str,
+    app: &apir::apps::AppInstance,
+    cfg: FabricConfig,
+    tag: &str,
+) -> FabricReport {
     let mut dense_cfg = cfg.clone();
     dense_cfg.dense_tick = true;
     let mut wheel_cfg = cfg;
@@ -79,6 +88,7 @@ fn assert_schedulers_agree(name: &str, app: &apir::apps::AppInstance, cfg: Fabri
         dense.mem_image, wheel.mem_image,
         "{name} {tag}: final memory images diverged"
     );
+    dense
 }
 
 #[test]
@@ -99,6 +109,63 @@ fn dense_and_wheel_agree_under_chaos() {
             cfg.faults = FaultConfig::chaos(seed);
             assert_schedulers_agree(name, &app, cfg, &format!("chaos seed {seed}"));
         }
+    }
+}
+
+/// FNV-1a, which pins rendered report bytes as in `tests/robustness.rs`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `(app, fault seed, FNV-1a of the dense report)` of runs that roll
+/// back on a flaky link. The first eight resume from another cycle under
+/// the wheel when a checkpoint is taken on the first tick an interval
+/// after the last instead of on the interval's own cycle.
+const ROLLBACK_CELLS: [(&str, u64, u64); 12] = [
+    ("SPEC-BFS", 14, 0x41be_14e8_4477_306d),
+    ("COOR-BFS", 5, 0xf951_8237_ff4e_5e78),
+    ("COOR-BFS", 14, 0xd01c_fcb5_3ec9_de96),
+    ("COOR-BFS", 19, 0xcc92_1db3_0638_7861),
+    ("COOR-BFS", 21, 0x1b89_83a9_029a_e230),
+    ("SPEC-SSSP", 15, 0x3b01_c335_c433_13a6),
+    ("SPEC-MST", 5, 0x5a6f_bac9_98bb_e94c),
+    ("SPEC-MST", 14, 0x2d23_1a2a_df73_1c14),
+    ("SPEC-SSSP", 0, 0xf5b3_8635_7a97_8925),
+    ("SPEC-SSSP", 6, 0x5784_6d2e_b30d_7350),
+    ("SPEC-SSSP", 8, 0xeb87_9d25_8a34_8e29),
+    ("SPEC-SSSP", 22, 0x89bb_3aef_27ed_71ef),
+];
+
+#[test]
+fn dense_and_wheel_agree_on_rollback() {
+    for (name, seed, want) in ROLLBACK_CELLS {
+        let app = build_app(name, Scale::Tiny);
+        let mut cfg = tuned_cfg(name, &app);
+        cfg.faults = FaultConfig {
+            seed,
+            drop_rate: 0.03,
+            retry_timeout: 4,
+            max_retries: 1,
+            ..FaultConfig::default()
+        };
+        cfg.checkpoint_interval = 256;
+        cfg.max_rollbacks = 16;
+        // A timeline window that divides the interval would stop every
+        // jump on the checkpoint cycles by itself.
+        cfg.timeline_window = 0;
+        let tag = format!("rollback seed {seed}");
+        let dense = assert_schedulers_agree(name, &app, cfg, &tag);
+        assert!(
+            dense.rollbacks.as_ref().is_some_and(|rb| rb.count > 0),
+            "{name} {tag}: no rollback"
+        );
+        assert_eq!(
+            fnv1a(dense.to_json().as_bytes()),
+            want,
+            "{name} {tag}: the dense report moved"
+        );
     }
 }
 

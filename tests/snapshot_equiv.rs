@@ -3,8 +3,9 @@
 //! `to_json()` report — as the uninterrupted run, for every builtin
 //! app, fault-free and under pinned chaos seeds, on both the
 //! event-wheel scheduler and the dense per-cycle oracle. This is the
-//! contract that makes checkpoints trustworthy: a restored run is
-//! *provably* the run it resumed.
+//! contract that makes snapshots trustworthy: a restored run is
+//! *provably* the run it resumed. A clone of the paused fabric, which
+//! is what a rollback checkpoint is, must finish the same way.
 
 use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::{build_app, AppInstance, APP_NAMES};
@@ -35,16 +36,20 @@ fn uninterrupted(name: &str, fault_seed: Option<u64>, dense: bool) -> (String, u
     (report.to_json(), report.cycles)
 }
 
-/// Pause at `at`, snapshot, restore into a *fresh* fabric, finish, and
-/// return the report JSON. A run that completes before `at` returns its
-/// report directly (split-at-N degenerates to the uninterrupted run).
-fn split_at(name: &str, fault_seed: Option<u64>, dense: bool, at: u64) -> String {
+/// Pause at `at`, then finish a clone of the paused fabric or, without
+/// `clone`, snapshot it and restore into a *fresh* fabric, and return
+/// the report JSON. A run that completes before `at` returns its report
+/// directly (split-at-N degenerates to the uninterrupted run).
+fn split_at(name: &str, fault_seed: Option<u64>, dense: bool, at: u64, clone: bool) -> String {
     let (app, cfg) = app_cfg(name, fault_seed, dense);
     let split = Fabric::new(&app.spec, &app.input, cfg.clone())
         .run_until(at)
         .unwrap_or_else(|e| panic!("{name}: run to cycle {at} failed: {e}"));
     let report = match split {
         RunSplit::Done(report) => *report,
+        RunSplit::Paused(fabric) if clone => Fabric::clone(&fabric)
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: the clone at {at} failed: {e}")),
         RunSplit::Paused(fabric) => {
             let doc = fabric.snapshot();
             drop(fabric);
@@ -67,11 +72,14 @@ fn split_at(name: &str, fault_seed: Option<u64>, dense: bool, at: u64) -> String
 fn check_restore_equivalence(name: &str, fault_seed: Option<u64>, dense: bool) {
     let (want, cycles) = uninterrupted(name, fault_seed, dense);
     for at in [0, 1, cycles / 2, cycles.saturating_sub(1)] {
-        let got = split_at(name, fault_seed, dense, at);
-        assert_eq!(
-            got, want,
-            "{name} (faults {fault_seed:?}, dense {dense}): split at cycle {at} diverged"
-        );
+        for clone in [false, true] {
+            let got = split_at(name, fault_seed, dense, at, clone);
+            assert_eq!(
+                got, want,
+                "{name} (faults {fault_seed:?}, dense {dense}, clone {clone}): \
+                 split at cycle {at} diverged"
+            );
+        }
     }
 }
 

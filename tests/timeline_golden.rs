@@ -127,11 +127,12 @@ fn rollback_run(app: &str, seed: u64, window: u64) -> FabricReport {
 
 #[test]
 fn arming_the_timeline_moves_no_checkpoint() {
-    // A checkpoint is taken on the first tick at least
-    // `checkpoint_interval` cycles after the last, so a timeline that
-    // made the event wheel tick on its window ends would move it, and a
-    // rollback would then replay from another cycle. These runs roll
-    // back two or three times each.
+    // A checkpoint is taken on the last one's cycle plus
+    // `checkpoint_interval`, where a quiescent jump stops as it does on
+    // a timeline window end, without ticking. A jump that stepped over
+    // a checkpoint cycle on its way between window ends would lose that
+    // checkpoint, and a rollback would then replay from another cycle.
+    // These runs roll back two to four times each.
     for (app, seed, window) in [
         ("SPEC-BFS", 14, 32),
         ("SPEC-SSSP", 15, 7),
