@@ -3,8 +3,7 @@
 //! ```text
 //! figures [--scale tiny|small|medium|large] [--cpu-scale F] <exp>...
 //!   exp: fig2 | fig9 | fig10 | table1 | resources | ablation | topology | all
-//!      | bench   (write the machine-readable BENCH_fabric.json baseline;
-//!                 always at the pinned baseline scale, not --scale)
+//!      | debug:<app>
 //! ```
 
 use apir_bench::experiments as exp;
@@ -39,8 +38,8 @@ fn main() {
     if jobs.is_empty() {
         jobs.push("all".to_string());
     }
-    const KNOWN: [&str; 9] = [
-        "all", "fig2", "fig9", "fig10", "table1", "resources", "ablation", "topology", "bench",
+    const KNOWN: [&str; 8] = [
+        "all", "fig2", "fig9", "fig10", "table1", "resources", "ablation", "topology",
     ];
     for j in &jobs {
         let is_debug = j.strip_prefix("debug:").map(|app| {
@@ -92,23 +91,6 @@ fn main() {
     for j in &jobs {
         if let Some(app) = j.strip_prefix("debug:") {
             println!("{}", exp::debug_app(app, scale));
-        }
-    }
-    // `bench` is explicit-only (not part of `all`): it writes a file and
-    // is pinned to the baseline scale regardless of --scale.
-    if jobs.iter().any(|j| j == "bench") {
-        use apir_bench::baseline::{emit_baseline, BASELINE_FILE, BASELINE_SCALE};
-        let path = std::path::Path::new(BASELINE_FILE);
-        match emit_baseline(path, BASELINE_SCALE) {
-            Ok(()) => println!(
-                "wrote {} (scale: {}; double-run byte-identical; schema-valid)",
-                path.display(),
-                BASELINE_SCALE.name()
-            ),
-            Err(e) => {
-                eprintln!("bench baseline: {e}");
-                std::process::exit(1);
-            }
         }
     }
 }

@@ -76,18 +76,32 @@ pub fn fig2() -> String {
     }
     let _ = writeln!(out, "  total: {:.1} us over {} kernel pairs\n", hls.seconds * 1e6, hls.levels);
 
-    // Handcrafted-style (our fabric, dataflow): retirements per cycle.
+    // Handcrafted-style (our fabric, dataflow): retirements per cycle,
+    // read from the trace's `retire` records, whose pipeline component
+    // `pipe:<set>#<replica>` names the task set.
     let app = apir_apps::bfs::build(g, 0, BfsVariant::Spec);
     let cfg = FabricConfig {
-        record_retirements: true,
+        trace_capacity: 1 << 16,
         ..base_cfg()
     };
     let report = Fabric::new(&app.spec, &app.input, cfg).run().expect("toy BFS runs");
     (app.check)(&report.mem_image).expect("toy BFS correct");
+    let trace = report.trace.as_ref().expect("trace armed");
+    assert_eq!(trace.dropped(), 0, "the toy trace fits its ring");
     let _ = writeln!(out, "Generated dataflow pipeline (no barriers):");
-    for (cycle, set) in &report.retirements {
-        let name = &app.spec.task_sets()[*set].name;
-        let _ = writeln!(out, "  cycle {:>4} ({:>6.2}us): commit {}", cycle, *cycle as f64 / 200.0, name);
+    for r in trace.records().filter(|r| r.event == "retire") {
+        let comp = trace.component_name(r.comp);
+        let name = comp.strip_prefix("pipe:").and_then(|c| c.rsplit_once('#'));
+        let (name, _) = name.expect("a pipeline retires");
+        for _ in 0..r.value {
+            let _ = writeln!(
+                out,
+                "  cycle {:>4} ({:>6.2}us): commit {}",
+                r.cycle,
+                r.cycle as f64 / 200.0,
+                name
+            );
+        }
     }
     let _ = writeln!(
         out,

@@ -16,12 +16,10 @@
 //!
 //! The `figures` binary drives them:
 //! `cargo run -p apir-bench --release --bin figures -- all`.
+//!
+//! The simulated counters of the six apps at the `tiny` scale are pinned
+//! by `tests/report_golden.rs`; host speed is measured by `hostbench`.
 
-//! The machine-readable bench baseline (`BENCH_fabric.json`) lives in
-//! [`baseline`]: `figures bench` regenerates it, double-runs it to prove
-//! byte-identical determinism, and schema-validates it.
-
-pub mod baseline;
 pub mod experiments;
 pub mod scale;
 

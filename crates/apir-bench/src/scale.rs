@@ -18,7 +18,7 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Sub-second per experiment — golden tests and smoke gates. The
-    /// pinned scale of the `BENCH_fabric.json` baseline.
+    /// scale of the report goldens (`tests/report_golden.rs`).
     Tiny,
     /// Seconds per experiment — CI and quick looks.
     Small,

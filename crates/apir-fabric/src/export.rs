@@ -6,8 +6,8 @@
 //! shortest-roundtrip `Display` — so two runs with the same seed render
 //! **byte-identical** documents (the determinism canary in
 //! `tests/cross_engine.rs` relies on this). The bulky per-run payloads
-//! (`mem_image`, `retirements`, the raw trace buffer) are intentionally
-//! excluded; the trace appears only as a summary.
+//! (`mem_image`, the raw trace buffer) are intentionally excluded; the
+//! trace appears only as a summary.
 
 use crate::fabric::FabricReport;
 use crate::fault::FaultStats;
@@ -386,7 +386,6 @@ mod tests {
             queue_peaks: vec![5, 6],
             extern_calls: 0,
             mem_image: apir_core::MemImage::new(&[]),
-            retirements: Vec::new(),
             metrics: MetricsSnapshot::default(),
             activity: UtilizationSummary::new(),
             faults: FaultStats::default(),
@@ -438,7 +437,6 @@ mod tests {
     fn excludes_bulky_payloads() {
         let json = tiny_report().to_json();
         assert!(!json.contains("mem_image"));
-        assert!(!json.contains("retirements"));
     }
 
     #[test]
@@ -500,7 +498,7 @@ mod tests {
         use apir_sim::stats::{ActivityTracker, StallCause};
         let mut t = ActivityTracker::new();
         t.record(apir_sim::stats::Activity::Busy);
-        t.record_stall(StallCause::QueueFull);
+        t.record_stall_n(StallCause::QueueFull, 1);
         t.record_stall_n(StallCause::MshrFull, 3);
         let mut u = UtilizationSummary::new();
         u.add("p0.s0:enqueue", t);

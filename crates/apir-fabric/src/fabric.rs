@@ -166,8 +166,6 @@ pub struct FabricReport {
     pub extern_calls: u64,
     /// The final memory image.
     pub mem_image: apir_core::MemImage,
-    /// `(cycle, task_set)` per retirement, if recording was enabled.
-    pub retirements: Vec<(u64, usize)>,
     /// Every metric, rendered from the final state (stable `fabric.*`,
     /// `queue.*`, `mem.*`, `rule.*`, `fault.*` keys — see README
     /// §Observability).
@@ -237,14 +235,13 @@ struct Stage {
     comp: CompId,
     /// Last activity state recorded to the trace (transition detection).
     last_activity: Option<Activity>,
-    /// Cause of the most recent recorded stall. The event wheel only
-    /// fast-forwards across a tick in which every waiting stage recorded
-    /// a caused stall, so replaying this cause for the skipped cycles is
-    /// exact.
+    /// Cause of the stall run the stage is in (see `stall_from`).
+    /// Derived: read only while a run is open, and a load opens none.
     last_stall_cause: StallCause,
-    /// While the stage sleeps through a stall, the first cycle of it
-    /// that `tracker` does not count yet; every cycle from there repeats
-    /// `last_stall_cause`. Derived: never saved, cleared on load.
+    /// While the stage is in a stall run, the first cycle of it that
+    /// `tracker` does not count yet; every cycle from there repeats
+    /// `last_stall_cause` until the next visit. Derived: never saved,
+    /// cleared on load.
     stall_from: Option<u64>,
 }
 snap_fields!(Stage {
@@ -252,11 +249,11 @@ snap_fields!(Stage {
     expand_pos => "ep",
     tracker => "tk",
     last_activity => "la",
-    last_stall_cause => "lsc",
     op: skip,
     port: skip,
     rule: skip,
     comp: skip,
+    last_stall_cause: skip,
     stall_from: skip,
 });
 
@@ -279,9 +276,6 @@ struct Pipeline {
     /// full memory request channel (`bandwidth`) until it is next woken
     /// for a free slot or visited. Derived: clear on build and on load.
     chan: Box<[u64]>,
-    /// No bit of `awake` is set, so a tick only needs to visit the
-    /// pipeline when its queue has a task to pop. Derived with `awake`.
-    asleep: bool,
 }
 snap_fields!(Pipeline {
     latches,
@@ -291,7 +285,6 @@ snap_fields!(Pipeline {
     comp: skip,
     awake: skip,
     chan: skip,
-    asleep: skip,
 } check Self::loaded);
 
 /// The highest set bit of `bits` below `end`, if any.
@@ -321,7 +314,12 @@ impl Pipeline {
 
     fn wake(&mut self, i: usize) {
         self.awake[i / 64] |= 1 << (i % 64);
-        self.asleep = false;
+    }
+
+    /// No stage is awake, so a tick only needs to visit the pipeline
+    /// when its queue has a task to pop.
+    fn asleep(&self) -> bool {
+        self.awake.iter().all(|&w| w == 0)
     }
 
     fn sleep(&mut self, i: usize) {
@@ -360,7 +358,6 @@ impl Pipeline {
         self.fits()?;
         self.awake = Pipeline::all_awake(self.stages.len());
         self.chan.fill(0);
-        self.asleep = false;
         for st in self.stages.iter_mut() {
             st.stall_from = None;
         }
@@ -622,7 +619,6 @@ pub struct Fabric {
     pending_events: VecDeque<EventMsg>,
     cycle: u64,
     core: Core,
-    retire_log: Vec<(u64, usize)>,
     /// Tokens drained from fault-masked queue banks awaiting respill
     /// onto the surviving banks (they stay live throughout).
     fault_respill: VecDeque<(usize, TaskToken)>,
@@ -751,7 +747,6 @@ impl Fabric {
                     comp: intern(&pipe_name),
                     awake: Pipeline::all_awake(ts.body.len()),
                     chan: vec![0; ts.body.len().div_ceil(64)].into(),
-                    asleep: false,
                 });
             }
         }
@@ -801,7 +796,6 @@ impl Fabric {
                 retired: vec![0; spec.task_sets().len()].into(),
                 ..Core::default()
             },
-            retire_log: Vec::new(),
             fault_respill: VecDeque::new(),
             lint_errors,
             ckpt: None,
@@ -881,9 +875,10 @@ impl Fabric {
     }
 
     fn run_loop(mut self, target: Option<u64>) -> Result<RunSplit, FabricError> {
-        // Arm the recovery path: checkpoint the pristine (or restored)
-        // state so a failure before the first interval elapses still has
-        // somewhere to rewind to.
+        // Arm the recovery path: checkpoint the pristine state (or a
+        // restored one whose document held no checkpoint) so a failure
+        // before the first interval elapses still has somewhere to rewind
+        // to.
         if self.cfg.max_rollbacks > 0 && self.ckpt.is_none() {
             self.take_checkpoint();
         }
@@ -1170,7 +1165,6 @@ impl Fabric {
                 .map(|u| u.calls)
                 .sum(),
             mem_image: self.mem.image().clone(),
-            retirements: self.retire_log,
         }
     }
 
@@ -1293,13 +1287,11 @@ impl Fabric {
             live: &mut self.live,
             chan_waiting: &mut self.chan_waiting,
             core: &mut self.core,
-            retire_log: self.cfg.record_retirements.then_some(&mut self.retire_log),
             trace: self.trace.as_mut(),
         };
         for p in self.pipelines.iter_mut() {
             // A visit would find no awake stage and nothing to pop.
-            if p.asleep && cx.queues[p.set.0].visible() == 0 {
-                debug_assert!(p.awake.iter().all(|&w| w == 0), "a stage woke unseen");
+            if cx.queues[p.set.0].visible() == 0 && p.asleep() {
                 continue;
             }
             let (p_progress, p_active) = tick_pipeline(p, &mut cx);
@@ -1342,10 +1334,10 @@ impl Fabric {
     }
 
     /// Brings every stage's tracker up to the current cycle, which ticks
-    /// leave behind (see [`Stage::record`]): it counts the stall cycles a
-    /// sleeping stage has slept through, and the idle cycles, which are
-    /// the ones not spent busy or stalled. Runs wherever a tracker leaves
-    /// the tick loop: a pause or the report.
+    /// leave behind (see [`Stage::record`]): it counts the open stall
+    /// runs through this cycle, and the idle cycles, which are the ones
+    /// not spent busy or stalled. Runs wherever a tracker leaves the tick
+    /// loop: a pause, a snapshot of the checkpoint, or the report.
     fn settle_trackers(&mut self) {
         let next = self.cycle + 1;
         for st in self.pipelines.iter_mut().flat_map(|p| p.stages.iter_mut()) {
@@ -1368,14 +1360,14 @@ impl Fabric {
     }
 
     /// The running totals a timeline window reads at its end, counting
-    /// the stall cycles of a sleeping stage up to the current cycle.
+    /// each open stall run through the current cycle.
     /// Everything here is monotone, so a window's growth is never
     /// negative.
     fn timeline_totals(&self) -> TimelineSample {
         let mut s = TimelineSample::default();
         for st in self.pipelines.iter().flat_map(|p| p.stages.iter()) {
-            let slept = st.stall_from.map_or(0, |from| self.cycle + 1 - from);
-            let stall = st.tracker.stall + slept;
+            let run = st.stall_from.map_or(0, |from| self.cycle + 1 - from);
+            let stall = st.tracker.stall + run;
             s.busy += st.tracker.busy;
             s.stall += stall;
             s.idle += self.cycle - st.tracker.busy - stall;
@@ -1462,27 +1454,15 @@ impl Fabric {
     /// Jumps the clock forward `k` quiescent cycles, replaying exactly
     /// the per-cycle side effects the dense loop would have produced:
     /// bandwidth-credit accrual (bit-exact — see
-    /// [`apir_sim::bandwidth::BandwidthMeter::tick_n`]), the per-cycle
-    /// samples, and per-stage activity accounting. A quiescent stage
-    /// repeats the stall/idle state of the preceding dense tick, so no
-    /// trace transition fires, and no running total moves.
+    /// [`apir_sim::bandwidth::BandwidthMeter::tick_n`]) and the per-cycle
+    /// samples. A quiescent stage repeats the stall or idle state of the
+    /// preceding dense tick, so no trace transition fires and no running
+    /// total moves; its stall run and idle cycles are counted later
+    /// ([`Stage::record`]).
     fn fast_forward(&mut self, k: u64) {
         self.cycle += k;
         self.mem.fast_forward(k);
         self.sample(k);
-        for p in &mut self.pipelines {
-            for (latch, st) in p.latches.iter().zip(p.stages.iter_mut()) {
-                let waiting = latch.is_some()
-                    || st.station.as_ref().is_some_and(|s| !s.is_empty());
-                // The preceding dense tick recorded a caused stall for a
-                // waiting stage; the quiescent cycles repeat it. A
-                // sleeping stage's stall and every idle cycle are counted
-                // later (`settle_trackers`).
-                if waiting && st.stall_from.is_none() {
-                    st.tracker.record_stall_n(st.last_stall_cause, k);
-                }
-            }
-        }
     }
 
     /// One lane-fault and one bank-fault trial per engine/queue. The
@@ -1618,25 +1598,28 @@ struct TickCtx<'a> {
     live: &'a mut LiveTasks,
     chan_waiting: &'a mut usize,
     core: &'a mut Core,
-    retire_log: Option<&'a mut Vec<(u64, usize)>>,
     trace: Option<&'a mut EventTrace>,
 }
 
 impl Stage {
-    /// Records this cycle's activity: the tracker, the cause the event
-    /// wheel replays for a stall (`cause` is ignored otherwise), and a
-    /// trace record on a transition (so a stage that stays busy for ten
-    /// thousand cycles costs one record, not ten thousand).
+    /// Records this cycle's activity: the tracker for a busy cycle, a
+    /// stall run opened on this cycle for a stall (`cause` is ignored
+    /// otherwise), and a trace record on a transition (so a stage that
+    /// stays busy for ten thousand cycles costs one record, not ten
+    /// thousand).
     ///
-    /// Idle cycles are not counted as they pass: a stage records exactly
-    /// one state per cycle, so its idle count is the cycles left over
-    /// after busy and stall, which [`Fabric::settle_trackers`] writes
-    /// before anything reads it.
+    /// The stage's next visit closes the run ([`Stage::wake_stall`]):
+    /// until then nothing the stage depends on changes, whether it
+    /// sleeps or the event wheel jumps, so every cycle of the run repeats
+    /// `cause`. Idle cycles are not counted as they pass: a stage is in
+    /// exactly one state per cycle, so its idle count is the cycles left
+    /// over after busy and stall, which [`Fabric::settle_trackers`]
+    /// writes before anything reads it.
     fn record(&mut self, state: Activity, cause: StallCause, cx: &mut TickCtx) {
         match state {
             Activity::Busy => self.tracker.record(Activity::Busy),
             Activity::Stall => {
-                self.tracker.record_stall(cause);
+                self.stall_from = Some(cx.now);
                 self.last_stall_cause = cause;
             }
             Activity::Idle => {}
@@ -1654,12 +1637,7 @@ impl Stage {
         }
     }
 
-    /// Sleeps through a stall from the next cycle on.
-    fn sleep_stalled(&mut self, now: u64) {
-        self.stall_from = Some(now + 1);
-    }
-
-    /// Counts the stall cycles this stage slept through before `now`.
+    /// Counts the cycles of the stall run this stage is in before `now`.
     fn wake_stall(&mut self, now: u64) {
         if let Some(from) = self.stall_from.take() {
             let cause = self.last_stall_cause;
@@ -1737,8 +1715,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     let n = p.stages.len();
     let set = p.set;
     let now = cx.now;
-    let logged = cx.retire_log.is_some() || cx.trace.is_some();
-    let before = logged.then(|| cx.core.event_totals());
+    let before = cx.trace.is_some().then(|| cx.core.event_totals());
     let mut progress = false;
     let mut active = false;
 
@@ -1772,7 +1749,6 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         let expands = matches!(stage.op, BodyOp::EnqueueRange { .. });
         if !next_free && stage.station.is_none() && !expands {
             stage.record(Activity::Stall, StallCause::DownstreamFull, cx);
-            stage.sleep_stalled(now);
             p.sleep(i);
             continue;
         }
@@ -2051,12 +2027,9 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
             _ => false,
         };
         if sleeps {
-            if state == Activity::Stall {
-                stage.sleep_stalled(now);
-                if cause == StallCause::Bandwidth {
-                    p.chan[i / 64] |= 1 << (i % 64);
-                    *cx.chan_waiting += 1;
-                }
+            if state == Activity::Stall && cause == StallCause::Bandwidth {
+                p.chan[i / 64] |= 1 << (i % 64);
+                *cx.chan_waiting += 1;
             }
             p.sleep(i);
         }
@@ -2070,17 +2043,12 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         }
     }
 
-    if let Some(before) = before {
+    if let (Some(before), Some(tr)) = (before, cx.trace.as_deref_mut()) {
         let after = cx.core.event_totals();
-        if let Some(log) = cx.retire_log.as_deref_mut() {
-            log.extend((before[0]..after[0]).map(|_| (now, set.0)));
-        }
-        if let Some(tr) = cx.trace.as_deref_mut() {
-            let evs = ["retire", "squash", "requeue", "bounce"];
-            for ((ev, b), a) in evs.into_iter().zip(before).zip(after) {
-                if a > b {
-                    tr.record(now, p.comp, ev, a - b);
-                }
+        let evs = ["retire", "squash", "requeue", "bounce"];
+        for ((ev, b), a) in evs.into_iter().zip(before).zip(after) {
+            if a > b {
+                tr.record(now, p.comp, ev, a - b);
             }
         }
     }
@@ -2092,12 +2060,12 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
             progress = true;
         }
     }
-    p.asleep = p.awake.iter().all(|&w| w == 0);
     (progress, active || progress)
 }
 
 // The samples are saved inside the `metrics` member, a view of the state
-// that `Fabric::snapshot` renders and `Fabric::load_snapshot` checks.
+// that `Fabric::snapshot` renders and `Fabric::load_snapshot` checks, and
+// the checkpoint as the `ckpt` member, a snapshot of its own.
 snap_fields!(Fabric {
     cycle,
     core,
@@ -2109,7 +2077,6 @@ snap_fields!(Fabric {
     bus_current,
     fault_respill,
     resp,
-    retire_log,
     queues,
     engines,
     mem,
@@ -2135,9 +2102,10 @@ snap_fields!(Fabric {
 impl Fabric {
     /// Serializes the complete mutable state of this fabric as an
     /// `apir.fabric.snapshot.v1` document: the schema tag followed by
-    /// [`Snap::save`]. Everything derivable from the `(spec, input,
-    /// config)` triple is structural and omitted; see [`crate::snapshot`]
-    /// for the contract.
+    /// [`Snap::save`], and last, while rollback recovery holds a
+    /// checkpoint, the snapshot of that checkpoint as the `ckpt` member.
+    /// Everything derivable from the `(spec, input, config)` triple is
+    /// structural and omitted; see [`crate::snapshot`] for the contract.
     pub fn snapshot(&self) -> Json {
         let mut doc = self.save();
         if let Json::Obj(members) = &mut doc {
@@ -2151,6 +2119,12 @@ impl Fabric {
             insert_before("seed_backlog", "live", self.live_keys().save());
             insert_before("trace", "metrics", self.metrics(None).save());
             members.insert(0, ("schema".into(), Json::str(SNAPSHOT_SCHEMA)));
+            if let Some(ckpt) = &self.ckpt {
+                // The checkpoint was cloned mid-run, trackers unsettled.
+                let mut ckpt = ckpt.clone();
+                ckpt.settle_trackers();
+                members.push(("ckpt".into(), ckpt.snapshot()));
+            }
         }
         doc
     }
@@ -2183,19 +2157,54 @@ impl Fabric {
         Ok(f)
     }
 
-    /// Loads a snapshot document: the state, then its two views of it.
-    /// The `live` member must list exactly the tasks the state holds (see
-    /// [`Fabric::load_live`]); the samples of the `metrics` member are
-    /// read back, and its other values must agree with the state (see
-    /// [`Fabric::load_metrics`]).
+    /// Loads a snapshot document: the state, then its two views of it,
+    /// then the checkpoint it holds. The `live` member must list exactly
+    /// the tasks the state holds (see [`Fabric::load_live`]); the samples
+    /// of the `metrics` member are read back, and its other values must
+    /// agree with the state (see [`Fabric::load_metrics`]). A `ckpt`
+    /// member loads into a copy of the fabric as it was built (see
+    /// [`Fabric::load_checkpoint`]).
     fn load_snapshot(&mut self, doc: &Json) -> Result<(), String> {
+        let ckpt = doc.get("ckpt").map(|j| (j, self.clone()));
         self.load(doc)?;
         // `Pipeline::loaded` woke every stage and cleared its channel bit.
         self.chan_waiting = 0;
         let live = snap::member(doc, "live")?;
         self.load_live(live).map_err(|e| snap::nest(".live", e))?;
         let metrics = snap::member(doc, "metrics")?;
-        self.load_metrics(metrics).map_err(|e| snap::nest(".metrics", e))
+        self.load_metrics(metrics)
+            .map_err(|e| snap::nest(".metrics", e))?;
+        if let Some((j, mut ckpt)) = ckpt {
+            ckpt.load_checkpoint(j, self.cycle)
+                .map_err(|e| snap::nest(".ckpt", e))?;
+            self.ckpt = Some(Box::new(ckpt));
+        }
+        Ok(())
+    }
+
+    /// Loads a `ckpt` member: the checkpoint of an armed run, holding
+    /// none of its own, taken within the last `checkpoint_interval`
+    /// cycles up to `now`, the cycle of the document that holds it.
+    fn load_checkpoint(&mut self, j: &Json, now: u64) -> Result<(), String> {
+        if self.cfg.max_rollbacks == 0 {
+            return Err("a checkpoint, but rollback recovery is not armed".into());
+        }
+        if j.get("ckpt").is_some() {
+            return Err(".ckpt: a checkpoint holds no checkpoint".into());
+        }
+        self.load_snapshot(j)?;
+        let (at, interval) = (self.cycle, self.cfg.checkpoint_interval);
+        if at > now {
+            return Err(format!(".cycle: {at} is after the clock's {now}"));
+        }
+        if now - at >= interval {
+            return Err(format!(
+                ".cycle: {at} is {} cycles before the clock's {now}, \
+                 not less than checkpoint_interval {interval}",
+                now - at
+            ));
+        }
+        Ok(())
     }
 
     /// Checks a snapshot's `live` member against the tasks the loaded

@@ -135,9 +135,6 @@ pub struct FabricConfig {
     pub max_cycles: u64,
     /// Declare deadlock after this many cycles without progress.
     pub deadlock_cycles: u64,
-    /// Record `(cycle, task_set)` for every retirement (schedule
-    /// diagrams; costs memory on big runs).
-    pub record_retirements: bool,
     /// Ring-buffer capacity of the structured event trace; `0` (the
     /// default) disables tracing entirely. When the buffer fills, the
     /// oldest records are evicted and counted in
@@ -159,7 +156,9 @@ pub struct FabricConfig {
     /// replays from after a terminal link failure, counted from the cycle
     /// the run starts at, under either scheduler. They are taken only
     /// while recovery is armed (`max_rollbacks > 0`). A checkpoint is a
-    /// clone of the fabric, so checkpoints never perturb results.
+    /// clone of the fabric, so checkpoints never perturb results. A
+    /// snapshot carries the checkpoint, and a run restored from it counts
+    /// on from there, so it rolls back as the uninterrupted run would.
     pub checkpoint_interval: u64,
     /// Maximum rollback-and-replay recoveries per run; `0` (the
     /// default) keeps the historical behavior of aborting with
@@ -196,7 +195,6 @@ impl Default for FabricConfig {
             faults: FaultConfig::default(),
             max_cycles: 2_000_000_000,
             deadlock_cycles: 100_000,
-            record_retirements: false,
             trace_capacity: 0,
             timeline_window: 0,
             timeline_capacity: 4096,

@@ -4,8 +4,8 @@
 //! mutable state at a cycle boundary — memory image, tag array, in-flight
 //! MSHRs, queue banks, rule-lane occupants, pipeline latches and
 //! stations, fault RNG streams, per-cycle metric samples, trace and
-//! timeline rings — as an
-//! `apir.fabric.snapshot.v1` JSON document. The contract is *restore
+//! timeline rings, and the rollback checkpoint while recovery holds one
+//! — as an `apir.fabric.snapshot.v1` JSON document. The contract is *restore
 //! equivalence*: restoring a snapshot and running to completion produces
 //! a report byte-identical to the uninterrupted run, from any snapshot
 //! cycle, under either scheduler.

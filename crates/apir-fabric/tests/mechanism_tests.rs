@@ -151,16 +151,24 @@ fn retirement_log_matches_counts() {
         input.seed(&s, ts, &[i]);
     }
     let cfg = FabricConfig {
-        record_retirements: true,
+        trace_capacity: 1 << 12,
         ..FabricConfig::default()
     };
     let report = Fabric::new(&s, &input, cfg).run().unwrap();
-    assert_eq!(report.retirements.len(), 20);
-    // Retirement cycles are within the run and monotone per entry order.
-    assert!(report.retirements.iter().all(|(c, set)| *c <= report.cycles && *set == 0));
-    // Without recording, the log is empty.
+    let trace = report.trace.as_ref().unwrap();
+    assert_eq!(trace.dropped(), 0);
+    let retires: Vec<_> = trace.records().filter(|r| r.event == "retire").collect();
+    // Each record counts the retirements of one pipeline in one cycle,
+    // within the run and in cycle order.
+    assert_eq!(retires.iter().map(|r| r.value).sum::<u64>(), 20);
+    assert!(retires.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+    for r in &retires {
+        assert!(r.cycle <= report.cycles);
+        assert!(trace.component_name(r.comp).starts_with("pipe:t#"));
+    }
+    // Without a trace, nothing is recorded.
     let report2 = Fabric::new(&s, &input, FabricConfig::default()).run().unwrap();
-    assert!(report2.retirements.is_empty());
+    assert!(report2.trace.is_none());
 }
 
 /// The paper's liveness property: under any (tiny) resource combination

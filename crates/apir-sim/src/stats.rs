@@ -165,14 +165,15 @@ impl ActivityTracker {
     /// Records one cycle. Stalls recorded through this cause-less entry
     /// point are attributed to [`StallCause::DownstreamFull`] (the
     /// generic backpressure cause) so the partition invariant holds;
-    /// prefer [`ActivityTracker::record_stall`] where the cause is known.
+    /// prefer [`ActivityTracker::record_stall_n`] where the cause is known.
     pub fn record(&mut self, a: Activity) {
         self.record_n(a, 1);
     }
 
-    /// Records `n` cycles in one state in O(1) — the event-wheel
-    /// scheduler uses this to account a skipped quiescent stretch, where
-    /// every component holds the same state for every skipped cycle.
+    /// Records `n` cycles in one state in O(1), as if [`record`] ran `n`
+    /// times.
+    ///
+    /// [`record`]: ActivityTracker::record
     pub fn record_n(&mut self, a: Activity, n: u64) {
         match a {
             Activity::Busy => self.busy += n,
@@ -181,12 +182,8 @@ impl ActivityTracker {
         }
     }
 
-    /// Records one stalled cycle attributed to `cause`.
-    pub fn record_stall(&mut self, cause: StallCause) {
-        self.record_stall_n(cause, 1);
-    }
-
-    /// Records `n` stalled cycles attributed to `cause` in O(1).
+    /// Records `n` stalled cycles attributed to `cause` in O(1), such as
+    /// a whole stall run at its end.
     pub fn record_stall_n(&mut self, cause: StallCause, n: u64) {
         self.stall += n;
         self.stall_by[cause as usize] += n;
@@ -323,8 +320,8 @@ mod tests {
         a.record_stall_n(StallCause::QueueFull, 3);
         let mut b = ActivityTracker::new();
         b.record_n(Activity::Idle, 4);
-        b.record_stall(StallCause::QueueFull);
-        b.record_stall(StallCause::Bandwidth);
+        b.record_stall_n(StallCause::QueueFull, 1);
+        b.record_stall_n(StallCause::Bandwidth, 1);
         let mut s = UtilizationSummary::new();
         s.add("a", a);
         s.add("b", b);
@@ -385,7 +382,7 @@ mod tests {
     #[test]
     fn stall_causes_partition_stall() {
         let mut t = ActivityTracker::new();
-        t.record_stall(StallCause::MshrFull);
+        t.record_stall_n(StallCause::MshrFull, 1);
         t.record_stall_n(StallCause::Bandwidth, 5);
         t.record(Activity::Stall); // cause-less entry point → DownstreamFull
         t.record(Activity::Busy);

@@ -2,9 +2,9 @@
 //!
 //! The zero-dependency policy rules out `serde`, but the observability
 //! layer needs machine-readable output (`FabricReport::to_json`,
-//! `BENCH_fabric.json`, Chrome traces) that is **byte-identical across
-//! runs** so perf baselines can be diffed. This module provides exactly
-//! that:
+//! snapshot documents, Chrome traces) that is **byte-identical across
+//! runs** so reports and snapshots can be diffed. This module provides
+//! exactly that:
 //!
 //! * [`Json`] — a value tree whose objects preserve insertion order, so
 //!   render order is fixed by construction, never by hash state;

@@ -15,7 +15,7 @@
 //!   [`bench_main!`](crate::bench_main) entry macro (replaces `criterion`
 //!   for the two `apir-bench` benches);
 //! * [`json`] — a deterministic JSON value/writer/parser used by the
-//!   observability layer (`FabricReport::to_json`, `BENCH_fabric.json`,
+//!   observability layer (`FabricReport::to_json`, snapshot documents,
 //!   Chrome traces) in place of `serde_json`;
 //! * [`jsonl`] — a JSON Lines writer/parser for streamed record output
 //!   (the campaign engine's merged `results.jsonl`);

@@ -29,13 +29,13 @@ cargo run -q --release --offline -p apir-check --bin apir-lint
 echo "==> apir-lint --analyze --strict (APIR6xx semantic analysis, no warnings allowed)"
 cargo run -q --release --offline -p apir-check --bin apir-lint -- --analyze --strict > /dev/null
 
-bench_base=$(mktemp) ; chaos_a=$(mktemp) ; chaos_b=$(mktemp) ; analysis_tmp=$(mktemp)
+chaos_a=$(mktemp) ; chaos_b=$(mktemp) ; analysis_tmp=$(mktemp)
 camp_a=$(mktemp) ; camp_b=$(mktemp)
 snap_doc=$(mktemp) ; snap_full=$(mktemp) ; snap_resumed=$(mktemp)
 big_doc=$(mktemp) ; big_full=$(mktemp) ; big_resumed=$(mktemp) ; big_chaos=$(mktemp) ; tl=$(mktemp)
 sssp_medium=$(mktemp)
 resume_full=$(mktemp) ; resume_partial=$(mktemp) ; resume_out=$(mktemp)
-trap 'rm -f "$bench_base" "$chaos_a" "$chaos_b" "$analysis_tmp" "$camp_a" "$camp_b" \
+trap 'rm -f "$chaos_a" "$chaos_b" "$analysis_tmp" "$camp_a" "$camp_b" \
   "$snap_doc" "$snap_full" "$snap_resumed" "$big_doc" "$big_full" "$big_resumed" "$big_chaos" "$tl" \
   "$sssp_medium" "$resume_full" "$resume_partial" "$resume_out"' EXIT
 
@@ -52,19 +52,8 @@ fi
 echo "==> static-vs-dynamic validation (bounds sound, predicted cause == measured)"
 cargo run -q --release --offline -p apir-trace -- validate-analysis > /dev/null
 
-echo "==> bench baseline smoke (tiny scale; schema + determinism checked by the emitter)"
-git show :BENCH_fabric.json > "$bench_base"
-cargo run -q --release --offline -p apir-bench --bin figures -- bench
-# Every key is a simulated counter, so the regenerated document must
-# match the committed one exactly. `apir-trace diff` names the counters
-# that moved and exits 2 on a schema mismatch.
-if ! cargo run -q --release --offline -p apir-trace -- \
-  diff --machine "$bench_base" BENCH_fabric.json; then
-  echo "ERROR: BENCH_fabric.json drifted from the committed baseline (keys above)." >&2
-  echo "If the microarchitectural change is intentional, commit the regenerated file." >&2
-  exit 1
-fi
-git checkout -q -- BENCH_fabric.json
+echo "==> tiny-scale report goldens in a release build (counters exact, utilization to the bit)"
+cargo test -q --release --offline --test report_golden
 
 echo "==> scheduler differential gate (dense per-cycle loop vs event wheel)"
 cargo test -q --release --offline --test scheduler_equiv

@@ -405,7 +405,7 @@ fn doubling_series() {
 }
 
 /// Every JSON document committed to the repository.
-const DOCS: [&str; 15] = [
+const DOCS: [&str; 14] = [
     include_str!("golden/spec_bfs_400.json"),
     include_str!("golden/spec_mst_2000_chaos7.json"),
     include_str!("golden/coor_lu_20_chaos7_timeline.json"),
@@ -420,7 +420,6 @@ const DOCS: [&str; 15] = [
     include_str!("plans/determinism.json"),
     include_str!("plans/smoke12.json"),
     include_str!("../ANALYSIS_baseline.json"),
-    include_str!("../BENCH_fabric.json"),
 ];
 
 #[test]

@@ -88,8 +88,8 @@ fn six_apps_interp_vs_fabric_final_memory() {
 #[test]
 fn six_apps_fabric_report_json_is_deterministic() {
     // The determinism canary: two identical fabric runs must serialize
-    // to byte-identical JSON (this is what makes BENCH_fabric.json and
-    // the report goldens reproducible).
+    // to byte-identical JSON (this is what makes the report goldens
+    // reproducible).
     for name in APP_NAMES {
         let app = build_app(name, Scale::Tiny);
         let cfg = app_cfg(name, &app);

@@ -1,5 +1,5 @@
-//! Report goldens: exact counter values per benchmark at the pinned
-//! baseline scale.
+//! Report goldens: exact counter values per benchmark at the `tiny`
+//! scale, and the utilization to the bit.
 //!
 //! The fabric is a deterministic simulator over seeded workload
 //! generators, so every counter in a run's report is a pure function of
@@ -10,10 +10,9 @@
 //! uninitialized latch, a platform-dependent float path) fails here
 //! first, long before it would corrupt a figure.
 //!
-//! Regenerate the table with:
-//! `cargo run --release -p apir-bench --bin figures -- bench`
-//! plus the `requeues`/`bounces` columns from
-//! `apir-trace run <APP> --scale tiny`.
+//! Regenerate the table from the report of
+//! `cargo run --release -p apir-trace -- run <APP> --scale tiny --json r.json`,
+//! which runs the same configuration with a trace armed.
 
 use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::build_app;
@@ -31,7 +30,8 @@ struct Golden {
     utilization: f64,
 }
 
-/// One verified fabric run at the pinned baseline configuration.
+/// One verified fabric run at the synthesized and tuned `tiny`
+/// configuration.
 fn baseline_run(name: &str) -> FabricReport {
     let app = build_app(name, Scale::Tiny);
     let mut cfg = synthesized_cfg(name, Scale::Tiny);
@@ -64,8 +64,9 @@ fn reports_match_goldens_exactly() {
         assert_eq!(r.bounces, g.bounces, "{name}: bounces");
         assert_eq!(r.mem.hits, g.mem_hits, "{name}: mem.hits");
         assert_eq!(r.mem.misses, g.mem_misses, "{name}: mem.misses");
-        assert!(
-            (r.utilization - g.utilization).abs() < 1e-12,
+        assert_eq!(
+            r.utilization.to_bits(),
+            g.utilization.to_bits(),
             "{name}: utilization {} != {}",
             r.utilization,
             g.utilization

@@ -387,7 +387,7 @@ fn mid_run_snapshots_save_the_metrics_of_the_pause_cycle() {
         Err(e) => panic!("run_until({target}): {e}"),
     };
     // (target, pause cycle, `fault.watchdog.escalations`, snapshot FNV-1a)
-    let cases = [(100, 104, 0, 0x9a97_991e_6ab0_cd45), (105, 105, 1, 0x656d_6622_42a2_66bd)];
+    let cases = [(100, 104, 0, 0x8a72_f78b_e731_807a), (105, 105, 1, 0xb0e6_d53e_8f56_fcc2)];
     for (target, cycle, escalations, fnv) in cases {
         let doc = pause(target).snapshot();
         let text = doc.render();

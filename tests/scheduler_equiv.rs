@@ -10,7 +10,9 @@
 //! 1. the full deterministic JSON report (`to_json` — counters,
 //!    utilization, metrics snapshot, fault totals),
 //! 2. the typed fault mix,
-//! 3. the complete `(cycle, task_set)` retirement log.
+//! 3. every `(cycle, component, event, value)` record of the event
+//!    trace, which holds every retirement, stage transition and fault,
+//!    none of them dropped.
 //!
 //! Rollback cells on a flaky link pin each dense report's hash as well,
 //! so a checkpoint taken on another cycle under the wheel shows.
@@ -24,14 +26,15 @@ use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::{build_app, APP_NAMES};
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricConfig, FabricReport, FaultConfig};
+use apir::sim::trace::EventTrace;
 
-/// The synthesized + tuned fault-free configuration, recording
-/// retirements so the schedule itself is compared, not just totals.
+/// The synthesized + tuned fault-free configuration, tracing every
+/// event so the schedule itself is compared, not just totals.
 fn tuned_cfg(name: &str, app: &apir::apps::AppInstance) -> FabricConfig {
     let mut cfg = synthesized_cfg(name, Scale::Tiny);
     scale_cache(&mut cfg, &app.input);
     (app.tune)(&mut cfg);
-    cfg.record_retirements = true;
+    cfg.trace_capacity = 1 << 17;
     // Arm the windowed timeline so the equivalence gate also covers the
     // wheel's O(1) replay of skipped stretches (the `timeline` block is
     // part of `to_json`, so any divergence fails the byte comparison),
@@ -80,10 +83,13 @@ fn assert_schedulers_agree(
         dense.faults, wheel.faults,
         "{name} {tag}: fault mixes diverged"
     );
-    assert_eq!(
-        dense.retirements, wheel.retirements,
-        "{name} {tag}: retirement schedules diverged"
-    );
+    let traces = [&dense, &wheel].map(|r| r.trace.as_ref().expect("trace armed"));
+    for t in traces {
+        assert_eq!(t.dropped(), 0, "{name} {tag}: the trace ring overflowed");
+    }
+    if let Some(i) = first_divergence(traces[0], traces[1]) {
+        panic!("{name} {tag}: dense and wheel traces diverge at record {i}");
+    }
     assert_eq!(
         dense.mem_image, wheel.mem_image,
         "{name} {tag}: final memory images diverged"
@@ -110,6 +116,13 @@ fn dense_and_wheel_agree_under_chaos() {
             assert_schedulers_agree(name, &app, cfg, &format!("chaos seed {seed}"));
         }
     }
+}
+
+/// The index of the first record in which two traces differ, if any.
+fn first_divergence(a: &EventTrace, b: &EventTrace) -> Option<usize> {
+    let n = a.len().max(b.len());
+    let (mut a, mut b) = (a.records(), b.records());
+    (0..n).find(|_| a.next() != b.next())
 }
 
 /// FNV-1a, which pins rendered report bytes as in `tests/robustness.rs`.
@@ -156,11 +169,13 @@ fn dense_and_wheel_agree_on_rollback() {
         // jump on the checkpoint cycles by itself.
         cfg.timeline_window = 0;
         let tag = format!("rollback seed {seed}");
-        let dense = assert_schedulers_agree(name, &app, cfg, &tag);
+        let mut dense = assert_schedulers_agree(name, &app, cfg, &tag);
         assert!(
             dense.rollbacks.as_ref().is_some_and(|rb| rb.count > 0),
             "{name} {tag}: no rollback"
         );
+        // Without its trace, the report renders as an untraced run's.
+        dense.trace = None;
         assert_eq!(
             fnv1a(dense.to_json().as_bytes()),
             want,
@@ -241,7 +256,7 @@ fn probe_scheduler_wall_time() {
     for name in APP_NAMES {
         let app = build_app(name, Scale::Tiny);
         let mut dense_cfg = tuned_cfg(name, &app);
-        dense_cfg.record_retirements = false;
+        dense_cfg.trace_capacity = 0;
         dense_cfg.dense_tick = true;
         let mut wheel_cfg = dense_cfg.clone();
         wheel_cfg.dense_tick = false;

@@ -4,13 +4,14 @@
 //! panic inside `Fabric::restore` itself.
 //!
 //! The regression cases edit the committed SPEC-BFS golden doc the way a
-//! hand edit would; the property applies one random structural mutation
-//! to any of the three golden docs.
+//! hand edit would, or swap the rollback checkpoints of two pauses of a
+//! run on a flaky link; the property applies one random structural
+//! mutation to any of the three golden docs.
 
 use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::{build_app, AppInstance};
 use apir::bench::Scale;
-use apir::fabric::{Fabric, FabricConfig, FaultConfig};
+use apir::fabric::{Fabric, FabricConfig, FaultConfig, RunSplit};
 use apir_util::json::{parse, Json};
 use apir_util::props;
 
@@ -290,6 +291,75 @@ fn a_live_member_that_is_not_the_held_tasks_is_rejected() {
     ];
     for (edit, want) in cases {
         assert_eq!(rejected(0, edit), format!("snapshot: `live`: {want}"));
+    }
+}
+
+#[test]
+fn a_checkpoint_the_run_cannot_hold_is_rejected() {
+    // Golden doc 0 was taken with rollback recovery off.
+    let unarmed = rejected(0, |d| {
+        let copy = d.clone();
+        if let Json::Obj(m) = d {
+            m.push(("ckpt".into(), copy));
+        }
+    });
+    // SPEC-BFS on a link that drops 3% of transfers checkpoints at 256
+    // and 512, and first rolls back at 609.
+    let app = build_app("SPEC-BFS", Scale::Tiny);
+    let mut cfg = synthesized_cfg("SPEC-BFS", Scale::Tiny);
+    cfg.faults = FaultConfig {
+        seed: 14,
+        drop_rate: 0.03,
+        retry_timeout: 4,
+        max_retries: 1,
+        ..FaultConfig::default()
+    };
+    cfg.checkpoint_interval = 256;
+    cfg.max_rollbacks = 16;
+    scale_cache(&mut cfg, &app.input);
+    (app.tune)(&mut cfg);
+    let restore = |doc: &Json| Fabric::restore(&app.spec, &app.input, cfg.clone(), doc);
+    let pause = |at| match Fabric::new(&app.spec, &app.input, cfg.clone()).run_until(at) {
+        Ok(RunSplit::Paused(f)) => f.snapshot(),
+        _ => panic!("SPEC-BFS pauses at cycle {at}"),
+    };
+    let (at_300, at_600) = (pause(300), pause(600));
+    assert!(restore(&at_300).is_ok() && restore(&at_600).is_ok());
+    let with_ckpt_of = |doc: &Json, other: &Json| {
+        let mut doc = doc.clone();
+        *at(&mut doc, "ckpt") = other.get("ckpt").expect("an armed pause").clone();
+        doc
+    };
+    let mut nested = at_300.clone();
+    if let Json::Obj(m) = at(&mut nested, "ckpt") {
+        m.push(("ckpt".into(), at_300.get("ckpt").unwrap().clone()));
+    }
+    let rejection = |doc: &Json| {
+        restore(doc)
+            .err()
+            .expect("a malformed checkpoint is rejected")
+    };
+    let cases = [
+        (
+            unarmed,
+            "`ckpt`: a checkpoint, but rollback recovery is not armed",
+        ),
+        (
+            rejection(&nested),
+            "`ckpt.ckpt`: a checkpoint holds no checkpoint",
+        ),
+        (
+            rejection(&with_ckpt_of(&at_300, &at_600)),
+            "`ckpt.cycle`: 512 is after the clock's 300",
+        ),
+        (
+            rejection(&with_ckpt_of(&at_600, &at_300)),
+            "`ckpt.cycle`: 256 is 344 cycles before the clock's 600, \
+             not less than checkpoint_interval 256",
+        ),
+    ];
+    for (e, want) in cases {
+        assert_eq!(e, format!("snapshot: {want}"));
     }
 }
 
