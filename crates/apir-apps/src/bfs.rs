@@ -207,8 +207,8 @@ pub fn parallel_bfs(g: &CsrGraph, root: u32, threads: usize) -> (Vec<u64>, Vec<u
     let mut depth = 0u64;
     while !frontier.is_empty() {
         depth += 1;
-        let work: u64 = frontier.len() as u64
-            + frontier.iter().map(|&v| g.degree(v) as u64).sum::<u64>();
+        let work: u64 =
+            frontier.len() as u64 + frontier.iter().map(|&v| g.degree(v) as u64).sum::<u64>();
         profile.push(work);
         let chunk = frontier.len().div_ceil(threads.max(1));
         let nexts = parallel_map(threads.max(1), |t| {

@@ -240,10 +240,19 @@ impl<'a, M: MemAccess + ?Sized> RegionMesh<'a, M> {
 }
 
 /// Encodes a [`Mesh`] into the three regions of a program input.
-fn encode_mesh(mesh: &Mesh, input: &mut ProgramInput, r: (RegionId, RegionId, RegionId), threshold: f64, cap_pts: u64, cap_tris: u64) {
+fn encode_mesh(
+    mesh: &Mesh,
+    input: &mut ProgramInput,
+    r: (RegionId, RegionId, RegionId),
+    threshold: f64,
+    cap_pts: u64,
+    cap_tris: u64,
+) {
     let (r_pts, r_tris, r_meta) = r;
     for (i, p) in mesh.points().iter().enumerate() {
-        input.mem.fill(r_pts, 2 * i, &[p.x.to_bits(), p.y.to_bits()]);
+        input
+            .mem
+            .fill(r_pts, 2 * i, &[p.x.to_bits(), p.y.to_bits()]);
     }
     for (i, t) in mesh.triangles().iter().enumerate() {
         let enc_n = |n: u32| if n == NO_NBR { ENC_NO_NBR } else { n as u64 };
@@ -296,34 +305,36 @@ pub fn build(mesh: Arc<Mesh>, threshold_deg: f64) -> AppInstance {
     ));
 
     let refine_core = s.extern_core("dmr_refine", {
-        Arc::new(move |mem: &mut dyn MemAccess, args: &apir_core::spec::ExternIn<'_>| {
-            let tid = args.args[0];
-            let mut rm = RegionMesh::new(mem, r_pts, r_tris, r_meta);
-            match rm.refine(tid) {
-                None => ExternOut {
-                    out: 0,
-                    cost: ExternCost {
-                        bytes_read: 128,
-                        bytes_written: 0,
-                        compute_cycles: 20,
+        Arc::new(
+            move |mem: &mut dyn MemAccess, args: &apir_core::spec::ExternIn<'_>| {
+                let tid = args.args[0];
+                let mut rm = RegionMesh::new(mem, r_pts, r_tris, r_meta);
+                match rm.refine(tid) {
+                    None => ExternOut {
+                        out: 0,
+                        cost: ExternCost {
+                            bytes_read: 128,
+                            bytes_written: 0,
+                            compute_cycles: 20,
+                        },
+                        ..Default::default()
                     },
-                    ..Default::default()
-                },
-                Some((cavity, created, new_bad, work)) => ExternOut {
-                    out: 1,
-                    new_tasks: new_bad
-                        .into_iter()
-                        .map(|t| (apir_core::spec::TaskSetId(0), vec![t]))
-                        .collect(),
-                    events: cavity.iter().map(|&t| (killed, vec![t])).collect(),
-                    cost: ExternCost {
-                        bytes_read: 64 * (cavity.len() as u64 * 2 + 4),
-                        bytes_written: 64 * (created.len() as u64 + 1),
-                        compute_cycles: 40 + 25 * work,
+                    Some((cavity, created, new_bad, work)) => ExternOut {
+                        out: 1,
+                        new_tasks: new_bad
+                            .into_iter()
+                            .map(|t| (apir_core::spec::TaskSetId(0), vec![t]))
+                            .collect(),
+                        events: cavity.iter().map(|&t| (killed, vec![t])).collect(),
+                        cost: ExternCost {
+                            bytes_read: 64 * (cavity.len() as u64 * 2 + 4),
+                            bytes_written: 64 * (created.len() as u64 + 1),
+                            compute_cycles: 40 + 25 * work,
+                        },
                     },
-                },
-            }
-        })
+                }
+            },
+        )
     });
 
     let badtri = s.task_set("badtri", TaskSetKind::ForAll, 1, &["tid"]);
@@ -347,7 +358,14 @@ pub fn build(mesh: Arc<Mesh>, threshold_deg: f64) -> AppInstance {
 
     let s = s.build().expect("DMR spec validates");
     let mut input = ProgramInput::new(&s);
-    encode_mesh(&mesh, &mut input, (r_pts, r_tris, r_meta), threshold_deg, cap_pts, cap_tris);
+    encode_mesh(
+        &mesh,
+        &mut input,
+        (r_pts, r_tris, r_meta),
+        threshold_deg,
+        cap_pts,
+        cap_tris,
+    );
     for t in mesh.bad_triangles(threshold_deg) {
         input.seed(&s, badtri, &[t as u64]);
     }

@@ -144,74 +144,76 @@ pub fn build(pattern: &BlockPattern, bs: usize, seed: u64) -> AppInstance {
 
     let _core_graph = graph.clone();
     let lu_core = s.extern_core("lu_exec", {
-        Arc::new(move |mem: &mut dyn MemAccess, ein: &apir_core::spec::ExternIn<'_>| {
-            let tid = ein.args[0];
-            let kind = match mem.read(r_tasks, 4 * tid) {
-                0 => LuTaskKind::Diag,
-                1 => LuTaskKind::PanelCol,
-                2 => LuTaskKind::PanelRow,
-                _ => LuTaskKind::Update,
-            };
-            let k = mem.read(r_tasks, 4 * tid + 1) as usize;
-            let i = mem.read(r_tasks, 4 * tid + 2) as usize;
-            let j = mem.read(r_tasks, 4 * tid + 3) as usize;
-            // Block math through the region (read blocks, compute, write).
-            let blk = |bi: usize, bj: usize| ((bi * nb + bj) * bs * bs) as u64;
-            let sq = bs * bs;
-            let (blocks_moved, compute) = match kind {
-                LuTaskKind::Diag => {
-                    let mut a = read_block(mem, r_blocks, blk(k, k), sq);
-                    lu_block(&mut a, bs);
-                    write_block(mem, r_blocks, blk(k, k), &a);
-                    (2, bs * bs * bs / 3)
+        Arc::new(
+            move |mem: &mut dyn MemAccess, ein: &apir_core::spec::ExternIn<'_>| {
+                let tid = ein.args[0];
+                let kind = match mem.read(r_tasks, 4 * tid) {
+                    0 => LuTaskKind::Diag,
+                    1 => LuTaskKind::PanelCol,
+                    2 => LuTaskKind::PanelRow,
+                    _ => LuTaskKind::Update,
+                };
+                let k = mem.read(r_tasks, 4 * tid + 1) as usize;
+                let i = mem.read(r_tasks, 4 * tid + 2) as usize;
+                let j = mem.read(r_tasks, 4 * tid + 3) as usize;
+                // Block math through the region (read blocks, compute, write).
+                let blk = |bi: usize, bj: usize| ((bi * nb + bj) * bs * bs) as u64;
+                let sq = bs * bs;
+                let (blocks_moved, compute) = match kind {
+                    LuTaskKind::Diag => {
+                        let mut a = read_block(mem, r_blocks, blk(k, k), sq);
+                        lu_block(&mut a, bs);
+                        write_block(mem, r_blocks, blk(k, k), &a);
+                        (2, bs * bs * bs / 3)
+                    }
+                    LuTaskKind::PanelCol => {
+                        let u = read_block(mem, r_blocks, blk(k, k), sq);
+                        let mut x = read_block(mem, r_blocks, blk(i, k), sq);
+                        trsm_right_upper(&mut x, &u, bs);
+                        write_block(mem, r_blocks, blk(i, k), &x);
+                        (3, bs * bs * bs / 2)
+                    }
+                    LuTaskKind::PanelRow => {
+                        let l = read_block(mem, r_blocks, blk(k, k), sq);
+                        let mut x = read_block(mem, r_blocks, blk(k, j), sq);
+                        trsm_left_unit_lower(&mut x, &l, bs);
+                        write_block(mem, r_blocks, blk(k, j), &x);
+                        (3, bs * bs * bs / 2)
+                    }
+                    LuTaskKind::Update => {
+                        let a = read_block(mem, r_blocks, blk(i, k), sq);
+                        let b = read_block(mem, r_blocks, blk(k, j), sq);
+                        let mut c = read_block(mem, r_blocks, blk(i, j), sq);
+                        gemm_sub(&mut c, &a, &b, bs);
+                        write_block(mem, r_blocks, blk(i, j), &c);
+                        (4, bs * bs * bs)
+                    }
+                };
+                // Kinetic-dependence-graph commit: release ready successors.
+                let lo = mem.read(r_succ_ptr, tid);
+                let hi = mem.read(r_succ_ptr, tid + 1);
+                let mut new_tasks = Vec::new();
+                for e in lo..hi {
+                    let succ = mem.read(r_succ, e);
+                    let left = mem.read(r_deps, succ) - 1;
+                    mem.write(r_deps, succ, left);
+                    if left == 0 {
+                        new_tasks.push((TaskSetId(0), vec![succ]));
+                    }
                 }
-                LuTaskKind::PanelCol => {
-                    let u = read_block(mem, r_blocks, blk(k, k), sq);
-                    let mut x = read_block(mem, r_blocks, blk(i, k), sq);
-                    trsm_right_upper(&mut x, &u, bs);
-                    write_block(mem, r_blocks, blk(i, k), &x);
-                    (3, bs * bs * bs / 2)
+                ExternOut {
+                    out: 1,
+                    new_tasks,
+                    events: Vec::new(),
+                    cost: ExternCost {
+                        bytes_read: (blocks_moved - 1) as u64 * (sq as u64) * 8 + (hi - lo) * 16,
+                        bytes_written: sq as u64 * 8 + (hi - lo) * 8,
+                        // ~4 MACs per cycle on an FPGA block core.
+                        compute_cycles: (compute / 4).max(1) as u64,
+                    },
                 }
-                LuTaskKind::PanelRow => {
-                    let l = read_block(mem, r_blocks, blk(k, k), sq);
-                    let mut x = read_block(mem, r_blocks, blk(k, j), sq);
-                    trsm_left_unit_lower(&mut x, &l, bs);
-                    write_block(mem, r_blocks, blk(k, j), &x);
-                    (3, bs * bs * bs / 2)
-                }
-                LuTaskKind::Update => {
-                    let a = read_block(mem, r_blocks, blk(i, k), sq);
-                    let b = read_block(mem, r_blocks, blk(k, j), sq);
-                    let mut c = read_block(mem, r_blocks, blk(i, j), sq);
-                    gemm_sub(&mut c, &a, &b, bs);
-                    write_block(mem, r_blocks, blk(i, j), &c);
-                    (4, bs * bs * bs)
-                }
-            };
-            // Kinetic-dependence-graph commit: release ready successors.
-            let lo = mem.read(r_succ_ptr, tid);
-            let hi = mem.read(r_succ_ptr, tid + 1);
-            let mut new_tasks = Vec::new();
-            for e in lo..hi {
-                let succ = mem.read(r_succ, e);
-                let left = mem.read(r_deps, succ) - 1;
-                mem.write(r_deps, succ, left);
-                if left == 0 {
-                    new_tasks.push((TaskSetId(0), vec![succ]));
-                }
-            }
-            ExternOut {
-                out: 1,
-                new_tasks,
-                events: Vec::new(),
-                cost: ExternCost {
-                    bytes_read: (blocks_moved - 1) as u64 * (sq as u64) * 8 + (hi - lo) * 16,
-                    bytes_written: sq as u64 * 8 + (hi - lo) * 8,
-                    // ~4 MACs per cycle on an FPGA block core.
-                    compute_cycles: (compute / 4).max(1) as u64,
-                },
-            }
-        })
+            },
+        )
     });
 
     let lutask = s.task_set("lutask", TaskSetKind::ForEach, 1, &["tid"]);
@@ -234,9 +236,11 @@ pub fn build(pattern: &BlockPattern, bs: usize, seed: u64) -> AppInstance {
             LuTaskKind::PanelRow => 2,
             LuTaskKind::Update => 3,
         };
-        input
-            .mem
-            .fill(r_tasks, 4 * tid, &[kind, t.k as u64, t.i as u64, t.j as u64]);
+        input.mem.fill(
+            r_tasks,
+            4 * tid,
+            &[kind, t.k as u64, t.i as u64, t.j as u64],
+        );
     }
     let deps: Vec<u64> = graph.dep_counts.iter().map(|d| *d as u64).collect();
     input.mem.fill(r_deps, 0, &deps);
@@ -267,9 +271,7 @@ pub fn build(pattern: &BlockPattern, bs: usize, seed: u64) -> AppInstance {
                 let got = mem.read_f64(r_blocks, x as u64);
                 if (got - want).abs() > 1e-7 * (1.0 + want.abs()) {
                     let (bi, rem) = (x / (nb_c * bs_c * bs_c), x % (nb_c * bs_c * bs_c));
-                    return Err(format!(
-                        "block-row {bi} word {rem}: {got} vs {want}"
-                    ));
+                    return Err(format!("block-row {bi} word {rem}: {got} vs {want}"));
                 }
             }
             Ok(())

@@ -39,13 +39,11 @@ pub fn build(n: usize, edges: Arc<Vec<(u32, u32, u64)>>) -> AppInstance {
         or(eq(ev(0), param(0)), eq(ev(0), param(1))),
         or(eq(ev(1), param(0)), eq(ev(1), param(1))),
     );
-    let rule = s.rule(
-        RuleDecl::new_waiting("mst_conflict", 2, true).on_label(
-            commit,
-            overlap,
-            RuleAction::Return(false),
-        ),
-    );
+    let rule = s.rule(RuleDecl::new_waiting("mst_conflict", 2, true).on_label(
+        commit,
+        overlap,
+        RuleAction::Return(false),
+    ));
 
     let edge = s.task_set("edge", TaskSetKind::ForEach, 1, &["eid", "u", "v"]);
     {
@@ -268,7 +266,10 @@ mod tests {
         let mut sorted = e.as_ref().clone();
         sorted.sort_by_key(|x| x.2);
         let mut uf = UnionFind::new(60);
-        let want: Vec<u64> = sorted.iter().map(|&(u, v, _)| uf.union(u, v) as u64).collect();
+        let want: Vec<u64> = sorted
+            .iter()
+            .map(|&(u, v, _)| uf.union(u, v) as u64)
+            .collect();
         let (flags, profile) = parallel_kruskal(60, &sorted, 16);
         assert_eq!(flags, want);
         assert!(!profile.is_empty());

@@ -24,13 +24,10 @@ fn main() {
                 });
             }
             "--cpu-scale" => {
-                cpu_scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--cpu-scale needs a float");
-                        std::process::exit(2);
-                    });
+                cpu_scale = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--cpu-scale needs a float");
+                    std::process::exit(2);
+                });
             }
             other => jobs.push(other.to_string()),
         }
@@ -39,12 +36,19 @@ fn main() {
         jobs.push("all".to_string());
     }
     const KNOWN: [&str; 8] = [
-        "all", "fig2", "fig9", "fig10", "table1", "resources", "ablation", "topology",
+        "all",
+        "fig2",
+        "fig9",
+        "fig10",
+        "table1",
+        "resources",
+        "ablation",
+        "topology",
     ];
     for j in &jobs {
-        let is_debug = j.strip_prefix("debug:").map(|app| {
-            apir_bench::scale::APP_NAMES.contains(&app)
-        });
+        let is_debug = j
+            .strip_prefix("debug:")
+            .map(|app| apir_bench::scale::APP_NAMES.contains(&app));
         match is_debug {
             Some(true) => {}
             Some(false) => {

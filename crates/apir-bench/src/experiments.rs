@@ -1,6 +1,6 @@
 //! The experiments: one function per table/figure.
 
-use crate::scale::{build_app, bfs_graph, Scale, APP_NAMES};
+use crate::scale::{bfs_graph, build_app, Scale, APP_NAMES};
 use apir_apps::bfs::BfsVariant;
 use apir_fabric::{estimate_resources, Fabric, FabricConfig, FabricReport};
 use apir_runtime::vcore::VcoreModel;
@@ -28,7 +28,11 @@ pub fn scale_cache(cfg: &mut FabricConfig, input: &apir_core::ProgramInput) {
 
 /// Runs one app on the synthesized fabric, panicking if the result fails
 /// its checker (every reported number comes from a *verified* run).
-pub fn run_verified(name: &str, scale: Scale, cfg: FabricConfig) -> (apir_apps::AppInstance, FabricReport) {
+pub fn run_verified(
+    name: &str,
+    scale: Scale,
+    cfg: FabricConfig,
+) -> (apir_apps::AppInstance, FabricReport) {
     let app = build_app(name, scale);
     let mut cfg = cfg;
     scale_cache(&mut cfg, &app.input);
@@ -74,7 +78,12 @@ pub fn fig2() -> String {
         );
         t += l.t_kernel1 + l.t_kernel2 + l.t_host;
     }
-    let _ = writeln!(out, "  total: {:.1} us over {} kernel pairs\n", hls.seconds * 1e6, hls.levels);
+    let _ = writeln!(
+        out,
+        "  total: {:.1} us over {} kernel pairs\n",
+        hls.seconds * 1e6,
+        hls.levels
+    );
 
     // Handcrafted-style (our fabric, dataflow): retirements per cycle,
     // read from the trace's `retire` records, whose pipeline component
@@ -84,7 +93,9 @@ pub fn fig2() -> String {
         trace_capacity: 1 << 16,
         ..base_cfg()
     };
-    let report = Fabric::new(&app.spec, &app.input, cfg).run().expect("toy BFS runs");
+    let report = Fabric::new(&app.spec, &app.input, cfg)
+        .run()
+        .expect("toy BFS runs");
     (app.check)(&report.mem_image).expect("toy BFS correct");
     let trace = report.trace.as_ref().expect("trace armed");
     assert_eq!(trace.dropped(), 0, "the toy trace fits its ring");
@@ -165,7 +176,10 @@ pub fn fig9(scale: Scale, cpu_scale: f64) -> Vec<Fig9Row> {
 /// Renders Figure 9 rows as a table.
 pub fn render_fig9(rows: &[Fig9Row]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "## Figure 9: speedup of synthesized accelerators over software\n");
+    let _ = writeln!(
+        out,
+        "## Figure 9: speedup of synthesized accelerators over software\n"
+    );
     let _ = writeln!(
         out,
         "{:<10} {:>12} {:>12} {:>12} {:>10} {:>10}",
@@ -224,7 +238,10 @@ pub fn fig10(scale: Scale, sweeps: &[u64]) -> Vec<(String, Vec<Fig10Point>)> {
 /// Renders Figure 10 series.
 pub fn render_fig10(series: &[(String, Vec<Fig10Point>)]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "## Figure 10: speedup (over 1x) and pipeline utilization vs QPI bandwidth\n");
+    let _ = writeln!(
+        out,
+        "## Figure 10: speedup (over 1x) and pipeline utilization vs QPI bandwidth\n"
+    );
     for (name, pts) in series {
         let _ = writeln!(out, "{name}:");
         let _ = writeln!(out, "  {:>6} {:>9} {:>12}", "bw", "speedup", "utilization");
@@ -248,7 +265,12 @@ pub fn table1(scale: Scale) -> String {
     let (_, spec_r) = run_verified("SPEC-BFS", scale, synthesized_cfg("SPEC-BFS", scale));
     let (_, coor_r) = run_verified("COOR-BFS", scale, synthesized_cfg("COOR-BFS", scale));
     let mut out = String::new();
-    let _ = writeln!(out, "## Table 1: BFS accelerators (road network, {} vertices, {} edges)\n", g.num_vertices(), g.num_edges());
+    let _ = writeln!(
+        out,
+        "## Table 1: BFS accelerators (road network, {} vertices, {} edges)\n",
+        g.num_vertices(),
+        g.num_edges()
+    );
     let _ = writeln!(out, "{:<22} {:>14}", "accelerator", "best time (s)");
     let _ = writeln!(out, "{:<22} {:>14.6}", "OpenCL (AOCL model)", hls.seconds);
     let _ = writeln!(out, "{:<22} {:>14.6}", "SPEC-BFS", spec_r.seconds);
@@ -265,7 +287,10 @@ pub fn table1(scale: Scale) -> String {
 /// Section 6.2: per-app structure/resource table.
 pub fn table_resources(scale: Scale) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "## Section 6.2: structure of synthesized accelerators (Stratix V 5SGXEA7)\n");
+    let _ = writeln!(
+        out,
+        "## Section 6.2: structure of synthesized accelerators (Stratix V 5SGXEA7)\n"
+    );
     let _ = writeln!(
         out,
         "{:<10} {:>6} {:>12} {:>12} {:>8} {:>7} {:>6}",
@@ -289,7 +314,10 @@ pub fn table_resources(scale: Scale) -> String {
             r.m20ks
         );
     }
-    let _ = writeln!(out, "\n(paper: rule engine takes 4.8–10% of total registers)");
+    let _ = writeln!(
+        out,
+        "\n(paper: rule engine takes 4.8–10% of total registers)"
+    );
     out
 }
 
@@ -299,18 +327,39 @@ pub fn debug_app(name: &str, scale: Scale) -> String {
     let (app, r) = run_verified(name, scale, cfg.clone());
     let mut out = String::new();
     let _ = writeln!(out, "## {name} (scale {scale:?})");
-    let _ = writeln!(out, "cfg: pipes={} lanes={} lsu={} queue={} banks={}",
-        cfg.pipelines_per_set, cfg.rule_lanes, cfg.lsu_window, cfg.queue_capacity, cfg.queue_banks);
+    let _ = writeln!(
+        out,
+        "cfg: pipes={} lanes={} lsu={} queue={} banks={}",
+        cfg.pipelines_per_set, cfg.rule_lanes, cfg.lsu_window, cfg.queue_capacity, cfg.queue_banks
+    );
     let _ = writeln!(out, "cycles={} seconds={:.6}", r.cycles, r.seconds);
-    let _ = writeln!(out, "retired={:?} squashes={} requeues={} bounces={}",
-        r.retired, r.squashes, r.requeues, r.bounces);
-    let _ = writeln!(out, "mem: reads={} writes={} hits={} misses={} qpi_bytes={}",
-        r.mem.reads, r.mem.writes, r.mem.hits, r.mem.misses, r.mem.qpi_bytes);
-    let _ = writeln!(out, "util={:.3} prim_ops={} queue_peaks={:?} extern_calls={}",
-        r.utilization, r.primitive_ops, r.queue_peaks, r.extern_calls);
+    let _ = writeln!(
+        out,
+        "retired={:?} squashes={} requeues={} bounces={}",
+        r.retired, r.squashes, r.requeues, r.bounces
+    );
+    let _ = writeln!(
+        out,
+        "mem: reads={} writes={} hits={} misses={} qpi_bytes={}",
+        r.mem.reads, r.mem.writes, r.mem.hits, r.mem.misses, r.mem.qpi_bytes
+    );
+    let _ = writeln!(
+        out,
+        "util={:.3} prim_ops={} queue_peaks={:?} extern_calls={}",
+        r.utilization, r.primitive_ops, r.queue_peaks, r.extern_calls
+    );
     for (i, rs) in r.rules.iter().enumerate() {
-        let _ = writeln!(out, "rule[{}]: allocs={} stalls={} clause={} otherwise={} evict={} peak={}",
-            i, rs.allocs, rs.alloc_stalls, rs.clause_fires, rs.otherwise_fires, rs.evictions, rs.peak_lanes);
+        let _ = writeln!(
+            out,
+            "rule[{}]: allocs={} stalls={} clause={} otherwise={} evict={} peak={}",
+            i,
+            rs.allocs,
+            rs.alloc_stalls,
+            rs.clause_fires,
+            rs.otherwise_fires,
+            rs.evictions,
+            rs.peak_lanes
+        );
     }
     let _ = writeln!(out, "tasks: seeded={} ", app.input.initial.len());
     out
@@ -329,7 +378,11 @@ pub fn synthesized_cfg(name: &str, scale: Scale) -> FabricConfig {
 pub fn ablation_lsu_window(scale: Scale, windows: &[usize]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## Ablation: out-of-order LSU window (SPEC-BFS)\n");
-    let _ = writeln!(out, "  {:>8} {:>12} {:>12}", "window", "cycles", "utilization");
+    let _ = writeln!(
+        out,
+        "  {:>8} {:>12} {:>12}",
+        "window", "cycles", "utilization"
+    );
     for &w in windows {
         let mut cfg = synthesized_cfg("SPEC-BFS", scale);
         cfg.lsu_window = w;
@@ -365,7 +418,10 @@ pub fn topology_sweep(scale: Scale) -> String {
         ("uniform", Arc::new(gen::uniform(n, 2 * n, 8, 42))),
     ];
     let mut out = String::new();
-    let _ = writeln!(out, "## Topology sweep: SPEC-BFS accelerator across graph classes\n");
+    let _ = writeln!(
+        out,
+        "## Topology sweep: SPEC-BFS accelerator across graph classes\n"
+    );
     let _ = writeln!(
         out,
         "  {:<8} {:>9} {:>9} {:>10} {:>12} {:>12}",

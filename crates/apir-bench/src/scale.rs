@@ -7,8 +7,8 @@
 //! simulated cycles. All generators are seeded, so every run of a scale
 //! is identical.
 
-use apir_apps::{bfs, dmr, lu, mst, sssp};
 pub use apir_apps::AppInstance;
+use apir_apps::{bfs, dmr, lu, mst, sssp};
 use apir_workloads::delaunay::Mesh;
 use apir_workloads::gen;
 use apir_workloads::sparse::BlockPattern;
@@ -103,7 +103,12 @@ impl Scale {
 
 /// Names of the six benchmarks, in the paper's order.
 pub const APP_NAMES: [&str; 6] = [
-    "SPEC-BFS", "COOR-BFS", "SPEC-SSSP", "SPEC-MST", "SPEC-DMR", "COOR-LU",
+    "SPEC-BFS",
+    "COOR-BFS",
+    "SPEC-SSSP",
+    "SPEC-MST",
+    "SPEC-DMR",
+    "COOR-LU",
 ];
 
 /// Builds the BFS road network at a scale, or loads a real DIMACS `.gr`
@@ -112,8 +117,7 @@ pub const APP_NAMES: [&str; 6] = [
 /// correspondingly long.
 pub fn bfs_graph(scale: Scale) -> Arc<apir_workloads::CsrGraph> {
     if let Ok(path) = std::env::var("APIR_DIMACS_GR") {
-        let f = std::fs::File::open(&path)
-            .unwrap_or_else(|e| panic!("APIR_DIMACS_GR={path}: {e}"));
+        let f = std::fs::File::open(&path).unwrap_or_else(|e| panic!("APIR_DIMACS_GR={path}: {e}"));
         let g = apir_workloads::dimacs::read_gr(std::io::BufReader::new(f))
             .unwrap_or_else(|e| panic!("APIR_DIMACS_GR={path}: {e}"));
         return Arc::new(g);

@@ -58,8 +58,11 @@ pub fn expand(plan: &CampaignPlan) -> Vec<Job> {
         }
     }
     jobs.sort_by(|a, b| {
-        (a.app.as_str(), a.config.id.as_str(), a.seed)
-            .cmp(&(b.app.as_str(), b.config.id.as_str(), b.seed))
+        (a.app.as_str(), a.config.id.as_str(), a.seed).cmp(&(
+            b.app.as_str(),
+            b.config.id.as_str(),
+            b.seed,
+        ))
     });
     jobs
 }
@@ -97,7 +100,11 @@ impl JobError {
 /// cache-scaled + tuned baseline (the exact recipe of
 /// `apir_bench::experiments::run_verified`), then the variant's
 /// overrides, then the chaos preset when armed.
-pub fn job_cfg(job: &Job, input: &apir_core::ProgramInput, tune: &dyn Fn(&mut FabricConfig)) -> FabricConfig {
+pub fn job_cfg(
+    job: &Job,
+    input: &apir_core::ProgramInput,
+    tune: &dyn Fn(&mut FabricConfig),
+) -> FabricConfig {
     let mut cfg = synthesized_cfg(&job.app, job.scale);
     scale_cache(&mut cfg, input);
     tune(&mut cfg);
@@ -141,8 +148,7 @@ pub fn run_job_attempt(job: &Job, attempt: u32) -> Result<FabricReport, JobError
     if attempt > 0 && job.config.chaos {
         cfg.faults = FaultConfig::chaos(retry_seed(job.seed, attempt));
     }
-    let report =
-        Fabric::execute(&app.spec, &app.input, cfg).map_err(JobError::from_fabric)?;
+    let report = Fabric::execute(&app.spec, &app.input, cfg).map_err(JobError::from_fabric)?;
     (app.check)(&report.mem_image).map_err(|message| JobError {
         kind: "check",
         cycle: Some(report.cycles),
@@ -218,8 +224,7 @@ pub fn record(job: &Job, outcome: &Result<FabricReport, JobError>) -> Json {
             // along when the fabric got far enough to produce one, so a
             // failed cell is diagnosable from the record alone.
             if let Some(text) = &e.partial_report {
-                let doc = apir_util::json::parse(text)
-                    .expect("partial reports render valid JSON");
+                let doc = apir_util::json::parse(text).expect("partial reports render valid JSON");
                 members.push(("report".to_string(), doc));
             }
         }
@@ -340,7 +345,11 @@ pub fn doc_from(plan: &CampaignPlan, records: Vec<Json>, summary: &CampaignSumma
 }
 
 /// Runs a campaign and collects it into the single-document rendering.
-pub fn results_doc(plan: &CampaignPlan, threads: usize, inflight: usize) -> (Json, CampaignSummary) {
+pub fn results_doc(
+    plan: &CampaignPlan,
+    threads: usize,
+    inflight: usize,
+) -> (Json, CampaignSummary) {
     let mut records: Vec<Json> = Vec::new();
     let summary = run_campaign(plan, threads, inflight, |r| records.push(r.clone()));
     (doc_from(plan, records, &summary), summary)
@@ -421,7 +430,12 @@ mod tests {
             let e = r.get("error").unwrap();
             assert_eq!(e.get("kind").unwrap().as_str(), Some("max_cycles"));
             assert_eq!(e.get("cycle").unwrap().as_u64(), Some(32));
-            assert!(e.get("message").unwrap().as_str().unwrap().contains("max cycles"));
+            assert!(e
+                .get("message")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .contains("max cycles"));
         }
     }
 
@@ -429,10 +443,7 @@ mod tests {
     fn chaos_cells_inject_and_recover() {
         let plan = tiny_plan(r#",{"id":"chaos","chaos":true}"#);
         let jobs = expand(&plan);
-        let chaos_job = jobs
-            .iter()
-            .find(|j| j.config.chaos && j.seed == 1)
-            .unwrap();
+        let chaos_job = jobs.iter().find(|j| j.config.chaos && j.seed == 1).unwrap();
         let report = run_job(chaos_job).expect("chaos cell recovers");
         assert!(report.faults.soft_injected + report.faults.link_dropped > 0);
         // The same cell reruns byte-identically.
@@ -498,7 +509,9 @@ mod tests {
             .unwrap();
         let outcome = run_job(&job);
         let r = record(&job, &outcome);
-        let report = r.get("report").expect("error record embeds the partial report");
+        let report = r
+            .get("report")
+            .expect("error record embeds the partial report");
         assert_eq!(
             report.get("schema").and_then(Json::as_str),
             Some("apir.fabric.report.v2")

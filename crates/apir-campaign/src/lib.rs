@@ -25,8 +25,7 @@ pub mod resume;
 
 pub use engine::{
     doc_from, expand, record, results_doc, retry_seed, run_campaign, run_job, run_job_attempt,
-    run_job_retrying, CampaignSummary, Job, JobError, DEFAULT_INFLIGHT, RESULTS_SCHEMA,
-    RETRY_SALT,
+    run_job_retrying, CampaignSummary, Job, JobError, DEFAULT_INFLIGHT, RESULTS_SCHEMA, RETRY_SALT,
 };
 pub use plan::{parse_plan, CampaignPlan, ConfigVariant, Overrides, PlanError, PLAN_SCHEMA};
 pub use resume::{

@@ -456,7 +456,11 @@ mod tests {
     #[test]
     fn rejects_wrong_schema_and_missing_schema() {
         let e = parse_plan(r#"{"schema":"apir.campaign.plan.v9"}"#).unwrap_err();
-        assert!(e.msg.contains("unsupported plan schema `apir.campaign.plan.v9`"), "{e}");
+        assert!(
+            e.msg
+                .contains("unsupported plan schema `apir.campaign.plan.v9`"),
+            "{e}"
+        );
         let e = parse_plan(r#"{"apps":["SPEC-BFS"]}"#).unwrap_err();
         assert!(e.msg.contains("missing `schema`"), "{e}");
     }
@@ -506,7 +510,10 @@ mod tests {
                 "seeds":[1],"configs":[{"id":"x","frobnicate":2}]}"#,
         )
         .unwrap_err();
-        assert!(e.msg.contains("config `x`: unknown key `frobnicate`"), "{e}");
+        assert!(
+            e.msg.contains("config `x`: unknown key `frobnicate`"),
+            "{e}"
+        );
         let e = parse_plan(
             r#"{"schema":"apir.campaign.plan.v1","apps":["SPEC-BFS"],
                 "seeds":[1],"configs":[{"chaos":true}]}"#,

@@ -168,11 +168,8 @@ where
     S: FnMut(&str) + Send,
 {
     let jobs = expand(plan);
-    let key_index: BTreeMap<String, usize> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, j)| (j.key(), i))
-        .collect();
+    let key_index: BTreeMap<String, usize> =
+        jobs.iter().enumerate().map(|(i, j)| (j.key(), i)).collect();
     let mut cached: Vec<Option<&str>> = vec![None; jobs.len()];
     let mut failed = 0u64;
     for r in &partial.records {
@@ -273,8 +270,7 @@ mod tests {
     ) -> (Vec<String>, CampaignSummary, ResumeStats) {
         let mut lines = Vec::new();
         let (summary, stats) =
-            run_campaign_resume(plan, threads, 4, partial, |l| lines.push(l.to_string()))
-                .unwrap();
+            run_campaign_resume(plan, threads, 4, partial, |l| lines.push(l.to_string())).unwrap();
         (lines, summary, stats)
     }
 

@@ -53,9 +53,7 @@ fn main() {
                     Some(list) => {
                         i += 1;
                         match parse_code_filter(list) {
-                            Ok(codes) => {
-                                code_filter.get_or_insert_with(Vec::new).extend(codes)
-                            }
+                            Ok(codes) => code_filter.get_or_insert_with(Vec::new).extend(codes),
                             Err(msg) => {
                                 eprintln!("apir-lint: {msg}");
                                 std::process::exit(2);
@@ -128,16 +126,12 @@ fn main() {
                     );
                 }
             }
-            failed |= report.has_errors()
-                || (strict && report.at(Severity::Warn).next().is_some());
+            failed |= report.has_errors() || (strict && report.at(Severity::Warn).next().is_some());
         }
         std::process::exit(if failed { 1 } else { 0 });
     }
 
-    let mut reports: Vec<Report> = picked
-        .iter()
-        .map(|&i| check_all(&apps[i].spec))
-        .collect();
+    let mut reports: Vec<Report> = picked.iter().map(|&i| check_all(&apps[i].spec)).collect();
     // With no explicit app selection, also validate the builtin fabric
     // configurations (APIR5xx family).
     if names.is_empty() {
@@ -160,8 +154,7 @@ fn main() {
                 print!("{}", report.render_text());
             }
         }
-        failed |= report.has_errors()
-            || (strict && report.at(Severity::Warn).next().is_some());
+        failed |= report.has_errors() || (strict && report.at(Severity::Warn).next().is_some());
     }
     std::process::exit(if failed { 1 } else { 0 });
 }

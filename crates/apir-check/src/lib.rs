@@ -85,8 +85,7 @@ pub fn check_builtin(name: &str) -> Option<Report> {
 pub fn analyze_instance(app: &AppInstance) -> Analysis {
     let mut cfg = apir_fabric::FabricConfig::default();
     (app.tune)(&mut cfg);
-    apir_fabric::analyze_config(&cfg, &app.spec, &app.input)
-        .expect("builtin specs are lowerable")
+    apir_fabric::analyze_config(&cfg, &app.spec, &app.input).expect("builtin specs are lowerable")
 }
 
 /// Resolves requested app names against the known registry, preserving
@@ -123,7 +122,9 @@ pub fn parse_code_filter(list: &str) -> Result<Vec<Lint>, String> {
                 .copied()
                 .find(|l| l.code() == code)
                 .ok_or_else(|| {
-                    format!("unknown diagnostic code `{code}` (run `apir-lint --codes` for the table)")
+                    format!(
+                        "unknown diagnostic code `{code}` (run `apir-lint --codes` for the table)"
+                    )
                 })
         })
         .collect()
@@ -164,7 +165,12 @@ mod tests {
     fn registry_names_are_the_papers() {
         let names: Vec<String> = builtin_apps().into_iter().map(|(n, _)| n).collect();
         for expect in [
-            "SPEC-BFS", "COOR-BFS", "SPEC-SSSP", "SPEC-MST", "SPEC-DMR", "COOR-LU",
+            "SPEC-BFS",
+            "COOR-BFS",
+            "SPEC-SSSP",
+            "SPEC-MST",
+            "SPEC-DMR",
+            "COOR-LU",
         ] {
             assert!(names.iter().any(|n| n == expect), "missing {expect}");
         }
@@ -215,7 +221,12 @@ mod tests {
     fn builtin_analyses_are_info_only() {
         for app in builtin_instances() {
             let a = analyze_instance(&app);
-            assert!(!a.report.has_errors(), "{}: {}", app.name, a.report.render_text());
+            assert!(
+                !a.report.has_errors(),
+                "{}: {}",
+                app.name,
+                a.report.render_text()
+            );
             assert!(
                 a.report.at(Severity::Warn).next().is_none(),
                 "{}: {}",

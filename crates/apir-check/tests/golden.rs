@@ -10,10 +10,7 @@ fn builtin_specs_lint_clean() {
     assert_eq!(apps.len(), 6, "expected all six benchmark variants");
     for (name, spec) in apps {
         let report = check_all(&spec);
-        let errors: Vec<String> = report
-            .at(Severity::Error)
-            .map(|d| d.to_string())
-            .collect();
+        let errors: Vec<String> = report.at(Severity::Error).map(|d| d.to_string()).collect();
         assert!(
             errors.is_empty(),
             "{name} has error-level lints:\n{}",

@@ -190,8 +190,7 @@ impl Bdfg {
                         g.edge(id, mem_port, EdgeKind::Memory);
                         g.edge(mem_port, id, EdgeKind::Memory);
                     }
-                    BodyOp::Enqueue { task_set, .. }
-                    | BodyOp::EnqueueRange { task_set, .. } => {
+                    BodyOp::Enqueue { task_set, .. } | BodyOp::EnqueueRange { task_set, .. } => {
                         g.edge(id, pushes[task_set.0], EdgeKind::Queue);
                     }
                     BodyOp::Requeue { .. } => {

@@ -157,7 +157,8 @@ pub(super) fn predict(
                     };
                     let issue = w * ratio;
                     contrib[i_mo].push((stage(), issue * miss_cycles / lsu));
-                    contrib[i_mshr].push((stage(), issue * pipes / params.mshr_depth.max(1) as f64));
+                    contrib[i_mshr]
+                        .push((stage(), issue * pipes / params.mshr_depth.max(1) as f64));
                     contrib[i_bw].push((
                         stage(),
                         issue * params.line_bytes as f64 / params.qpi_bytes_per_cycle.max(1e-9),
@@ -212,7 +213,11 @@ pub(super) fn predict(
             score: round4(*s),
         })
         .collect();
-    stages.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(std::cmp::Ordering::Equal));
+    stages.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
     let stage = stages
         .first()
         .map(|s| s.stage.clone())

@@ -120,8 +120,7 @@ impl AnalysisParams {
     /// The recirculation reserve the fabric would request for a body of
     /// `body_len` ops (latches plus every station slot), before clamping.
     pub fn reserve_demand(&self, body_len: usize) -> usize {
-        self.pipelines_per_set
-            * (body_len + body_len * self.lsu_window.max(self.rendezvous_window))
+        self.pipelines_per_set * (body_len + body_len * self.lsu_window.max(self.rendezvous_window))
     }
 
     /// Estimated miss ratio of the direct-mapped cache against the
@@ -130,7 +129,10 @@ impl AnalysisParams {
         let footprint = if self.footprint_bytes > 0 {
             self.footprint_bytes
         } else {
-            spec.regions().iter().map(|(_, words)| *words as u64 * 8).sum()
+            spec.regions()
+                .iter()
+                .map(|(_, words)| *words as u64 * 8)
+                .sum()
         };
         if footprint == 0 {
             return 0.02;
@@ -266,9 +268,7 @@ mod tests {
         let spec = spinner_spec();
         let a = analyze(&spec, &AnalysisParams::default()).unwrap();
         assert!(
-            a.cycles
-                .iter()
-                .any(|c| c.class == CycleClass::BufferedSafe),
+            a.cycles.iter().any(|c| c.class == CycleClass::BufferedSafe),
             "{:?}",
             a.cycles
         );
@@ -304,7 +304,11 @@ mod tests {
         let spec = s.build().unwrap();
         let a = analyze(&spec, &AnalysisParams::default()).unwrap();
         assert_eq!(a.bottleneck.cause, "miss_outstanding");
-        assert!(a.bottleneck.stage.contains("load"), "{}", a.bottleneck.stage);
+        assert!(
+            a.bottleneck.stage.contains("load"),
+            "{}",
+            a.bottleneck.stage
+        );
     }
 
     #[test]

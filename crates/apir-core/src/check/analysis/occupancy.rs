@@ -237,8 +237,10 @@ pub(super) fn queue_bounds(
                             ts.name
                         ),
                     )
-                    .hint("bounces past the clamp rely on the deadlock watchdog; raise \
-                           queue_capacity or shrink lsu/rendezvous windows"),
+                    .hint(
+                        "bounces past the clamp rely on the deadlock watchdog; raise \
+                           queue_capacity or shrink lsu/rendezvous windows",
+                    ),
                 );
             }
         }

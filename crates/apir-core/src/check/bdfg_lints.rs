@@ -138,8 +138,7 @@ pub(super) fn cycles(bdfg: &Bdfg, spec: &Spec, report: &mut Report) {
         }
     }
     for scc in sccs(&adj) {
-        let cyclic = scc.len() > 1
-            || adj[scc[0]].iter().any(|&w| w == scc[0]);
+        let cyclic = scc.len() > 1 || adj[scc[0]].iter().any(|&w| w == scc[0]);
         if !cyclic {
             continue;
         }

@@ -133,8 +133,8 @@ pub(super) fn memory_hazards(spec: &Spec, report: &mut Report) {
                 );
                 match (&a.kind, &b.kind) {
                     (Some(ka), Some(kb)) => {
-                        let plain = matches!(ka, StoreKind::Plain)
-                            || matches!(kb, StoreKind::Plain);
+                        let plain =
+                            matches!(ka, StoreKind::Plain) || matches!(kb, StoreKind::Plain);
                         if plain {
                             report.push(
                                 Diagnostic::new(
@@ -171,8 +171,10 @@ pub(super) fn memory_hazards(spec: &Spec, report: &mut Report) {
                                          the load may observe any interleaving"
                                     ),
                                 )
-                                .hint("guard the store with a rule rendezvous if the load's \
-                                       task depends on ordering"),
+                                .hint(
+                                    "guard the store with a rule rendezvous if the load's \
+                                       task depends on ordering",
+                                ),
                             );
                         }
                     }

@@ -342,10 +342,16 @@ impl Lint {
             Lint::RollbackWithoutFaults => "rollbacks armed with fault injection disabled",
             Lint::ReserveOverflow => "recirculation reserve demand exceeds the capacity clamp",
             Lint::CapacityInfeasible => "reserve cannot hold one in-flight token per pipeline",
-            Lint::OccupancyOverCapacity => "static activation demand exceeds ordinary-push headroom",
+            Lint::OccupancyOverCapacity => {
+                "static activation demand exceeds ordinary-push headroom"
+            }
             Lint::OccupancyWidened => "occupancy bound widened to capacity (unbounded production)",
-            Lint::CycleBufferedSafe => "dependency cycle certified safe by the recirculation reserve",
-            Lint::CycleWatchdogRescuable => "dependency cycle rescued by otherwise/bounce watchdog path",
+            Lint::CycleBufferedSafe => {
+                "dependency cycle certified safe by the recirculation reserve"
+            }
+            Lint::CycleWatchdogRescuable => {
+                "dependency cycle rescued by otherwise/bounce watchdog path"
+            }
             Lint::CycleUncertified => "dependency cycle escapes only via data-dependent guards",
             Lint::CycleUnsound => "dependency cycle with no decision point and no reserve coverage",
         }

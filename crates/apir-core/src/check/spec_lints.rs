@@ -47,40 +47,34 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
             );
         }
         if ts.level == 0 || ts.level > MAX_DEPTH {
-            report.push(
-                Diagnostic::new(
-                    Lint::BadLevel,
-                    ts_path(&ts.name),
-                    format!(
-                        "task set `{}` level {} out of range 1..={MAX_DEPTH}",
-                        ts.name, ts.level
-                    ),
+            report.push(Diagnostic::new(
+                Lint::BadLevel,
+                ts_path(&ts.name),
+                format!(
+                    "task set `{}` level {} out of range 1..={MAX_DEPTH}",
+                    ts.name, ts.level
                 ),
-            );
+            ));
         }
         if ts.arity() > MAX_FIELDS {
-            report.push(
-                Diagnostic::new(
-                    Lint::WidthExceeded,
-                    ts_path(&ts.name),
-                    format!(
-                        "task set `{}` carries {} fields, limit {MAX_FIELDS}",
-                        ts.name,
-                        ts.arity()
-                    ),
+            report.push(Diagnostic::new(
+                Lint::WidthExceeded,
+                ts_path(&ts.name),
+                format!(
+                    "task set `{}` carries {} fields, limit {MAX_FIELDS}",
+                    ts.name,
+                    ts.arity()
                 ),
-            );
+            ));
         }
         for (pos, op) in ts.body.iter().enumerate() {
             for v in op.operands() {
                 if v.pos() >= pos {
-                    report.push(
-                        Diagnostic::new(
-                            Lint::ForwardReference,
-                            op_path(&ts.name, pos),
-                            format!("forward value reference in `{}` op {pos}", ts.name),
-                        ),
-                    );
+                    report.push(Diagnostic::new(
+                        Lint::ForwardReference,
+                        op_path(&ts.name, pos),
+                        format!("forward value reference in `{}` op {pos}", ts.name),
+                    ));
                 }
             }
             match op {
@@ -104,18 +98,16 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                 BodyOp::AllocRule { rule, params, .. } => {
                     let decl = &spec.rules()[rule.0];
                     if params.len() != decl.n_params as usize {
-                        report.push(
-                            Diagnostic::new(
-                                Lint::RuleParamArityMismatch,
-                                op_path(&ts.name, pos),
-                                format!(
-                                    "rule `{}` takes {} params, alloc passes {}",
-                                    decl.name,
-                                    decl.n_params,
-                                    params.len()
-                                ),
+                        report.push(Diagnostic::new(
+                            Lint::RuleParamArityMismatch,
+                            op_path(&ts.name, pos),
+                            format!(
+                                "rule `{}` takes {} params, alloc passes {}",
+                                decl.name,
+                                decl.n_params,
+                                params.len()
                             ),
-                        );
+                        ));
                     }
                 }
                 BodyOp::Enqueue {
@@ -125,32 +117,28 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                 } => {
                     let want = spec.task_sets()[target.0].arity();
                     if fields.len() != want {
-                        report.push(
-                            Diagnostic::new(
-                                Lint::EnqueueArityMismatch,
-                                op_path(&ts.name, pos),
-                                format!(
-                                    "enqueue into `{}` passes {} fields, set carries {want}",
-                                    spec.task_sets()[target.0].name,
-                                    fields.len()
-                                ),
-                            ),
-                        );
-                    }
-                }
-                BodyOp::Requeue { fields, .. } if fields.len() != ts.arity() => {
-                    report.push(
-                        Diagnostic::new(
+                        report.push(Diagnostic::new(
                             Lint::EnqueueArityMismatch,
                             op_path(&ts.name, pos),
                             format!(
-                                "requeue passes {} fields, `{}` carries {}",
-                                fields.len(),
-                                ts.name,
-                                ts.arity()
+                                "enqueue into `{}` passes {} fields, set carries {want}",
+                                spec.task_sets()[target.0].name,
+                                fields.len()
                             ),
+                        ));
+                    }
+                }
+                BodyOp::Requeue { fields, .. } if fields.len() != ts.arity() => {
+                    report.push(Diagnostic::new(
+                        Lint::EnqueueArityMismatch,
+                        op_path(&ts.name, pos),
+                        format!(
+                            "requeue passes {} fields, `{}` carries {}",
+                            fields.len(),
+                            ts.name,
+                            ts.arity()
                         ),
-                    );
+                    ));
                 }
                 BodyOp::EnqueueRange {
                     task_set: target,
@@ -159,30 +147,26 @@ pub(super) fn body_structure(spec: &Spec, report: &mut Report) {
                 } => {
                     let want = spec.task_sets()[target.0].arity();
                     if extra.len() + 1 != want {
-                        report.push(
-                            Diagnostic::new(
-                                Lint::EnqueueArityMismatch,
-                                op_path(&ts.name, pos),
-                                format!(
-                                    "expand into `{}` yields {} fields, set carries {want}",
-                                    spec.task_sets()[target.0].name,
-                                    extra.len() + 1
-                                ),
+                        report.push(Diagnostic::new(
+                            Lint::EnqueueArityMismatch,
+                            op_path(&ts.name, pos),
+                            format!(
+                                "expand into `{}` yields {} fields, set carries {want}",
+                                spec.task_sets()[target.0].name,
+                                extra.len() + 1
                             ),
-                        );
+                        ));
                     }
                 }
                 BodyOp::Emit { payload, .. } if payload.len() > MAX_FIELDS => {
-                    report.push(
-                        Diagnostic::new(
-                            Lint::WidthExceeded,
-                            op_path(&ts.name, pos),
-                            format!(
-                                "emit payload of {} words exceeds limit {MAX_FIELDS}",
-                                payload.len()
-                            ),
+                    report.push(Diagnostic::new(
+                        Lint::WidthExceeded,
+                        op_path(&ts.name, pos),
+                        format!(
+                            "emit payload of {} words exceeds limit {MAX_FIELDS}",
+                            payload.len()
                         ),
-                    );
+                    ));
                 }
                 _ => {}
             }
@@ -196,29 +180,25 @@ pub(super) fn rule_declarations(spec: &Spec, report: &mut Report) {
     let emitted = emitted_labels(spec);
     for r in spec.rules() {
         if r.n_params as usize > MAX_FIELDS {
-            report.push(
-                Diagnostic::new(
-                    Lint::WidthExceeded,
-                    rule_path(&r.name),
-                    format!(
-                        "rule `{}` declares {} params, limit {MAX_FIELDS}",
-                        r.name, r.n_params
-                    ),
+            report.push(Diagnostic::new(
+                Lint::WidthExceeded,
+                rule_path(&r.name),
+                format!(
+                    "rule `{}` declares {} params, limit {MAX_FIELDS}",
+                    r.name, r.n_params
                 ),
-            );
+            ));
         }
         if let Some(p) = r.countdown_param {
             if p >= r.n_params {
-                report.push(
-                    Diagnostic::new(
-                        Lint::CountdownOutOfRange,
-                        rule_path(&r.name),
-                        format!(
-                            "rule `{}` countdown parameter {p} out of range (arity {})",
-                            r.name, r.n_params
-                        ),
+                report.push(Diagnostic::new(
+                    Lint::CountdownOutOfRange,
+                    rule_path(&r.name),
+                    format!(
+                        "rule `{}` countdown parameter {p} out of range (arity {})",
+                        r.name, r.n_params
                     ),
-                );
+                ));
             }
         }
         for (ci, c) in r.clauses.iter().enumerate() {
@@ -265,9 +245,9 @@ pub(super) fn liveness(spec: &Spec, report: &mut Report) {
     for r in spec.rules() {
         let can_return_true = r.otherwise
             || r.countdown_param.is_some()
-            || r.clauses.iter().any(|c| {
-                matches!(c.action, RuleAction::Return(true) | RuleAction::CountDown)
-            });
+            || r.clauses
+                .iter()
+                .any(|c| matches!(c.action, RuleAction::Return(true) | RuleAction::CountDown));
         if r.mode == RuleMode::Waiting && !can_return_true {
             report.push(
                 Diagnostic::new(
@@ -279,8 +259,10 @@ pub(super) fn liveness(spec: &Spec, report: &mut Report) {
                         r.name
                     ),
                 )
-                .hint("set otherwise=true (the paper's obligatory liveness clause) or add a \
-                       Return(true)/CountDown clause"),
+                .hint(
+                    "set otherwise=true (the paper's obligatory liveness clause) or add a \
+                       Return(true)/CountDown clause",
+                ),
             );
         }
         if r.clauses
@@ -288,15 +270,18 @@ pub(super) fn liveness(spec: &Spec, report: &mut Report) {
             .any(|c| matches!(c.action, RuleAction::CountDown))
             && r.countdown_param.is_none()
         {
-            report.push(Diagnostic::new(
-                Lint::CountdownWithoutInit,
-                rule_path(&r.name),
-                format!(
+            report.push(
+                Diagnostic::new(
+                    Lint::CountdownWithoutInit,
+                    rule_path(&r.name),
+                    format!(
                     "rule `{}` fires CountDown but declares no countdown parameter; lanes count \
                      down from the default of 1",
                     r.name
                 ),
-            ).hint("declare with_countdown(param) to initialize lane countdowns"));
+                )
+                .hint("declare with_countdown(param) to initialize lane countdowns"),
+            );
         }
         if r.mode == RuleMode::Waiting && r.clauses.is_empty() {
             report.push(Diagnostic::new(
@@ -452,7 +437,6 @@ pub(super) fn interfaces(spec: &Spec, report: &mut Report) {
                         format!(
                             "condition reads ev[{n}] but the event carries only {bound} \
                              word(s); the wire reads as ground (0)",
-
                         ),
                     )
                     .hint("widen the emit payload or fix the field index"),

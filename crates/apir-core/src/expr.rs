@@ -144,7 +144,12 @@ mod tests {
     use super::dsl::*;
     use super::*;
 
-    fn ctx<'a>(payload: &'a [u64], params: &'a [u64], ev_idx: &[u64], p_idx: &[u64]) -> EvalCtx<'a> {
+    fn ctx<'a>(
+        payload: &'a [u64],
+        params: &'a [u64],
+        ev_idx: &[u64],
+        p_idx: &[u64],
+    ) -> EvalCtx<'a> {
         EvalCtx {
             event_index: IndexTuple::new(ev_idx),
             event_payload: payload,

@@ -138,10 +138,7 @@ impl MemImage {
         for (r, (a, b)) in self.regions.iter().zip(other.regions.iter()).enumerate() {
             for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
                 if x != y {
-                    out.push(format!(
-                        "region {}[{}]: {} != {}",
-                        self.names[r], i, x, y
-                    ));
+                    out.push(format!("region {}[{}]: {} != {}", self.names[r], i, x, y));
                     if out.len() >= max {
                         return out;
                     }

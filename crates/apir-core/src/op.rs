@@ -359,7 +359,9 @@ mod tests {
             region: RegionId(0),
             addr: ValRef(1),
             value: ValRef(2),
-            kind: StoreKind::Cas { expected: ValRef(3) },
+            kind: StoreKind::Cas {
+                expected: ValRef(3),
+            },
             guard: Some(ValRef(4)),
         };
         let ops = op.operands();

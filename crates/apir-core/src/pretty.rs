@@ -20,7 +20,11 @@ pub fn render(spec: &Spec) -> String {
             RuleMode::Immediate => "speculative",
             RuleMode::Waiting => "coordinative",
         };
-        let _ = writeln!(out, "  {mode} rule {}(p0..p{}) {{  // #{i}", r.name, r.n_params);
+        let _ = writeln!(
+            out,
+            "  {mode} rule {}(p0..p{}) {{  // #{i}",
+            r.name, r.n_params
+        );
         for c in &r.clauses {
             let ev = match &c.event {
                 EventPat::Label(l) => format!("on {}", spec.labels()[l.0]),

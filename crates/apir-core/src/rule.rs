@@ -146,7 +146,11 @@ mod tests {
     #[test]
     fn builder_accumulates_clauses() {
         let r = RuleDecl::new("conflict", 2, true)
-            .on_label(LabelId(0), and(earlier(), eq(ev(0), param(0))), RuleAction::Return(false))
+            .on_label(
+                LabelId(0),
+                and(earlier(), eq(ev(0), param(0))),
+                RuleAction::Return(false),
+            )
             .on_min_waiting(eq(ev(0), param(1)), RuleAction::Return(true));
         assert_eq!(r.clauses.len(), 2);
         assert!(r.otherwise);

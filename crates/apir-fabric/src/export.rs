@@ -61,10 +61,7 @@ pub fn lint_report_block(report: &LintReport) -> Json {
 pub fn lint_report_json(reports: &[LintReport]) -> Json {
     Json::obj([
         ("schema", Json::str(LINT_SCHEMA)),
-        (
-            "reports",
-            Json::arr(reports.iter().map(lint_report_block)),
-        ),
+        ("reports", Json::arr(reports.iter().map(lint_report_block))),
     ])
 }
 
@@ -90,10 +87,7 @@ pub fn analysis_block(a: &Analysis) -> Json {
             ("class", Json::str(c.class.key())),
             ("size", Json::U64(c.size as u64)),
             ("anchor", Json::str(&c.anchor)),
-            (
-                "task_sets",
-                Json::arr(c.task_sets.iter().map(Json::str)),
-            ),
+            ("task_sets", Json::arr(c.task_sets.iter().map(Json::str))),
         ])
     }));
     let bottleneck = Json::obj([
@@ -165,10 +159,9 @@ fn histogram_json(h: &Histogram) -> Json {
         ("max", Some(Json::U64(h.max()))),
         (
             "buckets",
-            Some(Json::arr(
-                h.nonzero_buckets()
-                    .map(|(bound, n)| Json::arr([Json::U64(bound), Json::U64(n)])),
-            )),
+            Some(Json::arr(h.nonzero_buckets().map(|(bound, n)| {
+                Json::arr([Json::U64(bound), Json::U64(n)])
+            }))),
         ),
         ("saturated", h.saturated().then_some(Json::Bool(true))),
     ])
@@ -304,7 +297,9 @@ impl FabricReport {
             ("extern_calls", Some(Json::U64(self.extern_calls))),
             (
                 "queue_peaks",
-                Some(Json::arr(self.queue_peaks.iter().map(|&p| Json::U64(p as u64)))),
+                Some(Json::arr(
+                    self.queue_peaks.iter().map(|&p| Json::U64(p as u64)),
+                )),
             ),
             ("mem", Some(mem_json(&self.mem))),
             ("faults", Some(faults_json(&self.faults))),

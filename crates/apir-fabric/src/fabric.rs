@@ -666,8 +666,7 @@ impl Fabric {
                 // (latches + every station slot): reserve that much for
                 // recirculation so requeue can never deadlock.
                 let in_pipe = cfg.pipelines_per_set
-                    * (t.body.len()
-                        + t.body.len() * cfg.lsu_window.max(cfg.rendezvous_window));
+                    * (t.body.len() + t.body.len() * cfg.lsu_window.max(cfg.rendezvous_window));
                 q.set_reserve(in_pipe);
                 q
             })
@@ -679,9 +678,7 @@ impl Fabric {
             .collect();
         let mut trace = (cfg.trace_capacity > 0)
             .then(|| EventTrace::new(cfg.trace_capacity, &snapshot::EVENT_NAMES));
-        let mut intern = |name: &str| {
-            trace.as_mut().map_or(CompId(0), |t| t.comp(name))
-        };
+        let mut intern = |name: &str| trace.as_mut().map_or(CompId(0), |t| t.comp(name));
         let tr_host = intern("host");
         let tr_mem = intern("mem");
         let tr_fault = intern("fault");
@@ -1097,7 +1094,11 @@ impl Fabric {
             ));
         }
         for (i, e) in self.engines.iter().enumerate() {
-            s.push_str(&format!("lanes[{}]={} ", self.spec.rules()[i].name, e.occupied()));
+            s.push_str(&format!(
+                "lanes[{}]={} ",
+                self.spec.rules()[i].name,
+                e.occupied()
+            ));
         }
         let in_flight: usize = self
             .pipelines
@@ -1116,10 +1117,7 @@ impl Fabric {
         }
         let ages = self.mem.mshr_ages(self.cycle);
         if !ages.is_empty() {
-            s.push_str(&format!(
-                " mshr_ages={:?}",
-                &ages[..ages.len().min(8)]
-            ));
+            s.push_str(&format!(" mshr_ages={:?}", &ages[..ages.len().min(8)]));
         }
         s
     }
@@ -1231,7 +1229,9 @@ impl Fabric {
             progress = true;
         }
         while self.bus_staged.len() < self.cfg.event_bus_width {
-            let Some(ev) = self.pending_events.pop_front() else { break };
+            let Some(ev) = self.pending_events.pop_front() else {
+                break;
+            };
             self.bus_staged.push(ev);
         }
 
@@ -2277,7 +2277,8 @@ impl Fabric {
         }
         if let Some(tl) = &self.timeline {
             let totals = self.timeline_totals();
-            tl.check_start(&totals).map_err(|e| snap::nest(".timeline", e))?;
+            tl.check_start(&totals)
+                .map_err(|e| snap::nest(".timeline", e))?;
         }
         Ok(())
     }

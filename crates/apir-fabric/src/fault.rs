@@ -285,7 +285,9 @@ impl FaultPlan {
     /// Deterministic exponential backoff: when a transfer on retry `k`
     /// drops, it re-arms `retry_timeout << k` cycles later.
     pub fn backoff(&self, retries: u32) -> u64 {
-        self.cfg.retry_timeout.saturating_mul(1u64 << retries.min(16))
+        self.cfg
+            .retry_timeout
+            .saturating_mul(1u64 << retries.min(16))
     }
 
     /// Re-salts the link stream for rollback epoch `epoch` (1-based).

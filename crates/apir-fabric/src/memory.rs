@@ -21,12 +21,12 @@
 use crate::fault::{FaultConfig, FaultPlan, FaultStats, LinkFault, SoftError};
 use crate::snapshot::fifo_slot;
 use crate::types::{MemReq, WriteKind};
+use apir_core::{MemAccess, MemImage};
 use apir_sim::bandwidth::BandwidthMeter;
 use apir_sim::delay::DelayLine;
 use apir_sim::fifo::Fifo;
 use apir_sim::stats::StallCause;
 use apir_sim::{cycles_from_ns, Cycle};
-use apir_core::{MemAccess, MemImage};
 use apir_util::snap;
 use apir_util::snap_fields;
 use std::collections::VecDeque;
@@ -503,7 +503,9 @@ impl MemorySubsystem {
             if self.miss_wait.len() >= 4 * self.cfg.max_inflight_misses {
                 break;
             }
-            let Some(req) = self.requests.pop() else { break };
+            let Some(req) = self.requests.pop() else {
+                break;
+            };
             active = true;
             let addr_words = self.bases[req.region.0] + req.offset;
             let entry = MissEntry {

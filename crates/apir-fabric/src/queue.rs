@@ -134,9 +134,7 @@ impl TaskQueue {
     /// capacity for the recirculation reserve — graceful degradation must
     /// never become a self-inflicted deadlock.
     pub fn mask_bank(&mut self, pick: u64) -> Option<Vec<TaskToken>> {
-        let live: Vec<usize> = (0..self.banks.len())
-            .filter(|&i| !self.masked[i])
-            .collect();
+        let live: Vec<usize> = (0..self.banks.len()).filter(|&i| !self.masked[i]).collect();
         if live.len() * 2 <= self.banks.len() {
             return None;
         }
@@ -397,7 +395,7 @@ mod tests {
     fn bank_mask_respects_reserve() {
         let mut q = TaskQueue::new(TaskSetKind::ForEach, 1, 2, 8);
         q.set_reserve(4); // clamped to capacity/2 = 4
-        // Masking one of two banks would leave 4 slots <= 2 * reserve.
+                          // Masking one of two banks would leave 4 slots <= 2 * reserve.
         assert!(q.mask_bank(0).is_none());
         assert_eq!(q.live_banks(), 2);
     }

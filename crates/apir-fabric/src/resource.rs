@@ -147,10 +147,7 @@ mod tests {
         let l = s.label("commit");
         let rule = s.rule(RuleDecl::new("conflict", 2, true).on_label(
             l,
-            apir_core::expr::dsl::eq(
-                apir_core::expr::dsl::ev(0),
-                apir_core::expr::dsl::param(0),
-            ),
+            apir_core::expr::dsl::eq(apir_core::expr::dsl::ev(0), apir_core::expr::dsl::param(0)),
             apir_core::rule::RuleAction::Return(false),
         ));
         let ts = s.task_set("t", TaskSetKind::ForEach, 1, &["a"]);

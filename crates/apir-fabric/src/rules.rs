@@ -198,7 +198,9 @@ impl RuleEngine {
         key: (IndexTuple, u64),
         out: &mut Vec<(u32, u64, u64)>,
     ) -> bool {
-        let Some(pos) = self.lane_of(key) else { return false };
+        let Some(pos) = self.lane_of(key) else {
+            return false;
+        };
         self.stats.otherwise_fires += 1;
         let v = self.decl.otherwise;
         self.release(pos, v, out);
@@ -393,7 +395,9 @@ impl RuleEngine {
         out: &mut Vec<(u32, u64, u64)>,
     ) {
         for li in 0..self.lanes.len() {
-            let Some(lane) = &self.lanes[li] else { continue };
+            let Some(lane) = &self.lanes[li] else {
+                continue;
+            };
             let ctx = EvalCtx {
                 event_index,
                 event_payload: payload,
@@ -427,7 +431,9 @@ impl RuleEngine {
     /// `(parent_index, parent_seq)`, and of the lanes that hold it the
     /// last, as a scan keeping the last maximum finds it.
     fn victim(&self) -> Option<((IndexTuple, u64), usize)> {
-        self.order.last().map(|&(index, seq, li)| ((index, seq), li))
+        self.order
+            .last()
+            .map(|&(index, seq, li)| ((index, seq), li))
     }
 
     /// The first lane held by exactly the task `key`. The range holds
@@ -488,7 +494,11 @@ impl RuleEngine {
                 _ => {}
             }
         }
-        match self.evicted_returns.iter().position(|r| r.0 as usize >= ports) {
+        match self
+            .evicted_returns
+            .iter()
+            .position(|r| r.0 as usize >= ports)
+        {
             Some(i) => Err(format!(
                 ".evicted_returns[{i}][0]: {}",
                 out_of_range(self.evicted_returns[i].0)
@@ -501,9 +511,9 @@ impl RuleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::to_fields;
     use apir_core::expr::dsl::*;
     use apir_core::spec::LabelId;
-    use crate::types::to_fields;
     use apir_util::snap::Snap;
     use apir_util::Gen;
 
@@ -525,13 +535,19 @@ mod tests {
             RuleAction::Return(false),
         );
         let mut e = RuleEngine::new(decl, 4);
-        assert_eq!(e.alloc(IndexTuple::new(&[5]), 50, to_fields(&[100]), 1), AllocOutcome::Granted);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[5]), 50, to_fields(&[100]), 1),
+            AllocOutcome::Granted
+        );
         let mut out = Vec::new();
         // Later task writes same address: ignored.
         e.tick(&[msg(0, &[100], &[9])], None, &mut out);
         assert_eq!(e.claim(1, 0), ClaimOutcome::Ready(true));
         // New instance; earlier task writes same address: verdict false.
-        assert_eq!(e.alloc(IndexTuple::new(&[5]), 51, to_fields(&[100]), 2), AllocOutcome::Granted);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[5]), 51, to_fields(&[100]), 2),
+            AllocOutcome::Granted
+        );
         e.tick(&[msg(0, &[100], &[2])], None, &mut out);
         assert_eq!(e.claim(2, 0), ClaimOutcome::Ready(false));
         assert!(out.is_empty());
@@ -547,9 +563,15 @@ mod tests {
         let mut e = RuleEngine::new(decl, 4);
         let min = IndexTuple::new(&[1]);
         assert_eq!(e.alloc(min, 10, to_fields(&[3]), 1), AllocOutcome::Granted); // level 3 (the min task)
-        assert_eq!(e.alloc(IndexTuple::new(&[2]), 11, to_fields(&[3]), 2), AllocOutcome::Granted); // level 3
-        assert_eq!(e.alloc(IndexTuple::new(&[3]), 12, to_fields(&[4]), 3), AllocOutcome::Granted); // level 4
-        // Tag 2's parent claims first (waits).
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[2]), 11, to_fields(&[3]), 2),
+            AllocOutcome::Granted
+        ); // level 3
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[3]), 12, to_fields(&[4]), 3),
+            AllocOutcome::Granted
+        ); // level 4
+           // Tag 2's parent claims first (waits).
         assert_eq!(e.claim(2, 7), ClaimOutcome::Wait);
         let mut out = Vec::new();
         e.tick(&[], Some((min, 10)), &mut out);
@@ -594,9 +616,15 @@ mod tests {
             .with_countdown(1);
         let mut e = RuleEngine::new(decl, 2);
         // Two deps on key 42.
-        assert_eq!(e.alloc(IndexTuple::new(&[5]), 1, to_fields(&[42, 2]), 1), AllocOutcome::Granted);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[5]), 1, to_fields(&[42, 2]), 1),
+            AllocOutcome::Granted
+        );
         // Zero deps: immediate buffered return.
-        assert_eq!(e.alloc(IndexTuple::new(&[6]), 2, to_fields(&[42, 0]), 2), AllocOutcome::Granted);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[6]), 2, to_fields(&[42, 0]), 2),
+            AllocOutcome::Granted
+        );
         assert_eq!(e.claim(2, 0), ClaimOutcome::Ready(true));
         let mut out = Vec::new();
         e.tick(&[msg(0, &[42], &[1])], None, &mut out);
@@ -612,7 +640,10 @@ mod tests {
     fn masked_lane_drains_holder_and_degrades() {
         let decl = RuleDecl::new("r", 0, true);
         let mut e = RuleEngine::new(decl, 4);
-        assert_eq!(e.alloc(IndexTuple::new(&[1]), 1, to_fields(&[]), 1), AllocOutcome::Granted);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[1]), 1, to_fields(&[]), 1),
+            AllocOutcome::Granted
+        );
         let mut out = Vec::new();
         // Mask the occupied lane: the holder gets a conservative false.
         let mut masked_occupied = false;
@@ -628,7 +659,10 @@ mod tests {
         assert!(masked_occupied);
         assert_eq!(e.claim(1, 0), ClaimOutcome::Ready(false));
         // Survivors still serve allocations.
-        assert_eq!(e.alloc(IndexTuple::new(&[2]), 2, to_fields(&[]), 2), AllocOutcome::Granted);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[2]), 2, to_fields(&[]), 2),
+            AllocOutcome::Granted
+        );
         // Degradation stops at half the lanes.
         while e.live_lanes() > 2 {
             assert!(e.mask_lane(0, &mut out).is_some());
@@ -666,9 +700,10 @@ mod tests {
     /// The minimum-task scan the lane index replaced: the first lane held
     /// by exactly `key`.
     fn scan_lane_of(e: &RuleEngine, key: (IndexTuple, u64)) -> Option<usize> {
-        e.lanes
-            .iter()
-            .position(|l| l.as_ref().is_some_and(|l| (l.parent_index, l.parent_seq) == key))
+        e.lanes.iter().position(|l| {
+            l.as_ref()
+                .is_some_and(|l| (l.parent_index, l.parent_seq) == key)
+        })
     }
 
     /// The derived counts must equal a recount of the lanes, and the
@@ -679,7 +714,11 @@ mod tests {
         let occupied = e.lanes.iter().filter(|l| l.is_some()).count();
         let live = e.masked.iter().filter(|&&m| !m).count();
         assert_eq!((e.occupied, e.live), (occupied, live));
-        let free_live = e.lanes.iter().zip(&e.masked).any(|(l, &m)| !m && l.is_none());
+        let free_live = e
+            .lanes
+            .iter()
+            .zip(&e.masked)
+            .any(|(l, &m)| !m && l.is_none());
         assert_eq!(e.occupied < e.live, free_live);
         let mut held: Vec<_> = e
             .lanes
@@ -688,7 +727,11 @@ mod tests {
             .filter_map(|(i, l)| l.as_ref().map(|l| (l.parent_index, l.parent_seq, i)))
             .collect();
         held.sort();
-        assert!(e.order.iter().eq(&held), "index {:?}, lanes {held:?}", e.order);
+        assert!(
+            e.order.iter().eq(&held),
+            "index {:?}, lanes {held:?}",
+            e.order
+        );
         assert_eq!(e.victim(), scan_victim(e));
         // The same components at full depth: equal under `Ord` to the
         // key, and held by no lane here (no test index is 4 deep).
@@ -765,7 +808,11 @@ mod tests {
                 }
             }
             assert_counts(&e);
-            let keys: Vec<_> = e.order.iter().map(|&(index, seq, _)| (index, seq)).collect();
+            let keys: Vec<_> = e
+                .order
+                .iter()
+                .map(|&(index, seq, _)| (index, seq))
+                .collect();
             for (i, a) in keys.iter().enumerate() {
                 for b in &keys[i + 1..] {
                     reached.shared |= a == b;
@@ -789,7 +836,9 @@ mod tests {
 
     #[test]
     fn random_lane_ops_reach_shared_holders_and_depth_twins() {
-        let runs: Vec<Reached> = (0..32).map(|s| random_lane_ops(&mut Gen::new(s, 0))).collect();
+        let runs: Vec<Reached> = (0..32)
+            .map(|s| random_lane_ops(&mut Gen::new(s, 0)))
+            .collect();
         assert!(runs.iter().any(|r| r.shared), "{runs:?}");
         assert!(runs.iter().any(|r| r.twins), "{runs:?}");
         assert!(runs.iter().any(|r| r.evictions > 0), "{runs:?}");
@@ -810,7 +859,10 @@ mod tests {
         assert_eq!(e.alloc(early, 9, to_fields(&[]), 9), AllocOutcome::Granted);
         assert_eq!((e.occupied(), e.stats().evictions), (4, 1));
         assert_counts(&e);
-        assert_eq!(e.alloc(IndexTuple::new(&[99]), 10, to_fields(&[]), 10), AllocOutcome::Nacked);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[99]), 10, to_fields(&[]), 10),
+            AllocOutcome::Nacked
+        );
         assert_counts(&e);
         assert_eq!(e.claim(0, 0), ClaimOutcome::Ready(true));
         assert_counts(&e);
@@ -847,7 +899,10 @@ mod tests {
     fn a_loaded_masked_lane_must_be_empty() {
         let decl = RuleDecl::new("r", 0, true);
         let mut e = RuleEngine::new(decl.clone(), 4);
-        assert_eq!(e.alloc(IndexTuple::new(&[1]), 1, to_fields(&[]), 1), AllocOutcome::Granted);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[1]), 1, to_fields(&[]), 1),
+            AllocOutcome::Granted
+        );
         e.masked[0] = true;
         let err = RuleEngine::new(decl, 4).load(&e.save()).unwrap_err();
         assert!(err.contains("a masked lane holds a rule instance"), "{err}");
@@ -877,10 +932,19 @@ mod tests {
     fn lane_exhaustion_stalls() {
         let decl = RuleDecl::new("r", 0, true);
         let mut e = RuleEngine::new(decl, 1);
-        assert_eq!(e.alloc(IndexTuple::new(&[1]), 1, to_fields(&[]), 1), AllocOutcome::Granted);
-        assert_eq!(e.alloc(IndexTuple::new(&[2]), 2, to_fields(&[]), 2), AllocOutcome::Nacked);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[1]), 1, to_fields(&[]), 1),
+            AllocOutcome::Granted
+        );
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[2]), 2, to_fields(&[]), 2),
+            AllocOutcome::Nacked
+        );
         assert_eq!(e.stats().alloc_stalls, 1);
         assert_eq!(e.claim(1, 0), ClaimOutcome::Ready(true));
-        assert_eq!(e.alloc(IndexTuple::new(&[2]), 3, to_fields(&[]), 3), AllocOutcome::Granted);
+        assert_eq!(
+            e.alloc(IndexTuple::new(&[2]), 3, to_fields(&[]), 3),
+            AllocOutcome::Granted
+        );
     }
 }

@@ -167,7 +167,9 @@ fn retirement_log_matches_counts() {
         assert!(trace.component_name(r.comp).starts_with("pipe:t#"));
     }
     // Without a trace, nothing is recorded.
-    let report2 = Fabric::new(&s, &input, FabricConfig::default()).run().unwrap();
+    let report2 = Fabric::new(&s, &input, FabricConfig::default())
+        .run()
+        .unwrap();
     assert!(report2.trace.is_none());
 }
 
@@ -204,9 +206,9 @@ fn liveness_grid_over_tiny_resources() {
                     pipelines_per_set: 1,
                     ..FabricConfig::default()
                 };
-                let report = Fabric::new(&s, &input, cfg)
-                    .run()
-                    .unwrap_or_else(|e| panic!("lanes={lanes} window={window} timeout={timeout}: {e}"));
+                let report = Fabric::new(&s, &input, cfg).run().unwrap_or_else(|e| {
+                    panic!("lanes={lanes} window={window} timeout={timeout}: {e}")
+                });
                 let total: u64 = (0..4).map(|i| report.mem_image.read(out, i)).sum();
                 assert_eq!(total, 24);
             }

@@ -147,7 +147,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// # Panics
 ///
 /// Propagates panics from `sink` (not from `job` — those are captured).
-pub fn run_ordered<T, J, S>(n: usize, threads: usize, cap: usize, job: J, mut sink: S) -> DispatchStats
+pub fn run_ordered<T, J, S>(
+    n: usize,
+    threads: usize,
+    cap: usize,
+    job: J,
+    mut sink: S,
+) -> DispatchStats
 where
     T: Send,
     J: Fn(usize) -> T + Sync,
@@ -198,9 +204,7 @@ where
                 if next.is_none() {
                     for v in 1..threads {
                         let victim = (t + v) % threads;
-                        if let Some(i) =
-                            deques[victim].lock().expect("deque poisoned").pop_back()
-                        {
+                        if let Some(i) = deques[victim].lock().expect("deque poisoned").pop_back() {
                             steals.fetch_add(1, Ordering::Relaxed);
                             next = Some(i);
                             break;
@@ -261,7 +265,13 @@ mod tests {
     #[test]
     fn zero_jobs_is_a_no_op() {
         let stats = run_ordered(0, 8, 4, |i| i, |_, _| panic!("no jobs to sink"));
-        assert_eq!(stats, DispatchStats { jobs: 0, ..DispatchStats::default() });
+        assert_eq!(
+            stats,
+            DispatchStats {
+                jobs: 0,
+                ..DispatchStats::default()
+            }
+        );
     }
 
     #[test]

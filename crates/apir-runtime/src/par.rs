@@ -144,7 +144,11 @@ impl<'s> ParRunner<'s> {
     /// # Errors
     ///
     /// Returns [`StepLimitExceeded`] when `max_steps` is exceeded.
-    pub fn run(spec: &'s Spec, input: &ProgramInput, cfg: ParConfig) -> Result<ParResult, StepLimitExceeded> {
+    pub fn run(
+        spec: &'s Spec,
+        input: &ProgramInput,
+        cfg: ParConfig,
+    ) -> Result<ParResult, StepLimitExceeded> {
         let mut runner = ParRunner::new(spec, cfg);
         let mut mem = input.mem.clone();
         for t in &input.initial {
@@ -260,8 +264,9 @@ impl<'s> ParRunner<'s> {
         let mut vals = vec![0u64; body.len()];
         let mut spawned = Vec::new();
         for (pos, op) in body.iter().enumerate() {
-            let guard_ok =
-                |g: &Option<apir_core::op::ValRef>, vals: &[u64]| g.is_none_or(|v| vals[v.pos()] != 0);
+            let guard_ok = |g: &Option<apir_core::op::ValRef>, vals: &[u64]| {
+                g.is_none_or(|v| vals[v.pos()] != 0)
+            };
             vals[pos] = match op {
                 BodyOp::Field(n) => task.fields.get(*n as usize).copied().unwrap_or(0),
                 BodyOp::IndexComp(l) => task.index.component(*l as usize),
@@ -453,10 +458,7 @@ mod tests {
         assert_eq!(par.mem.read(r, 0), 10);
         assert!(par.aborts > 0, "expected speculative aborts");
         assert_eq!(par.committed, 40);
-        assert_eq!(
-            par.round_commits.iter().sum::<u64>(),
-            par.committed
-        );
+        assert_eq!(par.round_commits.iter().sum::<u64>(), par.committed);
     }
 
     #[test]
@@ -469,7 +471,15 @@ mod tests {
         }
         // Width 8 with 8 distinct cells: first round has at most 8 tasks,
         // conflicts only within the same cell.
-        let par = ParRunner::run(&s, &input, ParConfig { width: 8, max_steps: 10_000 }).unwrap();
+        let par = ParRunner::run(
+            &s,
+            &input,
+            ParConfig {
+                width: 8,
+                max_steps: 10_000,
+            },
+        )
+        .unwrap();
         let seq = SeqInterp::run(&s, &input).unwrap();
         assert!(par.mem.diff(&seq.mem, 5).is_empty());
         assert!(par.rounds >= 5, "rounds {}", par.rounds);
@@ -508,7 +518,15 @@ mod tests {
         let s = s.build().unwrap();
         let mut input = ProgramInput::new(&s);
         input.seed(&s, ts, &[0]);
-        let err = ParRunner::run(&s, &input, ParConfig { width: 4, max_steps: 50 }).unwrap_err();
+        let err = ParRunner::run(
+            &s,
+            &input,
+            ParConfig {
+                width: 4,
+                max_steps: 50,
+            },
+        )
+        .unwrap_err();
         assert_eq!(err.limit, 50);
     }
 }

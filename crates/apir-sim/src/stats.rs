@@ -191,7 +191,9 @@ impl ActivityTracker {
 
     /// `(cause, cycles)` pairs in stable declaration order.
     pub fn stall_causes(&self) -> impl Iterator<Item = (StallCause, u64)> + '_ {
-        StallCause::ALL.iter().map(|&c| (c, self.stall_by[c as usize]))
+        StallCause::ALL
+            .iter()
+            .map(|&c| (c, self.stall_by[c as usize]))
     }
 
     /// Total recorded cycles.
@@ -281,7 +283,11 @@ mod tests {
     fn record_n_equals_n_records() {
         let mut bulk = ActivityTracker::new();
         let mut seq = ActivityTracker::new();
-        for (a, n) in [(Activity::Busy, 2u64), (Activity::Stall, 7), (Activity::Idle, 0)] {
+        for (a, n) in [
+            (Activity::Busy, 2u64),
+            (Activity::Stall, 7),
+            (Activity::Idle, 0),
+        ] {
             bulk.record_n(a, n);
             for _ in 0..n {
                 seq.record(a);

@@ -64,8 +64,7 @@ pub fn synthesize(spec: &Spec, base: FabricConfig, target: SynthesisTarget) -> S
     let fits = |cfg: &FabricConfig| {
         let r = estimate_resources(spec, cfg);
         r.alms as f64 <= target.alm_budget * StratixV::ALMS as f64
-            && r.total_registers() as f64
-                <= target.register_budget * StratixV::REGISTERS as f64
+            && r.total_registers() as f64 <= target.register_budget * StratixV::REGISTERS as f64
             && r.m20ks <= StratixV::M20KS
     };
     let mut cfg = FabricConfig {

@@ -153,7 +153,10 @@ mod tests {
         assert_eq!(r.trace.len(), r.levels as usize);
         // The trace accounts for the whole frontier.
         let visited: u64 = r.trace.iter().map(|t| t.frontier).sum();
-        assert_eq!(visited, g.bfs_levels(0).iter().filter(|l| **l != INF).count() as u64);
+        assert_eq!(
+            visited,
+            g.bfs_levels(0).iter().filter(|l| **l != INF).count() as u64
+        );
     }
 
     #[test]

@@ -128,8 +128,7 @@ fn cmd_run(args: Vec<String>) {
         match arg.as_str() {
             "--scale" => {
                 let v = next_value(&mut args, "--scale");
-                scale = Scale::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
+                scale = Scale::parse(&v).unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
             }
             "--cap" => {
                 let v = next_value(&mut args, "--cap");
@@ -179,10 +178,7 @@ fn cmd_run(args: Vec<String>) {
 /// Parses the `<APP> [--scale S] [--cap N] [--faults SEED]` tail shared
 /// by `snapshot` and `restore-run`, returning any unrecognized
 /// positional arguments for the caller to interpret.
-fn runner_flags(
-    args: Vec<String>,
-    cmd: &str,
-) -> (String, Scale, usize, Option<u64>, Vec<String>) {
+fn runner_flags(args: Vec<String>, cmd: &str) -> (String, Scale, usize, Option<u64>, Vec<String>) {
     let mut args = args.into_iter();
     let Some(app) = args.next() else {
         fail(&format!("{cmd} needs an app name"));
@@ -198,8 +194,7 @@ fn runner_flags(
         match arg.as_str() {
             "--scale" => {
                 let v = next_value(&mut args, "--scale");
-                scale = Scale::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
+                scale = Scale::parse(&v).unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
             }
             "--cap" => {
                 let v = next_value(&mut args, "--cap");
@@ -250,7 +245,10 @@ fn cmd_snapshot(args: Vec<String>) {
             std::process::exit(1);
         }
         SnapshotAt::Paused(doc) => {
-            let cycle = doc.get("cycle").and_then(apir_util::Json::as_u64).unwrap_or(at);
+            let cycle = doc
+                .get("cycle")
+                .and_then(apir_util::Json::as_u64)
+                .unwrap_or(at);
             let mut text = doc.render_pretty();
             text.push('\n');
             match out_path {
@@ -327,8 +325,7 @@ fn cmd_timeline(args: Vec<String>) {
         match arg.as_str() {
             "--scale" => {
                 let v = next_value(&mut args, "--scale");
-                scale = Scale::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
+                scale = Scale::parse(&v).unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
             }
             "--window" => {
                 let v = next_value(&mut args, "--window");
@@ -401,8 +398,7 @@ fn analysis_targets(args: Vec<String>, json_flag: bool) -> (Vec<String>, Scale, 
         match arg.as_str() {
             "--scale" => {
                 let v = next_value(&mut args, "--scale");
-                scale = Scale::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
+                scale = Scale::parse(&v).unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
             }
             "--json" if json_flag => json_path = Some(next_value(&mut args, "--json")),
             other if other.starts_with('-') => fail(&format!("unknown flag `{other}`")),
@@ -494,19 +490,17 @@ fn cmd_campaign(args: Vec<String>) {
             "--resume" => resume_path = Some(next_value(&mut args, "--resume")),
             "--threads" => {
                 let v = next_value(&mut args, "--threads");
-                threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail(&format!("--threads wants a count >= 1, got `{v}`")));
+                threads =
+                    v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
+                        fail(&format!("--threads wants a count >= 1, got `{v}`"))
+                    });
             }
             "--inflight" => {
                 let v = next_value(&mut args, "--inflight");
-                inflight = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fail(&format!("--inflight wants a cap >= 1, got `{v}`")));
+                inflight =
+                    v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
+                        fail(&format!("--inflight wants a cap >= 1, got `{v}`"))
+                    });
             }
             "--out" => out_path = Some(next_value(&mut args, "--out")),
             "--json" => json_path = Some(next_value(&mut args, "--json")),
@@ -533,12 +527,12 @@ fn cmd_campaign(args: Vec<String>) {
 
     use std::io::Write;
     let mut dest: Box<dyn Write + Send> = match &out_path {
-        Some(p) => Box::new(std::io::BufWriter::new(std::fs::File::create(p).unwrap_or_else(
-            |e| {
+        Some(p) => Box::new(std::io::BufWriter::new(
+            std::fs::File::create(p).unwrap_or_else(|e| {
                 eprintln!("apir-trace: creating {p}: {e}");
                 std::process::exit(2);
-            },
-        ))),
+            }),
+        )),
         None => Box::new(std::io::stdout()),
     };
     let collect = json_path.is_some();
@@ -572,23 +566,18 @@ fn cmd_campaign(args: Vec<String>) {
             });
             // Completed lines re-emit byte-for-byte; only missing
             // cells run, so the stream matches an uninterrupted run.
-            let resumed = apir_campaign::run_campaign_resume(
-                &plan,
-                threads,
-                inflight,
-                &partial,
-                |line| {
+            let resumed =
+                apir_campaign::run_campaign_resume(&plan, threads, inflight, &partial, |line| {
                     writeln!(dest, "{line}").unwrap_or_else(|e| {
                         eprintln!("apir-trace: writing records: {e}");
                         std::process::exit(1);
                     });
                     if collect {
-                        let doc = apir_util::json::parse(line)
-                            .expect("campaign records are valid JSON");
+                        let doc =
+                            apir_util::json::parse(line).expect("campaign records are valid JSON");
                         records.push(doc);
                     }
-                },
-            );
+                });
             let (summary, stats) = resumed.unwrap_or_else(|e| {
                 eprintln!("apir-trace: {rp}: {e}");
                 std::process::exit(2);

@@ -121,8 +121,7 @@ pub fn snapshot_at(
     match split {
         apir_fabric::RunSplit::Paused(fabric) => SnapshotAt::Paused(fabric.snapshot()),
         apir_fabric::RunSplit::Done(report) => {
-            (app.check)(&report.mem_image)
-                .unwrap_or_else(|e| panic!("{name}: bad result: {e}"));
+            (app.check)(&report.mem_image).unwrap_or_else(|e| panic!("{name}: bad result: {e}"));
             SnapshotAt::Completed(report)
         }
     }
@@ -330,7 +329,10 @@ pub fn text_summary(report: &FabricReport) -> String {
     let _ = writeln!(
         out,
         "mem: reads={} writes={} hits={} misses={} qpi_bytes={}",
-        report.mem.reads, report.mem.writes, report.mem.hits, report.mem.misses,
+        report.mem.reads,
+        report.mem.writes,
+        report.mem.hits,
+        report.mem.misses,
         report.mem.qpi_bytes
     );
     let f = &report.faults;
@@ -364,7 +366,11 @@ pub fn text_summary(report: &FabricReport) -> String {
             MetricValue::Histogram(h) => {
                 // A saturated sum makes the mean a lower bound, not an
                 // exact value; say so instead of printing it as truth.
-                let sat = if h.saturated() { " (sum saturated)" } else { "" };
+                let sat = if h.saturated() {
+                    " (sum saturated)"
+                } else {
+                    ""
+                };
                 let _ = writeln!(
                     out,
                     "  {key:<40} count={} mean={:.2} max={}{sat}",
@@ -435,7 +441,9 @@ fn write_stall_attribution(out: &mut String, report: &FabricReport) {
     let entries = report.metrics.entries();
     let mut wrote_header = false;
     for (key, value) in entries {
-        let MetricValue::Counter(v) = value else { continue };
+        let MetricValue::Counter(v) = value else {
+            continue;
+        };
         if *v == 0 || key.starts_with("fabric.") || !key.ends_with(".stall") {
             continue;
         }
@@ -446,7 +454,9 @@ fn write_stall_attribution(out: &mut String, report: &FabricReport) {
         let mut split = String::new();
         let prefix = format!("{key}.");
         for (k2, v2) in entries {
-            let MetricValue::Counter(n) = v2 else { continue };
+            let MetricValue::Counter(n) = v2 else {
+                continue;
+            };
             if *n > 0 {
                 if let Some(cause) = k2.strip_prefix(&prefix) {
                     let _ = write!(split, " {cause}={n}");
@@ -507,7 +517,11 @@ pub fn chrome_trace(report: &FabricReport) -> Option<String> {
                 let slot = &mut open[r.comp.0 as usize];
                 if let Some((prev, since)) = slot.take() {
                     if prev != Activity::Idle && r.cycle > since {
-                        let name = if prev == Activity::Busy { "busy" } else { "stall" };
+                        let name = if prev == Activity::Busy {
+                            "busy"
+                        } else {
+                            "stall"
+                        };
                         events.push(span_event(name, r.comp.0, since, r.cycle - since));
                     }
                 }
@@ -529,7 +543,11 @@ pub fn chrome_trace(report: &FabricReport) -> Option<String> {
     for (i, slot) in open.iter().enumerate() {
         if let Some((state, since)) = slot {
             if *state != Activity::Idle && report.cycles > *since {
-                let name = if *state == Activity::Busy { "busy" } else { "stall" };
+                let name = if *state == Activity::Busy {
+                    "busy"
+                } else {
+                    "stall"
+                };
                 events.push(span_event(name, i as u32, *since, report.cycles - since));
             }
         }
@@ -743,8 +761,12 @@ mod tests {
             assert!(e.get("pid").unwrap().as_u64().is_some());
         }
         // There is at least one busy span and one counter sample.
-        assert!(evs.iter().any(|e| e.get("ph").unwrap().as_str() == Some("X")));
-        assert!(evs.iter().any(|e| e.get("ph").unwrap().as_str() == Some("C")));
+        assert!(evs
+            .iter()
+            .any(|e| e.get("ph").unwrap().as_str() == Some("X")));
+        assert!(evs
+            .iter()
+            .any(|e| e.get("ph").unwrap().as_str() == Some("C")));
     }
 
     #[test]
@@ -788,14 +810,11 @@ mod tests {
 
     #[test]
     fn diff_reports_changed_added_removed_keys() {
-        let a = apir_util::json::parse(
-            r#"{"schema":"s.v1","x":1,"gone":2,"nest":{"k":[1,2]}}"#,
-        )
-        .unwrap();
-        let b = apir_util::json::parse(
-            r#"{"schema":"s.v1","x":5,"nest":{"k":[1,3]},"fresh":true}"#,
-        )
-        .unwrap();
+        let a = apir_util::json::parse(r#"{"schema":"s.v1","x":1,"gone":2,"nest":{"k":[1,2]}}"#)
+            .unwrap();
+        let b =
+            apir_util::json::parse(r#"{"schema":"s.v1","x":5,"nest":{"k":[1,3]},"fresh":true}"#)
+                .unwrap();
         let d = diff_docs(&a, &b).unwrap();
         let keys: Vec<&str> = d.iter().map(DiffLine::key).collect();
         assert_eq!(keys, ["gone", "nest.k[1]", "x", "fresh"]);

@@ -128,9 +128,8 @@ where
     let mut master = MASTER_SEED;
     for case in 0..cases {
         let seed = splitmix64(&mut master);
-        let run = |shift: u32| {
-            catch_unwind(AssertUnwindSafe(|| property(&mut Gen::new(seed, shift))))
-        };
+        let run =
+            |shift: u32| catch_unwind(AssertUnwindSafe(|| property(&mut Gen::new(seed, shift))));
         if let Err(payload) = run(0) {
             // Shrink by halving until the property stops failing.
             let mut best_shift = 0;

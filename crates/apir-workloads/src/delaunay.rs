@@ -56,8 +56,7 @@ pub fn in_circumcircle(a: Point, b: Point, c: Point, p: Point) -> bool {
     let (ax, ay) = (a.x - p.x, a.y - p.y);
     let (bx, by) = (b.x - p.x, b.y - p.y);
     let (cx, cy) = (c.x - p.x, c.y - p.y);
-    let det = (ax * ax + ay * ay) * (bx * cy - cx * by)
-        - (bx * bx + by * by) * (ax * cy - cx * ay)
+    let det = (ax * ax + ay * ay) * (bx * cy - cx * by) - (bx * bx + by * by) * (ax * cy - cx * ay)
         + (cx * cx + cy * cy) * (ax * by - bx * ay);
     det > 1e-13
 }

@@ -126,11 +126,7 @@ mod tests {
         // A 64x64 grid BFS tree must be at least ~straight-line deep.
         assert!(depth >= 64, "depth {depth}");
         // Nearly all vertices reachable at keep=0.95.
-        let reach = g
-            .bfs_levels(0)
-            .iter()
-            .filter(|l| **l != INF)
-            .count();
+        let reach = g.bfs_levels(0).iter().filter(|l| **l != INF).count();
         assert!(reach > 3500, "reachable {reach}");
     }
 

@@ -27,7 +27,10 @@ impl CsrGraph {
     pub fn from_edges(n: usize, edges: &[(u32, u32, u32)]) -> Self {
         let mut deg = vec![0u64; n + 1];
         for &(u, v, _) in edges {
-            assert!((u as usize) < n && (v as usize) < n, "edge endpoint out of range");
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge endpoint out of range"
+            );
             deg[u as usize + 1] += 1;
         }
         for i in 0..n {

@@ -223,9 +223,7 @@ impl LuDepGraph {
         // Successor edges always point forward in sequential order, so one
         // forward pass suffices.
         for t in 0..n {
-            for &s in
-                &self.succ_idx[self.succ_ptr[t] as usize..self.succ_ptr[t + 1] as usize]
-            {
+            for &s in &self.succ_idx[self.succ_ptr[t] as usize..self.succ_ptr[t + 1] as usize] {
                 depth[s as usize] = depth[s as usize].max(depth[t] + 1);
             }
         }
@@ -443,7 +441,14 @@ mod tests {
         let sparse = lu_task_graph(&BlockPattern::random(8, 0.2, 2).with_fill());
         assert!(sparse.tasks.len() < dense.tasks.len());
         // Every k contributes at least its Diag task.
-        assert!(sparse.tasks.iter().filter(|t| t.kind == LuTaskKind::Diag).count() == 8);
+        assert!(
+            sparse
+                .tasks
+                .iter()
+                .filter(|t| t.kind == LuTaskKind::Diag)
+                .count()
+                == 8
+        );
     }
 
     #[test]

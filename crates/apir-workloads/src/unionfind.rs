@@ -128,7 +128,9 @@ mod tests {
     #[test]
     fn flat_matches_classic_components() {
         let n = 64;
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, (i * 7 + 3) % n as u32)).collect();
+        let edges: Vec<(u32, u32)> = (0..n as u32 - 1)
+            .map(|i| (i, (i * 7 + 3) % n as u32))
+            .collect();
         let mut classic = UnionFind::new(n);
         let mut arr = vec![0u64; n];
         FlatUnionFind::init(&mut arr);

@@ -37,7 +37,13 @@ fn main() {
     let done = b.alu(AluOp::Eq, next, nil);
     let more = b.alu(AluOp::Eq, done, zero);
     b.requeue(&[next, acc2, out], Some(more));
-    b.store(sums, out, acc2, apir::core::op::StoreKind::Plain, Some(done));
+    b.store(
+        sums,
+        out,
+        acc2,
+        apir::core::op::StoreKind::Plain,
+        Some(done),
+    );
     b.finish();
     let spec = spec.build().expect("spec validates");
 
@@ -48,17 +54,27 @@ fn main() {
         .iter()
         .enumerate()
     {
-        input.mem.fill(apir::core::spec::RegionId(0), 2 * i, &[*p, *n]);
+        input
+            .mem
+            .fill(apir::core::spec::RegionId(0), 2 * i, &[*p, *n]);
     }
     // List B: 1 -> 3 (payloads 7, 8).
-    input.mem.fill(apir::core::spec::RegionId(0), 2 * 1, &[7, 3]);
-    input.mem.fill(apir::core::spec::RegionId(0), 2 * 3, &[8, u64::MAX]);
+    input
+        .mem
+        .fill(apir::core::spec::RegionId(0), 2 * 1, &[7, 3]);
+    input
+        .mem
+        .fill(apir::core::spec::RegionId(0), 2 * 3, &[8, u64::MAX]);
     input.seed(&spec, walk, &[0, 0, 0]); // list A into sums[0]
     input.seed(&spec, walk, &[1, 0, 1]); // list B into sums[1]
 
     // 3. Golden model: sequential execution (Definition 4.3).
     let seq = SeqInterp::run(&spec, &input).expect("sequential run");
-    println!("sequential:   sums = [{}, {}]", seq.mem.read(sums, 0), seq.mem.read(sums, 1));
+    println!(
+        "sequential:   sums = [{}, {}]",
+        seq.mem.read(sums, 0),
+        seq.mem.read(sums, 1)
+    );
 
     // 4. Software debugging runtime (round-based speculation).
     let par = ParRunner::run(&spec, &input, ParConfig::default()).expect("software runtime");
@@ -86,6 +102,9 @@ fn main() {
         report.cycles,
         report.seconds * 1e6
     );
-    assert!(report.mem_image.diff(&seq.mem, 1).is_empty(), "engines agree");
+    assert!(
+        report.mem_image.diff(&seq.mem, 1).is_empty(),
+        "engines agree"
+    );
     println!("all three engines agree.");
 }

@@ -6,6 +6,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# hostbench is a workspace of its own, so `--all` leaves it out.
+echo "==> cargo fmt --all --check (the workspace is rustfmt-clean)"
+cargo fmt --all --check
+
 echo "==> cargo build --release --offline (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build --release --offline
 

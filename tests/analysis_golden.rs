@@ -67,7 +67,12 @@ fn builtin_verdict_sets_are_pinned() {
             .iter()
             .map(|(c, e)| (c.to_string(), e.to_string()))
             .collect();
-        assert_eq!(got, want, "{name}: verdict set moved:\n{}", a.report.render_text());
+        assert_eq!(
+            got,
+            want,
+            "{name}: verdict set moved:\n{}",
+            a.report.render_text()
+        );
         assert!(!a.report.has_errors(), "{name}: builtins stay error-free");
     }
 }

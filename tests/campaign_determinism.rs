@@ -86,7 +86,9 @@ fn merged_stream_interleaves_ok_and_error_records_in_key_order() {
                 // Error records embed the partial report, stamped with
                 // where the run died — the campaign-side view of
                 // `FabricError::partial_report_json()`.
-                let report = r.get("report").expect("error records embed the partial report");
+                let report = r
+                    .get("report")
+                    .expect("error records embed the partial report");
                 let t = report.get("terminated").expect("terminated stamp");
                 assert_eq!(t.get("kind").unwrap().as_str(), Some("max_cycles"));
                 assert_eq!(t.get("cycle").unwrap().as_u64(), Some(64));
@@ -113,5 +115,9 @@ fn tight_inflight_window_does_not_change_the_bytes() {
     let (tight, st) = merged_jsonl(&plan, 8, 1);
     let (roomy, _) = merged_jsonl(&plan, 8, 64);
     assert_eq!(tight, roomy);
-    assert!(st.peak_inflight <= 1, "cap 1 violated: {}", st.peak_inflight);
+    assert!(
+        st.peak_inflight <= 1,
+        "cap 1 violated: {}",
+        st.peak_inflight
+    );
 }

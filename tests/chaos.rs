@@ -73,10 +73,17 @@ fn chaos_matrix_recovers_to_fault_free_memory() {
     let plan = parse_plan(&text).expect("valid chaos plan");
     // The committed plan is the full matrix: every builtin, at least
     // five seeds, two all-chaos configs.
-    assert_eq!(plan.apps.len(), APP_NAMES.len(), "plan must cover every builtin");
+    assert_eq!(
+        plan.apps.len(),
+        APP_NAMES.len(),
+        "plan must cover every builtin"
+    );
     assert!(plan.seeds.len() >= 5, "plan must sweep at least five seeds");
     assert_eq!(plan.configs.len(), 2);
-    assert!(plan.configs.iter().all(|c| c.chaos), "every cell is a chaos cell");
+    assert!(
+        plan.configs.iter().all(|c| c.chaos),
+        "every cell is a chaos cell"
+    );
 
     // Fault-free reference image per app, computed once.
     let mut reference = HashMap::new();
@@ -98,8 +105,7 @@ fn chaos_matrix_recovers_to_fault_free_memory() {
     for job in expand(&plan) {
         let key = job.key();
         // `run_job` already re-verifies the cell against the app checker.
-        let report =
-            run_job(&job).unwrap_or_else(|e| panic!("{key}: [{}] {}", e.kind, e.message));
+        let report = run_job(&job).unwrap_or_else(|e| panic!("{key}: [{}] {}", e.kind, e.message));
 
         let f = &report.faults;
         assert_eq!(

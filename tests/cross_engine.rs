@@ -76,7 +76,8 @@ fn six_apps_interp_vs_fabric_final_memory() {
             "SPEC-DMR" => {} // checker-only (see above)
             _ => {
                 assert_eq!(
-                    seq.mem, fab.mem_image,
+                    seq.mem,
+                    fab.mem_image,
                     "{name}: final images differ: {:?}",
                     seq.mem.diff(&fab.mem_image, 8)
                 );
@@ -117,9 +118,10 @@ fn bfs_three_engines_agree_across_seeds() {
             (app.check)(&seq.mem).unwrap();
             let par = ParRunner::run(&app.spec, &app.input, ParConfig::default()).unwrap();
             (app.check)(&par.mem).unwrap();
-            let fab = Fabric::new(&app.spec, &app.input, fabric_cfg()).run().unwrap();
-            (app.check)(&fab.mem_image)
-                .unwrap_or_else(|e| panic!("{variant:?} seed {seed}: {e}"));
+            let fab = Fabric::new(&app.spec, &app.input, fabric_cfg())
+                .run()
+                .unwrap();
+            (app.check)(&fab.mem_image).unwrap_or_else(|e| panic!("{variant:?} seed {seed}: {e}"));
         }
     }
 }
@@ -132,7 +134,9 @@ fn sssp_on_scale_free_graph() {
     let app = sssp::build(g, 0);
     let seq = SeqInterp::run(&app.spec, &app.input).unwrap();
     (app.check)(&seq.mem).unwrap();
-    let fab = Fabric::new(&app.spec, &app.input, fabric_cfg()).run().unwrap();
+    let fab = Fabric::new(&app.spec, &app.input, fabric_cfg())
+        .run()
+        .unwrap();
     (app.check)(&fab.mem_image).unwrap();
 }
 
@@ -142,7 +146,9 @@ fn mst_fabric_agrees_with_interpreter() {
     let edges = Arc::new(gen::edge_list_distinct_weights(n, 260, 9));
     let app = mst::build(n, edges);
     let seq = SeqInterp::run(&app.spec, &app.input).unwrap();
-    let fab = Fabric::new(&app.spec, &app.input, fabric_cfg()).run().unwrap();
+    let fab = Fabric::new(&app.spec, &app.input, fabric_cfg())
+        .run()
+        .unwrap();
     (app.check)(&fab.mem_image).unwrap();
     // The MST flags match exactly (commits serialize in weight order);
     // the union-find *shape* may differ when a commit lands between a
@@ -179,9 +185,10 @@ fn lu_on_software_runtime_tracks_extern_reads() {
 fn lu_tolerates_dense_and_sparse_patterns() {
     for density in [0.15, 0.9] {
         let app = lu::build(&BlockPattern::random(4, density, 8), 5, 8);
-        let fab = Fabric::new(&app.spec, &app.input, fabric_cfg()).run().unwrap();
-        (app.check)(&fab.mem_image)
-            .unwrap_or_else(|e| panic!("density {density}: {e}"));
+        let fab = Fabric::new(&app.spec, &app.input, fabric_cfg())
+            .run()
+            .unwrap();
+        (app.check)(&fab.mem_image).unwrap_or_else(|e| panic!("density {density}: {e}"));
     }
 }
 
@@ -192,7 +199,9 @@ fn disconnected_graph_is_handled() {
     let edges = vec![(0u32, 1u32, 1u32), (2, 3, 1)];
     let g = Arc::new(apir::workloads::CsrGraph::from_undirected_edges(4, &edges));
     let app = bfs::build(g, 0, bfs::BfsVariant::Spec);
-    let fab = Fabric::new(&app.spec, &app.input, fabric_cfg()).run().unwrap();
+    let fab = Fabric::new(&app.spec, &app.input, fabric_cfg())
+        .run()
+        .unwrap();
     (app.check)(&fab.mem_image).unwrap();
 }
 
@@ -200,7 +209,9 @@ fn disconnected_graph_is_handled() {
 fn single_vertex_graph() {
     let g = Arc::new(apir::workloads::CsrGraph::from_edges(1, &[]));
     let app = bfs::build(g, 0, bfs::BfsVariant::Spec);
-    let fab = Fabric::new(&app.spec, &app.input, fabric_cfg()).run().unwrap();
+    let fab = Fabric::new(&app.spec, &app.input, fabric_cfg())
+        .run()
+        .unwrap();
     (app.check)(&fab.mem_image).unwrap();
     assert_eq!(fab.total_retired(), 1);
 }
@@ -222,7 +233,9 @@ fn tiny_fabric_configurations_still_correct() {
     };
     for variant in [bfs::BfsVariant::Spec, bfs::BfsVariant::Coor] {
         let app = bfs::build(g.clone(), 0, variant);
-        let fab = Fabric::new(&app.spec, &app.input, cfg.clone()).run().unwrap();
+        let fab = Fabric::new(&app.spec, &app.input, cfg.clone())
+            .run()
+            .unwrap();
         (app.check)(&fab.mem_image).unwrap_or_else(|e| panic!("{variant:?}: {e}"));
     }
 }

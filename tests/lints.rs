@@ -32,7 +32,11 @@ fn waiting_rule_without_otherwise_is_apir001() {
     b.rendezvous(h);
     b.finish();
     let report = check_spec(&s);
-    assert!(has_at_least(&report, Lint::WaitingRuleNeverTrue, Severity::Error));
+    assert!(has_at_least(
+        &report,
+        Lint::WaitingRuleNeverTrue,
+        Severity::Error
+    ));
     assert_eq!(Lint::WaitingRuleNeverTrue.code(), "APIR001");
     // `Spec::build` fails with the first error-level diagnostic.
     assert_eq!(s.build().unwrap_err().lint, Lint::WaitingRuleNeverTrue);
@@ -49,7 +53,11 @@ fn countdown_out_of_range_is_apir003() {
     b.rendezvous(h);
     b.finish();
     let report = check_spec(&s);
-    assert!(has_at_least(&report, Lint::CountdownOutOfRange, Severity::Error));
+    assert!(has_at_least(
+        &report,
+        Lint::CountdownOutOfRange,
+        Severity::Error
+    ));
     assert_eq!(s.build().unwrap_err().lint, Lint::CountdownOutOfRange);
 }
 
@@ -62,7 +70,11 @@ fn unguarded_requeue_is_apir002_warning() {
     b.requeue(&[x], None);
     b.finish();
     let report = check_all(&s);
-    assert!(has_at_least(&report, Lint::UnguardedRequeue, Severity::Warn));
+    assert!(has_at_least(
+        &report,
+        Lint::UnguardedRequeue,
+        Severity::Warn
+    ));
     // The recirculation loop also shows up in the BDFG as a cycle with no
     // decision actor.
     assert!(report.has(Lint::UndecidedCycle));
@@ -116,7 +128,11 @@ fn unclaimed_rule_lane_is_apir206() {
     b.alloc_rule(rule, &[]);
     b.finish();
     let report = check_spec(&s);
-    assert!(has_at_least(&report, Lint::UnbalancedRuleTokens, Severity::Error));
+    assert!(has_at_least(
+        &report,
+        Lint::UnbalancedRuleTokens,
+        Severity::Error
+    ));
 }
 
 #[test]
@@ -144,7 +160,11 @@ fn arity_mismatched_enqueue_is_apir301() {
     b.enqueue(ts, &[x, x], None); // set carries one field
     b.finish();
     let report = check_spec(&s);
-    assert!(has_at_least(&report, Lint::EnqueueArityMismatch, Severity::Error));
+    assert!(has_at_least(
+        &report,
+        Lint::EnqueueArityMismatch,
+        Severity::Error
+    ));
     assert_eq!(Lint::EnqueueArityMismatch.code(), "APIR301");
     assert_eq!(s.build().unwrap_err().lint, Lint::EnqueueArityMismatch);
 }
@@ -166,7 +186,11 @@ fn event_field_beyond_payload_is_apir304() {
     b.rendezvous(h);
     b.finish();
     let report = check_spec(&s);
-    assert!(has_at_least(&report, Lint::EventFieldOutOfRange, Severity::Warn));
+    assert!(has_at_least(
+        &report,
+        Lint::EventFieldOutOfRange,
+        Severity::Warn
+    ));
 }
 
 #[test]
@@ -233,7 +257,11 @@ fn rendezvous_guarded_store_pair_is_not_a_race() {
         b.finish();
     }
     let report = check_spec(&s);
-    assert!(!report.has(Lint::StoreStoreRace), "{}", report.render_text());
+    assert!(
+        !report.has(Lint::StoreStoreRace),
+        "{}",
+        report.render_text()
+    );
     assert!(s.build().is_ok());
 }
 
@@ -250,7 +278,11 @@ fn const_disjoint_plain_stores_are_not_a_race() {
     b.store_plain(r, one, v);
     b.finish();
     let report = check_spec(&s);
-    assert!(!report.has(Lint::StoreStoreRace), "{}", report.render_text());
+    assert!(
+        !report.has(Lint::StoreStoreRace),
+        "{}",
+        report.render_text()
+    );
 }
 
 #[test]
@@ -280,7 +312,11 @@ fn zero_fabric_resource_is_apir501() {
         ..FabricConfig::default()
     };
     let report = cfg.validate();
-    assert!(has_at_least(&report, Lint::ZeroFabricResource, Severity::Error));
+    assert!(has_at_least(
+        &report,
+        Lint::ZeroFabricResource,
+        Severity::Error
+    ));
     assert_eq!(Lint::ZeroFabricResource.code(), "APIR501");
     // The fabric refuses to run under a degenerate config.
     let mut s = apir::core::Spec::new("tiny");
@@ -294,7 +330,9 @@ fn zero_fabric_resource_is_apir501() {
         pipelines_per_set: 0,
         ..FabricConfig::default()
     };
-    let err = apir::fabric::Fabric::new(&s, &input, cfg).run().unwrap_err();
+    let err = apir::fabric::Fabric::new(&s, &input, cfg)
+        .run()
+        .unwrap_err();
     match err {
         apir::fabric::FabricError::RejectedByLint { report } => {
             assert!(report.contains("APIR501"), "{report}");
@@ -312,7 +350,11 @@ fn misordered_watchdog_is_apir502() {
         ..FabricConfig::default()
     };
     let report = cfg.validate();
-    assert!(has_at_least(&report, Lint::WatchdogMisordered, Severity::Error));
+    assert!(has_at_least(
+        &report,
+        Lint::WatchdogMisordered,
+        Severity::Error
+    ));
     assert_eq!(Lint::WatchdogMisordered.code(), "APIR502");
 }
 
@@ -325,7 +367,11 @@ fn fault_rate_out_of_range_is_apir503() {
         ..FaultConfig::default()
     };
     let report = cfg.validate();
-    assert!(has_at_least(&report, Lint::FaultRateOutOfRange, Severity::Error));
+    assert!(has_at_least(
+        &report,
+        Lint::FaultRateOutOfRange,
+        Severity::Error
+    ));
     assert_eq!(Lint::FaultRateOutOfRange.code(), "APIR503");
     // NaN is out of range too, not silently accepted.
     cfg.faults.drop_rate = f64::NAN;
@@ -346,7 +392,11 @@ fn degenerate_fault_plan_is_apir504() {
         ..FaultConfig::default()
     };
     let report = cfg.validate();
-    assert!(has_at_least(&report, Lint::DegenerateFaultPlan, Severity::Error));
+    assert!(has_at_least(
+        &report,
+        Lint::DegenerateFaultPlan,
+        Severity::Error
+    ));
     assert_eq!(Lint::DegenerateFaultPlan.code(), "APIR504");
     // A drop plan whose retry clock never ticks is equally degenerate.
     cfg.faults = FaultConfig {

@@ -45,12 +45,84 @@ fn baseline_run(name: &str) -> FabricReport {
 }
 
 const GOLDENS: [(&str, Golden); 6] = [
-    ("SPEC-BFS", Golden { cycles: 1696, retired: 276, squashes: 0, requeues: 0, bounces: 0, mem_hits: 435, mem_misses: 117, utilization: 0.014449104845626072 }),
-    ("COOR-BFS", Golden { cycles: 2990, retired: 276, squashes: 0, requeues: 0, bounces: 0, mem_hits: 420, mem_misses: 132, utilization: 0.006979614588310242 }),
-    ("SPEC-SSSP", Golden { cycles: 2772, retired: 1051, squashes: 1, requeues: 0, bounces: 0, mem_hits: 1679, mem_misses: 949, utilization: 0.028501328217237318 }),
-    ("SPEC-MST", Golden { cycles: 101073, retired: 1755, squashes: 1320, requeues: 1635, bounces: 247, mem_hits: 3505, mem_misses: 5, utilization: 0.004630408311411144 }),
-    ("SPEC-DMR", Golden { cycles: 1050, retired: 15, squashes: 1, requeues: 1, bounces: 0, mem_hits: 1, mem_misses: 14, utilization: 0.002063492063492066 }),
-    ("COOR-LU", Golden { cycles: 81, retired: 6, squashes: 0, requeues: 0, bounces: 0, mem_hits: 0, mem_misses: 0, utilization: 0.013888888888888888 }),
+    (
+        "SPEC-BFS",
+        Golden {
+            cycles: 1696,
+            retired: 276,
+            squashes: 0,
+            requeues: 0,
+            bounces: 0,
+            mem_hits: 435,
+            mem_misses: 117,
+            utilization: 0.014449104845626072,
+        },
+    ),
+    (
+        "COOR-BFS",
+        Golden {
+            cycles: 2990,
+            retired: 276,
+            squashes: 0,
+            requeues: 0,
+            bounces: 0,
+            mem_hits: 420,
+            mem_misses: 132,
+            utilization: 0.006979614588310242,
+        },
+    ),
+    (
+        "SPEC-SSSP",
+        Golden {
+            cycles: 2772,
+            retired: 1051,
+            squashes: 1,
+            requeues: 0,
+            bounces: 0,
+            mem_hits: 1679,
+            mem_misses: 949,
+            utilization: 0.028501328217237318,
+        },
+    ),
+    (
+        "SPEC-MST",
+        Golden {
+            cycles: 101073,
+            retired: 1755,
+            squashes: 1320,
+            requeues: 1635,
+            bounces: 247,
+            mem_hits: 3505,
+            mem_misses: 5,
+            utilization: 0.004630408311411144,
+        },
+    ),
+    (
+        "SPEC-DMR",
+        Golden {
+            cycles: 1050,
+            retired: 15,
+            squashes: 1,
+            requeues: 1,
+            bounces: 0,
+            mem_hits: 1,
+            mem_misses: 14,
+            utilization: 0.002063492063492066,
+        },
+    ),
+    (
+        "COOR-LU",
+        Golden {
+            cycles: 81,
+            retired: 6,
+            squashes: 0,
+            requeues: 0,
+            bounces: 0,
+            mem_hits: 0,
+            mem_misses: 0,
+            utilization: 0.013888888888888888,
+        },
+    ),
 ];
 
 #[test]
@@ -100,11 +172,19 @@ fn spec_bfs_stall_cause_vector_is_pinned() {
         assert_eq!(m.counter(key), Some(want), "{key} drifted");
     }
     let total: u64 = causes.iter().map(|&(_, n)| n).sum();
-    assert_eq!(m.counter("fabric.stall"), Some(total), "causes partition the total");
+    assert_eq!(
+        m.counter("fabric.stall"),
+        Some(total),
+        "causes partition the total"
+    );
     let busy = m.counter("fabric.busy").unwrap();
     let idle = m.counter("fabric.idle").unwrap();
     let stages = r.primitive_ops as u64;
-    assert_eq!(busy + total + idle, r.cycles * stages, "stage-cycles conserved");
+    assert_eq!(
+        busy + total + idle,
+        r.cycles * stages,
+        "stage-cycles conserved"
+    );
 }
 
 #[test]

@@ -145,7 +145,9 @@ fn partial_report_json_stamps_the_terminal_cause() {
     let FabricError::Deadlock { cycle, .. } = err else {
         panic!("expected Deadlock, got {err}");
     };
-    let doc = err.partial_report_json().expect("deadlock carries a report");
+    let doc = err
+        .partial_report_json()
+        .expect("deadlock carries a report");
     let t = doc.get("terminated").expect("terminated stamp present");
     assert_eq!(t.get("kind").unwrap().as_str(), Some("deadlock"));
     assert_eq!(t.get("cycle").unwrap().as_u64(), Some(cycle));
@@ -159,7 +161,9 @@ fn partial_report_json_stamps_the_terminal_cause() {
         ..FaultConfig::default()
     };
     let err = Fabric::new(&s, &input, cfg).run().unwrap_err();
-    let doc = err.partial_report_json().expect("link failure carries a report");
+    let doc = err
+        .partial_report_json()
+        .expect("link failure carries a report");
     let t = doc.get("terminated").unwrap();
     assert_eq!(t.get("kind").unwrap().as_str(), Some("link_failed"));
     assert_eq!(
@@ -239,7 +243,11 @@ fn rollback_recovery_completes_a_run_that_link_failure_killed() {
         "metrics and report block agree"
     );
     assert!(
-        report.metrics.counter("fault.rollback.replayed_cycles").unwrap() >= 1,
+        report
+            .metrics
+            .counter("fault.rollback.replayed_cycles")
+            .unwrap()
+            >= 1,
         "replay must cover at least the doomed stretch"
     );
     assert_eq!(
@@ -338,16 +346,31 @@ fn partial_reports_of_every_terminal_kind_are_pinned() {
     capped.faults = FaultConfig::chaos(7);
     capped.max_cycles = 2000;
     let runs = [
-        (Fabric::new(&s, &input, strangled).run(), "deadlock", 0x9692_5925_52a4_5d55),
-        (Fabric::new(&s, &input, dropping).run(), "link_failed", 0xca91_e8e9_2f9b_859f),
-        (Fabric::new(&app.spec, &app.input, capped).run(), "max_cycles", 0xf3d6_7eeb_f5be_4675),
+        (
+            Fabric::new(&s, &input, strangled).run(),
+            "deadlock",
+            0x9692_5925_52a4_5d55,
+        ),
+        (
+            Fabric::new(&s, &input, dropping).run(),
+            "link_failed",
+            0xca91_e8e9_2f9b_859f,
+        ),
+        (
+            Fabric::new(&app.spec, &app.input, capped).run(),
+            "max_cycles",
+            0xf3d6_7eeb_f5be_4675,
+        ),
     ];
     for (run, kind, fnv) in runs {
         let Err(err) = run else {
             panic!("{kind}: the run finished");
         };
         assert_eq!(err.kind(), kind);
-        let text = err.partial_report_json().expect("a partial report").render();
+        let text = err
+            .partial_report_json()
+            .expect("a partial report")
+            .render();
         assert_eq!(fnv1a(text.as_bytes()), fnv, "{kind}: {} bytes", text.len());
     }
 }
@@ -387,7 +410,10 @@ fn mid_run_snapshots_save_the_metrics_of_the_pause_cycle() {
         Err(e) => panic!("run_until({target}): {e}"),
     };
     // (target, pause cycle, `fault.watchdog.escalations`, snapshot FNV-1a)
-    let cases = [(100, 104, 0, 0x8a72_f78b_e731_807a), (105, 105, 1, 0xb0e6_d53e_8f56_fcc2)];
+    let cases = [
+        (100, 104, 0, 0x8a72_f78b_e731_807a),
+        (105, 105, 1, 0xb0e6_d53e_8f56_fcc2),
+    ];
     for (target, cycle, escalations, fnv) in cases {
         let doc = pause(target).snapshot();
         let text = doc.render();

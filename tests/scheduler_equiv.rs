@@ -234,8 +234,14 @@ fn fault_window_schedule_is_pinned() {
     // Both campaigns run long enough to hit the half-resources masking
     // refusal cap, so the structural counts are stable — pin them.
     // Before the fix, `with_one` masked exactly zero of each.
-    assert_eq!(with_one.lanes_masked, 32, "window-1 schedule drifted: {with_one:?}");
-    assert_eq!(with_one.banks_masked, 4, "window-1 schedule drifted: {with_one:?}");
+    assert_eq!(
+        with_one.lanes_masked, 32,
+        "window-1 schedule drifted: {with_one:?}"
+    );
+    assert_eq!(
+        with_one.banks_masked, 4,
+        "window-1 schedule drifted: {with_one:?}"
+    );
     // Per-cycle trials can never inject less than 16-cycle windows.
     assert!(
         with_one.lanes_masked + with_one.banks_masked

@@ -87,8 +87,7 @@ fn split_at(name: &str, faults: Faults, dense: bool, at: u64, clone: bool) -> St
                 .unwrap_or_else(|e| panic!("{name}: resumed run failed: {e}"))
         }
     };
-    (app.check)(&report.mem_image)
-        .unwrap_or_else(|e| panic!("{name}: resumed image is bad: {e}"));
+    (app.check)(&report.mem_image).unwrap_or_else(|e| panic!("{name}: resumed image is bad: {e}"));
     report.to_json()
 }
 
