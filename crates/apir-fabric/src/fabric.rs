@@ -227,7 +227,7 @@ struct Stage {
     /// Rule engine a Rendezvous stage claims its verdict from (the rule
     /// of the `AllocRule` it names); `None` for every other op.
     rule: Option<RuleId>,
-    station: Option<OutOfOrderStation<Ctx>>,
+    station: Option<OutOfOrderStation<Box<Ctx>>>,
     /// Progress cursor of an in-flight `EnqueueRange`.
     expand_pos: Option<u64>,
     tracker: ActivityTracker,
@@ -260,7 +260,7 @@ snap_fields!(Stage {
 #[derive(Clone)]
 struct Pipeline {
     set: TaskSetId,
-    latches: Box<[Option<Ctx>]>,
+    latches: Box<[Option<Box<Ctx>>]>,
     stages: Box<[Stage]>,
     /// Extern unit attached to this pipeline (if the body calls externs).
     extern_unit: Option<ExternUnit>,
@@ -1705,12 +1705,19 @@ fn request(
 ///   changes;
 /// - a load or store stage that the full request channel holds back
 ///   (`bandwidth`) also sleeps until [`Fabric::tick`] wakes it for a free
-///   slot in the channel.
+///   slot in the channel;
+/// - a rendezvous stage that the next latch holds back
+///   (`downstream_full`) with no entry waiting in its station sleeps until
+///   the next latch empties: no verdict can reach its port, and no entry
+///   can time out or be flushed by the watchdog.
 ///
 /// A stage that only other shared state (a queue, the event bus, an
-/// extern unit) or time (a rendezvous timeout) can release stays awake;
-/// its station answers in O(1) when nothing in it is ready or due to
-/// time out.
+/// extern unit) or time (a waiting rendezvous entry's timeout) can
+/// release stays awake; its station answers in O(1) when nothing in it
+/// is ready or due to time out.
+///
+/// Contexts move by pointer: a latch or station slot holds a boxed
+/// context, so advancing or parking one moves a pointer, not the context.
 fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     let n = p.stages.len();
     let set = p.set;
@@ -1722,7 +1729,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     let mut end = n;
     while let Some(i) = highest_below(&p.awake, end) {
         end = i;
-        if p.leave_channel(i) {
+        if *cx.chan_waiting > 0 && p.leave_channel(i) {
             *cx.chan_waiting -= 1;
         }
         // Split the borrow: current stage vs the next latch.
@@ -2012,18 +2019,22 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         stage.record(state, cause, cx);
         // Sleep through a stall that only a wake can end: a response at
         // the port, the next latch emptying, or a free slot in the request
-        // channel (see `Fabric::tick`). A rendezvous also waits on its
-        // timeout, and an extern stage's `DownstreamFull` may be its
-        // unit's full queue.
+        // channel (see `Fabric::tick`). A rendezvous also waits on the
+        // timeout of each entry waiting in its station, and an extern
+        // stage's `DownstreamFull` may be its unit's full queue.
         let sleeps = match (state, cause) {
             (Activity::Idle, _) => true,
             (
                 Activity::Stall,
                 StallCause::MissOutstanding | StallCause::MshrFull | StallCause::Bandwidth,
             ) => true,
-            (Activity::Stall, StallCause::DownstreamFull) => {
-                !matches!(stage.op, BodyOp::Rendezvous { .. } | BodyOp::Extern { .. })
-            }
+            (Activity::Stall, StallCause::DownstreamFull) => match stage.op {
+                BodyOp::Rendezvous { .. } => {
+                    stage.station.as_ref().is_some_and(|s| s.waiting() == 0)
+                }
+                BodyOp::Extern { .. } => false,
+                _ => true,
+            },
             _ => false,
         };
         if sleeps {
@@ -2055,7 +2066,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     // Head: pop a task into latch 0.
     if n > 0 && p.latches[0].is_none() {
         if let Some(token) = cx.queues[set.0].pop() {
-            p.latches[0] = Some(Ctx::from_token(token, n));
+            p.latches[0] = Some(Box::new(Ctx::from_token(token, n)));
             p.wake(0);
             progress = true;
         }
@@ -2293,12 +2304,13 @@ fn in_range(key: &str, len: usize, ids: impl Iterator<Item = usize>) -> Result<(
     }
 }
 
-/// Moves a context to the next latch, or retires it at the pipeline tail.
+/// Moves a context's box to the next latch, or retires it at the pipeline
+/// tail.
 fn advance(
-    ctx: Ctx,
+    ctx: Box<Ctx>,
     i: usize,
     n: usize,
-    latch_next: Option<&mut Option<Ctx>>,
+    latch_next: Option<&mut Option<Box<Ctx>>>,
     cx: &mut TickCtx,
     set: TaskSetId,
 ) {

@@ -20,7 +20,9 @@ const APPS: [&str; 6] = [
 /// walk's keys, and the channel waiter count against the pipelines'
 /// channel bits, each on a stage that will push a request when it is
 /// visited: one that latches a context and has a station slot for it,
-/// and that sleeps until the channel has room for it.
+/// and that sleeps until the channel has room for it. A rendezvous stage
+/// with an entry waiting in its station is awake, since only a visit
+/// bounces that entry when it times out.
 fn check(f: &Fabric) {
     let at = f.cycle;
     let keys: BTreeSet<_> = f.held_tasks().collect();
@@ -40,6 +42,14 @@ fn check(f: &Fabric) {
     let mut waiting = 0;
     for p in f.pipelines.iter() {
         for (i, st) in p.stages.iter().enumerate() {
+            let awake = p.awake[i / 64] & (1 << (i % 64)) != 0;
+            if st.rule.is_some() {
+                let parked = st.station.as_ref().map_or(0, OutOfOrderStation::waiting);
+                assert!(
+                    parked == 0 || awake,
+                    "cycle {at}: rendezvous stage {i} sleeps on {parked} waiting entries"
+                );
+            }
             if p.chan[i / 64] & (1 << (i % 64)) == 0 {
                 continue;
             }
@@ -52,11 +62,7 @@ fn check(f: &Fabric) {
                 p.latches[i].is_some() && slot,
                 "cycle {at}: stage {i} cannot push"
             );
-            assert_eq!(
-                p.awake[i / 64] & (1 << (i % 64)),
-                0,
-                "cycle {at}: stage {i} waits on the channel awake"
-            );
+            assert!(!awake, "cycle {at}: stage {i} waits on the channel awake");
         }
     }
     assert_eq!(f.chan_waiting, waiting, "cycle {at}: channel waiters");

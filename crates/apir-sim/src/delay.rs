@@ -47,10 +47,16 @@ impl<T> DelayLine<T> {
     pub fn push_extra(&mut self, now: Cycle, extra: Cycle, v: T) {
         // Keep the queue sorted by ready time: the base latency is constant
         // and `now` is monotone, but extra latencies could reorder entries.
-        // Stable insertion after equal ready times preserves FIFO order.
+        // Stable insertion after equal ready times preserves FIFO order, so
+        // an element ready no earlier than the back goes to the back, which
+        // is where every fixed-latency push lands.
         let ready = now + self.latency + extra;
-        let pos = self.q.partition_point(|(r, _)| *r <= ready);
-        self.q.insert(pos, (ready, v));
+        if self.q.back().is_none_or(|(r, _)| *r <= ready) {
+            self.q.push_back((ready, v));
+        } else {
+            let pos = self.q.partition_point(|(r, _)| *r <= ready);
+            self.q.insert(pos, (ready, v));
+        }
     }
 
     /// Pops the oldest element whose latency has elapsed by `now`.
@@ -158,6 +164,11 @@ impl<T> OutOfOrderStation<T> {
     /// Is the station empty?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Number of entries still waiting for their completion or a bounce.
+    pub fn waiting(&self) -> usize {
+        self.entries.len() - self.ready
     }
 
     /// Is there a free slot?
@@ -291,6 +302,35 @@ mod tests {
     }
 
     #[test]
+    fn pushes_pop_in_the_order_of_a_sorted_insertion() {
+        // The reference inserts every element after the ones ready no
+        // later than it, at the place a binary search finds.
+        let mut d = DelayLine::new(3);
+        let mut reference: Vec<(Cycle, usize)> = Vec::new();
+        let extras = [0, 5, 0, 0, 2, 9, 0, 1, 0, 0, 4, 0, 0];
+        for (v, &extra) in extras.iter().cycle().take(60).enumerate() {
+            // Two pushes a cycle, so equal ready cycles meet.
+            let now = v as Cycle / 2;
+            if extra == 0 {
+                d.push(now, v);
+            } else {
+                d.push_extra(now, extra, v);
+            }
+            let ready = now + 3 + extra;
+            let pos = reference.partition_point(|(r, _)| *r <= ready);
+            reference.insert(pos, (ready, v));
+        }
+        let mut popped = Vec::new();
+        for now in 0..50 {
+            while let Some(v) = d.pop_ready(now) {
+                popped.push((now, v));
+            }
+        }
+        assert_eq!(popped, reference);
+        assert!(d.is_empty());
+    }
+
+    #[test]
     fn station_completes_out_of_order() {
         let mut s = OutOfOrderStation::new(4);
         s.insert_at(10, "first", 0);
@@ -370,6 +410,7 @@ mod tests {
         s.insert_at(7, 'b', 2);
         s.insert_at(9, 'c', 3);
         assert_derived(&s);
+        assert_eq!(s.waiting(), 3);
         assert_eq!(s.take_ready(), None);
         // Duplicate tags complete one entry per signal, oldest first.
         assert!(s.complete(7, 10));
@@ -385,6 +426,7 @@ mod tests {
         assert_eq!(s.ready, 3);
         assert_eq!(s.timeout_one(10), None);
         assert_derived(&s);
+        assert_eq!((s.len(), s.waiting()), (3, 0));
         assert_eq!(s.take_ready(), Some(('a', 10)));
         assert_eq!(s.take_ready(), Some(('b', 11)));
         assert_eq!(s.take_ready(), Some(('c', 0)));

@@ -17,8 +17,10 @@
 //!   starts from `T::default()`;
 //! * `Vec`, `VecDeque`, `BTreeSet` and `BTreeMap` are growable arrays (a
 //!   map is an array of `[key, value]` pairs in key order);
-//! * slices, arrays and `Box<[T]>` have a structural length and reject a
-//!   document of any other length;
+//! * slices and arrays have a structural length and reject a document of
+//!   any other length;
+//! * a `Box` is encoded as the value it holds, so a boxed slice is a
+//!   structural length too;
 //! * tuples are positional arrays.
 //!
 //! Load errors carry the path of the member that failed, innermost last
@@ -201,21 +203,27 @@ impl<T: Snap> Snap for [T] {
     }
 }
 
-/// Fixed-length owners delegate to the slice.
-macro_rules! fixed {
-    ($($t:ty => [$($g:tt)*]),*) => {$(
-        impl<$($g)*> Snap for $t {
-            fn save(&self) -> Json {
-                self[..].save()
-            }
+/// An array delegates to the slice.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn save(&self) -> Json {
+        self[..].save()
+    }
 
-            fn load(&mut self, j: &Json) -> Result<(), String> {
-                self[..].load(j)
-            }
-        }
-    )*};
+    fn load(&mut self, j: &Json) -> Result<(), String> {
+        self[..].load(j)
+    }
 }
-fixed!([T; N] => [T: Snap, const N: usize], Box<[T]> => [T: Snap]);
+
+/// A box delegates to what it holds, so boxing a value moves no byte.
+impl<T: Snap + ?Sized> Snap for Box<T> {
+    fn save(&self) -> Json {
+        (**self).save()
+    }
+
+    fn load(&mut self, j: &Json) -> Result<(), String> {
+        (**self).load(j)
+    }
+}
 
 /// Growable collections rebuild themselves from the document.
 macro_rules! growable {
@@ -451,6 +459,27 @@ mod tests {
         let mut v = vec![9u64];
         v.load(&parse("[1,2,3]").unwrap()).unwrap();
         assert_eq!(v, [1, 2, 3], "a Vec grows");
+    }
+
+    #[test]
+    fn a_box_encodes_as_what_it_holds() {
+        let t = (7u64, [1u32, 2]);
+        let boxed = Box::new(t);
+        assert_eq!(boxed.save().render(), t.save().render());
+        assert_eq!(*round_trip(&boxed), t);
+        let some: Option<Box<(u64, [u32; 2])>> = Some(boxed);
+        assert_eq!(some.save().render(), Some(t).save().render());
+        assert_eq!(round_trip(&some), some);
+        let none: Option<Box<u64>> = None;
+        assert_eq!(none.save().render(), "null");
+        assert_eq!(round_trip(&none), None);
+        // A boxed slice keeps its structural length.
+        let mut b: Box<[u64]> = vec![0; 2].into();
+        assert_eq!(
+            b.load(&parse("[1,2,3]").unwrap()),
+            Err("expected 2 elements, found 3".into())
+        );
+        assert_eq!(b.save().render(), [0u64, 0].save().render());
     }
 
     #[test]
