@@ -14,6 +14,7 @@ use apir_bench::experiments::{scale_cache, synthesized_cfg};
 use apir_bench::scale::build_app;
 use apir_bench::Scale;
 use apir_fabric::{Fabric, FabricConfig, FabricError, FabricReport, FaultConfig};
+use apir_util::prop::panic_message;
 use apir_util::Json;
 use std::time::Instant;
 
@@ -158,16 +159,6 @@ pub fn run_job_attempt(job: &Job, attempt: u32) -> Result<FabricReport, JobError
     Ok(report)
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 /// Runs one cell under its config's retry policy: up to
 /// `1 + config.retries` attempts, each with the deterministically
 /// bumped fault salt, recording an error (the *last* attempt's) only
@@ -186,7 +177,7 @@ pub fn run_job_retrying(job: &Job) -> Result<FabricReport, JobError> {
                 last = Some(JobError {
                     kind: "panic",
                     cycle: None,
-                    message: panic_text(payload),
+                    message: panic_message(&*payload),
                     partial_report: None,
                 })
             }
@@ -288,35 +279,47 @@ where
     S: FnMut(&Json) + Send,
 {
     let jobs = expand(plan);
+    let all: Vec<usize> = (0..jobs.len()).collect();
+    dispatch(&jobs, &all, threads, inflight, 0, |_, r| sink(&r))
+}
+
+/// Runs the cells `run` of `jobs` on `threads` work-stealing workers and
+/// hands `emit` each one's index in `jobs` and record, in merge-key
+/// order. `failed` counts the error records the caller emits itself; the
+/// summary's throughput counts only the cells run here.
+pub(crate) fn dispatch(
+    jobs: &[Job],
+    run: &[usize],
+    threads: usize,
+    inflight: usize,
+    mut failed: u64,
+    mut emit: impl FnMut(usize, Json) + Send,
+) -> CampaignSummary {
     let t0 = Instant::now();
-    let mut failed = 0u64;
     let stats = apir_runtime::dispatch::run_ordered(
-        jobs.len(),
+        run.len(),
         threads,
         inflight.max(1),
-        |i| run_job_retrying(&jobs[i]),
-        |i, result| {
+        |k| run_job_retrying(&jobs[run[k]]),
+        |k, result| {
             // A worker panic is flattened into the same structured error
             // shape as a clean fabric failure. (`run_job_retrying`
             // already catches per-attempt panics; this is the backstop.)
-            let outcome = match result {
-                Ok(r) => r,
-                Err(message) => Err(JobError {
+            let outcome = result.unwrap_or_else(|message| {
+                Err(JobError {
                     kind: "panic",
                     cycle: None,
                     message,
                     partial_report: None,
-                }),
-            };
-            if outcome.is_err() {
-                failed += 1;
-            }
-            sink(&record(&jobs[i], &outcome));
+                })
+            });
+            failed += u64::from(outcome.is_err());
+            emit(run[k], record(&jobs[run[k]], &outcome));
         },
     );
     let wall = t0.elapsed().as_secs_f64();
     CampaignSummary {
-        jobs: stats.jobs as u64,
+        jobs: jobs.len() as u64,
         failed,
         threads: threads.max(1),
         steals: stats.steals,

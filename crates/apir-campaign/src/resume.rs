@@ -12,11 +12,10 @@
 //! have produced — at any thread count (pinned in the tests below and
 //! gated in `scripts/verify.sh`).
 
-use crate::engine::{expand, record, run_job_retrying, CampaignSummary, JobError};
+use crate::engine::{dispatch, expand, CampaignSummary};
 use crate::plan::CampaignPlan;
 use apir_util::json::{parse, Json};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Why a partial log could not be resumed. Rendered verbatim in the
 /// CLI's exit-2 diagnostic.
@@ -189,56 +188,21 @@ where
         torn: partial.torn,
     };
 
-    let t0 = Instant::now();
     let mut next_flush = 0usize;
-    let dispatch = apir_runtime::dispatch::run_ordered(
-        missing.len(),
-        threads,
-        inflight.max(1),
-        |k| run_job_retrying(&jobs[missing[k]]),
-        |k, result| {
-            let gi = missing[k];
-            // Everything between two fresh cells is cached: flush it
-            // first so the stream stays in merge-key order.
-            while next_flush < gi {
-                sink(cached[next_flush].expect("gaps between fresh cells are cached"));
-                next_flush += 1;
-            }
-            let outcome = match result {
-                Ok(r) => r,
-                Err(message) => Err(JobError {
-                    kind: "panic",
-                    cycle: None,
-                    message,
-                    partial_report: None,
-                }),
-            };
-            if outcome.is_err() {
-                failed += 1;
-            }
-            sink(&record(&jobs[gi], &outcome).render());
-            next_flush = gi + 1;
-        },
-    );
+    let summary = dispatch(&jobs, &missing, threads, inflight, failed, |gi, r| {
+        // Everything between two fresh cells is cached: flush it first so
+        // the stream stays in merge-key order.
+        while next_flush < gi {
+            sink(cached[next_flush].expect("gaps between fresh cells are cached"));
+            next_flush += 1;
+        }
+        sink(&r.render());
+        next_flush = gi + 1;
+    });
     while next_flush < jobs.len() {
         sink(cached[next_flush].expect("every unflushed tail cell is cached"));
         next_flush += 1;
     }
-
-    let wall = t0.elapsed().as_secs_f64();
-    let summary = CampaignSummary {
-        jobs: jobs.len() as u64,
-        failed,
-        threads: threads.max(1),
-        steals: dispatch.steals,
-        peak_inflight: dispatch.peak_inflight,
-        wall_ms: wall * 1e3,
-        jobs_per_sec: if wall > 0.0 {
-            dispatch.jobs as f64 / wall
-        } else {
-            0.0
-        },
-    };
     Ok((summary, stats))
 }
 

@@ -567,22 +567,52 @@ impl LiveTasks {
     }
 }
 
-/// Rollback-and-replay progress.
+/// Rollback-and-replay progress: `(fail_cycle, resume_cycle)` per
+/// rollback, in order.
 #[derive(Clone, Default)]
 struct Rollback {
-    /// Rollbacks performed so far (≤ `max_rollbacks`); also the re-salt
-    /// epoch of the link RNG stream after the most recent rollback.
-    done: u64,
-    /// Total cycles re-executed across all rollbacks.
-    replayed: u64,
-    /// `(fail_cycle, resume_cycle)` per rollback, in order.
     events: Vec<(u64, u64)>,
 }
-snap_fields!(Rollback {
-    done,
-    replayed,
-    events,
-});
+snap_fields!(Rollback { events });
+
+impl Rollback {
+    /// Rollbacks performed so far (≤ `max_rollbacks`); also the re-salt
+    /// epoch of the link RNG stream after the most recent rollback.
+    fn done(&self) -> u64 {
+        self.events.len() as u64
+    }
+
+    /// Total cycles re-executed across all rollbacks.
+    fn replayed(&self) -> u64 {
+        self.events
+            .iter()
+            .map(|&(fail, resume)| fail - resume)
+            .sum()
+    }
+
+    /// A loaded log must hold at most `max` rollbacks, each resuming no
+    /// later than it failed, whose replayed cycles sum within `u64`.
+    fn fits(&self, max: u32) -> Result<(), String> {
+        if self.events.len() > max as usize {
+            return Err(format!(
+                ".events: {} rollbacks, more than max_rollbacks {max}",
+                self.events.len()
+            ));
+        }
+        let mut replayed = 0u64;
+        for (i, &(fail, resume)) in self.events.iter().enumerate() {
+            let Some(n) = fail.checked_sub(resume) else {
+                return Err(format!(
+                    ".events[{i}]: resumes at cycle {resume}, after it failed at {fail}"
+                ));
+            };
+            replayed = replayed
+                .checked_add(n)
+                .ok_or_else(|| format!(".events[{i}]: the replayed cycles sum past u64::MAX"))?;
+        }
+        Ok(())
+    }
+}
 
 /// The accelerator instance. A clone holds the whole state, so it runs
 /// on exactly as the original would.
@@ -594,18 +624,15 @@ pub struct Fabric {
     queues: Box<[TaskQueue]>,
     engines: Box<[RuleEngine]>,
     pipelines: Box<[Pipeline]>,
-    /// Per-port response queues `(tag, word)`.
-    resp: Box<[VecDeque<(u64, u64)>]>,
     /// `(pipeline, stage)` behind each response port.
     port_owner: Box<[(usize, usize)]>,
-    /// Scratch for `(port, tag, word)` completions on their way to
-    /// `resp`; empty between uses, so never saved.
+    /// Scratch for `(port, tag, word)` completions on their way to the
+    /// stations behind their ports; empty between uses, so never saved.
     out: Vec<(u32, u64, u64)>,
     bus_staged: Vec<EventMsg>,
     bus_current: Vec<EventMsg>,
-    /// The count and least of the live tasks. Snapshots save the tasks
-    /// as the `live` member, a view of the state (see
-    /// [`Fabric::snapshot`]).
+    /// The count and least of the live tasks. Derived: a load rebuilds
+    /// it from the tasks the loaded state holds.
     live: LiveTasks,
     /// Stages of every pipeline that sleep on the full request channel:
     /// the set bits of the pipelines' `chan`. Derived: zero on build and
@@ -778,7 +805,6 @@ impl Fabric {
             queues,
             engines,
             pipelines: pipelines.into(),
-            resp: vec![VecDeque::new(); port_owner.len()].into(),
             port_owner: port_owner.into(),
             out: Vec::new(),
             bus_staged: Vec::new(),
@@ -889,7 +915,7 @@ impl Fabric {
                 // Rollback-and-replay: rewind to the last checkpoint and
                 // re-run the window under a re-salted link RNG stream
                 // instead of aborting, while the budget lasts.
-                if self.rollback.done < u64::from(self.cfg.max_rollbacks) {
+                if self.rollback.done() < u64::from(self.cfg.max_rollbacks) {
                     self.rollback_and_replay();
                     continue;
                 }
@@ -986,11 +1012,8 @@ impl Fabric {
         let failed = std::mem::replace(self, (*ckpt).clone());
         self.ckpt = Some(ckpt);
         self.rollback = failed.rollback;
-        let rb = &mut self.rollback;
-        rb.done += 1;
-        rb.replayed += failed.cycle - self.cycle;
-        rb.events.push((failed.cycle, self.cycle));
-        let epoch = rb.done;
+        self.rollback.events.push((failed.cycle, self.cycle));
+        let epoch = self.rollback.done();
         if let Some(plan) = self.mem.faults_mut() {
             plan.resalt_link(epoch);
         }
@@ -1071,14 +1094,6 @@ impl Fabric {
         tokens.chain(contexts.map(|c| (c.index, c.seq)))
     }
 
-    /// [`Fabric::held_tasks`] in order, as a snapshot's `live` member
-    /// lists them.
-    fn live_keys(&self) -> Vec<(IndexTuple, u64)> {
-        let mut keys: Vec<_> = self.held_tasks().collect();
-        keys.sort_unstable();
-        keys
-    }
-
     fn diagnostics(&mut self) -> String {
         let mut s = format!(
             "live={} seed_backlog={} pending_tasks={} ",
@@ -1130,14 +1145,14 @@ impl Fabric {
                 util.add(format!("p{pi}.s{si}:{}", st.op.mnemonic()), st.tracker);
             }
         }
-        let metrics = self.metrics(Some(&util));
+        let metrics = self.metrics(&util);
         let faults = self.fault_totals();
         let timeline = self.timeline.take();
         let timeline = timeline.map(|tl| tl.finish(self.cycle, &self.timeline_totals()));
         FabricReport {
             rollbacks: (self.cfg.max_rollbacks > 0).then(|| RollbackSummary {
-                count: self.rollback.done,
-                replayed_cycles: self.rollback.replayed,
+                count: self.rollback.done(),
+                replayed_cycles: self.rollback.replayed(),
                 events: self.rollback.events.clone(),
             }),
             faults,
@@ -1282,7 +1297,6 @@ impl Fabric {
             queues: &mut self.queues,
             engines: &mut self.engines,
             mem: &mut self.mem,
-            resp: &mut self.resp,
             bus_staged: &mut self.bus_staged,
             live: &mut self.live,
             chan_waiting: &mut self.chan_waiting,
@@ -1380,14 +1394,19 @@ impl Fabric {
         s
     }
 
-    /// Moves the completions buffered in `out` to their response ports
-    /// and wakes the stages behind them; returns whether there were any.
+    /// Completes each completion buffered in `out` in the station behind
+    /// its response port and wakes that stage; returns whether there were
+    /// any. A late answer to an entry a timeout or the watchdog bounced
+    /// finds no waiting entry and is dropped.
     fn route_out(&mut self) -> bool {
         let any = !self.out.is_empty();
         for (port, tag, word) in self.out.drain(..) {
-            self.resp[port as usize].push_back((tag, word));
             let (pi, si) = self.port_owner[port as usize];
-            self.pipelines[pi].wake(si);
+            let p = &mut self.pipelines[pi];
+            if let Some(station) = p.stages[si].station.as_mut() {
+                station.complete(tag, word);
+            }
+            p.wake(si);
         }
         any
     }
@@ -1593,7 +1612,6 @@ struct TickCtx<'a> {
     queues: &'a mut [TaskQueue],
     engines: &'a mut [RuleEngine],
     mem: &'a mut MemorySubsystem,
-    resp: &'a mut [VecDeque<(u64, u64)>],
     bus_staged: &'a mut Vec<EventMsg>,
     live: &'a mut LiveTasks,
     chan_waiting: &'a mut usize,
@@ -1695,9 +1713,8 @@ fn request(
 /// A stage that provably cannot act sleeps, so the cycles it idles or
 /// stalls through cost nothing, while its counters and trace read exactly
 /// what visiting it every cycle would have written:
-/// - an idle stage (nothing latched, nothing in its station, no response
-///   at its port) sleeps until a context enters its latch or a response
-///   reaches its port;
+/// - an idle stage (nothing latched, nothing in its station) sleeps until
+///   a context enters its latch or a response reaches its port;
 /// - a blocked stage (a latched context, no station, the next latch
 ///   full) sleeps until the next latch empties;
 /// - a stage waiting on its own station (`miss_outstanding`,
@@ -1742,10 +1759,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         let had_ctx = latch_cur.is_some();
         // The tail retires into no latch, so it is never blocked.
         let next_free = !latch_next.as_ref().is_some_and(|l| l.is_some());
-        let station_idle = match (stage.port, &stage.station) {
-            (Some(port), Some(station)) => station.is_empty() && cx.resp[port as usize].is_empty(),
-            _ => true,
-        };
+        let station_idle = stage.station.as_ref().is_none_or(|s| s.is_empty());
         if latch_cur.is_none() && station_idle {
             stage.record(Activity::Idle, StallCause::DownstreamFull, cx);
             p.sleep(i);
@@ -1761,14 +1775,9 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
         }
         let mut busy = false;
 
-        // Phase A: drain responses into the station and retire ready
+        // Phase A: bounce a timed-out rendezvous entry and retire ready
         // entries forward.
-        if let (Some(port), Some(station)) = (stage.port, stage.station.as_mut()) {
-            while let Some((tag, word)) = cx.resp[port as usize].pop_front() {
-                // A miss is possible: the entry may have been bounced by a
-                // timeout and its late response must be dropped.
-                let _ = station.complete(tag, word);
-            }
+        if let Some(station) = stage.station.as_mut() {
             // Coordinative rendezvous entries that waited too long bounce
             // back as `false`; their lane is cancelled.
             if let Some(rule) = stage.rule {
@@ -2074,9 +2083,7 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     (progress, active || progress)
 }
 
-// The samples are saved inside the `metrics` member, a view of the state
-// that `Fabric::snapshot` renders and `Fabric::load_snapshot` checks, and
-// the checkpoint as the `ckpt` member, a snapshot of its own.
+// The checkpoint is saved as the `ckpt` member, a snapshot of its own.
 snap_fields!(Fabric {
     cycle,
     core,
@@ -2087,11 +2094,11 @@ snap_fields!(Fabric {
     bus_staged,
     bus_current,
     fault_respill,
-    resp,
     queues,
     engines,
     mem,
     pipelines,
+    samples,
     trace,
     timeline,
     spec: skip,
@@ -2102,7 +2109,6 @@ snap_fields!(Fabric {
     chan_waiting: skip,
     lint_errors: skip,
     ckpt: skip,
-    samples: skip,
     tr_host: skip,
     tr_mem: skip,
     tr_fault: skip,
@@ -2120,15 +2126,6 @@ impl Fabric {
     pub fn snapshot(&self) -> Json {
         let mut doc = self.save();
         if let Json::Obj(members) = &mut doc {
-            // The live tasks and the metrics are views of the state, saved
-            // before the seed backlog and after the pipelines.
-            let mut insert_before = |key: &str, member: &str, value: Json| {
-                let at = members.iter().position(|(k, _)| k == key);
-                let at = at.unwrap_or_else(|| panic!("the {key} member is saved"));
-                members.insert(at, (member.into(), value));
-            };
-            insert_before("seed_backlog", "live", self.live_keys().save());
-            insert_before("trace", "metrics", self.metrics(None).save());
             members.insert(0, ("schema".into(), Json::str(SNAPSHOT_SCHEMA)));
             if let Some(ckpt) = &self.ckpt {
                 // The checkpoint was cloned mid-run, trackers unsettled.
@@ -2168,23 +2165,22 @@ impl Fabric {
         Ok(f)
     }
 
-    /// Loads a snapshot document: the state, then its two views of it,
-    /// then the checkpoint it holds. The `live` member must list exactly
-    /// the tasks the state holds (see [`Fabric::load_live`]); the samples
-    /// of the `metrics` member are read back, and its other values must
-    /// agree with the state (see [`Fabric::load_metrics`]). A `ckpt`
-    /// member loads into a copy of the fabric as it was built (see
-    /// [`Fabric::load_checkpoint`]).
+    /// Loads a snapshot document: the state, then the checkpoint it
+    /// holds, which loads into a copy of the fabric as it was built (see
+    /// [`Fabric::load_checkpoint`]). What the state derives is rebuilt
+    /// from it: the live count from the tasks it holds, with the least of
+    /// them left to the next reader, and each stage's idle cycles.
     fn load_snapshot(&mut self, doc: &Json) -> Result<(), String> {
         let ckpt = doc.get("ckpt").map(|j| (j, self.clone()));
         self.load(doc)?;
         // `Pipeline::loaded` woke every stage and cleared its channel bit.
         self.chan_waiting = 0;
-        let live = snap::member(doc, "live")?;
-        self.load_live(live).map_err(|e| snap::nest(".live", e))?;
-        let metrics = snap::member(doc, "metrics")?;
-        self.load_metrics(metrics)
-            .map_err(|e| snap::nest(".metrics", e))?;
+        self.live = LiveTasks {
+            count: self.held_tasks().count(),
+            min: None,
+            stale: true,
+        };
+        self.settle_trackers();
         if let Some((j, mut ckpt)) = ckpt {
             ckpt.load_checkpoint(j, self.cycle)
                 .map_err(|e| snap::nest(".ckpt", e))?;
@@ -2218,39 +2214,13 @@ impl Fabric {
         Ok(())
     }
 
-    /// Checks a snapshot's `live` member against the tasks the loaded
-    /// queues, latches, stations and respill buffer hold, in order, and
-    /// rebuilds the live count and least task from them.
-    fn load_live(&mut self, j: &Json) -> Result<(), String> {
-        let mut saved: Vec<(IndexTuple, u64)> = Vec::new();
-        saved.load(j)?;
-        let held = self.live_keys();
-        let n = saved.len().max(held.len());
-        if let Some(i) = (0..n).find(|&i| saved.get(i) != held.get(i)) {
-            let show = |key: Option<&(IndexTuple, u64)>| match key {
-                Some((idx, seq)) => format!("({idx}, seq {seq})"),
-                None => "nothing".to_string(),
-            };
-            return Err(format!(
-                "entry {i} is {}, but the state's tasks in order have {} there",
-                show(saved.get(i)),
-                show(held.get(i))
-            ));
-        }
-        self.live = LiveTasks {
-            count: held.len(),
-            min: held.first().copied(),
-            stale: false,
-        };
-        Ok(())
-    }
-
     /// Checks a loaded snapshot against the structure: optional parts
     /// present exactly when the config arms them, every task set, queue
-    /// and response port it names in range, every stage's busy, stall
-    /// and idle cycles summing to the clock (the idle count is derived
-    /// from that sum during a run; see [`Stage::record`]), and no total
-    /// below its value at the timeline's last window end.
+    /// and response port it names in range, a rollback log recovery can
+    /// have written, every stage's busy and stall cycles within the clock
+    /// (the idle cycles are the rest; see [`Stage::record`]), samples the
+    /// clock can have taken, and no total below its value at the
+    /// timeline's last window end.
     fn fits(&self) -> Result<(), String> {
         if self.trace.is_some() != (self.cfg.trace_capacity > 0) {
             return Err(".trace: presence disagrees with config trace_capacity".into());
@@ -2265,7 +2235,10 @@ impl Fabric {
         in_range("pending_tasks", sets, spawned)?;
         let respilled = self.fault_respill.iter().map(|e| e.0);
         in_range("fault_respill", self.queues.len(), respilled)?;
-        let ports = self.resp.len();
+        self.rollback
+            .fits(self.cfg.max_rollbacks)
+            .map_err(|e| snap::nest(".rollback", e))?;
+        let ports = self.port_owner.len();
         self.mem
             .check_loaded(ports, self.cfg.faults.is_enabled())
             .map_err(|e| snap::nest(".mem", e))?;
@@ -2276,15 +2249,19 @@ impl Fabric {
         for (pi, p) in self.pipelines.iter().enumerate() {
             for (si, st) in p.stages.iter().enumerate() {
                 let t = &st.tracker;
-                let sum = u128::from(t.busy) + u128::from(t.stall) + u128::from(t.idle);
-                if sum != u128::from(self.cycle) {
+                let sum = u128::from(t.busy) + u128::from(t.stall);
+                if sum > u128::from(self.cycle) {
                     return Err(format!(
-                        ".pipelines[{pi}].stages[{si}].tk: busy + stall + idle is {sum}, \
-                         but the clock is at cycle {}",
+                        ".pipelines[{pi}].stages[{si}].tk: busy + stall is {sum}, \
+                         past the clock's {} cycles",
                         self.cycle
                     ));
                 }
             }
+        }
+        for (i, s) in self.samples.iter().enumerate() {
+            s.fits(self.cycle)
+                .map_err(|e| snap::nest(format_args!(".samples[{i}]"), e))?;
         }
         if let Some(tl) = &self.timeline {
             let totals = self.timeline_totals();

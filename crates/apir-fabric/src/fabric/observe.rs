@@ -2,19 +2,16 @@
 //! [`Fabric::walk_levels`] names each running total and gauge once, for
 //! [`Fabric::metrics`] and the traced tick's diff. [`Fabric::sample`]
 //! takes the per-cycle samples from each component's occupancy and
-//! `admission_stall`; they are the only metric state the fabric keeps.
-//! [`Fabric::metrics`] renders everything from the components whenever
-//! metrics are read, and [`Fabric::load_metrics`] reads a snapshot's
-//! samples back, checks them against the clock, and checks the rest of
-//! its metrics against the state.
+//! `admission_stall`; they are the only metric state the fabric keeps,
+//! and a snapshot saves them as its `samples` member. [`Fabric::metrics`]
+//! renders everything from the components when the report is built.
 
 use super::Fabric;
 use apir_core::spec::Spec;
 use apir_sim::metrics::{Histogram, MetricValue, MetricsSnapshot};
 use apir_sim::stats::{StallCause, UtilizationSummary};
 use apir_sim::trace::CompId;
-use apir_util::json::Json;
-use apir_util::snap::Snap;
+use apir_util::snap_fields;
 use std::fmt;
 
 /// The trace component and label of a counter whose moves a traced tick
@@ -25,14 +22,23 @@ type Label = Option<(CompId, &'static str)>;
 type Traced = (CompId, &'static str, u64);
 
 /// One component's per-cycle samples under its key prefix: its
-/// occupancy histogram, if it keeps one, and its admission stalls by
-/// cause.
+/// occupancy histogram, if it keeps one (named `hist`), and its admission
+/// stalls by cause. The key, the name and the causes are structure.
 #[derive(Clone)]
 pub(super) struct Samples {
     key: String,
-    occupancy: Option<(&'static str, Histogram)>,
-    stalls: [(StallCause, u64); 2],
+    hist: Option<&'static str>,
+    occupancy: Option<Histogram>,
+    causes: [StallCause; 2],
+    stalls: [u64; 2],
 }
+snap_fields!(Samples [
+    occupancy,
+    stalls,
+    key: skip,
+    hist: skip,
+    causes: skip,
+]);
 
 impl Samples {
     /// Empty samples for every component, in the order
@@ -40,10 +46,12 @@ impl Samples {
     /// engine.
     pub(super) fn all(spec: &Spec) -> Box<[Samples]> {
         use StallCause::{Bandwidth, LaneBusy, LaneMasked, MshrFull, QueueFull, ReserveFull};
-        let new = |key: String, hist: Option<&'static str>, by: [StallCause; 2]| Samples {
+        let new = |key: String, hist: Option<&'static str>, causes| Samples {
             key,
-            occupancy: hist.map(|h| (h, Histogram::new())),
-            stalls: by.map(|c| (c, 0)),
+            hist,
+            occupancy: hist.map(|_| Histogram::new()),
+            causes,
+            stalls: [0; 2],
         };
         let hist = Some("occupancy_hist");
         let queues = spec.task_sets().iter().map(|t| format!("queue.{}", t.name));
@@ -56,53 +64,54 @@ impl Samples {
 
     /// Takes the samples of `n` cycles that all see `occupancy` and `stall`.
     fn take(&mut self, occupancy: usize, stall: Option<StallCause>, n: u64) {
-        if let Some((_, h)) = &mut self.occupancy {
+        if let Some(h) = &mut self.occupancy {
             h.observe_n(occupancy as u64, n);
         }
         let Some(cause) = stall else { return };
-        let by_cause = self.stalls.iter_mut().find(|c| c.0 == cause);
-        by_cause.expect("a sampled cause").1 += n;
+        let k = self.causes.iter().position(|&c| c == cause);
+        self.stalls[k.expect("a sampled cause")] += n;
     }
 
     /// Adds the histogram, the stalls in total and the stalls by cause.
     fn render(&self, out: &mut Vec<(String, MetricValue)>) {
         let key = &self.key;
-        if let Some((name, h)) = &self.occupancy {
+        if let (Some(name), Some(h)) = (self.hist, &self.occupancy) {
             out.push((format!("{key}.{name}"), MetricValue::Histogram(h.clone())));
         }
-        let [(_, a), (_, b)] = self.stalls;
+        let [a, b] = self.stalls;
         let total = MetricValue::Counter(a.saturating_add(b));
         out.push((format!("{key}.stall"), total));
-        for (c, v) in self.stalls {
+        for (c, v) in self.causes.into_iter().zip(self.stalls) {
             out.push((format!("{key}.stall.{}", c.key()), MetricValue::Counter(v)));
         }
     }
 
-    /// Reads the samples back from `m`, a rendering a snapshot taken at
-    /// `cycle` loaded into, and checks them against that clock: a
-    /// histogram observes each cycle once, and a component stalls for one
+    /// Checks loaded samples against the structure and against `cycle`,
+    /// the clock: a histogram is present exactly when the component keeps
+    /// one, observes each cycle once, and a component stalls for one
     /// cause at most a cycle, so the next samples cannot overflow.
-    fn read_back(&mut self, m: &MetricsSnapshot, cycle: u64) -> Result<(), String> {
+    pub(super) fn fits(&self, cycle: u64) -> Result<(), String> {
         let key = &self.key;
-        let kept = "a load keeps the rendered keys and kinds";
-        if let Some((name, h)) = &mut self.occupancy {
-            *h = m.histogram(&format!("{key}.{name}")).expect(kept).clone();
-            let n = h.count();
-            let held: u128 = h.nonzero_buckets().map(|(_, k)| u128::from(k)).sum();
-            if n != cycle || held != u128::from(cycle) {
-                return Err(format!(
-                    "`{key}.{name}` counts {n} cycles in buckets that hold {held}, \
-                     but the clock is at cycle {cycle}"
-                ));
+        match (self.hist, &self.occupancy) {
+            (None, Some(_)) => return Err(format!("[0]: `{key}` keeps no histogram")),
+            (Some(name), None) => return Err(format!("[0]: `{key}.{name}` is missing")),
+            (Some(name), Some(h)) => {
+                let n = h.count();
+                let held: u128 = h.nonzero_buckets().map(|(_, k)| u128::from(k)).sum();
+                if n != cycle || held != u128::from(cycle) {
+                    return Err(format!(
+                        "[0]: `{key}.{name}` counts {n} cycles in buckets that hold {held}, \
+                         but the clock is at cycle {cycle}"
+                    ));
+                }
             }
+            (None, None) => {}
         }
-        for (c, v) in &mut self.stalls {
-            *v = m.counter(&format!("{key}.stall.{}", c.key())).expect(kept);
-        }
-        let [(a, x), (b, y)] = self.stalls.map(|(c, v)| (c.key(), u128::from(v)));
+        let [x, y] = self.stalls.map(u128::from);
         if x + y > u128::from(cycle) {
+            let [a, b] = self.causes.map(StallCause::key);
             return Err(format!(
-                "`{key}.stall.{a}` and `{key}.stall.{b}` sum to more than \
+                "[1]: `{key}.stall.{a}` and `{key}.stall.{b}` sum to more than \
                  the clock's {cycle} cycles"
             ));
         }
@@ -169,18 +178,18 @@ impl Fabric {
         row(format_args!("fault.watchdog.flushed"), Counter(f.watchdog_flushed), None);
     }
 
-    /// Renders every metric, sorted by key: the walk's levels, the
-    /// samples, `fault.rollback.*` from the rollback record when recovery
-    /// is armed, and the busy, stall, idle and utilization totals of
-    /// `activity`. Only the report passes one; a snapshot saves zeros.
-    pub(super) fn metrics(&self, activity: Option<&UtilizationSummary>) -> MetricsSnapshot {
+    /// Renders every metric for the report, sorted by key: the walk's
+    /// levels, the samples, `fault.rollback.*` from the rollback record
+    /// when recovery is armed, and the busy, stall, idle and utilization
+    /// totals of `activity`.
+    pub(super) fn metrics(&self, activity: &UtilizationSummary) -> MetricsSnapshot {
         let mut out = Vec::new();
         self.walk_levels(&mut |key, v, _| out.push((key.to_string(), v)));
         for s in self.samples.iter() {
             s.render(&mut out);
         }
         let mut counter = |key: String, v: u64| out.push((key, MetricValue::Counter(v)));
-        let t = activity.map(UtilizationSummary::totals).unwrap_or_default();
+        let t = activity.totals();
         counter("fabric.busy".into(), t.busy);
         counter("fabric.stall".into(), t.stall);
         counter("fabric.idle".into(), t.idle);
@@ -189,34 +198,14 @@ impl Fabric {
         }
         if self.cfg.max_rollbacks > 0 {
             let rb = &self.rollback;
-            counter("fault.rollback.count".into(), rb.done);
-            counter("fault.rollback.replayed_cycles".into(), rb.replayed);
+            counter("fault.rollback.count".into(), rb.done());
+            counter("fault.rollback.replayed_cycles".into(), rb.replayed());
             let last = rb.events.last().map_or(0, |e| e.0);
             counter("fault.rollback.last_cycle".into(), last);
         }
-        let util = activity.map_or(0.0, UtilizationSummary::pipeline_utilization);
+        let util = activity.pipeline_utilization();
         out.push(("fabric.utilization".into(), MetricValue::Gauge(util)));
         out.into_iter().collect()
-    }
-
-    /// Reads the samples back from a snapshot's `metrics` member, checks
-    /// them against the clock, and checks the rest of it against the
-    /// loaded state: its keys and kinds must be this fabric's, and each
-    /// counter and gauge must be what the components give.
-    pub(super) fn load_metrics(&mut self, j: &Json) -> Result<(), String> {
-        let mut saved = self.metrics(None);
-        saved.load(j)?;
-        for s in self.samples.iter_mut() {
-            s.read_back(&saved, self.cycle)?;
-        }
-        let have = self.metrics(None);
-        let pairs = saved.entries().iter().zip(have.entries());
-        match pairs.enumerate().find(|(_, (s, h))| s != h) {
-            Some((n, ((key, s), (_, h)))) => Err(format!(
-                "[{n}]: `{key}` is saved as {s:?}, but the state gives {h:?}"
-            )),
-            None => Ok(()),
-        }
     }
 
     /// The seed backlog and the counters whose moves a traced tick

@@ -29,6 +29,7 @@ pub struct TaskQueue {
     /// inside the pipelines must always be able to requeue, or a full
     /// queue deadlocks against a full pipeline.
     reserve: usize,
+    /// Entries in the unmasked banks. Derived: recomputed on load.
     capacity: usize,
     /// Entries per bank (fixed at construction; needed to recompute the
     /// capacity when a bank fault masks one out).
@@ -49,11 +50,11 @@ snap_fields!(TaskQueue {
     pop_rr,
     pushed_total,
     peak,
-    capacity,
     masked,
     kind: skip,
     level: skip,
     reserve: skip,
+    capacity: skip,
     per_bank: skip,
     len: skip,
     visible: skip,
@@ -274,27 +275,20 @@ impl TaskQueue {
     /// recounts the derived totals.
     fn loaded(&mut self) -> Result<(), String> {
         self.consistent()?;
+        self.capacity = self.per_bank * self.live_banks();
         self.len = self.banks.iter().map(Fifo::len).sum();
         self.visible = self.banks.iter().map(Fifo::visible).sum();
         Ok(())
     }
 
-    /// A loaded snapshot must keep the rotations in range, the capacity
-    /// equal to what the surviving banks hold, and the masked banks
-    /// empty.
+    /// A loaded snapshot must keep the rotations in range and the masked
+    /// banks empty.
     fn consistent(&self) -> Result<(), String> {
         let n = self.banks.len();
         for (key, rr) in [("push_rr", self.push_rr), ("pop_rr", self.pop_rr)] {
             if rr >= n {
                 return Err(format!(".{key}: bank {rr} out of range ({n} banks)"));
             }
-        }
-        let live = self.per_bank * self.live_banks();
-        if self.capacity != live {
-            return Err(format!(
-                ".capacity: {} differs from the {live} slots of the unmasked banks",
-                self.capacity
-            ));
         }
         let full = |(b, &m): (&Fifo<TaskToken>, &bool)| m && !b.is_empty();
         if let Some(b) = self.banks.iter().zip(&self.masked).position(full) {
@@ -454,6 +448,10 @@ mod tests {
         back.load(&q.save()).unwrap();
         assert_counts(&back);
         assert_eq!((back.len(), back.visible), (q.len(), q.visible));
+        assert_eq!(
+            back.capacity, q.capacity,
+            "the masked bank's slots are gone"
+        );
         assert!(back.pop().is_some());
         assert_counts(&back);
     }
@@ -464,7 +462,6 @@ mod tests {
         q.push_child(IndexTuple::ROOT, 0, to_fields(&[0])).unwrap();
         let bank = q.banks.iter().position(|b| !b.is_empty()).unwrap();
         q.masked[bank] = true;
-        q.capacity = q.per_bank * 3;
         let mut back = TaskQueue::new(TaskSetKind::ForEach, 1, 4, 16);
         let err = back.load(&q.save()).unwrap_err();
         assert!(err.contains("a masked bank holds tasks"), "{err}");

@@ -4,11 +4,13 @@
 //! mutable state at a cycle boundary — memory image, tag array, in-flight
 //! MSHRs, queue banks, rule-lane occupants, pipeline latches and
 //! stations, fault RNG streams, per-cycle metric samples, trace and
-//! timeline rings, and the rollback checkpoint while recovery holds one
-//! — as an `apir.fabric.snapshot.v1` JSON document. The contract is *restore
-//! equivalence*: restoring a snapshot and running to completion produces
-//! a report byte-identical to the uninterrupted run, from any snapshot
-//! cycle, under either scheduler.
+//! timeline rings, the rollback log, and the rollback checkpoint while
+//! recovery holds one — as an `apir.fabric.snapshot.v1` JSON document.
+//! It saves each fact once: no view of the state, and no total that
+//! other saved values fix. The contract is *restore equivalence*:
+//! restoring a snapshot and running to completion produces a report
+//! byte-identical to the uninterrupted run, from any snapshot cycle,
+//! under either scheduler.
 //!
 //! Structure vs. values: everything derivable from the `(spec, input,
 //! config)` triple — stage wiring, port assignment, metric keys,
@@ -17,24 +19,25 @@
 //! only the **mutable values**: queue contents, lane occupants, RNG
 //! *positions*, counters. This keeps the document small and makes
 //! version drift loud — a snapshot taken under a different config fails
-//! with a located error instead of silently diverging.
+//! with a located error instead of silently diverging. Totals the values
+//! fix are **derived** on load: the live-task count, a queue's capacity,
+//! a stage's stall and idle cycles, the rollback count and replayed
+//! cycles, and the trace's emitted count are saved nowhere.
 //!
 //! The encoding is [`apir_util::snap::Snap`]: every stateful type lists
 //! its fields once in [`apir_util::snap_fields!`], marking structure
 //! `skip`, and loads into the value `Fabric::new` built, so capacities,
 //! latencies and body widths come from the receiver. Floating-point
-//! state (bandwidth credit, gauges) is saved as raw IEEE-754 bits, so a
-//! JSON round trip cannot perturb a single bandwidth decision. After the
+//! state (the bandwidth credit) is saved as raw IEEE-754 bits, so a JSON
+//! round trip cannot perturb a single bandwidth decision. After the
 //! values load, each component checks what only it can see: FIFO and
 //! station capacities, delay-line ready order, and the task sets,
-//! regions, offsets and response ports that requests name.
-//!
-//! The `metrics` member is a view of the state: the snapshot renders
-//! every metric from the components, and a load reads back only the
-//! per-cycle samples (occupancy histograms, admission-stall counts). The
-//! other levels are derived, so a load checks them instead: its keys and
-//! kinds must be the receiver's, and each saved counter and gauge must
-//! equal what the loaded components give, or the error names the entry.
+//! regions, offsets and response ports that requests name. The fabric
+//! then checks what the clock and the config bound: each stage's busy and
+//! stall cycles, the per-cycle samples (`samples`: each occupancy
+//! histogram and each component's two admission-stall counts), and the
+//! rollback log against `max_rollbacks`. No rendered metric is saved;
+//! the report renders them from the components.
 //!
 //! This module holds the schema constant and the trace-event vocabulary
 //! (trace records carry `&'static str` labels, which a load resolves

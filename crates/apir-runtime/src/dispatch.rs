@@ -38,6 +38,7 @@
 //! below its own front. So the holder of `m` always makes progress, the
 //! drain advances, and blocked pushers wake.
 
+use apir_util::prop::panic_message;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -121,16 +122,6 @@ impl<T> Reorder<T> {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 /// Runs jobs `0..n` across `threads` work-stealing workers and delivers
 /// each result to `sink` **in index order**, holding at most `cap`
 /// completed-but-undelivered results at any instant.
@@ -170,7 +161,7 @@ where
     }
     if threads == 1 {
         for i in 0..n {
-            let r = catch_unwind(AssertUnwindSafe(|| job(i))).map_err(panic_message);
+            let r = catch_unwind(AssertUnwindSafe(|| job(i))).map_err(|p| panic_message(&*p));
             if r.is_err() {
                 stats.panics += 1;
             }
@@ -214,7 +205,7 @@ where
                 // No queued work anywhere and jobs never spawn jobs:
                 // this worker is done for good.
                 let Some(i) = next else { break };
-                let r = catch_unwind(AssertUnwindSafe(|| job(i))).map_err(panic_message);
+                let r = catch_unwind(AssertUnwindSafe(|| job(i))).map_err(|p| panic_message(&*p));
                 if r.is_err() {
                     panics.fetch_add(1, Ordering::Relaxed);
                 }

@@ -26,15 +26,11 @@ pub struct BandwidthMeter {
     bytes_per_cycle: f64,
     credit: f64,
     burst_cap: f64,
-    consumed_total: u64,
-    cycles: u64,
 }
 // The credit is saved as raw `f64` bits, so a restore cannot perturb a
 // single bandwidth decision.
 snap_fields!(BandwidthMeter [
     credit,
-    consumed_total,
-    cycles,
     bytes_per_cycle: skip,
     burst_cap: skip,
 ]);
@@ -47,8 +43,6 @@ impl BandwidthMeter {
             bytes_per_cycle,
             credit: 0.0,
             burst_cap: bytes_per_cycle * 4.0,
-            consumed_total: 0,
-            cycles: 0,
         }
     }
 
@@ -73,7 +67,6 @@ impl BandwidthMeter {
 
     /// Advances one cycle, accruing credit up to the burst cap.
     pub fn tick(&mut self) {
-        self.cycles += 1;
         self.credit = (self.credit + self.bytes_per_cycle).min(self.burst_cap);
     }
 
@@ -88,7 +81,6 @@ impl BandwidthMeter {
     /// lets the event-wheel scheduler skip long quiescent stretches
     /// without perturbing a single bandwidth decision.
     pub fn tick_n(&mut self, n: u64) {
-        self.cycles += n;
         for _ in 0..n {
             let next = (self.credit + self.bytes_per_cycle).min(self.burst_cap);
             if next == self.credit {
@@ -131,25 +123,9 @@ impl BandwidthMeter {
     pub fn try_consume(&mut self, bytes: u64) -> bool {
         if self.credit >= bytes as f64 {
             self.credit -= bytes as f64;
-            self.consumed_total += bytes;
             true
         } else {
             false
-        }
-    }
-
-    /// Total bytes transferred so far.
-    pub fn consumed_total(&self) -> u64 {
-        self.consumed_total
-    }
-
-    /// Achieved bandwidth utilization in `[0, 1]` (bytes moved over bytes
-    /// offered).
-    pub fn utilization(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.consumed_total as f64 / (self.bytes_per_cycle * self.cycles as f64)
         }
     }
 }
@@ -190,7 +166,6 @@ mod tests {
         }
         let rate = moved as f64 / 1000.0;
         assert!((rate - 8.0).abs() < 0.5, "rate {rate}");
-        assert!(m.utilization() > 0.95);
     }
 
     #[test]
@@ -204,7 +179,6 @@ mod tests {
             for _ in 0..n {
                 seq.tick();
             }
-            assert_eq!(bulk.cycles, seq.cycles);
             assert_eq!(bulk.credit.to_bits(), seq.credit.to_bits(), "after +{n}");
         }
         assert!(bulk.try_consume(64));

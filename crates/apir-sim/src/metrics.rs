@@ -2,13 +2,14 @@
 //! and the key-sorted [`MetricsSnapshot`] that carries them.
 //!
 //! Nothing here stores a running total. The fabric renders a snapshot
-//! from its components whenever metrics are read (the report, a saved
-//! snapshot), under **stable metric keys** (see README §Observability for
-//! the key table). The only metric state it keeps as the cycles pass is
-//! the per-cycle samples, the occupancy histograms and the admission-stall
-//! counts, which its sampler takes in O(1) for any number of identical
-//! cycles ([`Histogram::observe_n`]). Entries are sorted by key, which
-//! makes every rendering of the same run byte-identical.
+//! from its components when its report is built, under **stable metric
+//! keys** (see README §Observability for the key table). The only metric
+//! state it keeps as the cycles pass is the per-cycle samples, the
+//! occupancy histograms and the admission-stall counts, which its sampler
+//! takes in O(1) for any number of identical cycles
+//! ([`Histogram::observe_n`]); a fabric snapshot saves those samples and
+//! no rendered metric. Entries are sorted by key, which makes every
+//! rendering of the same run byte-identical.
 
 use apir_util::snap::{self, Snap};
 use apir_util::Json;
@@ -199,76 +200,40 @@ impl FromIterator<(String, MetricValue)> for MetricsSnapshot {
     }
 }
 
-/// A snapshot saves as one entry per metric, in key order: a counter is
-/// `[key, 0, value]`, a gauge `[key, 1, bits]` and a histogram
-/// `[key, 2, buckets, count, sum, max, saturated]` with trailing empty
-/// buckets trimmed. Keys and kinds are structure: a load keeps the
-/// receiver's, so the document must list exactly the receiver's metrics.
-impl Snap for MetricsSnapshot {
+/// A histogram saves as `[buckets, count, sum, max, saturated]`, its
+/// trailing empty buckets trimmed.
+impl Snap for Histogram {
     fn save(&self) -> Json {
-        let entry = |(key, v): &(String, MetricValue)| {
-            let mut e = vec![Json::str(key.as_str())];
-            match v {
-                MetricValue::Counter(v) => e.extend([Json::U64(0), v.save()]),
-                MetricValue::Gauge(g) => e.extend([Json::U64(1), g.save()]),
-                MetricValue::Histogram(h) => {
-                    let used = h.buckets.iter().rposition(|&n| n > 0).map_or(0, |k| k + 1);
-                    e.extend([
-                        Json::U64(2),
-                        h.buckets[..used].save(),
-                        h.count.save(),
-                        h.sum.save(),
-                        h.max.save(),
-                        h.saturated.save(),
-                    ]);
-                }
-            }
-            Json::Arr(e)
-        };
-        Json::Arr(self.entries.iter().map(entry).collect())
+        let used = self
+            .buckets
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |k| k + 1);
+        Json::Arr(vec![
+            self.buckets[..used].save(),
+            self.count.save(),
+            self.sum.save(),
+            self.max.save(),
+            self.saturated.save(),
+        ])
     }
 
     fn load(&mut self, j: &Json) -> Result<(), String> {
-        let a = snap::items_n(j, self.entries.len())?;
-        for (n, ((key, v), e)) in self.entries.iter_mut().zip(a).enumerate() {
-            load_entry(key, v, e).map_err(|e| snap::nest(format_args!("[{n}]"), e))?;
+        let p = snap::items_n(j, 5)?;
+        let mut buckets: Vec<u64> = Vec::new();
+        snap::load_at(&mut buckets, p, 0)?;
+        if buckets.len() > HISTOGRAM_BUCKETS {
+            return Err(format!(
+                "[0]: {} buckets, at most {HISTOGRAM_BUCKETS}",
+                buckets.len()
+            ));
         }
-        Ok(())
-    }
-}
-
-/// Loads one saved entry into the value of the metric under `key`.
-fn load_entry(key: &str, v: &mut MetricValue, e: &Json) -> Result<(), String> {
-    let (code, arity) = match v {
-        MetricValue::Counter(_) => (0, 3),
-        MetricValue::Gauge(_) => (1, 3),
-        MetricValue::Histogram(_) => (2, 7),
-    };
-    let p = snap::items(e)?;
-    if p.len() != arity || p[0].as_str() != Some(key) || p[1].as_u64() != Some(code) {
-        return Err(format!(
-            "expected [\"{key}\", {code}, ...] with {arity} elements"
-        ));
-    }
-    match v {
-        MetricValue::Counter(v) => snap::load_at(v, p, 2),
-        MetricValue::Gauge(g) => snap::load_at(g, p, 2),
-        MetricValue::Histogram(h) => {
-            let mut buckets: Vec<u64> = Vec::new();
-            snap::load_at(&mut buckets, p, 2)?;
-            if buckets.len() > HISTOGRAM_BUCKETS {
-                return Err(format!(
-                    "[2]: {} buckets, at most {HISTOGRAM_BUCKETS}",
-                    buckets.len()
-                ));
-            }
-            buckets.resize(HISTOGRAM_BUCKETS, 0);
-            h.buckets = buckets;
-            snap::load_at(&mut h.count, p, 3)?;
-            snap::load_at(&mut h.sum, p, 4)?;
-            snap::load_at(&mut h.max, p, 5)?;
-            snap::load_at(&mut h.saturated, p, 6)
-        }
+        buckets.resize(HISTOGRAM_BUCKETS, 0);
+        self.buckets = buckets;
+        snap::load_at(&mut self.count, p, 1)?;
+        snap::load_at(&mut self.sum, p, 2)?;
+        snap::load_at(&mut self.max, p, 3)?;
+        snap::load_at(&mut self.saturated, p, 4)
     }
 }
 
@@ -303,40 +268,6 @@ mod tests {
             ("dup", MetricValue::Counter(0)),
             ("dup", MetricValue::Gauge(0.0)),
         ]);
-    }
-
-    #[test]
-    fn load_keeps_the_receivers_keys_and_kinds() {
-        let mut h = Histogram::new();
-        h.observe_n(5, 3);
-        let saved = snapshot(vec![
-            ("c", MetricValue::Counter(7)),
-            ("g", MetricValue::Gauge(0.25)),
-            ("h", MetricValue::Histogram(h)),
-        ]);
-        let doc = saved.save();
-        let mut back = snapshot(vec![
-            ("c", MetricValue::Counter(0)),
-            ("g", MetricValue::Gauge(0.0)),
-            ("h", MetricValue::Histogram(Histogram::new())),
-        ]);
-        back.load(&doc).unwrap();
-        assert_eq!(back, saved);
-        let mut renamed = snapshot(vec![
-            ("c", MetricValue::Counter(0)),
-            ("g", MetricValue::Gauge(0.0)),
-            ("i", MetricValue::Histogram(Histogram::new())),
-        ]);
-        assert_eq!(
-            renamed.load(&doc),
-            Err("[2]: expected [\"i\", 2, ...] with 7 elements".into())
-        );
-        let mut gauge = snapshot(vec![
-            ("c", MetricValue::Gauge(0.0)),
-            ("g", MetricValue::Gauge(0.0)),
-            ("h", MetricValue::Histogram(Histogram::new())),
-        ]);
-        assert!(gauge.load(&doc).unwrap_err().starts_with("[0]: "));
     }
 
     #[test]

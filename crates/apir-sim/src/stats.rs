@@ -128,30 +128,22 @@ pub struct ActivityTracker {
     pub stall_by: [u64; StallCause::COUNT],
 }
 
-/// A tracker snapshots as one flat array, `[busy, stall, idle,
-/// stall_by...]`.
+/// A tracker snapshots as one flat array, `[busy, stall_by...]`. A load
+/// derives `stall` as the sum of the causes and leaves `idle` at 0 for
+/// the owner, which knows the clock, to derive.
 impl Snap for ActivityTracker {
     fn save(&self) -> Json {
-        let Self {
-            busy,
-            stall,
-            idle,
-            stall_by,
-        } = self;
-        Json::Arr(
-            [busy, stall, idle]
-                .into_iter()
-                .chain(stall_by)
-                .map(Snap::save)
-                .collect(),
-        )
+        let busy = std::iter::once(&self.busy);
+        Json::Arr(busy.chain(&self.stall_by).map(Snap::save).collect())
     }
 
     fn load(&mut self, j: &Json) -> Result<(), String> {
-        let mut v = [0u64; 3 + StallCause::COUNT];
+        let mut v = [0u64; 1 + StallCause::COUNT];
         v.load(j)?;
-        [self.busy, self.stall, self.idle] = [v[0], v[1], v[2]];
-        self.stall_by.copy_from_slice(&v[3..]);
+        let stall = v[1..].iter().try_fold(0u64, |s, &n| s.checked_add(n));
+        self.stall = stall.ok_or("the stall causes sum past u64::MAX")?;
+        (self.busy, self.idle) = (v[0], 0);
+        self.stall_by.copy_from_slice(&v[1..]);
         Ok(())
     }
 }
@@ -416,6 +408,23 @@ mod tests {
         for (i, c) in StallCause::ALL.iter().enumerate() {
             assert_eq!(*c as usize, i);
         }
+    }
+
+    #[test]
+    fn a_tracker_saves_busy_and_causes_and_derives_the_stall_total() {
+        let mut t = ActivityTracker::new();
+        t.record_n(Activity::Busy, 4);
+        t.record_stall_n(StallCause::MshrFull, 2);
+        t.record_stall_n(StallCause::BusFull, 3);
+        t.record_n(Activity::Idle, 5);
+        assert_eq!(t.save().render(), "[4,0,0,0,2,0,0,0,0,0,3]");
+        let mut back = ActivityTracker::new();
+        back.load(&t.save()).unwrap();
+        assert_eq!(back, ActivityTracker { idle: 0, ..t });
+        let mut past = [0u64; 11];
+        past[1..3].fill(u64::MAX);
+        let err = back.load(&past.save()).unwrap_err();
+        assert_eq!(err, "the stall causes sum past u64::MAX");
     }
 
     #[test]

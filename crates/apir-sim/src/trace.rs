@@ -44,7 +44,6 @@ pub struct EventTrace {
     cap: usize,
     buf: VecDeque<TraceRecord>,
     dropped: u64,
-    emitted: u64,
     components: Vec<String>,
     /// Every label the recording sites use: a snapshot load resolves the
     /// saved labels against it.
@@ -59,7 +58,6 @@ impl EventTrace {
             cap: cap.max(1),
             buf: VecDeque::new(),
             dropped: 0,
-            emitted: 0,
             components: Vec::new(),
             events,
         }
@@ -87,7 +85,6 @@ impl EventTrace {
 
     /// Appends a record, evicting the oldest when full.
     pub fn record(&mut self, cycle: u64, comp: CompId, event: &'static str, value: u64) {
-        self.emitted += 1;
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
@@ -110,16 +107,10 @@ impl EventTrace {
         self.buf.is_empty()
     }
 
-    /// Records evicted because the ring was full.
+    /// Records evicted because the ring was full; with [`EventTrace::len`]
+    /// they make up every record ever emitted.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Records ever emitted. The conservation invariant — even under a
-    /// fault storm multiplying trace volume — is
-    /// `emitted() == len() + dropped()`.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// Retained records, oldest first. Cycles are monotone non-decreasing
@@ -130,7 +121,7 @@ impl EventTrace {
 }
 
 /// A trace snapshots its component table, the retained records as
-/// `[cycle, comp, event, value]`, and the conservation counters. The
+/// `[cycle, comp, event, value]`, and the count of dropped records. The
 /// components are interned when the fabric is built, so a load must find
 /// the receiver's table unchanged.
 impl Snap for EventTrace {
@@ -150,7 +141,6 @@ impl Snap for EventTrace {
             ),
             ("records", Json::arr(self.buf.iter().map(record))),
             ("dropped", self.dropped.save()),
-            ("emitted", self.emitted.save()),
         ])
     }
 
@@ -170,13 +160,9 @@ impl Snap for EventTrace {
                 .push_back(rec.map_err(|e| snap::nest(format_args!(".records[{i}]"), e))?);
         }
         snap::load_key(&mut self.dropped, j, "dropped")?;
-        snap::load_key(&mut self.emitted, j, "emitted")?;
         let kept = self.buf.len();
-        if kept > self.cap || self.emitted != kept as u64 + self.dropped {
-            return Err(format!(
-                ".records: {kept} kept and {} dropped of {} emitted, capacity {}",
-                self.dropped, self.emitted, self.cap
-            ));
+        if kept > self.cap {
+            return Err(format!(".records: {kept} kept, capacity {}", self.cap));
         }
         Ok(())
     }

@@ -59,9 +59,7 @@ fn main() {
             .fill(apir::core::spec::RegionId(0), 2 * i, &[*p, *n]);
     }
     // List B: 1 -> 3 (payloads 7, 8).
-    input
-        .mem
-        .fill(apir::core::spec::RegionId(0), 2 * 1, &[7, 3]);
+    input.mem.fill(apir::core::spec::RegionId(0), 2, &[7, 3]);
     input
         .mem
         .fill(apir::core::spec::RegionId(0), 2 * 3, &[8, u64::MAX]);

@@ -13,8 +13,8 @@ cargo fmt --all --check
 echo "==> cargo build --release --offline (warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build --release --offline
 
-echo "==> cargo clippy on every library in the workspace (warnings are errors)"
-cargo clippy --offline --workspace --lib --no-deps -- -D warnings
+echo "==> cargo clippy on every target in the workspace: libraries, binaries, tests, examples (warnings are errors)"
+cargo clippy --offline --workspace --all-targets --no-deps -- -D warnings
 
 echo "==> cargo doc on every crate in the workspace (warnings are errors, so no broken link)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps

@@ -361,10 +361,12 @@ fn misordered_watchdog_is_apir502() {
 #[test]
 fn fault_rate_out_of_range_is_apir503() {
     use apir::fabric::{FabricConfig, FaultConfig};
-    let mut cfg = FabricConfig::default();
-    cfg.faults = FaultConfig {
-        drop_rate: 1.5,
-        ..FaultConfig::default()
+    let mut cfg = FabricConfig {
+        faults: FaultConfig {
+            drop_rate: 1.5,
+            ..FaultConfig::default()
+        },
+        ..FabricConfig::default()
     };
     let report = cfg.validate();
     assert!(has_at_least(
@@ -385,11 +387,13 @@ fn fault_rate_out_of_range_is_apir503() {
 #[test]
 fn degenerate_fault_plan_is_apir504() {
     use apir::fabric::{FabricConfig, FaultConfig};
-    let mut cfg = FabricConfig::default();
-    cfg.faults = FaultConfig {
-        lane_fault_rate: 0.5,
-        fault_window: 0,
-        ..FaultConfig::default()
+    let mut cfg = FabricConfig {
+        faults: FaultConfig {
+            lane_fault_rate: 0.5,
+            fault_window: 0,
+            ..FaultConfig::default()
+        },
+        ..FabricConfig::default()
     };
     let report = cfg.validate();
     assert!(has_at_least(

@@ -102,13 +102,15 @@ fn exhausted_link_retries_escalate_to_link_failed() {
     // runs dry, and the fabric reports the permanent link failure with a
     // partial report instead of spinning forever.
     let (s, input) = one_miss_spec();
-    let mut cfg = FabricConfig::default();
-    cfg.faults = FaultConfig {
-        seed: 7,
-        drop_rate: 1.0,
-        retry_timeout: 4,
-        max_retries: 2,
-        ..FaultConfig::default()
+    let cfg = FabricConfig {
+        faults: FaultConfig {
+            seed: 7,
+            drop_rate: 1.0,
+            retry_timeout: 4,
+            max_retries: 2,
+            ..FaultConfig::default()
+        },
+        ..FabricConfig::default()
     };
     let err = Fabric::new(&s, &input, cfg).run().unwrap_err();
     let FabricError::LinkFailed {
@@ -152,13 +154,15 @@ fn partial_report_json_stamps_the_terminal_cause() {
     assert_eq!(t.get("kind").unwrap().as_str(), Some("deadlock"));
     assert_eq!(t.get("cycle").unwrap().as_u64(), Some(cycle));
     // Same stamp for a permanent link failure.
-    let mut cfg = FabricConfig::default();
-    cfg.faults = FaultConfig {
-        seed: 7,
-        drop_rate: 1.0,
-        retry_timeout: 4,
-        max_retries: 2,
-        ..FaultConfig::default()
+    let cfg = FabricConfig {
+        faults: FaultConfig {
+            seed: 7,
+            drop_rate: 1.0,
+            retry_timeout: 4,
+            max_retries: 2,
+            ..FaultConfig::default()
+        },
+        ..FabricConfig::default()
     };
     let err = Fabric::new(&s, &input, cfg).run().unwrap_err();
     let doc = err
@@ -330,13 +334,15 @@ fn partial_reports_of_every_terminal_kind_are_pinned() {
         ..FabricConfig::default()
     };
     strangled.mem.qpi_gbps = 1e-9;
-    let mut dropping = FabricConfig::default();
-    dropping.faults = FaultConfig {
-        seed: 7,
-        drop_rate: 1.0,
-        retry_timeout: 4,
-        max_retries: 2,
-        ..FaultConfig::default()
+    let dropping = FabricConfig {
+        faults: FaultConfig {
+            seed: 7,
+            drop_rate: 1.0,
+            retry_timeout: 4,
+            max_retries: 2,
+            ..FaultConfig::default()
+        },
+        ..FabricConfig::default()
     };
     let name = "SPEC-MST";
     let app = build_app(name, Scale::Tiny);
@@ -375,28 +381,13 @@ fn partial_reports_of_every_terminal_kind_are_pinned() {
     }
 }
 
-/// A counter as saved in a snapshot's `metrics` member, whose entries
-/// are `[key, kind, value, ..]`.
-fn saved_counter(doc: &Json, key: &str) -> u64 {
-    let entries = doc
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .expect("metrics array");
-    let entry = entries
-        .iter()
-        .filter_map(Json::as_arr)
-        .find(|e| e[0].as_str() == Some(key))
-        .unwrap_or_else(|| panic!("no metric `{key}`"));
-    entry[2].as_u64().expect("counter value")
-}
-
 #[test]
 fn mid_run_snapshots_save_the_metrics_of_the_pause_cycle() {
-    // A snapshot's metrics are rendered from the state it saves, so they
-    // agree with it on every pause. Two pauses on the one-miss spec with
-    // a strangled link are where totals kept apart from that state would
-    // lag it: after a quiescent jump, and on the cycle the watchdog
-    // escalates (the escalation runs after that cycle's tick).
+    // A snapshot saves the state of the pause cycle, its per-cycle
+    // samples included. Two pauses on the one-miss spec with a strangled
+    // link are where samples kept apart from that state would lag it:
+    // after a quiescent jump, and on the cycle the watchdog escalates
+    // (the escalation runs after that cycle's tick).
     let (s, input) = one_miss_spec();
     let mut cfg = FabricConfig {
         deadlock_cycles: 100,
@@ -409,10 +400,10 @@ fn mid_run_snapshots_save_the_metrics_of_the_pause_cycle() {
         Ok(RunSplit::Done(_)) => panic!("finished before cycle {target}"),
         Err(e) => panic!("run_until({target}): {e}"),
     };
-    // (target, pause cycle, `fault.watchdog.escalations`, snapshot FNV-1a)
+    // (target, pause cycle, `core.wd_escalations`, snapshot FNV-1a)
     let cases = [
-        (100, 104, 0, 0x8a72_f78b_e731_807a),
-        (105, 105, 1, 0xb0e6_d53e_8f56_fcc2),
+        (100, 104, 0, 0xc1d9_2275_1f17_c440),
+        (105, 105, 1, 0x555b_9553_c178_9818),
     ];
     for (target, cycle, escalations, fnv) in cases {
         let doc = pause(target).snapshot();
@@ -420,12 +411,10 @@ fn mid_run_snapshots_save_the_metrics_of_the_pause_cycle() {
         let core = doc.get("core").expect("core member");
         let got = (
             doc.get("cycle").and_then(Json::as_u64),
-            saved_counter(&doc, "fabric.cycles"),
-            saved_counter(&doc, "fault.watchdog.escalations"),
             core.get("wd_escalations").and_then(Json::as_u64),
             fnv1a(text.as_bytes()),
         );
-        let want = (Some(cycle), cycle, escalations, Some(escalations), fnv);
+        let want = (Some(cycle), Some(escalations), fnv);
         assert_eq!(got, want, "run_until({target})");
         // A restored fabric pauses again before its first tick, so it
         // must save the same bytes.

@@ -4,9 +4,9 @@
 //! panic inside `Fabric::restore` itself.
 //!
 //! The regression cases edit the committed SPEC-BFS golden doc the way a
-//! hand edit would, or swap the rollback checkpoints of two pauses of a
-//! run on a flaky link; the property applies one random structural
-//! mutation to any of the three golden docs.
+//! hand edit would, or edit the rollback log and checkpoints of pauses of
+//! a run on a flaky link; the property applies one random structural
+//! mutation to any of the three golden docs or to a pause of that run.
 
 use apir::bench::experiments::{scale_cache, synthesized_cfg};
 use apir::bench::scale::{build_app, AppInstance};
@@ -14,6 +14,7 @@ use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricConfig, FaultConfig, RunSplit};
 use apir_util::json::{parse, Json};
 use apir_util::props;
+use std::sync::OnceLock;
 
 /// The golden docs with the `(trace capacity, chaos seed, timeline
 /// window)` each was taken under; see `snapshot_golden.rs`.
@@ -41,8 +42,50 @@ const GOLDEN: [(&str, &str, usize, Option<u64>, u64); 3] = [
     ),
 ];
 
+/// SPEC-BFS on a link that drops 3% of transfers, with rollback
+/// recovery armed: it checkpoints at 256 and 512, and first rolls back
+/// at 609.
+fn flaky() -> (AppInstance, FabricConfig) {
+    let app = build_app("SPEC-BFS", Scale::Tiny);
+    let mut cfg = synthesized_cfg("SPEC-BFS", Scale::Tiny);
+    cfg.faults = FaultConfig {
+        seed: 14,
+        drop_rate: 0.03,
+        retry_timeout: 4,
+        max_retries: 1,
+        ..FaultConfig::default()
+    };
+    cfg.checkpoint_interval = 256;
+    cfg.max_rollbacks = 16;
+    scale_cache(&mut cfg, &app.input);
+    (app.tune)(&mut cfg);
+    (app, cfg)
+}
+
+/// The flaky run paused at cycle `at`.
+fn flaky_pause(at: u64) -> Json {
+    let (app, cfg) = flaky();
+    match Fabric::new(&app.spec, &app.input, cfg).run_until(at) {
+        Ok(RunSplit::Paused(f)) => f.snapshot(),
+        _ => panic!("SPEC-BFS pauses at cycle {at}"),
+    }
+}
+
+/// Source `i` of the mutated docs: a golden doc, or, past them, the
+/// flaky run paused at cycle 700, which has rolled back once and holds
+/// a checkpoint.
+fn source(i: usize) -> &'static str {
+    static ARMED: OnceLock<String> = OnceLock::new();
+    match GOLDEN.get(i) {
+        Some(g) => g.1,
+        None => ARMED.get_or_init(|| flaky_pause(700).render()),
+    }
+}
+
 fn app_cfg(i: usize) -> (AppInstance, FabricConfig) {
-    let (name, _, cap, faults, window) = GOLDEN[i];
+    let Some(&(name, _, cap, faults, window)) = GOLDEN.get(i) else {
+        return flaky();
+    };
     let app = build_app(name, Scale::Tiny);
     let mut cfg = synthesized_cfg(name, Scale::Tiny);
     cfg.trace_capacity = cap;
@@ -69,27 +112,33 @@ fn at<'a>(j: &'a mut Json, path: &str) -> &'a mut Json {
     })
 }
 
-/// Restores golden doc `i` after `edit` and returns the error it must
+/// Restores source doc `i` after `edit` and returns the error it must
 /// produce.
 fn rejected(i: usize, edit: impl FnOnce(&mut Json)) -> String {
-    let mut doc = parse(GOLDEN[i].1).unwrap();
+    let mut doc = parse(source(i)).unwrap();
     edit(&mut doc);
     match restore(i, &doc) {
-        Ok(_) => panic!("a malformed {} snapshot was accepted", GOLDEN[i].0),
+        Ok(_) => panic!("a malformed snapshot {i} was accepted"),
         Err(e) => e,
     }
 }
 
-/// Restores golden doc `i` with `value` at `path`.
+/// Restores source doc `i` with `value` at `path`.
 fn rejected_value(i: usize, path: &str, value: Json) -> String {
     rejected(i, |d| *at(d, path) = value)
 }
 
 #[test]
 fn the_unedited_golden_doc_restores() {
-    for (i, (name, text, ..)) in GOLDEN.iter().enumerate() {
-        assert!(restore(i, &parse(text).unwrap()).is_ok(), "{name}");
+    for i in 0..=GOLDEN.len() {
+        assert!(restore(i, &parse(source(i)).unwrap()).is_ok(), "{i}");
     }
+    let armed = parse(source(GOLDEN.len())).unwrap();
+    assert_eq!(
+        armed.get("rollback").unwrap().render(),
+        r#"{"events":[[609,512]]}"#
+    );
+    assert!(armed.get("ckpt").is_some());
 }
 
 #[test]
@@ -209,21 +258,21 @@ fn ids_widths_and_labels_are_checked_against_the_structure() {
         ),
         (
             0,
-            "metrics.34.0",
-            Json::str("mem.hitz"),
-            "`metrics[34]`: expected [\"mem.hits\", 0, ...] with 3 elements",
+            "samples.2.0.0",
+            Json::arr((0..66).map(|_| Json::U64(0))),
+            "`samples[2][0][0]`: 66 buckets, at most 65",
         ),
         (
             0,
-            "metrics.34.1",
-            Json::U64(1),
-            "`metrics[34]`: expected [\"mem.hits\", 0, ...] with 3 elements",
+            "samples.3.0",
+            parse("[[0,400],400,400,1,false]").unwrap(),
+            "`samples[3][0]`: `rule.bfs_conflict` keeps no histogram",
         ),
         (
             0,
-            "metrics.34.2",
-            Json::U64(30),
-            "`metrics[34]`: `mem.hits` is saved as Counter(30), but the state gives Counter(29)",
+            "samples.2.0",
+            Json::Null,
+            "`samples[2][0]`: `mem.inflight_hist` is missing",
         ),
     ];
     for (i, path, value, want) in cases {
@@ -240,15 +289,15 @@ fn counts_the_clock_cannot_have_reached_are_rejected() {
     let cases: [(usize, &[&str], &str); 3] = [
         (
             0,
-            &["metrics.36.3"],
-            "`metrics`: `mem.inflight_hist` counts 18446744073709551615 cycles in buckets \
-             that hold 400, but the clock is at cycle 400",
+            &["samples.2.0.1"],
+            "`samples[2][0]`: `mem.inflight_hist` counts 18446744073709551615 cycles in \
+             buckets that hold 400, but the clock is at cycle 400",
         ),
         (
             0,
-            &["metrics.40.2", "metrics.41.2"],
-            "`metrics`: `mem.stall.mshr_full` and `mem.stall.bandwidth` sum to more than \
-             the clock's 400 cycles",
+            &["samples.2.1.0", "samples.2.1.1"],
+            "`samples[2][1]`: `mem.stall.mshr_full` and `mem.stall.bandwidth` sum to more \
+             than the clock's 400 cycles",
         ),
         (
             2,
@@ -267,30 +316,42 @@ fn counts_the_clock_cannot_have_reached_are_rejected() {
 }
 
 #[test]
-fn a_live_member_that_is_not_the_held_tasks_is_rejected() {
-    // Both docs restored before this check: with the extra task the run
-    // then waited for it until a watchdog deadlock at cycle 201,690, and
-    // without the first task it finished as if nothing were missing.
-    fn live(d: &mut Json) -> &mut Vec<Json> {
-        match at(d, "live") {
-            Json::Arr(v) => v,
-            _ => unreachable!("`live` is an array"),
-        }
-    }
-    let extra: fn(&mut Json) = |d| live(d).push(parse("[[99],1000]").unwrap());
-    let first_gone: fn(&mut Json) = |d| drop(live(d).remove(0));
+fn totals_the_clock_or_the_recovery_budget_cannot_reach_are_rejected() {
+    // A stage's busy and stall cycles, the stall being the sum of its
+    // causes, must fit in the clock. A rollback log must fit in
+    // `max_rollbacks` (0 for golden doc 0, 16 for the flaky pause), and
+    // its replayed cycles, each failure cycle less its resume cycle, must
+    // sum within u64: the report derives the rollback totals from the log.
+    // (source doc, member, value, error.)
+    let armed = GOLDEN.len();
     let cases = [
         (
-            extra,
-            "entry 7 is ({99}, seq 1000), but the state's tasks in order have nothing there",
+            0,
+            "pipelines.0.stages.2.tk.0",
+            Json::U64(300),
+            "`pipelines[0].stages[2].tk`: busy + stall is 428, past the clock's 400 cycles",
         ),
         (
-            first_gone,
-            "entry 0 is ({3,0}, seq 13), but the state's tasks in order have ({3,0}, seq 12) there",
+            0,
+            "rollback.events",
+            parse("[[300,256]]").unwrap(),
+            "`rollback.events`: 1 rollbacks, more than max_rollbacks 0",
+        ),
+        (
+            armed,
+            "rollback.events.0",
+            parse("[500,512]").unwrap(),
+            "`rollback.events[0]`: resumes at cycle 512, after it failed at 500",
+        ),
+        (
+            armed,
+            "rollback.events",
+            parse("[[18446744073709551615,0],[609,512]]").unwrap(),
+            "`rollback.events[1]`: the replayed cycles sum past u64::MAX",
         ),
     ];
-    for (edit, want) in cases {
-        assert_eq!(rejected(0, edit), format!("snapshot: `live`: {want}"));
+    for (i, path, value, want) in cases {
+        assert_eq!(rejected_value(i, path, value), format!("snapshot: {want}"));
     }
 }
 
@@ -303,27 +364,8 @@ fn a_checkpoint_the_run_cannot_hold_is_rejected() {
             m.push(("ckpt".into(), copy));
         }
     });
-    // SPEC-BFS on a link that drops 3% of transfers checkpoints at 256
-    // and 512, and first rolls back at 609.
-    let app = build_app("SPEC-BFS", Scale::Tiny);
-    let mut cfg = synthesized_cfg("SPEC-BFS", Scale::Tiny);
-    cfg.faults = FaultConfig {
-        seed: 14,
-        drop_rate: 0.03,
-        retry_timeout: 4,
-        max_retries: 1,
-        ..FaultConfig::default()
-    };
-    cfg.checkpoint_interval = 256;
-    cfg.max_rollbacks = 16;
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
-    let restore = |doc: &Json| Fabric::restore(&app.spec, &app.input, cfg.clone(), doc);
-    let pause = |at| match Fabric::new(&app.spec, &app.input, cfg.clone()).run_until(at) {
-        Ok(RunSplit::Paused(f)) => f.snapshot(),
-        _ => panic!("SPEC-BFS pauses at cycle {at}"),
-    };
-    let (at_300, at_600) = (pause(300), pause(600));
+    let restore = |doc: &Json| restore(GOLDEN.len(), doc);
+    let (at_300, at_600) = (flaky_pause(300), flaky_pause(600));
     assert!(restore(&at_300).is_ok() && restore(&at_600).is_ok());
     let with_ckpt_of = |doc: &Json, other: &Json| {
         let mut doc = doc.clone();
@@ -394,10 +436,11 @@ props! {
 
     /// One random mutation — drop a member, swap a value's JSON type,
     /// truncate or extend an array, or set a number to 0 or u64::MAX —
-    /// makes `Fabric::restore` return `Ok` or `Err`, never panic.
+    /// makes `Fabric::restore` return `Ok` or `Err`, never panic. The
+    /// armed pause reaches the rollback log and the checkpoint's checks.
     fn restore_never_panics_on_a_mutated_golden_doc(g) {
-        let i = g.gen_range(0..GOLDEN.len());
-        let mut doc = parse(GOLDEN[i].1).unwrap();
+        let i = g.gen_range(0..=GOLDEN.len());
+        let mut doc = parse(source(i)).unwrap();
         let kind = g.gen_range(0..4usize);
         let pick: fn(&Json) -> bool = match kind {
             0 => |j| matches!(j, Json::Obj(m) if !m.is_empty()),

@@ -72,7 +72,7 @@ const CELLS: [Cell; 3] = [
         pause_at: 26_000,
         cycles: 52_342,
         stalls: [1_119_830, 95_598, 0, 552_668, 280_614, 781_962, 0, 0],
-        snapshot_fnv: 0x18f65c55ca8c1b1e,
+        snapshot_fnv: 0xe4006c1d27eac6af,
         report_fnv: 0x5c556cbaf8e38ef5,
     },
     Cell {
@@ -81,7 +81,7 @@ const CELLS: [Cell; 3] = [
         pause_at: 38_000,
         cycles: 77_432,
         stalls: [661_578, 0, 536, 150_857, 0, 99_925, 236_424, 0],
-        snapshot_fnv: 0x188ce005ef8f4675,
+        snapshot_fnv: 0x4e8f02fb0cf7dd93,
         report_fnv: 0xa2814bbcc1075ce6,
     },
     Cell {
@@ -90,7 +90,7 @@ const CELLS: [Cell; 3] = [
         pause_at: 7_500,
         cycles: 15_110,
         stalls: [214_888, 0, 0, 184_774, 0, 90_297, 0, 60],
-        snapshot_fnv: 0xcf6511a502e9287b,
+        snapshot_fnv: 0xff13ea9d4195c795,
         report_fnv: 0x51f3907e343c33ae,
     },
 ];
