@@ -19,7 +19,7 @@ fn main() {
             "--scale" => {
                 let v = args.next().unwrap_or_default();
                 scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale `{v}` (small|medium|large)");
+                    eprintln!("unknown scale `{v}` (tiny|small|medium|large)");
                     std::process::exit(2);
                 });
             }

@@ -1,7 +1,8 @@
 //! The experiments: one function per table/figure.
 
-use crate::scale::{bfs_graph, build_app, Scale, APP_NAMES};
+use crate::scale::{bfs_graph, build_app, AppInstance, Scale, APP_NAMES};
 use apir_apps::bfs::BfsVariant;
+use apir_core::{ProgramInput, Spec};
 use apir_fabric::{estimate_resources, Fabric, FabricConfig, FabricReport};
 use apir_runtime::vcore::VcoreModel;
 use apir_synth::flow::{synthesize, SynthesisTarget};
@@ -20,28 +21,45 @@ pub fn base_cfg() -> FabricConfig {
 /// misses, not hits, dominate). Without this, simulator-scale inputs fit
 /// entirely in a 64 KB cache and the Figure 10 bandwidth sweep is flat.
 /// Documented in EXPERIMENTS.md.
-pub fn scale_cache(cfg: &mut FabricConfig, input: &apir_core::ProgramInput) {
+pub fn scale_cache(cfg: &mut FabricConfig, input: &ProgramInput) {
     let ws_bytes = input.mem.flat_words() * 8;
     let kb = (ws_bytes / 256 / 1024).clamp(1, 64) as usize;
     cfg.mem.cache_kb = kb;
 }
 
-/// Runs one app on the synthesized fabric, panicking if the result fails
-/// its checker (every reported number comes from a *verified* run).
-pub fn run_verified(
-    name: &str,
-    scale: Scale,
-    cfg: FabricConfig,
-) -> (apir_apps::AppInstance, FabricReport) {
-    let app = build_app(name, scale);
-    let mut cfg = cfg;
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
+/// The configuration an app runs under: the accelerator synthesized from
+/// `spec` on the base fabric ([`base_cfg`], [`SynthesisTarget::default`]),
+/// its cache scaled to `input` ([`scale_cache`]), then the app's `tune`
+/// hook. Every runner of a builtin app starts here: the figures,
+/// `apir-trace`, `apir-lint --analyze`, campaign cells and the tests.
+pub fn app_cfg(
+    spec: &Spec,
+    input: &ProgramInput,
+    tune: &dyn Fn(&mut FabricConfig),
+) -> FabricConfig {
+    let mut cfg = synthesize(spec, base_cfg(), SynthesisTarget::default()).cfg;
+    scale_cache(&mut cfg, input);
+    tune(&mut cfg);
+    cfg
+}
+
+/// Runs `app` under `cfg`, panicking if the result fails its checker
+/// (every reported number comes from a *verified* run).
+pub fn run_verified(app: &AppInstance, cfg: FabricConfig) -> FabricReport {
+    let name = &app.name;
     let report = Fabric::new(&app.spec, &app.input, cfg)
         .run()
         .unwrap_or_else(|e| panic!("{name}: fabric failed: {e}"));
     (app.check)(&report.mem_image).unwrap_or_else(|e| panic!("{name}: bad result: {e}"));
-    (app, report)
+    report
+}
+
+/// Builds app `name` at `scale` and runs it verified under [`app_cfg`].
+fn run_app(name: &str, scale: Scale) -> (AppInstance, FabricConfig, FabricReport) {
+    let app = build_app(name, scale);
+    let cfg = app_cfg(&app.spec, &app.input, &app.tune);
+    let report = run_verified(&app, cfg.clone());
+    (app, cfg, report)
 }
 
 /// Figure 2(b): schedule comparison on the toy 6-vertex graph of
@@ -155,8 +173,7 @@ pub fn fig9(scale: Scale, cpu_scale: f64) -> Vec<Fig9Row> {
     APP_NAMES
         .iter()
         .map(|name| {
-            let design_cfg = synthesized_cfg(name, scale);
-            let (app, report) = run_verified(name, scale, design_cfg);
+            let (app, _, report) = run_app(name, scale);
             let (seq_raw, _work) = app.measure_seq_best_of(3);
             let seq_s = seq_raw * cpu_scale;
             let profile = (app.run_par)(10);
@@ -211,7 +228,8 @@ pub fn fig10(scale: Scale, sweeps: &[u64]) -> Vec<(String, Vec<Fig10Point>)> {
     APP_NAMES
         .iter()
         .map(|name| {
-            let design_cfg = synthesized_cfg(name, scale);
+            let app = build_app(name, scale);
+            let design_cfg = app_cfg(&app.spec, &app.input, &app.tune);
             let mut base_cycles = None;
             let pts = sweeps
                 .iter()
@@ -221,7 +239,7 @@ pub fn fig10(scale: Scale, sweeps: &[u64]) -> Vec<(String, Vec<Fig10Point>)> {
                     // Higher link bandwidth also means more outstanding
                     // transfers on real links.
                     cfg.mem.max_inflight_misses = 32 * bw as usize;
-                    let (_, report) = run_verified(name, scale, cfg);
+                    let report = run_verified(&app, cfg);
                     let base = *base_cycles.get_or_insert(report.cycles);
                     Fig10Point {
                         bw_scale: bw,
@@ -262,8 +280,8 @@ pub fn render_fig10(series: &[(String, Vec<Fig10Point>)]) -> String {
 pub fn table1(scale: Scale) -> String {
     let g = bfs_graph(scale);
     let hls = HlsBfsModel::default().run(&g, 0);
-    let (_, spec_r) = run_verified("SPEC-BFS", scale, synthesized_cfg("SPEC-BFS", scale));
-    let (_, coor_r) = run_verified("COOR-BFS", scale, synthesized_cfg("COOR-BFS", scale));
+    let (_, _, spec_r) = run_app("SPEC-BFS", scale);
+    let (_, _, coor_r) = run_app("COOR-BFS", scale);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -323,8 +341,7 @@ pub fn table_resources(scale: Scale) -> String {
 
 /// Dumps the full fabric report of one app (diagnostics).
 pub fn debug_app(name: &str, scale: Scale) -> String {
-    let cfg = synthesized_cfg(name, scale);
-    let (app, r) = run_verified(name, scale, cfg.clone());
+    let (app, cfg, r) = run_app(name, scale);
     let mut out = String::new();
     let _ = writeln!(out, "## {name} (scale {scale:?})");
     let _ = writeln!(
@@ -365,13 +382,6 @@ pub fn debug_app(name: &str, scale: Scale) -> String {
     out
 }
 
-/// The per-app synthesized configuration (heuristic-chosen parameters).
-pub fn synthesized_cfg(name: &str, scale: Scale) -> FabricConfig {
-    let app = build_app(name, scale);
-    let design = synthesize(&app.spec, base_cfg(), SynthesisTarget::default());
-    design.cfg
-}
-
 /// A bonus ablation (called out in DESIGN.md): SPEC-BFS cycles vs the
 /// out-of-order load/store window, demonstrating why the paper makes
 /// memory operations out-of-order but keeps everything else in-order.
@@ -383,10 +393,14 @@ pub fn ablation_lsu_window(scale: Scale, windows: &[usize]) -> String {
         "  {:>8} {:>12} {:>12}",
         "window", "cycles", "utilization"
     );
+    let app = build_app("SPEC-BFS", scale);
+    let design_cfg = app_cfg(&app.spec, &app.input, &app.tune);
     for &w in windows {
-        let mut cfg = synthesized_cfg("SPEC-BFS", scale);
-        cfg.lsu_window = w;
-        let (_, r) = run_verified("SPEC-BFS", scale, cfg);
+        let cfg = FabricConfig {
+            lsu_window: w,
+            ..design_cfg.clone()
+        };
+        let r = run_verified(&app, cfg);
         let _ = writeln!(
             out,
             "  {:>8} {:>12} {:>11.1}%",
@@ -463,6 +477,13 @@ mod tests {
         let s = table1(Scale::Small);
         assert!(s.contains("OpenCL"));
         assert!(s.contains("SPEC-BFS"));
+    }
+
+    #[test]
+    fn debug_app_reports_the_configuration_it_ran() {
+        // SPEC-MST's tune hook shrinks the synthesized queue.
+        let s = debug_app("SPEC-MST", Scale::Tiny);
+        assert!(s.contains("queue=1024 banks=2"), "{s}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! it never aborts the fleet.
 
 use crate::plan::{CampaignPlan, ConfigVariant};
-use apir_bench::experiments::{scale_cache, synthesized_cfg};
+use apir_bench::experiments::app_cfg;
 use apir_bench::scale::build_app;
 use apir_bench::Scale;
 use apir_fabric::{Fabric, FabricConfig, FabricError, FabricReport, FaultConfig};
@@ -97,18 +97,16 @@ impl JobError {
     }
 }
 
-/// The fabric configuration a job runs under: the app's synthesized +
-/// cache-scaled + tuned baseline (the exact recipe of
-/// `apir_bench::experiments::run_verified`), then the variant's
+/// The fabric configuration a job runs under: the configuration every
+/// runner of the app uses ([`app_cfg`] over `input` and `tune`, the spec
+/// taken from a fresh build of `job.app`), then the variant's
 /// overrides, then the chaos preset when armed.
 pub fn job_cfg(
     job: &Job,
     input: &apir_core::ProgramInput,
     tune: &dyn Fn(&mut FabricConfig),
 ) -> FabricConfig {
-    let mut cfg = synthesized_cfg(&job.app, job.scale);
-    scale_cache(&mut cfg, input);
-    tune(&mut cfg);
+    let mut cfg = app_cfg(&build_app(&job.app, job.scale).spec, input, tune);
     job.config.overrides.apply(&mut cfg);
     if job.config.chaos {
         cfg.faults = FaultConfig::chaos(job.seed);

@@ -20,8 +20,11 @@
 //!   `apir.analysis.report.v1` document instead.
 //! * `--analyze` — run the config-aware semantic analysis (`APIR6xx`:
 //!   occupancy bounds, deadlock certification, bottleneck prediction)
-//!   over each app under the default fabric configuration with the
-//!   app's tuning applied.
+//!   over each app at the `tiny` scale, under the configuration its runs
+//!   use (synthesized, cache scaled to the input, tuned) — the analysis
+//!   `apir-trace analyze` prints, so `--json` renders the committed
+//!   `ANALYSIS_baseline.json`. Like every runner, the BFS apps read
+//!   their graph from `APIR_DIMACS_GR` when it is set.
 //! * `--codes` — print the table of stable diagnostic codes and exit.
 //!   With a comma-separated argument (`--codes APIR601,APIR610`),
 //!   filter the emitted diagnostics to those codes instead.
@@ -99,7 +102,7 @@ fn main() {
     let mut failed = false;
     if analyze {
         // Semantic analysis mode: APIR6xx verdicts + bottleneck
-        // prediction per app, against the (tuned) default fabric.
+        // prediction per app, against the fabric its runs use.
         let analyses: Vec<(String, apir_core::check::analysis::Analysis)> = picked
             .iter()
             .map(|&i| (apps[i].name.clone(), analyze_instance(&apps[i])))

@@ -7,9 +7,10 @@
 //!
 //! The analyses themselves live in [`apir_core::check`] so that
 //! `Spec::build`, `Bdfg::validate` and the fabric can run them without a
-//! dependency cycle; this crate re-exports that API, adds the registry of
-//! builtin benchmark specs, and ships the `apir-lint` binary that gates CI
-//! (`scripts/verify.sh`) on zero error-level diagnostics.
+//! dependency cycle; this crate re-exports that API, analyzes the six
+//! builtin benchmarks of `apir_bench::scale` (at the `tiny` scale, under
+//! the configuration their runs use), and ships the `apir-lint` binary
+//! that gates CI (`scripts/verify.sh`) on zero error-level diagnostics.
 //!
 //! ```
 //! use apir_check::{check_spec, Severity};
@@ -27,30 +28,22 @@ pub use apir_core::check::{
     check_all, check_bdfg, check_bdfg_structure, check_spec, Diagnostic, Lint, Report, Severity,
 };
 
-use apir_apps::AppInstance;
+use apir_bench::experiments::app_cfg;
+use apir_bench::scale::{build_app, AppInstance, Scale, APP_NAMES};
 use apir_core::check::analysis::Analysis;
 use apir_core::Spec;
-use std::sync::Arc;
 
 /// Builds every builtin benchmark *instance* (spec + seeded input +
-/// tuning hook) over a small deterministic workload — the set `apir-lint`
-/// analyzes by default and the golden tests hold at zero error-level
-/// diagnostics. The inputs matter to the semantic analysis (`--analyze`):
-/// seed counts and the memory footprint feed the occupancy and bottleneck
-/// models.
+/// tuning hook) at the `tiny` scale, exactly as the runners build them
+/// (`apir_bench::scale::build_app`) — the set `apir-lint` analyzes by
+/// default and the golden tests hold at zero error-level diagnostics.
+/// The inputs matter to the semantic analysis (`--analyze`): seed counts
+/// and the memory footprint feed the occupancy and bottleneck models.
 pub fn builtin_instances() -> Vec<AppInstance> {
-    let g = Arc::new(apir_workloads::gen::road_network(8, 8, 0.9, 4, 1));
-    let edges = Arc::new(apir_workloads::gen::edge_list_distinct_weights(32, 96, 1));
-    let mesh = Arc::new(apir_workloads::delaunay::Mesh::random(20, 1));
-    let lu_pattern = apir_workloads::sparse::BlockPattern::random(4, 0.5, 1);
-    vec![
-        apir_apps::bfs::build(g.clone(), 0, apir_apps::bfs::BfsVariant::Spec),
-        apir_apps::bfs::build(g.clone(), 0, apir_apps::bfs::BfsVariant::Coor),
-        apir_apps::sssp::build(g, 0),
-        apir_apps::mst::build(32, edges),
-        apir_apps::dmr::build(mesh, 21.0),
-        apir_apps::lu::build(&lu_pattern, 4, 1),
-    ]
+    APP_NAMES
+        .iter()
+        .map(|name| build_app(name, Scale::Tiny))
+        .collect()
 }
 
 /// Builds every builtin benchmark specification (see
@@ -74,17 +67,16 @@ pub fn check_builtin(name: &str) -> Option<Report> {
 }
 
 /// Runs the config-aware semantic analysis ([`apir_core::check::analysis`])
-/// over one builtin instance: the default fabric configuration with the
-/// app's tuning hook applied, parameterized by the instance's seeded
-/// input.
+/// over one builtin instance, under the configuration its runs use
+/// (`apir_bench::experiments::app_cfg`: synthesized, cache scaled to the
+/// input, tuned) and parameterized by the instance's seeded input.
 ///
 /// # Panics
 ///
 /// Panics if the spec cannot be lowered — builtin specs always can (the
 /// golden tests hold them lint-clean).
 pub fn analyze_instance(app: &AppInstance) -> Analysis {
-    let mut cfg = apir_fabric::FabricConfig::default();
-    (app.tune)(&mut cfg);
+    let cfg = app_cfg(&app.spec, &app.input, &app.tune);
     apir_fabric::analyze_config(&cfg, &app.spec, &app.input).expect("builtin specs are lowerable")
 }
 

@@ -159,14 +159,6 @@ pub struct Analysis {
     pub report: Report,
 }
 
-impl Analysis {
-    /// Sound peak-occupancy bound for task set `tsi` (the property the
-    /// soundness tests assert against measured `queue.<n>.peak`).
-    pub fn occupancy_bound(&self, tsi: usize) -> Option<u64> {
-        self.queues.get(tsi).map(|q| q.bound)
-    }
-}
-
 /// Runs the full semantic analysis of `spec` under `params`.
 ///
 /// Returns `None` when the spec's body-structure lints are not clean

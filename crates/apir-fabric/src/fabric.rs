@@ -2083,7 +2083,9 @@ fn tick_pipeline(p: &mut Pipeline, cx: &mut TickCtx) -> (bool, bool) {
     (progress, active || progress)
 }
 
-// The checkpoint is saved as the `ckpt` member, a snapshot of its own.
+// The `schema` tag and the checkpoint, saved as the `ckpt` member (a
+// snapshot of its own), are written by `snapshot` and read by `restore`
+// and `load_snapshot`.
 snap_fields!(Fabric {
     cycle,
     core,
@@ -2114,7 +2116,7 @@ snap_fields!(Fabric {
     tr_fault: skip,
     tr_queues: skip,
     tr_rules: skip,
-} check Self::fits);
+} also ["schema", "ckpt"] check Self::fits);
 
 impl Fabric {
     /// Serializes the complete mutable state of this fabric as an

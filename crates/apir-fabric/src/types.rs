@@ -127,7 +127,7 @@ impl Snap for MemReq {
             Some(&[3, v, expected]) => Some((WriteKind::Cas(expected), v)),
             Some(other) => return Err(format!(".w: {other:?} is not a write")),
         };
-        Ok(())
+        snap::only(j, &["p", "t", "r", "o", "w"], &[])
     }
 }
 
@@ -174,7 +174,8 @@ impl Snap for EventMsg {
             ));
         }
         self.payload = to_fields(&words);
-        snap::load_key(&mut self.index, j, "i")
+        snap::load_key(&mut self.index, j, "i")?;
+        snap::only(j, &["l", "n", "p", "i"], &[])
     }
 }
 

@@ -160,6 +160,7 @@ impl Snap for EventTrace {
                 .push_back(rec.map_err(|e| snap::nest(format_args!(".records[{i}]"), e))?);
         }
         snap::load_key(&mut self.dropped, j, "dropped")?;
+        snap::only(j, &["components", "records", "dropped"], &[])?;
         let kept = self.buf.len();
         if kept > self.cap {
             return Err(format!(".records: {kept} kept, capacity {}", self.cap));

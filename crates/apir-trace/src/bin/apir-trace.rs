@@ -1,23 +1,36 @@
 //! Command-line front end for the observability layer.
 //!
 //! ```text
-//! apir-trace run <APP> [--scale tiny|small|medium|large] [--cap N]
+//! apir-trace run <APP> [--scale S] [--cap N] [--faults SEED]
 //!                      [--chrome PATH] [--json PATH]
+//! apir-trace timeline <APP> [--scale S] [--window N] [--cap N]
+//!                      [--faults SEED] [--csv PATH] [--json PATH]
+//! apir-trace snapshot <APP> --at N [--scale S] [--cap N] [--faults SEED]
+//!                      [--out PATH]
+//! apir-trace restore-run <APP> <SNAPSHOT.json> [--scale S] [--cap N]
+//!                      [--faults SEED] [--json PATH]
+//! apir-trace analyze [APP...] [--scale S] [--json PATH]
+//! apir-trace validate-analysis [APP...] [--scale S]
+//! apir-trace campaign <PLAN.json> [--threads N] [--inflight N]
+//!                      [--out PATH] [--json PATH] [--resume PARTIAL.jsonl]
+//! apir-trace diff <A.json> <B.json> [--machine]
 //! apir-trace list
 //! ```
 //!
-//! `run` synthesizes the accelerator for a builtin app, runs it with the
-//! structured event trace enabled, prints a text summary, and optionally
-//! writes the Chrome-trace rendering (`--chrome`, for `chrome://tracing`
-//! or ui.perfetto.dev) and the machine-readable report (`--json`).
+//! The four runner commands (`run`, `timeline`, `snapshot`,
+//! `restore-run`) share one `<APP> [--scale] [--cap] [--faults]` parser
+//! and run the app through [`apir_trace::Runner`]. `help` prints each
+//! command's flags, defaults and exit codes; every command exits 2 on a
+//! usage error or an input it cannot read, and 1 when it cannot write an
+//! output file.
 
 use apir_bench::scale::APP_NAMES;
 use apir_bench::Scale;
 use apir_trace::{
-    analysis_report, analyze_app, chaos_run, chrome_trace, diff_docs, restore_run, snapshot_at,
-    text_summary, timeline_csv, timeline_run, timeline_sparkline, traced_run, validate_analysis,
-    SnapshotAt,
+    analysis_report, analyze_app, chrome_trace, diff_docs, text_summary, timeline_csv,
+    timeline_sparkline, validate_analysis, Runner, SnapshotAt,
 };
+use apir_util::Json;
 
 const USAGE: &str = "\
 usage: apir-trace <command>
@@ -106,79 +119,49 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Reports `msg` and exits with `code`.
+fn die(code: i32, msg: &str) -> ! {
+    eprintln!("apir-trace: {msg}");
+    std::process::exit(code);
+}
+
+/// Writes `text` to `path`, exiting 1 when it cannot.
+fn write_file(path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        die(1, &format!("writing {path}: {e}"));
+    }
+}
+
+/// Writes the report JSON to `path`, when asked for.
+fn write_report(path: Option<String>, report: &apir_fabric::FabricReport) {
+    if let Some(path) = path {
+        write_file(&path, &report.to_json());
+        println!("wrote report JSON: {path}");
+    }
+}
+
+/// Reads `path`, exiting 2 when it cannot.
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(2, &format!("reading {path}: {e}")))
+}
+
+/// Reads and parses the JSON document at `path`, exiting 2 when it
+/// cannot.
+fn read_json(path: &str) -> Json {
+    apir_util::json::parse(&read_file(path))
+        .unwrap_or_else(|e| die(2, &format!("parsing {path}: {e}")))
+}
+
 fn next_value(args: &mut std::vec::IntoIter<String>, flag: &str) -> String {
     args.next()
         .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
 }
 
-fn cmd_run(args: Vec<String>) {
-    let mut args = args.into_iter();
-    let Some(app) = args.next() else {
-        fail("run needs an app name");
-    };
-    if !APP_NAMES.contains(&app.as_str()) {
-        fail(&format!("unknown app `{app}` (try `apir-trace list`)"));
-    }
-    let mut scale = Scale::Tiny;
-    let mut cap: usize = 1 << 16;
-    let mut fault_seed: Option<u64> = None;
-    let mut chrome_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = next_value(&mut args, "--scale");
-                scale = Scale::parse(&v).unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
-            }
-            "--cap" => {
-                let v = next_value(&mut args, "--cap");
-                cap = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--cap wants a number, got `{v}`")));
-            }
-            "--faults" => {
-                let v = next_value(&mut args, "--faults");
-                fault_seed = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("--faults wants a seed, got `{v}`"))),
-                );
-            }
-            "--chrome" => chrome_path = Some(next_value(&mut args, "--chrome")),
-            "--json" => json_path = Some(next_value(&mut args, "--json")),
-            other => fail(&format!("unknown flag `{other}`")),
-        }
-    }
-    let report = match fault_seed {
-        Some(seed) => chaos_run(&app, scale, cap, seed),
-        None => traced_run(&app, scale, cap),
-    };
-    print!("{}", text_summary(&report));
-    if let Some(path) = chrome_path {
-        // `--cap 0` disables tracing, so there is nothing to render;
-        // a plain diagnostic beats the panic this used to be.
-        let Some(doc) = chrome_trace(&report) else {
-            eprintln!("apir-trace: --chrome requires event tracing; rerun with --cap > 0");
-            std::process::exit(2);
-        };
-        if let Err(e) = std::fs::write(&path, &doc) {
-            eprintln!("apir-trace: writing {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nwrote Chrome trace: {path}");
-    }
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("apir-trace: writing {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote report JSON: {path}");
-    }
-}
-
-/// Parses the `<APP> [--scale S] [--cap N] [--faults SEED]` tail shared
-/// by `snapshot` and `restore-run`, returning any unrecognized
-/// positional arguments for the caller to interpret.
-fn runner_flags(args: Vec<String>, cmd: &str) -> (String, Scale, usize, Option<u64>, Vec<String>) {
+/// Parses the `<APP> [--scale S] [--cap N] [--faults SEED]` head every
+/// runner command shares, `--cap` defaulting to `cap`, into a runner
+/// whose trace ring holds `--cap` records. Returns the other arguments,
+/// in order, for the command to interpret.
+fn runner_args(args: Vec<String>, cmd: &str, cap: usize) -> (Runner, Vec<String>) {
     let mut args = args.into_iter();
     let Some(app) = args.next() else {
         fail(&format!("{cmd} needs an app name"));
@@ -186,25 +169,30 @@ fn runner_flags(args: Vec<String>, cmd: &str) -> (String, Scale, usize, Option<u
     if !APP_NAMES.contains(&app.as_str()) {
         fail(&format!("unknown app `{app}` (try `apir-trace list`)"));
     }
-    let mut scale = Scale::Tiny;
-    let mut cap: usize = 1 << 16;
-    let mut fault_seed: Option<u64> = None;
+    let mut runner = Runner {
+        app,
+        scale: Scale::Tiny,
+        trace_capacity: cap,
+        faults: None,
+        timeline: None,
+    };
     let mut rest: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
                 let v = next_value(&mut args, "--scale");
-                scale = Scale::parse(&v).unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
+                runner.scale =
+                    Scale::parse(&v).unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
             }
             "--cap" => {
                 let v = next_value(&mut args, "--cap");
-                cap = v
+                runner.trace_capacity = v
                     .parse()
                     .unwrap_or_else(|_| fail(&format!("--cap wants a number, got `{v}`")));
             }
             "--faults" => {
                 let v = next_value(&mut args, "--faults");
-                fault_seed = Some(
+                runner.faults = Some(
                     v.parse()
                         .unwrap_or_else(|_| fail(&format!("--faults wants a seed, got `{v}`"))),
                 );
@@ -212,11 +200,37 @@ fn runner_flags(args: Vec<String>, cmd: &str) -> (String, Scale, usize, Option<u
             _ => rest.push(arg),
         }
     }
-    (app, scale, cap, fault_seed, rest)
+    (runner, rest)
+}
+
+fn cmd_run(args: Vec<String>) {
+    let (runner, rest) = runner_args(args, "run", 1 << 16);
+    let mut chrome_path: Option<String> = None;
+    let mut json_path: Option<String> = None;
+    let mut rest = rest.into_iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--chrome" => chrome_path = Some(next_value(&mut rest, "--chrome")),
+            "--json" => json_path = Some(next_value(&mut rest, "--json")),
+            other => fail(&format!("unknown flag `{other}`")),
+        }
+    }
+    let report = runner.run();
+    print!("{}", text_summary(&report));
+    if let Some(path) = chrome_path {
+        // `--cap 0` disables tracing, so there is nothing to render;
+        // a plain diagnostic beats the panic this used to be.
+        let Some(doc) = chrome_trace(&report) else {
+            die(2, "--chrome requires event tracing; rerun with --cap > 0");
+        };
+        write_file(&path, &doc);
+        println!("\nwrote Chrome trace: {path}");
+    }
+    write_report(json_path, &report);
 }
 
 fn cmd_snapshot(args: Vec<String>) {
-    let (app, scale, cap, fault_seed, rest) = runner_flags(args, "snapshot");
+    let (runner, rest) = runner_args(args, "snapshot", 1 << 16);
     let mut at: Option<u64> = None;
     let mut out_path: Option<String> = None;
     let mut rest = rest.into_iter();
@@ -236,27 +250,21 @@ fn cmd_snapshot(args: Vec<String>) {
     let Some(at) = at else {
         fail("snapshot needs --at <cycle>");
     };
-    match snapshot_at(&app, scale, cap, fault_seed, at) {
-        SnapshotAt::Completed(report) => {
-            eprintln!(
-                "apir-trace: {app} completed at cycle {} before --at {at}; no snapshot taken",
-                report.cycles
-            );
-            std::process::exit(1);
-        }
+    match runner.snapshot_at(at) {
+        SnapshotAt::Completed(report) => die(
+            1,
+            &format!(
+                "{} completed at cycle {} before --at {at}; no snapshot taken",
+                runner.app, report.cycles
+            ),
+        ),
         SnapshotAt::Paused(doc) => {
-            let cycle = doc
-                .get("cycle")
-                .and_then(apir_util::Json::as_u64)
-                .unwrap_or(at);
+            let cycle = doc.get("cycle").and_then(Json::as_u64).unwrap_or(at);
             let mut text = doc.render_pretty();
             text.push('\n');
             match out_path {
                 Some(path) => {
-                    if let Err(e) = std::fs::write(&path, text) {
-                        eprintln!("apir-trace: writing {path}: {e}");
-                        std::process::exit(1);
-                    }
+                    write_file(&path, &text);
                     println!("wrote snapshot at cycle {cycle}: {path}");
                 }
                 None => print!("{text}"),
@@ -266,7 +274,7 @@ fn cmd_snapshot(args: Vec<String>) {
 }
 
 fn cmd_restore_run(args: Vec<String>) {
-    let (app, scale, cap, fault_seed, rest) = runner_flags(args, "restore-run");
+    let (runner, rest) = runner_args(args, "restore-run", 1 << 16);
     let mut snap_path: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut rest = rest.into_iter();
@@ -285,50 +293,26 @@ fn cmd_restore_run(args: Vec<String>) {
     let Some(path) = snap_path else {
         fail("restore-run needs a snapshot file");
     };
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("apir-trace: reading {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = apir_util::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("apir-trace: parsing {path}: {e}");
-        std::process::exit(2);
-    });
-    let report = restore_run(&app, scale, cap, fault_seed, &doc).unwrap_or_else(|e| {
-        eprintln!("apir-trace: {path}: {e}");
-        std::process::exit(2);
-    });
+    let doc = read_json(&path);
+    let report = runner
+        .restore(&doc)
+        .unwrap_or_else(|e| die(2, &format!("{path}: {e}")));
     print!("{}", text_summary(&report));
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("apir-trace: writing {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote report JSON: {path}");
-    }
+    write_report(json_path, &report);
 }
 
 fn cmd_timeline(args: Vec<String>) {
-    let mut args = args.into_iter();
-    let Some(app) = args.next() else {
-        fail("timeline needs an app name");
-    };
-    if !APP_NAMES.contains(&app.as_str()) {
-        fail(&format!("unknown app `{app}` (try `apir-trace list`)"));
-    }
-    let mut scale = Scale::Tiny;
+    let (mut runner, rest) = runner_args(args, "timeline", 4096);
+    // Here `--cap` counts the windows the recorder keeps; tracing is off.
+    let cap = std::mem::take(&mut runner.trace_capacity);
     let mut window: u64 = 256;
-    let mut cap: usize = 4096;
-    let mut fault_seed: Option<u64> = None;
     let mut csv_path: Option<String> = None;
     let mut json_path: Option<String> = None;
-    while let Some(arg) = args.next() {
+    let mut rest = rest.into_iter();
+    while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--scale" => {
-                let v = next_value(&mut args, "--scale");
-                scale = Scale::parse(&v).unwrap_or_else(|| fail(&format!("unknown scale `{v}`")));
-            }
             "--window" => {
-                let v = next_value(&mut args, "--window");
+                let v = next_value(&mut rest, "--window");
                 window = v
                     .parse()
                     .unwrap_or_else(|_| fail(&format!("--window wants a number, got `{v}`")));
@@ -336,28 +320,17 @@ fn cmd_timeline(args: Vec<String>) {
                     fail("--window must be positive");
                 }
             }
-            "--cap" => {
-                let v = next_value(&mut args, "--cap");
-                cap = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--cap wants a number, got `{v}`")));
-            }
-            "--faults" => {
-                let v = next_value(&mut args, "--faults");
-                fault_seed = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("--faults wants a seed, got `{v}`"))),
-                );
-            }
-            "--csv" => csv_path = Some(next_value(&mut args, "--csv")),
-            "--json" => json_path = Some(next_value(&mut args, "--json")),
+            "--csv" => csv_path = Some(next_value(&mut rest, "--csv")),
+            "--json" => json_path = Some(next_value(&mut rest, "--json")),
             other => fail(&format!("unknown flag `{other}`")),
         }
     }
-    let report = timeline_run(&app, scale, window, cap, fault_seed);
+    runner.timeline = Some((window, cap));
+    let report = runner.run();
     let tl = report.timeline.as_ref().expect("recorder was enabled");
     println!(
-        "{app}: {} cycles, {} windows of {} cycles ({} dropped)",
+        "{}: {} cycles, {} windows of {} cycles ({} dropped)",
+        runner.app,
         report.cycles,
         tl.windows.len(),
         tl.window,
@@ -370,21 +343,12 @@ fn cmd_timeline(args: Vec<String>) {
     let csv = timeline_csv(&report).expect("recorder was enabled");
     match csv_path {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &csv) {
-                eprintln!("apir-trace: writing {path}: {e}");
-                std::process::exit(1);
-            }
+            write_file(&path, &csv);
             println!("wrote timeline CSV: {path}");
         }
         None => print!("{csv}"),
     }
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("apir-trace: writing {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote report JSON: {path}");
-    }
+    write_report(json_path, &report);
 }
 
 /// Parses the shared `[APP...] [--scale S]` tail of the analysis
@@ -445,10 +409,7 @@ fn cmd_analyze(args: Vec<String>) {
         let doc = analysis_report(scale);
         let mut text = doc.render_pretty();
         text.push('\n');
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("apir-trace: writing {path}: {e}");
-            std::process::exit(1);
-        }
+        write_file(&path, &text);
         println!("wrote analysis report JSON: {path}");
     }
 }
@@ -471,8 +432,7 @@ fn cmd_validate_analysis(args: Vec<String>) {
         }
     }
     if failed {
-        eprintln!("apir-trace: static analysis contract violated (see VIOLATION lines)");
-        std::process::exit(1);
+        die(1, "static analysis contract violated (see VIOLATION lines)");
     }
     println!("validate-analysis OK: bounds sound, predictions match");
 }
@@ -516,22 +476,13 @@ fn cmd_campaign(args: Vec<String>) {
     let Some(path) = plan_path else {
         fail("campaign needs a plan file");
     };
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("apir-trace: reading {path}: {e}");
-        std::process::exit(2);
-    });
-    let plan = apir_campaign::parse_plan(&text).unwrap_or_else(|e| {
-        eprintln!("apir-trace: {path}: {e}");
-        std::process::exit(2);
-    });
+    let plan = apir_campaign::parse_plan(&read_file(&path))
+        .unwrap_or_else(|e| die(2, &format!("{path}: {e}")));
 
     use std::io::Write;
     let mut dest: Box<dyn Write + Send> = match &out_path {
         Some(p) => Box::new(std::io::BufWriter::new(
-            std::fs::File::create(p).unwrap_or_else(|e| {
-                eprintln!("apir-trace: creating {p}: {e}");
-                std::process::exit(2);
-            }),
+            std::fs::File::create(p).unwrap_or_else(|e| die(2, &format!("creating {p}: {e}"))),
         )),
         None => Box::new(std::io::stdout()),
     };
@@ -541,50 +492,36 @@ fn cmd_campaign(args: Vec<String>) {
         None => {
             let mut writer = apir_util::JsonlWriter::new(dest);
             let summary = apir_campaign::run_campaign(&plan, threads, inflight, |r| {
-                writer.write(r).unwrap_or_else(|e| {
-                    eprintln!("apir-trace: writing records: {e}");
-                    std::process::exit(1);
-                });
+                writer
+                    .write(r)
+                    .unwrap_or_else(|e| die(1, &format!("writing records: {e}")));
                 if collect {
                     records.push(r.clone());
                 }
             });
             if let Err(e) = writer.finish() {
-                eprintln!("apir-trace: flushing records: {e}");
-                std::process::exit(1);
+                die(1, &format!("flushing records: {e}"));
             }
             summary
         }
         Some(rp) => {
-            let text = std::fs::read_to_string(rp).unwrap_or_else(|e| {
-                eprintln!("apir-trace: reading {rp}: {e}");
-                std::process::exit(2);
-            });
-            let partial = apir_campaign::parse_partial(&text).unwrap_or_else(|e| {
-                eprintln!("apir-trace: {rp}: {e}");
-                std::process::exit(2);
-            });
+            let partial = apir_campaign::parse_partial(&read_file(rp))
+                .unwrap_or_else(|e| die(2, &format!("{rp}: {e}")));
             // Completed lines re-emit byte-for-byte; only missing
             // cells run, so the stream matches an uninterrupted run.
             let resumed =
                 apir_campaign::run_campaign_resume(&plan, threads, inflight, &partial, |line| {
-                    writeln!(dest, "{line}").unwrap_or_else(|e| {
-                        eprintln!("apir-trace: writing records: {e}");
-                        std::process::exit(1);
-                    });
+                    writeln!(dest, "{line}")
+                        .unwrap_or_else(|e| die(1, &format!("writing records: {e}")));
                     if collect {
                         let doc =
                             apir_util::json::parse(line).expect("campaign records are valid JSON");
                         records.push(doc);
                     }
                 });
-            let (summary, stats) = resumed.unwrap_or_else(|e| {
-                eprintln!("apir-trace: {rp}: {e}");
-                std::process::exit(2);
-            });
+            let (summary, stats) = resumed.unwrap_or_else(|e| die(2, &format!("{rp}: {e}")));
             if let Err(e) = dest.flush() {
-                eprintln!("apir-trace: flushing records: {e}");
-                std::process::exit(1);
+                die(1, &format!("flushing records: {e}"));
             }
             eprintln!(
                 "campaign.resume.reused={} campaign.resume.ran={} campaign.resume.torn={}",
@@ -599,10 +536,7 @@ fn cmd_campaign(args: Vec<String>) {
         let doc = apir_campaign::doc_from(&plan, records, &summary);
         let mut text = doc.render_pretty();
         text.push('\n');
-        if let Err(e) = std::fs::write(&p, text) {
-            eprintln!("apir-trace: writing {p}: {e}");
-            std::process::exit(1);
-        }
+        write_file(&p, &text);
     }
     // Keep the record stream clean: the human summary shares stdout
     // only when the records went to a file.
@@ -627,25 +561,7 @@ fn cmd_diff(args: Vec<String>) {
     let [a_path, b_path] = paths.as_slice() else {
         fail("diff needs exactly two JSON files");
     };
-    let load = |path: &str| -> apir_util::Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("apir-trace: reading {path}: {e}");
-            std::process::exit(2);
-        });
-        apir_util::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("apir-trace: parsing {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let a = load(a_path);
-    let b = load(b_path);
-    let diffs = match diff_docs(&a, &b) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("apir-trace: {e}");
-            std::process::exit(2);
-        }
-    };
+    let diffs = diff_docs(&read_json(a_path), &read_json(b_path)).unwrap_or_else(|e| die(2, &e));
     if machine {
         for d in &diffs {
             println!("{}", d.render_machine());

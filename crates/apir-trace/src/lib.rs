@@ -10,9 +10,10 @@
 //!   busy/stall spans as duration events and everything countable
 //!   (retires, cache hits/misses, queue pushes, rule firings) as counter
 //!   tracks;
-//! * [`traced_run`] — convenience wrapper that synthesizes an
-//!   accelerator for one of the six builtin apps, runs it with tracing
-//!   enabled, and verifies the result.
+//! * [`Runner`] — one verified run of a builtin app under the
+//!   configuration every runner uses (`apir_bench::experiments::app_cfg`),
+//!   with the trace ring, the chaos preset and the timeline recorder set
+//!   as asked; it also pauses a run into a snapshot and restores one.
 //!
 //! Everything renders deterministically: two runs of the same
 //! app/scale/capacity produce byte-identical output (see the canary in
@@ -24,9 +25,12 @@
 //! apir-trace run SPEC-BFS --scale tiny --chrome out.json
 //! ```
 
-use apir_bench::experiments::{run_verified, synthesized_cfg};
+use apir_bench::experiments::{app_cfg, run_verified};
+use apir_bench::scale::{build_app, AppInstance, APP_NAMES};
 use apir_bench::Scale;
-use apir_fabric::FabricReport;
+use apir_check::analyze_instance;
+use apir_fabric::analysis::Analysis;
+use apir_fabric::{Fabric, FabricConfig, FabricReport, FaultConfig, RunSplit};
 use apir_sim::metrics::MetricValue;
 use apir_sim::stats::Activity;
 use apir_sim::trace::EventTrace;
@@ -34,60 +38,33 @@ use apir_util::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Synthesizes an accelerator for builtin app `name`, runs it with a
-/// trace ring of `trace_capacity` records, verifies the final memory
-/// image, and returns the report.
-///
-/// # Panics
-///
-/// Panics on an unknown app name, a failed run, or a failed check (same
-/// contract as `apir_bench::experiments::run_verified`).
-pub fn traced_run(name: &str, scale: Scale, trace_capacity: usize) -> FabricReport {
-    let mut cfg = synthesized_cfg(name, scale);
-    cfg.trace_capacity = trace_capacity;
-    let (_, report) = run_verified(name, scale, cfg);
-    report
+/// One run of a builtin app: the app built at `scale` and run under
+/// `apir_bench::experiments::app_cfg`, with the observability and fault
+/// settings below on top. A snapshot that [`Runner::snapshot_at`] takes
+/// restores under an equal runner ([`Runner::restore`]) into the fabric
+/// [`Runner::run`] runs, so the resumed run finishes byte-identically.
+/// Fully deterministic: an equal runner produces a byte-identical
+/// `to_json()` document.
+#[derive(Clone, Debug)]
+pub struct Runner {
+    /// Builtin app name (one of `apir_bench::scale::APP_NAMES`).
+    pub app: String,
+    /// Workload scale.
+    pub scale: Scale,
+    /// Trace ring capacity in records; 0 disables tracing.
+    pub trace_capacity: usize,
+    /// Seed of the chaos fault-injection preset
+    /// ([`apir_fabric::FaultConfig::chaos`]: soft errors on cache-line
+    /// fills, dropped/late QPI responses, periodic rule-lane and
+    /// queue-bank failures), when armed. The run is still verified, so a
+    /// returned report proves the fabric recovered.
+    pub faults: Option<u64>,
+    /// The windowed timeline recorder, when armed: `(cycles per window,
+    /// windows retained)`. The report then carries a `timeline` block.
+    pub timeline: Option<(u64, usize)>,
 }
 
-/// Like [`traced_run`], but with the chaos fault-injection preset
-/// ([`apir_fabric::FaultConfig::chaos`]) armed from `fault_seed`: soft
-/// errors on cache-line fills, dropped/late QPI responses, and periodic
-/// rule-lane / queue-bank failures. The run still goes through the app's
-/// checker, so a returned report proves the fabric recovered to a correct
-/// final memory image despite the injected faults. Fully deterministic:
-/// the same `(name, scale, trace_capacity, fault_seed)` produces a
-/// byte-identical `to_json()` document.
-pub fn chaos_run(name: &str, scale: Scale, trace_capacity: usize, fault_seed: u64) -> FabricReport {
-    let mut cfg = synthesized_cfg(name, scale);
-    cfg.trace_capacity = trace_capacity;
-    cfg.faults = apir_fabric::FaultConfig::chaos(fault_seed);
-    let (_, report) = run_verified(name, scale, cfg);
-    report
-}
-
-/// The configuration one of the CLI runners executes `name` under: the
-/// synthesized baseline with the trace ring and (optionally) the chaos
-/// preset armed, then the cache scaling and tuning hooks `run_verified`
-/// applies — so a paused-and-restored run rebuilds the *exact* fabric
-/// the uninterrupted runner uses.
-fn runner_app_cfg(
-    name: &str,
-    scale: Scale,
-    trace_capacity: usize,
-    fault_seed: Option<u64>,
-) -> (apir_bench::scale::AppInstance, apir_fabric::FabricConfig) {
-    let app = apir_bench::scale::build_app(name, scale);
-    let mut cfg = synthesized_cfg(name, scale);
-    cfg.trace_capacity = trace_capacity;
-    if let Some(seed) = fault_seed {
-        cfg.faults = apir_fabric::FaultConfig::chaos(seed);
-    }
-    apir_bench::experiments::scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
-    (app, cfg)
-}
-
-/// What [`snapshot_at`] produced.
+/// What [`Runner::snapshot_at`] produced.
 pub enum SnapshotAt {
     /// The run paused at (or just past) the requested cycle; the
     /// `apir.fabric.snapshot.v1` document captures its complete state.
@@ -97,108 +74,96 @@ pub enum SnapshotAt {
     Completed(Box<FabricReport>),
 }
 
-/// Runs builtin app `name` up to cycle `at` and snapshots the paused
-/// fabric as an `apir.fabric.snapshot.v1` document. The configuration
-/// recipe matches [`traced_run`]/[`chaos_run`] exactly, so feeding the
-/// document to [`restore_run`] finishes the run byte-identically to the
-/// uninterrupted runner.
-///
-/// # Panics
-///
-/// Panics on an unknown app name or a failed run (same contract as
-/// [`traced_run`]).
-pub fn snapshot_at(
-    name: &str,
-    scale: Scale,
-    trace_capacity: usize,
-    fault_seed: Option<u64>,
-    at: u64,
-) -> SnapshotAt {
-    let (app, cfg) = runner_app_cfg(name, scale, trace_capacity, fault_seed);
-    let split = apir_fabric::Fabric::new(&app.spec, &app.input, cfg)
-        .run_until(at)
-        .unwrap_or_else(|e| panic!("{name}: fabric failed: {e}"));
-    match split {
-        apir_fabric::RunSplit::Paused(fabric) => SnapshotAt::Paused(fabric.snapshot()),
-        apir_fabric::RunSplit::Done(report) => {
-            (app.check)(&report.mem_image).unwrap_or_else(|e| panic!("{name}: bad result: {e}"));
-            SnapshotAt::Completed(report)
+impl Runner {
+    /// The app, built, and the configuration this runner runs it under.
+    fn build(&self) -> (AppInstance, FabricConfig) {
+        let app = build_app(&self.app, self.scale);
+        let mut cfg = app_cfg(&app.spec, &app.input, &app.tune);
+        cfg.trace_capacity = self.trace_capacity;
+        if let Some(seed) = self.faults {
+            cfg.faults = FaultConfig::chaos(seed);
+        }
+        if let Some((window, capacity)) = self.timeline {
+            cfg.timeline_window = window;
+            cfg.timeline_capacity = capacity;
+        }
+        (app, cfg)
+    }
+
+    /// Runs the app to completion, verifies the final memory image, and
+    /// returns the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown app name, a failed run, or a failed check
+    /// (the contract of `apir_bench::experiments::run_verified`).
+    pub fn run(&self) -> FabricReport {
+        let (app, cfg) = self.build();
+        run_verified(&app, cfg)
+    }
+
+    /// Runs the app up to cycle `at` and snapshots the paused fabric as
+    /// an `apir.fabric.snapshot.v1` document.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown app name or a failed run (as [`Runner::run`]).
+    pub fn snapshot_at(&self, at: u64) -> SnapshotAt {
+        let (app, cfg) = self.build();
+        let name = &self.app;
+        let split = Fabric::new(&app.spec, &app.input, cfg)
+            .run_until(at)
+            .unwrap_or_else(|e| panic!("{name}: fabric failed: {e}"));
+        match split {
+            RunSplit::Paused(fabric) => SnapshotAt::Paused(fabric.snapshot()),
+            RunSplit::Done(report) => {
+                (app.check)(&report.mem_image)
+                    .unwrap_or_else(|e| panic!("{name}: bad result: {e}"));
+                SnapshotAt::Completed(report)
+            }
         }
     }
-}
 
-/// Restores builtin app `name` from a snapshot document and runs it to
-/// completion, verifying the final memory image against the app's
-/// checker. The `(scale, trace_capacity, fault_seed)` triple must match
-/// the one the snapshot was taken under — restore validates the
-/// structural fit and fails loudly on any mismatch.
-///
-/// # Errors
-///
-/// A human-readable message when the document does not fit the rebuilt
-/// fabric, the resumed run fails, or the checker rejects the image.
-pub fn restore_run(
-    name: &str,
-    scale: Scale,
-    trace_capacity: usize,
-    fault_seed: Option<u64>,
-    doc: &Json,
-) -> Result<FabricReport, String> {
-    let (app, cfg) = runner_app_cfg(name, scale, trace_capacity, fault_seed);
-    let fabric = apir_fabric::Fabric::restore(&app.spec, &app.input, cfg, doc)?;
-    let report = fabric
-        .run()
-        .map_err(|e| format!("restored run failed: {e}"))?;
-    (app.check)(&report.mem_image)
-        .map_err(|e| format!("restored run produced a bad image: {e}"))?;
-    Ok(report)
-}
-
-/// Like [`traced_run`], but with the windowed timeline recorder armed:
-/// the report carries a `timeline` block of per-window activity/memory
-/// deltas (see `apir-trace timeline`). `fault_seed` optionally arms the
-/// chaos preset on top. Fully deterministic like the other runners.
-pub fn timeline_run(
-    name: &str,
-    scale: Scale,
-    window: u64,
-    capacity: usize,
-    fault_seed: Option<u64>,
-) -> FabricReport {
-    let mut cfg = synthesized_cfg(name, scale);
-    cfg.timeline_window = window;
-    cfg.timeline_capacity = capacity;
-    if let Some(seed) = fault_seed {
-        cfg.faults = apir_fabric::FaultConfig::chaos(seed);
+    /// Restores the app from a snapshot document and runs it to
+    /// completion, verifying the final memory image. The runner must
+    /// equal the one the snapshot was taken under; restore validates the
+    /// structural fit and fails loudly on any mismatch.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message when the document does not fit the
+    /// rebuilt fabric, the resumed run fails, or the checker rejects the
+    /// image.
+    pub fn restore(&self, doc: &Json) -> Result<FabricReport, String> {
+        let (app, cfg) = self.build();
+        let fabric = Fabric::restore(&app.spec, &app.input, cfg, doc)?;
+        let report = fabric
+            .run()
+            .map_err(|e| format!("restored run failed: {e}"))?;
+        (app.check)(&report.mem_image)
+            .map_err(|e| format!("restored run produced a bad image: {e}"))?;
+        Ok(report)
     }
-    let (_, report) = run_verified(name, scale, cfg);
-    report
 }
 
-/// Static semantic analysis ([`apir_fabric::analysis`]) of one builtin
-/// app under the same synthesized baseline configuration the dynamic
-/// runners use — `synthesized_cfg` plus the cache scaling and tuning
-/// hooks `run_verified` applies — so [`validate_analysis`] compares the
-/// prediction against the exact fabric it measures.
+/// Static semantic analysis ([`apir_fabric::analysis`]) of builtin app
+/// `name` at `scale`, under the configuration its runs use
+/// (`apir_check::analyze_instance`), so [`validate_analysis`] compares
+/// the prediction against the exact fabric it measures.
 ///
 /// # Panics
 ///
 /// Panics on an unknown app name or an unlowerable spec (builtin specs
 /// are held lint-clean, so neither happens in practice).
-pub fn analyze_app(name: &str, scale: Scale) -> apir_fabric::analysis::Analysis {
-    let app = apir_bench::scale::build_app(name, scale);
-    let mut cfg = synthesized_cfg(name, scale);
-    apir_bench::experiments::scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
-    apir_fabric::analyze_config(&cfg, &app.spec, &app.input)
-        .unwrap_or_else(|| panic!("{name}: builtin spec failed to lower"))
+pub fn analyze_app(name: &str, scale: Scale) -> Analysis {
+    analyze_instance(&build_app(name, scale))
 }
 
 /// The `apir.analysis.report.v1` document over every builtin app at
 /// `scale` — the content of the committed `ANALYSIS_baseline.json`.
 /// Byte-deterministic: the same scale renders the same bytes.
 pub fn analysis_report(scale: Scale) -> Json {
-    let analyses: Vec<(&str, apir_fabric::analysis::Analysis)> = apir_bench::scale::APP_NAMES
+    let analyses: Vec<(&str, Analysis)> = APP_NAMES
         .iter()
         .map(|&n| (n, analyze_app(n, scale)))
         .collect();
@@ -242,8 +207,9 @@ impl AnalysisValidation {
 ///    when the run recorded zero stall cycles — there is no ground
 ///    truth to match).
 pub fn validate_analysis(name: &str, scale: Scale) -> AnalysisValidation {
-    let analysis = analyze_app(name, scale);
-    let (_, report) = run_verified(name, scale, synthesized_cfg(name, scale));
+    let app = build_app(name, scale);
+    let analysis = analyze_instance(&app);
+    let report = run_verified(&app, app_cfg(&app.spec, &app.input, &app.tune));
 
     let mut measured_cause = "none";
     let mut measured_stalls = 0u64;
@@ -731,8 +697,18 @@ pub fn diff_docs(a: &Json, b: &Json) -> Result<Vec<DiffLine>, String> {
 mod tests {
     use super::*;
 
+    fn bfs_runner(trace_capacity: usize) -> Runner {
+        Runner {
+            app: "SPEC-BFS".to_string(),
+            scale: Scale::Tiny,
+            trace_capacity,
+            faults: None,
+            timeline: None,
+        }
+    }
+
     fn bfs_report() -> FabricReport {
-        traced_run("SPEC-BFS", Scale::Tiny, 1 << 14)
+        bfs_runner(1 << 14).run()
     }
 
     #[test]
@@ -779,7 +755,11 @@ mod tests {
 
     #[test]
     fn timeline_run_produces_windows_and_renderers() {
-        let r = timeline_run("SPEC-BFS", Scale::Tiny, 64, 1024, None);
+        let r = Runner {
+            timeline: Some((64, 1024)),
+            ..bfs_runner(0)
+        }
+        .run();
         let t = r.timeline.as_ref().expect("timeline enabled");
         assert_eq!(t.window, 64);
         assert!(!t.windows.is_empty());
@@ -794,7 +774,7 @@ mod tests {
         let spark = timeline_sparkline(&r).expect("sparkline renders");
         assert_eq!(spark.chars().count(), t.windows.len());
         // Reports without a recorder render neither.
-        let plain = traced_run("SPEC-BFS", Scale::Tiny, 1 << 14);
+        let plain = bfs_report();
         assert!(plain.timeline.is_none());
         assert!(timeline_csv(&plain).is_none());
         assert!(timeline_sparkline(&plain).is_none());
@@ -836,9 +816,7 @@ mod tests {
 
     #[test]
     fn untraced_report_renders_no_chrome_trace() {
-        let mut cfg = synthesized_cfg("SPEC-BFS", Scale::Tiny);
-        cfg.trace_capacity = 0;
-        let (_, r) = run_verified("SPEC-BFS", Scale::Tiny, cfg);
+        let r = bfs_runner(0).run();
         assert!(r.trace.is_none());
         assert!(chrome_trace(&r).is_none());
         assert!(text_summary(&r).contains("trace: disabled"));

@@ -23,8 +23,11 @@
 //!   structural length too;
 //! * tuples are positional arrays.
 //!
-//! Load errors carry the path of the member that failed, innermost last
-//! (`.mem.requests.v[0].r: ...`); [`describe`] renders one for people.
+//! An object loads only from a document that holds each of its members
+//! once and nothing else ([`only`]), so a stale or misspelled member is an
+//! error rather than a silent skip. Load errors carry the path of the
+//! member that failed, innermost last (`.mem.requests.v[0].r: ...`);
+//! [`describe`] renders one for people.
 
 use crate::json::Json;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -104,6 +107,29 @@ pub fn member<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
 pub fn load_key<T: Snap + ?Sized>(v: &mut T, j: &Json, key: &str) -> Result<(), String> {
     v.load(member(j, key)?)
         .map_err(|e| nest(format_args!(".{key}"), e))
+}
+
+/// Checks that object `j`, whose `listed` members have all loaded, holds
+/// no other member than the `also` members another reader takes, and no
+/// member twice. An object of exactly `listed.len()` members is then the
+/// listed set, so only a longer one is searched, and the search stops
+/// within `listed.len() + also.len() + 1` members.
+pub fn only(j: &Json, listed: &[&str], also: &[&str]) -> Result<(), String> {
+    let Json::Obj(members) = j else {
+        return Ok(());
+    };
+    if members.len() == listed.len() {
+        return Ok(());
+    }
+    for (i, (k, _)) in members.iter().enumerate() {
+        if !listed.contains(&k.as_str()) && !also.contains(&k.as_str()) {
+            return Err(format!(".{k}: not a member of this snapshot"));
+        }
+        if members[..i].iter().any(|(seen, _)| seen == k) {
+            return Err(format!(".{k}: appears twice"));
+        }
+    }
+    Ok(())
 }
 
 /// Loads element `i` of array `a` into `v`.
@@ -284,7 +310,8 @@ tuple!(5: A 0, B 1, C 2, D 3, E 4);
 ///
 /// * `Name { a, b => "k", c: skip }` — an object with one member per
 ///   saved field, in list order, named after the field unless `=> "key"`
-///   renames it;
+///   renames it. A load rejects any other member ([`only`]) but those a
+///   trailing `also ["key", ...]` names, which another reader loads;
 /// * `Name [a, b, c: skip]` — a positional array (stats structs);
 /// * `Name (a, c: skip)` — exactly the encoding of its one saved field
 ///   (`Id(0)` for a newtype).
@@ -329,16 +356,16 @@ tuple!(5: A 0, B 1, C 2, D 3, E 4);
 /// ```
 #[macro_export]
 macro_rules! snap_fields {
-    ($name:ident $(<$($g:ident),+>)? { $($f:tt)* } $(check $chk:path)?) => {
-        $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] { $($f)* } [$($chk)?]);
+    ($name:ident $(<$($g:ident),+>)? { $($f:tt)* } $(also [$($also:literal),*])? $(check $chk:path)?) => {
+        $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] { $($f)* } [$($($also),*)?] [$($chk)?]);
     };
     ($name:ident $(<$($g:ident),+>)? [ $($f:tt)* ] $(check $chk:path)?) => {
-        $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] [ $($f)* ] [$($chk)?]);
+        $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] [ $($f)* ] [] [$($chk)?]);
     };
     ($name:ident $(<$($g:ident),+>)? ( $($f:tt)* ) $(check $chk:path)?) => {
-        $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] ( $($f)* ) [$($chk)?]);
+        $crate::snap_fields!(@impl [$name $(<$($g),+>)?] [$($($g),+)?] ( $($f)* ) [] [$($chk)?]);
     };
-    (@impl [$ty:ty] [$($g:ident),*] $fields:tt [$($chk:path)?]) => {
+    (@impl [$ty:ty] [$($g:ident),*] $fields:tt $also:tt [$($chk:path)?]) => {
         // Skipped fields interleave with saved ones, so the bodies push
         // one saved field at a time and count them as `0 + 1 + ...`.
         #[allow(clippy::vec_init_then_push, clippy::identity_op)]
@@ -348,7 +375,7 @@ macro_rules! snap_fields {
             }
 
             fn load(&mut self, j: &$crate::json::Json) -> Result<(), String> {
-                $crate::snap_fields!(@load self j $fields);
+                $crate::snap_fields!(@load self j $fields $also);
                 $($chk(self)?;)?
                 Ok(())
             }
@@ -370,11 +397,16 @@ macro_rules! snap_fields {
         let Self { $inner: v, $($f: _),* } = $s;
         $crate::snap::Snap::save(v)
     }};
-    (@load $s:ident $j:ident { $($f:ident $(=> $key:literal)? $(: $skip:ident)?),* $(,)? }) => {
+    (@load $s:ident $j:ident { $($f:ident $(=> $key:literal)? $(: $skip:ident)?),* $(,)? } [$($also:literal),*]) => {
         let Self { $($f),* } = $s;
         $($crate::snap_fields!(@load_member $j $f [$($key)?] [$($skip)?]);)*
+        $crate::snap::only(
+            $j,
+            &$crate::snap_fields!(@keys [] $($f $(=> $key)? $(: $skip)?),*),
+            &[$($also),*],
+        )?;
     };
-    (@load $s:ident $j:ident [ $($f:ident $(: $skip:ident)?),* $(,)? ]) => {
+    (@load $s:ident $j:ident [ $($f:ident $(: $skip:ident)?),* $(,)? ] []) => {
         let Self { $($f),* } = $s;
         let n = 0 $(+ $crate::snap_fields!(@count [$($skip)?]))*;
         let a = $crate::snap::items_n($j, n)?;
@@ -382,7 +414,7 @@ macro_rules! snap_fields {
         $($crate::snap_fields!(@load_item a i $f [$($skip)?]);)*
         let _ = i;
     };
-    (@load $s:ident $j:ident ( $inner:tt $(, $f:ident: skip)* $(,)? )) => {
+    (@load $s:ident $j:ident ( $inner:tt $(, $f:ident: skip)* $(,)? ) []) => {
         let Self { $inner: v, $($f: _),* } = $s;
         $crate::snap::Snap::load(v, $j)?;
     };
@@ -405,6 +437,17 @@ macro_rules! snap_fields {
         $crate::snap::load_at($f, $a, $i)?;
         $i += 1;
     }};
+    // The saved fields' member keys, skipped fields left out.
+    (@keys [$($k:expr),*]) => { [$($k),*] };
+    (@keys [$($k:expr),*] $f:ident: skip $(, $($rest:tt)*)?) => {
+        $crate::snap_fields!(@keys [$($k),*] $($($rest)*)?)
+    };
+    (@keys [$($k:expr),*] $f:ident => $key:literal $(, $($rest:tt)*)?) => {
+        $crate::snap_fields!(@keys [$($k,)* $key] $($($rest)*)?)
+    };
+    (@keys [$($k:expr),*] $f:ident $(, $($rest:tt)*)?) => {
+        $crate::snap_fields!(@keys [$($k,)* stringify!($f)] $($($rest)*)?)
+    };
     (@count []) => { 1 };
     (@count [skip]) => { 0 };
     (@member $m:ident $f:ident [] [skip]) => { let _ = $f; };
@@ -574,5 +617,38 @@ mod tests {
             "expected an object, found an array"
         );
         assert_eq!(describe("bad"), "snapshot: bad");
+    }
+
+    #[derive(Default)]
+    struct Tagged {
+        n: u64,
+    }
+    snap_fields!(Tagged { n } also ["tag"]);
+
+    #[test]
+    fn members_the_load_does_not_list_are_rejected() {
+        let mut o = Outer {
+            cap: 2,
+            ..Outer::default()
+        };
+        let stale = parse(r#"{"i":[1],"n":[1,[2,3]],"cap":2}"#).unwrap();
+        assert_eq!(
+            describe(&o.load(&stale).unwrap_err()),
+            "snapshot: `cap`: not a member of this snapshot"
+        );
+        let twice = parse(r#"{"i":[1],"i":[2],"n":[1,[2,3]]}"#).unwrap();
+        assert_eq!(o.load(&twice).unwrap_err(), ".i: appears twice");
+        let mut t = Tagged::default();
+        t.load(&parse(r#"{"tag":"x","n":4}"#).unwrap()).unwrap();
+        t.load(&parse(r#"{"n":5}"#).unwrap()).unwrap();
+        assert_eq!(t.n, 5);
+        assert_eq!(
+            t.load(&parse(r#"{"n":5,"tag":1,"tag":2}"#).unwrap()),
+            Err(".tag: appears twice".into())
+        );
+        assert_eq!(
+            t.load(&parse(r#"{"n":5,"m":1}"#).unwrap()),
+            Err(".m: not a member of this snapshot".into())
+        );
     }
 }

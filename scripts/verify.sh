@@ -30,18 +30,24 @@ cargo test --release --offline --manifest-path hostbench/Cargo.toml
 echo "==> apir-lint over the builtin benchmark specs"
 cargo run -q --release --offline -p apir-check --bin apir-lint
 
-echo "==> apir-lint --analyze --strict (APIR6xx semantic analysis, no warnings allowed)"
-cargo run -q --release --offline -p apir-check --bin apir-lint -- --analyze --strict > /dev/null
-
-chaos_a=$(mktemp) ; chaos_b=$(mktemp) ; analysis_tmp=$(mktemp)
-camp_a=$(mktemp) ; camp_b=$(mktemp)
+chaos_a=$(mktemp) ; chaos_b=$(mktemp) ; analysis_tmp=$(mktemp) ; lint_analysis=$(mktemp)
+camp_a=$(mktemp) ; camp_b=$(mktemp) ; figures_tiny=$(mktemp)
 snap_doc=$(mktemp) ; snap_full=$(mktemp) ; snap_resumed=$(mktemp)
 big_doc=$(mktemp) ; big_full=$(mktemp) ; big_resumed=$(mktemp) ; big_chaos=$(mktemp) ; tl=$(mktemp)
 sssp_medium=$(mktemp)
 resume_full=$(mktemp) ; resume_partial=$(mktemp) ; resume_out=$(mktemp)
-trap 'rm -f "$chaos_a" "$chaos_b" "$analysis_tmp" "$camp_a" "$camp_b" \
+trap 'rm -f "$chaos_a" "$chaos_b" "$analysis_tmp" "$lint_analysis" "$camp_a" "$camp_b" "$figures_tiny" \
   "$snap_doc" "$snap_full" "$snap_resumed" "$big_doc" "$big_full" "$big_resumed" "$big_chaos" "$tl" \
   "$sssp_medium" "$resume_full" "$resume_partial" "$resume_out"' EXIT
+
+echo "==> apir-lint --analyze --strict --json (APIR6xx, no warnings allowed; equals ANALYSIS_baseline.json)"
+cargo run -q --release --offline -p apir-check --bin apir-lint -- --analyze --strict --json > "$lint_analysis"
+# apir-lint and apir-trace analyze the same fabric, the one the runners run.
+if ! cmp -s ANALYSIS_baseline.json "$lint_analysis"; then
+  diff -u ANALYSIS_baseline.json "$lint_analysis" | head -40 >&2 || true
+  echo "ERROR: apir-lint --analyze --json differs from ANALYSIS_baseline.json (diff above)." >&2
+  exit 1
+fi
 
 echo "==> static-analysis baseline drift gate (apir.analysis.report.v1)"
 cargo run -q --release --offline -p apir-trace -- analyze --json "$analysis_tmp" > /dev/null
@@ -55,6 +61,16 @@ fi
 
 echo "==> static-vs-dynamic validation (bounds sound, predicted cause == measured)"
 cargo run -q --release --offline -p apir-trace -- validate-analysis > /dev/null
+
+echo "==> figures pin (tiny scale: fig2, resources, table1, fig10, ablation, topology)"
+# Every number here is simulated; fig9 stays out, its software columns are host-timed.
+cargo run -q --release --offline -p apir-bench --bin figures -- \
+  --scale tiny fig2 resources table1 fig10 ablation topology > "$figures_tiny"
+if ! cmp -s tests/golden/figures_tiny.txt "$figures_tiny"; then
+  diff -u tests/golden/figures_tiny.txt "$figures_tiny" | head -40 >&2 || true
+  echo "ERROR: the tiny-scale figures drifted from tests/golden/figures_tiny.txt (diff above)." >&2
+  exit 1
+fi
 
 echo "==> tiny-scale report goldens in a release build (counters exact, utilization to the bit)"
 cargo test -q --release --offline --test report_golden

@@ -8,9 +8,9 @@ use apir::check::{analyze_instance, builtin_instances};
 use apir::trace::{analysis_report, validate_analysis};
 
 /// The complete `(code, entity)` verdict sequence per builtin app under
-/// the `apir-lint --analyze` path (default fabric config + the app's
-/// tuning hook). Any analysis change that moves a verdict must update
-/// this table deliberately.
+/// the `apir-lint --analyze` path: the configuration the app's runs use
+/// (`apir_bench::experiments::app_cfg`). Any analysis change that moves a
+/// verdict must update this table deliberately.
 #[test]
 fn builtin_verdict_sets_are_pinned() {
     let expected: &[(&str, &[(&str, &str)])] = &[

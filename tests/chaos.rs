@@ -19,7 +19,7 @@
 //! by `campaign_determinism.rs` and the engine's own tests; this suite
 //! holds recovery.
 
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments::app_cfg;
 use apir::bench::scale::{build_app, APP_NAMES};
 use apir::bench::Scale;
 use apir::campaign::{expand, parse_plan, run_job};
@@ -29,10 +29,8 @@ use apir::fabric::{Fabric, FabricConfig, FabricReport, FaultConfig};
 use std::collections::HashMap;
 
 /// The synthesized + tuned configuration with chaos faults armed.
-fn chaos_cfg(name: &str, app: &apir::apps::AppInstance, seed: u64) -> FabricConfig {
-    let mut cfg = synthesized_cfg(name, Scale::Tiny);
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
+fn chaos_cfg(app: &apir::apps::AppInstance, seed: u64) -> FabricConfig {
+    let mut cfg = app_cfg(&app.spec, &app.input, &app.tune);
     cfg.faults = FaultConfig::chaos(seed);
     cfg
 }
@@ -166,7 +164,7 @@ fn chaos_report_exposes_fault_metrics_and_json() {
     // document (`apir.fabric.report.v1`).
     let name = "SPEC-BFS";
     let app = build_app(name, Scale::Tiny);
-    let report = run_chaos(name, &app, chaos_cfg(name, &app, 1));
+    let report = run_chaos(name, &app, chaos_cfg(&app, 1));
     let f = &report.faults;
 
     let counter = |key: &str| -> u64 {
@@ -200,9 +198,7 @@ fn faults_off_is_the_identity() {
     // the fault path must be invisible when disarmed. Guarded by the
     // report goldens and the bench baseline too; this pins the stats.
     let app = build_app("SPEC-BFS", Scale::Tiny);
-    let mut cfg = synthesized_cfg("SPEC-BFS", Scale::Tiny);
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
+    let cfg = app_cfg(&app.spec, &app.input, &app.tune);
     assert!(!cfg.faults.is_enabled());
     let report = Fabric::new(&app.spec, &app.input, cfg)
         .run()
@@ -219,7 +215,7 @@ fn probe_fault_mix() {
     for name in APP_NAMES {
         let app = build_app(name, Scale::Tiny);
         for seed in 1..=6u64 {
-            let report = run_chaos(name, &app, chaos_cfg(name, &app, seed));
+            let report = run_chaos(name, &app, chaos_cfg(&app, seed));
             let f = &report.faults;
             println!(
                 "{name:<10} seed {seed}: cycles={} soft={}/{}c/{}r link={}d/{}l/{}r lanes={} banks={} wd={}/{}",

@@ -3,7 +3,7 @@
 //! software runtime, cycle-level fabric), across scales and seeds.
 
 use apir::apps::{bfs, lu, mst, sssp};
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments::app_cfg;
 use apir::bench::scale::{build_app, APP_NAMES};
 use apir::bench::Scale;
 use apir::core::interp::SeqInterp;
@@ -16,14 +16,6 @@ use std::sync::Arc;
 
 fn fabric_cfg() -> FabricConfig {
     FabricConfig::default()
-}
-
-/// The synthesized + tuned configuration a benchmark runs under.
-fn app_cfg(name: &str, app: &apir::apps::AppInstance) -> FabricConfig {
-    let mut cfg = synthesized_cfg(name, Scale::Tiny);
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
-    cfg
 }
 
 /// Union-find partition equivalence: same connectivity, any tree shape.
@@ -64,9 +56,13 @@ fn six_apps_interp_vs_fabric_final_memory() {
         let app = build_app(name, Scale::Tiny);
         let seq = SeqInterp::run(&app.spec, &app.input).unwrap();
         (app.check)(&seq.mem).unwrap_or_else(|e| panic!("{name} interp: {e}"));
-        let fab = Fabric::new(&app.spec, &app.input, app_cfg(name, &app))
-            .run()
-            .unwrap_or_else(|e| panic!("{name} fabric: {e}"));
+        let fab = Fabric::new(
+            &app.spec,
+            &app.input,
+            app_cfg(&app.spec, &app.input, &app.tune),
+        )
+        .run()
+        .unwrap_or_else(|e| panic!("{name} fabric: {e}"));
         (app.check)(&fab.mem_image).unwrap_or_else(|e| panic!("{name} fabric: {e}"));
         match name {
             "SPEC-MST" => {
@@ -93,7 +89,7 @@ fn six_apps_fabric_report_json_is_deterministic() {
     // reproducible).
     for name in APP_NAMES {
         let app = build_app(name, Scale::Tiny);
-        let cfg = app_cfg(name, &app);
+        let cfg = app_cfg(&app.spec, &app.input, &app.tune);
         let a = Fabric::new(&app.spec, &app.input, cfg.clone())
             .run()
             .unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -14,7 +14,7 @@
 //! `cargo run --release -p apir-trace -- run <APP> --scale tiny --json r.json`,
 //! which runs the same configuration with a trace armed.
 
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments::app_cfg;
 use apir::bench::scale::build_app;
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricReport};
@@ -34,9 +34,7 @@ struct Golden {
 /// configuration.
 fn baseline_run(name: &str) -> FabricReport {
     let app = build_app(name, Scale::Tiny);
-    let mut cfg = synthesized_cfg(name, Scale::Tiny);
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
+    let cfg = app_cfg(&app.spec, &app.input, &app.tune);
     let report = Fabric::new(&app.spec, &app.input, cfg)
         .run()
         .unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -6,7 +6,7 @@
 //! saves when it pauses after a quiescent jump or on the cycle of a
 //! watchdog escalation.
 
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments::app_cfg;
 use apir::bench::scale::build_app;
 use apir::bench::Scale;
 use apir::core::interp::SeqInterp;
@@ -201,9 +201,7 @@ fn rollback_recovery_completes_a_run_that_link_failure_killed() {
     let name = "SPEC-BFS";
     let app = build_app(name, Scale::Tiny);
     let base = |seed: u64| {
-        let mut cfg = synthesized_cfg(name, Scale::Tiny);
-        scale_cache(&mut cfg, &app.input);
-        (app.tune)(&mut cfg);
+        let mut cfg = app_cfg(&app.spec, &app.input, &app.tune);
         cfg.faults = flaky_link(seed);
         cfg
     };
@@ -280,9 +278,7 @@ fn unarmed_runs_report_no_rollback_surface() {
     // so every pre-rollback golden stays byte-identical.
     let name = "SPEC-BFS";
     let app = build_app(name, Scale::Tiny);
-    let mut cfg = synthesized_cfg(name, Scale::Tiny);
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
+    let cfg = app_cfg(&app.spec, &app.input, &app.tune);
     let report = Fabric::new(&app.spec, &app.input, cfg).run().unwrap();
     assert!(report.rollbacks.is_none());
     assert_eq!(report.metrics.counter("fault.rollback.count"), None);
@@ -297,9 +293,7 @@ fn rendezvous_timeouts_bounce_and_still_retire() {
     // retire everything and produce the exact interpreter image.
     let name = "COOR-BFS";
     let app = build_app(name, Scale::Tiny);
-    let mut cfg = synthesized_cfg(name, Scale::Tiny);
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
+    let mut cfg = app_cfg(&app.spec, &app.input, &app.tune);
     cfg.rendezvous_timeout = 8;
     let report = Fabric::new(&app.spec, &app.input, cfg)
         .run()
@@ -346,9 +340,7 @@ fn partial_reports_of_every_terminal_kind_are_pinned() {
     };
     let name = "SPEC-MST";
     let app = build_app(name, Scale::Tiny);
-    let mut capped = synthesized_cfg(name, Scale::Tiny);
-    scale_cache(&mut capped, &app.input);
-    (app.tune)(&mut capped);
+    let mut capped = app_cfg(&app.spec, &app.input, &app.tune);
     capped.faults = FaultConfig::chaos(7);
     capped.max_cycles = 2000;
     let runs = [

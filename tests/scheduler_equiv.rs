@@ -22,7 +22,7 @@
 //! (no cycle satisfies `now % 1 == 1`), so maximum-pressure campaigns
 //! silently injected nothing.
 
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments::app_cfg;
 use apir::bench::scale::{build_app, APP_NAMES};
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricConfig, FabricReport, FaultConfig};
@@ -30,10 +30,8 @@ use apir::sim::trace::EventTrace;
 
 /// The synthesized + tuned fault-free configuration, tracing every
 /// event so the schedule itself is compared, not just totals.
-fn tuned_cfg(name: &str, app: &apir::apps::AppInstance) -> FabricConfig {
-    let mut cfg = synthesized_cfg(name, Scale::Tiny);
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
+fn tuned_cfg(app: &apir::apps::AppInstance) -> FabricConfig {
+    let mut cfg = app_cfg(&app.spec, &app.input, &app.tune);
     cfg.trace_capacity = 1 << 17;
     // Arm the windowed timeline so the equivalence gate also covers the
     // wheel's O(1) replay of skipped stretches (the `timeline` block is
@@ -101,7 +99,7 @@ fn assert_schedulers_agree(
 fn dense_and_wheel_agree_fault_free() {
     for name in APP_NAMES {
         let app = build_app(name, Scale::Tiny);
-        let cfg = tuned_cfg(name, &app);
+        let cfg = tuned_cfg(&app);
         assert_schedulers_agree(name, &app, cfg, "fault-free");
     }
 }
@@ -111,7 +109,7 @@ fn dense_and_wheel_agree_under_chaos() {
     for (name, seeds) in CAMPAIGNS {
         let app = build_app(name, Scale::Tiny);
         for seed in seeds {
-            let mut cfg = tuned_cfg(name, &app);
+            let mut cfg = tuned_cfg(&app);
             cfg.faults = FaultConfig::chaos(seed);
             assert_schedulers_agree(name, &app, cfg, &format!("chaos seed {seed}"));
         }
@@ -155,7 +153,7 @@ const ROLLBACK_CELLS: [(&str, u64, u64); 12] = [
 fn dense_and_wheel_agree_on_rollback() {
     for (name, seed, want) in ROLLBACK_CELLS {
         let app = build_app(name, Scale::Tiny);
-        let mut cfg = tuned_cfg(name, &app);
+        let mut cfg = tuned_cfg(&app);
         cfg.faults = FaultConfig {
             seed,
             drop_rate: 0.03,
@@ -192,7 +190,7 @@ fn fault_window_one_injects_faults() {
     // campaign ran fault-free without saying so.
     let name = "SPEC-BFS";
     let app = build_app(name, Scale::Tiny);
-    let mut cfg = tuned_cfg(name, &app);
+    let mut cfg = tuned_cfg(&app);
     cfg.faults = FaultConfig::chaos(1);
     cfg.faults.fault_window = 1;
     let report = run(name, &app, cfg.clone());
@@ -221,12 +219,12 @@ fn fault_window_schedule_is_pinned() {
     // wheel's fault-window wake times shows up here first.
     let name = "SPEC-BFS";
     let app = build_app(name, Scale::Tiny);
-    let mut cfg = tuned_cfg(name, &app);
+    let mut cfg = tuned_cfg(&app);
     cfg.faults = FaultConfig::chaos(1);
     cfg.faults.fault_window = 1;
     let with_one = run(name, &app, cfg).faults;
 
-    let mut cfg16 = tuned_cfg(name, &app);
+    let mut cfg16 = tuned_cfg(&app);
     cfg16.faults = FaultConfig::chaos(1);
     assert_eq!(cfg16.faults.fault_window, 16, "chaos preset window");
     let with_sixteen = run(name, &app, cfg16).faults;
@@ -261,7 +259,7 @@ fn probe_scheduler_wall_time() {
     );
     for name in APP_NAMES {
         let app = build_app(name, Scale::Tiny);
-        let mut dense_cfg = tuned_cfg(name, &app);
+        let mut dense_cfg = tuned_cfg(&app);
         dense_cfg.trace_capacity = 0;
         dense_cfg.dense_tick = true;
         let mut wheel_cfg = dense_cfg.clone();

@@ -9,7 +9,7 @@
 //! must a run on a flaky link restored between a checkpoint and the
 //! rollback to it.
 
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments;
 use apir::bench::scale::{build_app, AppInstance, APP_NAMES};
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricConfig, FaultConfig, RunSplit};
@@ -31,7 +31,7 @@ enum Faults {
 
 fn app_cfg(name: &str, faults: Faults, dense: bool) -> (AppInstance, FabricConfig) {
     let app = build_app(name, Scale::Tiny);
-    let mut cfg = synthesized_cfg(name, Scale::Tiny);
+    let mut cfg = experiments::app_cfg(&app.spec, &app.input, &app.tune);
     match faults {
         Faults::Off => {}
         Faults::Chaos(seed) => cfg.faults = FaultConfig::chaos(seed),
@@ -48,8 +48,6 @@ fn app_cfg(name: &str, faults: Faults, dense: bool) -> (AppInstance, FabricConfi
         }
     }
     cfg.dense_tick = dense;
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
     (app, cfg)
 }
 

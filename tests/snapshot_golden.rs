@@ -8,7 +8,7 @@
 //! byte fails here and names the first differing key, as
 //! `apir-trace diff` would.
 
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments::app_cfg;
 use apir::bench::scale::build_app;
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FaultConfig, RunSplit};
@@ -27,14 +27,12 @@ struct Pause {
 
 fn retake(p: &Pause) -> String {
     let app = build_app(p.app, Scale::Tiny);
-    let mut cfg = synthesized_cfg(p.app, Scale::Tiny);
+    let mut cfg = app_cfg(&app.spec, &app.input, &app.tune);
     cfg.trace_capacity = p.trace_capacity;
     if let Some(seed) = p.faults {
         cfg.faults = FaultConfig::chaos(seed);
     }
     cfg.timeline_window = p.timeline_window;
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
     match Fabric::new(&app.spec, &app.input, cfg).run_until(p.at) {
         Ok(RunSplit::Paused(fabric)) => fabric.snapshot().render(),
         Ok(RunSplit::Done(_)) => panic!("{} finished before cycle {}", p.app, p.at),

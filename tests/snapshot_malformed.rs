@@ -8,7 +8,7 @@
 //! a run on a flaky link; the property applies one random structural
 //! mutation to any of the three golden docs or to a pause of that run.
 
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments;
 use apir::bench::scale::{build_app, AppInstance};
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricConfig, FaultConfig, RunSplit};
@@ -47,7 +47,7 @@ const GOLDEN: [(&str, &str, usize, Option<u64>, u64); 3] = [
 /// at 609.
 fn flaky() -> (AppInstance, FabricConfig) {
     let app = build_app("SPEC-BFS", Scale::Tiny);
-    let mut cfg = synthesized_cfg("SPEC-BFS", Scale::Tiny);
+    let mut cfg = experiments::app_cfg(&app.spec, &app.input, &app.tune);
     cfg.faults = FaultConfig {
         seed: 14,
         drop_rate: 0.03,
@@ -57,8 +57,6 @@ fn flaky() -> (AppInstance, FabricConfig) {
     };
     cfg.checkpoint_interval = 256;
     cfg.max_rollbacks = 16;
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
     (app, cfg)
 }
 
@@ -87,14 +85,12 @@ fn app_cfg(i: usize) -> (AppInstance, FabricConfig) {
         return flaky();
     };
     let app = build_app(name, Scale::Tiny);
-    let mut cfg = synthesized_cfg(name, Scale::Tiny);
+    let mut cfg = experiments::app_cfg(&app.spec, &app.input, &app.tune);
     cfg.trace_capacity = cap;
     if let Some(seed) = faults {
         cfg.faults = FaultConfig::chaos(seed);
     }
     cfg.timeline_window = window;
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
     (app, cfg)
 }
 
@@ -402,6 +398,49 @@ fn a_checkpoint_the_run_cannot_hold_is_rejected() {
     ];
     for (e, want) in cases {
         assert_eq!(e, format!("snapshot: {want}"));
+    }
+}
+
+#[test]
+fn members_a_load_does_not_list_are_rejected() {
+    // A stale member is one an older build saved and this one derives:
+    // a queue's capacity, the rollback count, the trace's emitted count.
+    // (source doc, object, member added, error.)
+    let armed = GOLDEN.len();
+    let cases = [
+        (
+            0,
+            "queues.0",
+            ("capacity", Json::U64(16)),
+            "`queues[0].capacity`: not a member of this snapshot",
+        ),
+        (
+            armed,
+            "rollback",
+            ("done", Json::U64(1)),
+            "`rollback.done`: not a member of this snapshot",
+        ),
+        (
+            0,
+            "trace",
+            ("emitted", Json::U64(1)),
+            "`trace.emitted`: not a member of this snapshot",
+        ),
+        (
+            0,
+            "mem.requests.v.0",
+            ("t", Json::U64(53)),
+            "`mem.requests.v[0].t`: appears twice",
+        ),
+    ];
+    for (i, path, (key, value), want) in cases {
+        let e = rejected(i, |d| {
+            let Json::Obj(m) = at(d, path) else {
+                unreachable!("{path} is an object")
+            };
+            m.push((key.to_string(), value));
+        });
+        assert_eq!(e, format!("snapshot: {want}"), "{path}");
     }
 }
 

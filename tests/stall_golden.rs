@@ -20,10 +20,9 @@
 //! ones.
 
 use apir::apps::{bfs, mst, sssp, AppInstance};
-use apir::bench::experiments::scale_cache;
+use apir::bench::experiments::app_cfg;
 use apir::fabric::{Fabric, FabricConfig, RunSplit};
 use apir::sim::stats::StallCause;
-use apir::synth::{synthesize, SynthesisTarget};
 use apir::workloads::gen;
 use std::sync::Arc;
 
@@ -120,14 +119,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// the pinned values.
 fn check(cell: &Cell) {
     let app = build(cell.app);
-    let mut cfg = synthesize(
-        &app.spec,
-        FabricConfig::default(),
-        SynthesisTarget::default(),
-    )
-    .cfg;
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
+    let mut cfg = app_cfg(&app.spec, &app.input, &app.tune);
     (cell.squeeze)(&mut cfg);
     let fabric = match Fabric::new(&app.spec, &app.input, cfg).run_until(cell.pause_at) {
         Ok(RunSplit::Paused(f)) => f,

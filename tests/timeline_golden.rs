@@ -12,11 +12,11 @@
 //! error that both schedulers share. The last test checks that arming a
 //! timeline changes nothing else in runs that roll back.
 
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments::app_cfg;
 use apir::bench::scale::build_app;
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricReport, FaultConfig};
-use apir::trace::timeline_run;
+use apir::trace::Runner;
 
 struct Cell {
     app: &'static str,
@@ -87,7 +87,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn timeline_reports_match_their_pins() {
     let mut bad = Vec::new();
     for c in &CELLS {
-        let r = timeline_run(c.app, Scale::Tiny, c.window, CAPACITY, c.faults);
+        let r = Runner {
+            app: c.app.to_string(),
+            scale: Scale::Tiny,
+            trace_capacity: 0,
+            faults: c.faults,
+            timeline: Some((c.window, CAPACITY)),
+        }
+        .run();
         let t = r.timeline.as_ref().expect("the timeline is armed");
         let got = (r.cycles, t.windows.len(), fnv1a(r.to_json().as_bytes()));
         if got != (c.cycles, c.windows, c.fnv) {
@@ -108,9 +115,7 @@ fn timeline_reports_match_their_pins() {
 /// timeline window `window` (0 leaves the timeline off).
 fn rollback_run(app: &str, seed: u64, window: u64) -> FabricReport {
     let inst = build_app(app, Scale::Tiny);
-    let mut cfg = synthesized_cfg(app, Scale::Tiny);
-    scale_cache(&mut cfg, &inst.input);
-    (inst.tune)(&mut cfg);
+    let mut cfg = app_cfg(&inst.spec, &inst.input, &inst.tune);
     cfg.faults = FaultConfig {
         seed,
         drop_rate: 0.03,

@@ -18,7 +18,7 @@
 //! pinned in ring order as the FNV-1a hash of one
 //! `cycle component label value` line per record.
 
-use apir::bench::experiments::{scale_cache, synthesized_cfg};
+use apir::bench::experiments::app_cfg;
 use apir::bench::scale::build_app;
 use apir::bench::Scale;
 use apir::fabric::{Fabric, FabricError, FabricReport, FaultConfig};
@@ -112,9 +112,7 @@ fn render(trace: &EventTrace) -> String {
 /// report (the partial one for a run that fails).
 fn run(cell: &Cell) -> FabricReport {
     let app = build_app(cell.app, Scale::Tiny);
-    let mut cfg = synthesized_cfg(cell.app, Scale::Tiny);
-    scale_cache(&mut cfg, &app.input);
-    (app.tune)(&mut cfg);
+    let mut cfg = app_cfg(&app.spec, &app.input, &app.tune);
     cfg.faults = (cell.faults)();
     cfg.trace_capacity = 1 << 20;
     match Fabric::new(&app.spec, &app.input, cfg).run() {
